@@ -11,7 +11,6 @@ from .core import (
     build_lattice,
     fractional_coefficients,
     indicator_coefficients,
-    slice_coefficients,
 )
 from .kernels import (
     GridField,
@@ -22,8 +21,8 @@ from .kernels import (
     eval_R,
     eval_S,
     grid_eval,
-    grid_eval_sliced,
     reduce_torus,
+    slice_weight_matrix,
 )
 from .norms import (
     FrakFValue,

@@ -21,9 +21,11 @@ reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -34,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import full_predictor, remainder_envelope
-from .core import DilationVector
-from .irrational import AlphaSpec, I_n, study_ratio
+from .core import DilationVector, ResourceLimitError
+from .irrational import AlphaSpec, study_ratio
 from .kernels import DEFAULT_NU_MAX
 from .norms import (
     DEFAULT_RHO,
@@ -188,15 +190,14 @@ def cmd_norm(cfg: RunConfig) -> int:
     exit_code = 0
     try:
         res = l1_norm(cfg.kernel, n, tol=cfg.tol, rho=cfg.rho,
-                      nu_max=cfg.nu_max, workers=cfg.workers,
-                      budget_bytes=cfg.budget_mb << 20)
+                      workers=cfg.workers, budget_bytes=cfg.budget_mb << 20)
         payload = {
             "value": res.value,
             "normalized": res.normalized,
             "grid": res.grid,
             "history": [[list(m) if m else None, v] for m, v in res.history],
             "error_estimate": res.error_estimate,
-            "converged": res.converged,
+            "converged": True,
             "parseval": res.parseval,
         }
     except NormConvergenceError as exc:
@@ -246,6 +247,30 @@ _LIST_RE = re.compile(r"^list\((.*)\)$")
 
 _EXPR_FUNCS = {"pow": pow, "log": math.log, "sqrt": math.sqrt,
                "exp": math.exp, "floor": math.floor, "ceil": math.ceil}
+_EXPR_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                ast.Mult: operator.mul, ast.Div: operator.truediv,
+                ast.Pow: operator.pow}
+_EXPR_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _eval_expr(node, scope: dict) -> float:
+    """Evaluate an axis expression: numbers, names in ``scope``, + - * / **,
+    unary +-, and calls to _EXPR_FUNCS.  Every value is a float, so the
+    arithmetic is Python's own float arithmetic."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in scope:
+        return float(scope[node.id])
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+        return float(_EXPR_BINOPS[type(node.op)](
+            _eval_expr(node.left, scope), _eval_expr(node.right, scope)))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARY:
+        return _EXPR_UNARY[type(node.op)](_eval_expr(node.operand, scope))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in _EXPR_FUNCS and not node.keywords:
+        return float(_EXPR_FUNCS[node.func.id](
+            *(_eval_expr(arg, scope) for arg in node.args)))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
 def _parse_axis(text: str, prior: dict) -> list:
@@ -268,13 +293,13 @@ def _parse_axis(text: str, prior: dict) -> list:
     if rows == 0:
         raise ValueError(f"expression {text!r} needs an earlier axis")
     out = []
-    for i in range(rows):
-        scope = dict(_EXPR_FUNCS)
-        scope.update({name: vals[i] for name, vals in prior.items()})
-        try:
-            out.append(float(eval(text, {"__builtins__": {}}, scope)))
-        except Exception as exc:
-            raise ValueError(f"cannot evaluate {text!r}: {exc}") from None
+    try:
+        tree = ast.parse(text, mode="eval").body
+        for i in range(rows):
+            scope = {name: vals[i] for name, vals in prior.items()}
+            out.append(_eval_expr(tree, scope))
+    except (SyntaxError, ArithmeticError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot evaluate {text!r}: {exc}") from None
     return out
 
 
@@ -295,15 +320,26 @@ def _sweep_rows(cfg: RunConfig) -> list:
     return [tuple(axes[k][i] for k in axes) for i in range(count)]
 
 
+def _norm_or_last(kernel: str, n: DilationVector, kw: dict) -> tuple:
+    """(value, grid, converged); a norm that did not converge gives the
+    value of its last refinement level."""
+    try:
+        res = l1_norm(kernel, n, **kw)
+        return res.value, res.grid, True
+    except NormConvergenceError as exc:
+        grid, value = exc.history[-1]
+        return value, grid, False
+
+
 def _sweep_one(entries: tuple, cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     n = DilationVector(entries)
     d = n.d
     kw = dict(tol=cfg.tol, rho=cfg.rho, workers=cfg.workers,
               budget_bytes=cfg.budget_mb << 20)
-    res_d = l1_norm("D", n, **kw)
-    res_s = l1_norm("S", n, nu_max=cfg.nu_max, **kw)
-    res_f = l1_norm("F", n, **kw)
+    (norm_d, grid_d, ok_d), (norm_s, _, ok_s), (norm_f, _, ok_f) = (
+        _norm_or_last(kernel, n, kw) for kernel in ("D", "S", "F"))
+    converged = ok_d and ok_s and ok_f
     fraks = {}
     for k in range(2, d + 1):
         try:
@@ -312,21 +348,25 @@ def _sweep_one(entries: tuple, cfg: RunConfig) -> dict:
         except ValueError:
             # outside the ascending regime of the correction functional
             fraks[k] = float("nan")
+        except NormConvergenceError:
+            fraks[k] = float("nan")
+            converged = False
     try:
         pred = full_predictor(n, fraks)
-        main, resid, ratio = pred.main, res_d.value - pred.total, \
-            (res_d.value - pred.total) / pred.envelope
+        main, resid, ratio = pred.main, norm_d - pred.total, \
+            (norm_d - pred.total) / pred.envelope
         env = pred.envelope
     except (ValueError, KeyError):
         main = resid = ratio = float("nan")
         env = remainder_envelope(n) if min(entries) > 1.0 else float("nan")
     return {
         "entries": entries,
-        "norm_D": res_d.value, "norm_S": res_s.value, "norm_F": res_f.value,
+        "norm_D": norm_d, "norm_S": norm_s, "norm_F": norm_f,
         "fraks": fraks, "main_term": main, "residual": resid,
         "envelope": env, "ratio": ratio,
-        "grid_M": "x".join(str(m) for m in res_d.grid),
+        "grid_M": "x".join(str(m) for m in grid_d),
         "seconds": time.perf_counter() - t0 if cfg.timings else 0.0,
+        "converged": converged,
     }
 
 
@@ -345,7 +385,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
               + ["norm_D", "norm_S", "norm_F"]
               + [f"frakF{k}" for k in range(2, d + 1)]
               + ["main_term", "residual", "envelope", "ratio",
-                 "grid_M", "seconds"])
+                 "grid_M", "seconds", "converged"])
     lines = _header_lines(cfg) + [",".join(header)]
     for row in results:
         cells = ([str(d)] + [_fmt(v) for v in row["entries"]]
@@ -354,10 +394,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
                  + [_fmt(row["fraks"][k]) for k in range(2, d + 1)]
                  + [_fmt(row["main_term"]), _fmt(row["residual"]),
                     _fmt(row["envelope"]), _fmt(row["ratio"]),
-                    row["grid_M"], _fmt(row["seconds"])])
+                    row["grid_M"], _fmt(row["seconds"]),
+                    str(int(row["converged"]))])
         lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", cfg.output)
-    return 0
+    return 0 if all(row["converged"] for row in results) else 2
 
 
 # -------------------------------------------------------------- irrational
@@ -385,37 +426,16 @@ def _parse_alpha(text: str) -> AlphaSpec:
     raise ValueError(f"unrecognized alpha spec {text!r}")
 
 
-def _explicit_records(alpha: AlphaSpec, grid: list, cfg: RunConfig) -> list:
-    """Rows for a hand-picked n list (n >= 2 but below the study floor of
-    16 is fine here; the ratio uses ln^2 n and needs n >= 2)."""
-    from .irrational import RatioRecord, _convergent_denominators
-
-    if any(v < 2 for v in grid):
-        raise ValueError("n values must be >= 2")
-    qset = _convergent_denominators(alpha, max(grid))
-    out, lo, hi = [], math.inf, -math.inf
-    for n in grid:
-        v = I_n(alpha, n, tol=cfg.tol, rho=cfg.rho,
-                workers=cfg.workers).value
-        ratio = v / math.log(n) ** 2 if n > 1 else float("nan")
-        lo, hi = min(lo, ratio), max(hi, ratio)
-        out.append(RatioRecord(n=n, value=v, ratio=ratio, running_min=lo,
-                               running_max=hi,
-                               is_convergent_denominator=n in qset))
-    return out
-
-
 def cmd_irrational(cfg: RunConfig) -> int:
     alpha = _parse_alpha(cfg.alpha)
     if cfg.n:
         try:
-            grid = [int(tok) for tok in cfg.n.split(",")]
+            grid = sorted({int(tok) for tok in cfg.n.split(",")})
         except ValueError:
             raise ValueError(f"malformed n list {cfg.n!r}") from None
-        if any(v < 1 for v in grid):
-            raise ValueError("n values must be >= 1")
-        grid = sorted(set(grid))
-        records = _explicit_records(alpha, grid, cfg)
+        # hand-picked n may lie below the study floor of 16
+        records = study_ratio(alpha, grid, tol=cfg.tol, workers=cfg.workers,
+                              rho=cfg.rho, min_n=2)
     else:
         grid, e = [], 4
         while 2 ** e <= cfg.nmax:
@@ -423,7 +443,8 @@ def cmd_irrational(cfg: RunConfig) -> int:
             e += 1
         if not grid:
             raise ValueError("--nmax must be at least 16")
-        records = study_ratio(alpha, grid, tol=cfg.tol, workers=cfg.workers)
+        records = study_ratio(alpha, grid, tol=cfg.tol, workers=cfg.workers,
+                              rho=cfg.rho)
     lines = _header_lines(cfg) + ["n,I_n,ratio,is_convergent_q"]
     for rec in records:
         lines.append(",".join([str(rec.n), _fmt(rec.value), _fmt(rec.ratio),
@@ -520,7 +541,7 @@ def main(argv=None) -> int:
             if not getattr(cfg, key):
                 raise ValueError(f"--{key} is required for {args.command}")
         return _DISPATCH[args.command](cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         sys.stderr.write(f"simplexleb: error: {exc}\n")
         return 1
 

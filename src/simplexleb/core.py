@@ -5,37 +5,35 @@ The lattice of a dilation vector n = (n_1, ..., n_d) consists of the integer
 points k >= 0 with sum_j k_j / n_j <= 1, enumerated through the nested bounds
 k_1 <= [L_1], k_2 <= [L_2(k_1)], ... where L_1 = n_1 and
 L_s(xi) = n_s - (m^(s-1), xi) with m^(s) = (n_{s+1}/n_1, ..., n_{s+1}/n_s).
-Entries of n need not be integers; floors enter only through the bounds.
+Entries of n need not be integers; floors enter only through the bounds,
+and LambdaEvaluator.parts certifies them at integer boundaries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DilationVector",
     "LambdaEvaluator",
+    "LambdaParts",
     "SimplexLattice",
     "CoefficientField",
     "ResourceLimitError",
     "build_lattice",
     "indicator_coefficients",
     "fractional_coefficients",
-    "slice_coefficients",
     "DEFAULT_BOX_BUDGET",
-    "SINGULARITY_THRESHOLD",
 ]
 
 # Dense coefficient boxes are capped at this many complex entries.
 DEFAULT_BOX_BUDGET = 2**31
-
-# Below this |x_d| the S-slice weight uses the limit branch
-# L + i L^2 x_d / 2 (relative error < 1e-15 there).
-SINGULARITY_THRESHOLD = 1e-8
 
 
 class ResourceLimitError(RuntimeError):
@@ -82,6 +80,14 @@ class DilationVector:
         return DilationVector(self.entries[:s])
 
 
+class LambdaParts(NamedTuple):
+    """L_s at integer points: the float value and its certified parts."""
+
+    value: np.ndarray   # float L_s as LambdaEvaluator.values computes it
+    floor: np.ndarray   # [L_s], exact (int64)
+    frac: np.ndarray    # {L_s}, the exact value rounded to float
+
+
 @dataclass(frozen=True)
 class LambdaEvaluator:
     """Evaluates the nested affine bounds L_s of a dilation vector."""
@@ -108,14 +114,39 @@ class LambdaEvaluator:
         m = np.array(self.n.ratios(s - 1))
         return ent[s - 1] - points[:, : s - 1] @ m
 
+    def parts(self, s: int, points: np.ndarray) -> LambdaParts:
+        """L_s at integer points with certified floors and fractional parts.
+
+        The float value is off by less than (s + 2) 2^-52 (n_s + (m, xi));
+        points whose value lies that close to an integer are recomputed
+        exactly, reading every float entry as the dyadic rational it stores.
+        """
+        points = np.asarray(points, dtype=np.int64)
+        value = self.values(s, points)
+        floor = np.floor(value).astype(np.int64)
+        frac = value - floor
+        n_s = self.n.entries[s - 1]
+        err = (s + 2) * 2.0**-52 * (2.0 * n_s - value)  # n_s + (m, xi)
+        near = np.flatnonzero(np.abs(value - np.rint(value)) <= err)
+        if near.size:
+            q = [Fraction(v) for v in self.n.entries[:s]]
+            ratios = [q[-1] / qj for qj in q[:-1]]
+            for i in near:
+                exact = q[-1] - sum(int(k) * r
+                                    for k, r in zip(points[i], ratios))
+                floor[i] = fl = math.floor(exact)
+                # {L} < 1 even where its float rounding would reach 1.0
+                frac[i] = min(float(exact - fl), 1.0 - 2.0**-53)
+        return LambdaParts(value, floor, frac)
+
 
 @dataclass(frozen=True)
 class SimplexLattice:
     """Integer points of the nested-bound lattice, in lexicographic order.
 
-    ``points`` has shape (P, s).  When ``s < d`` the values L_{s+1}(k) are
-    available through :meth:`lambda_next`, which is what the fractional and
-    slice coefficient builders consume.
+    ``points`` has shape (P, s).  When ``s < d`` the values L_{s+1}(k) and
+    their certified floors and fractional parts are available through
+    :attr:`lambda_parts`, which the kernels and the norm engine consume.
     """
 
     n: DilationVector
@@ -131,11 +162,12 @@ class SimplexLattice:
         """Per-axis box extents (max k_j) + 1."""
         return tuple(int(v) + 1 for v in self.points.max(axis=0))
 
-    def lambda_next(self) -> np.ndarray:
-        """L_{s+1} evaluated at every lattice point (requires s < d)."""
+    @cached_property
+    def lambda_parts(self) -> LambdaParts:
+        """L_{s+1} at every lattice point, with certified parts (s < d)."""
         if self.s >= self.n.d:
             raise ValueError("lattice already spans the full dimension")
-        return LambdaEvaluator(self.n).values(self.s + 1, self.points)
+        return LambdaEvaluator(self.n).parts(self.s + 1, self.points)
 
     def contains_all(self) -> bool:
         """Membership predicate sum_j k_j / n_j <= 1 for every stored point."""
@@ -196,7 +228,7 @@ def build_lattice(n: DilationVector, s: int | None = None,
     lam = LambdaEvaluator(n)
     points = np.zeros((1, 0), dtype=np.int64)
     for axis in range(1, s + 1):
-        bounds = np.floor(lam.values(axis, points)).astype(np.int64)
+        bounds = lam.parts(axis, points).floor
         # bounds >= 0 along the lattice: L_axis >= 0 whenever the previous
         # coordinates satisfy the membership inequality.
         reps = bounds + 1
@@ -223,15 +255,10 @@ def _volume_estimate(entries) -> float:
 def indicator_coefficients(lattice: SimplexLattice,
                            budget: int = DEFAULT_BOX_BUDGET) -> CoefficientField:
     """Weight 1 at every lattice point, 0 elsewhere in the bounding box."""
-    extents = lattice.extents
-    _check_box_budget(extents, budget)
-    w = np.zeros(extents, dtype=np.complex128)
-    flat = np.ravel_multi_index(tuple(lattice.points.T), extents)
-    w.ravel()[flat] = 1.0
-    return CoefficientField(weights=w, tag=f"indicator:{lattice.n.entries}")
+    return _scatter(lattice, 1.0, f"indicator:{lattice.n.entries}", budget)
 
 
-def _scatter(lattice: SimplexLattice, values: np.ndarray, tag: str,
+def _scatter(lattice: SimplexLattice, values, tag: str,
              budget: int) -> CoefficientField:
     extents = lattice.extents
     _check_box_budget(extents, budget)
@@ -254,51 +281,6 @@ def fractional_coefficients(n: DilationVector,
             tag=f"fractional:{n.entries}",
         )
     lat = build_lattice(n, n.d - 1, budget=budget)
-    frac = lat.lambda_next() % 1.0
-    # Guard against the float artifact {x} -> 1.0 for x just below an integer.
-    frac[frac >= 1.0] = 0.0
-    return _scatter(lat, frac, f"fractional:{n.entries}", budget)
+    return _scatter(lat, lat.lambda_parts.frac, f"fractional:{n.entries}",
+                    budget)
 
-
-def slice_coefficients(n: DilationVector, kernel: str, x_d: float,
-                       h: float | None = None, limit_branch: bool = True,
-                       budget: int = DEFAULT_BOX_BUDGET) -> CoefficientField:
-    """Fourier coefficients of the x_d-slice of the requested kernel.
-
-    kernel 'S':          weight (e^{i L x_d} - 1) / (i x_d), with the removable
-                         singularity at x_d = 0 evaluated via the limit branch.
-    kernel 'Fcomposite': weight {L} e^{i L x_d}, the slice of
-                         e^{i n_d x_d} F(x' - x_d m^(d-1)).
-    kernel 'Rdelta':     weight e^{i L h / n_d} - 1 for an explicit shift h,
-                         the difference-operator building block of R.
-    """
-    if n.d < 2:
-        raise ValueError("slice coefficients require d >= 2")
-    if not math.isfinite(x_d):
-        raise ValueError("x_d must be finite")
-    lat = build_lattice(n, n.d - 1, budget=budget)
-    lam = lat.lambda_next()
-    if kernel == "S":
-        w = _s_slice_weights(lam, x_d, limit_branch)
-    elif kernel == "Fcomposite":
-        frac = lam % 1.0
-        frac[frac >= 1.0] = 0.0
-        w = frac * np.exp(1j * lam * x_d)
-    elif kernel == "Rdelta":
-        if h is None:
-            raise ValueError("Rdelta slice requires the shift h")
-        w = np.exp(1j * lam * (h / n.entries[-1])) - 1.0
-    else:
-        raise ValueError(f"unknown slice kernel {kernel!r}")
-    return _scatter(lat, w, f"{kernel}-slice:{n.entries}@{x_d}", budget)
-
-
-def _s_slice_weights(lam: np.ndarray, x_d: float, limit_branch: bool) -> np.ndarray:
-    if abs(x_d) < SINGULARITY_THRESHOLD:
-        if not limit_branch:
-            raise ValueError(
-                f"|x_d|={abs(x_d)} below singularity threshold; "
-                "pass limit_branch=True for the limit value"
-            )
-        return lam + 0.5j * lam * lam * x_d
-    return (np.exp(1j * lam * x_d) - 1.0) / (1j * x_d)

@@ -243,23 +243,24 @@ class RatioRecord:
 
 
 def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
-                workers: int = 1) -> list:
+                workers: int = 1, rho: float = 4.0, min_n: int = 16) -> list:
     """Per-n normalized values with running min/max finite-n estimators.
 
     The running extrema are estimators over the computed grid only, never
-    claims about limits.
+    claims about limits.  Grid entries below ``min_n`` are refused; keep
+    min_n >= 2, since the ratio divides by ln^2 n.
     """
     n_grid = [int(v) for v in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n grid must be increasing")
-    if any(v < 16 for v in n_grid):
-        raise ValueError("grid entries must be >= 16")
+    if any(v < min_n for v in n_grid):
+        raise ValueError(f"grid entries must be >= {min_n}")
     qset = _convergent_denominators(alpha, max(n_grid))
     out = []
     lo = math.inf
     hi = -math.inf
     for n in n_grid:
-        v = I_n(alpha, n, tol=tol, workers=workers).value
+        v = I_n(alpha, n, tol=tol, rho=rho, workers=workers).value
         ratio = v / math.log(n) ** 2
         lo = min(lo, ratio)
         hi = max(hi, ratio)

@@ -23,6 +23,13 @@ c_k -> (e^{i h (1 - sum_j k_j / n_j)} - 1) c_k.  The exact identity
 holds pointwise; truncating the nu-series of R at nu_max leaves a residual
 controlled by the tail bound returned by :func:`eval_R`.
 
+The identity also holds mode by mode in k': on the slice at fixed x_d each
+of the four d-dimensional kernels is a trigonometric polynomial in x' whose
+weight on mode k' is a closed-form function of L = L_d(k') and x_d
+(:func:`slice_weight_matrix`).  R's weight is w_D - w_S + w_Fcomposite,
+the exact sum of its nu-series, so the norm engine needs no truncation;
+:func:`eval_R` keeps the series as the independent oracle of the theorem.
+
 Grid synthesis phase bookkeeping: grid nodes are x_t = -pi + 2 pi t / M, so
 
     f(x_t) = sum_k c_k prod_j (-1)^{k_j} e^{2 pi i k_j t_j / M_j},
@@ -51,10 +58,9 @@ import scipy.fft
 from .core import (
     CoefficientField,
     DilationVector,
+    LambdaParts,
     ResourceLimitError,
     build_lattice,
-    SINGULARITY_THRESHOLD,
-    _s_slice_weights,
 )
 
 __all__ = [
@@ -67,15 +73,19 @@ __all__ = [
     "eval_R",
     "apply_delta",
     "grid_eval",
-    "grid_eval_sliced",
+    "slice_weight_matrix",
     "DEFAULT_NU_MAX",
     "DEFAULT_GRID_BUDGET_BYTES",
 ]
 
 DEFAULT_NU_MAX = 4096
-# Full-grid FFT arrays above this size fall back to chunked synthesis
-# in the norm engine; grid_eval itself refuses to allocate beyond it.
+# Grid memory cap in bytes: grid_eval refuses to allocate beyond it, and
+# the norm engines size their batches and chunks within it.
 DEFAULT_GRID_BUDGET_BYTES = 1_500_000_000
+
+# Below this |x_d| the S-slice weight uses the limit branch
+# L + i L^2 x_d / 2 (relative error < 1e-15 there).
+SINGULARITY_THRESHOLD = 1e-8
 
 _NU_CHUNK = 1024
 
@@ -115,7 +125,7 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.M))
+        return math.prod(self.M)
 
     def axis_nodes(self, j: int) -> np.ndarray:
         m = self.M[j]
@@ -153,7 +163,7 @@ def _geometric_sum(m, t):
 
 def _lattice_with_lambda(n: DilationVector, budget):
     lat = build_lattice(n, n.d - 1, budget=budget) if budget else build_lattice(n, n.d - 1)
-    return lat.points, lat.lambda_next()
+    return lat.points, lat.lambda_parts
 
 
 def eval_D(n: DilationVector, x, budget=None) -> complex:
@@ -165,7 +175,7 @@ def eval_D(n: DilationVector, x, budget=None) -> complex:
         return complex(_geometric_sum(int(n.entries[0]) + 1, x[0]))
     points, lam = _lattice_with_lambda(n, budget)
     phases = np.exp(1j * (points @ x[:-1]))
-    inner = _geometric_sum(np.floor(lam) + 1.0, x[-1])
+    inner = _geometric_sum(lam.floor + 1.0, x[-1])
     return complex(phases @ inner)
 
 
@@ -177,9 +187,7 @@ def eval_F(n: DilationVector, x_prime, budget=None) -> complex:
     if x_prime.shape[-1] != n.d - 1:
         raise ValueError(f"expected {n.d - 1} coordinates, got {x_prime.shape[-1]}")
     points, lam = _lattice_with_lambda(n, budget)
-    frac = lam % 1.0
-    frac[frac >= 1.0] = 0.0
-    return complex(np.exp(1j * (points @ x_prime)) @ frac)
+    return complex(np.exp(1j * (points @ x_prime)) @ lam.frac)
 
 
 def eval_S(n: DilationVector, x, budget=None, cross_check: bool = False) -> complex:
@@ -189,10 +197,11 @@ def eval_S(n: DilationVector, x, budget=None, cross_check: bool = False) -> comp
     x = reduce_torus(np.atleast_1d(x))
     points, lam = _lattice_with_lambda(n, budget)
     x_d = float(x[-1])
-    w = _s_slice_weights(lam, x_d, limit_branch=True)
+    w = slice_weight_matrix("S", lam, [x_d])[0]
     value = complex(np.exp(1j * (points @ x[:-1])) @ w)
     if cross_check and abs(x_d) >= SINGULARITY_THRESHOLD:
-        alt = _delta_D_prime(n, points, lam, x[:-1], n.entries[-1] * x_d) / (1j * x_d)
+        alt = _delta_D_prime(n, points, lam.value, x[:-1],
+                             n.entries[-1] * x_d) / (1j * x_d)
         rel = abs(value - alt) / max(abs(value), 1.0)
         if rel > 1e-10:
             raise AssertionError(f"S closed forms disagree: rel={rel}")
@@ -217,9 +226,9 @@ def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX,
     if nu_max < 1:
         raise ValueError("nu_max must be >= 1")
     x = reduce_torus(np.atleast_1d(x))
-    points, lam = _lattice_with_lambda(n, budget)
+    points, parts = _lattice_with_lambda(n, budget)
+    lam = parts.value
     x_d = float(x[-1])
-    nd = n.entries[-1]
     phases = np.exp(1j * (points @ x[:-1]))
     value = 0.5 * complex(phases @ (np.exp(1j * lam * x_d) + 1.0))
     if x_d != 0.0:
@@ -277,67 +286,33 @@ def grid_eval(fld: CoefficientField, grid: GridSpec,
         )
     padded = np.zeros(grid.M, dtype=np.complex128)
     padded[tuple(slice(0, e) for e in fld.extents)] = _phase_adjusted(fld.weights)
-    vals = scipy.fft.ifftn(padded, workers=workers, overwrite_x=True) * grid.size
+    vals = scipy.fft.ifftn(padded, workers=workers, overwrite_x=True)
+    vals *= grid.size
     return GridField(grid=grid, values=vals, tag=f"grid|{fld.tag}")
 
 
-def slice_weight_matrix(kind: str, lam: np.ndarray, xd_nodes: np.ndarray,
-                        n_d: float, nu_max: int = DEFAULT_NU_MAX) -> np.ndarray:
-    """Per-node slice weights, shape (len(xd_nodes), len(lam)).
+def slice_weight_matrix(kind: str, lam: LambdaParts, xs) -> np.ndarray:
+    """Closed-form x_d-slice weights of every mode k', shape (len(xs), P').
 
-    kind 'S', 'Fcomposite' or 'R'; real-valued frequencies L_d(k') make these
-    kernels non-polynomial in x_d, hence the slice-wise synthesis.
+    With L = L_d(k') (``lam`` from :attr:`SimplexLattice.lambda_parts`) and
+    x = x_d:
+
+        D           sum_{j=0}^{[L]} e^{i j x}   (geometric sum)
+        S           (e^{i L x} - 1) / (i x)     (limit branch near x = 0)
+        Fcomposite  {L} e^{i L x}
+        R           w_D - w_S + w_Fcomposite
     """
-    xd = xd_nodes[:, None]
-    if kind == "S":
-        small = np.abs(xd) < SINGULARITY_THRESHOLD
-        xd_safe = np.where(small, 1.0, xd)
-        w = np.where(small, lam + 0.5j * lam * lam * xd,
-                     (np.exp(1j * lam * xd) - 1.0) / (1j * xd_safe))
-        return w
+    if kind not in ("D", "S", "Fcomposite", "R"):
+        raise ValueError(f"unknown sliced kernel {kind!r}")
+    xd = np.asarray(xs, dtype=float)[:, None]
+    if kind == "D":
+        return _geometric_sum(lam.floor + 1.0, xd)
+    e = np.exp(1j * lam.value * xd)
     if kind == "Fcomposite":
-        frac = lam % 1.0
-        frac = np.where(frac >= 1.0, 0.0, frac)
-        return frac * np.exp(1j * lam * xd)
-    if kind == "R":
-        w = 0.5 * (np.exp(1j * lam * xd) + 1.0)
-        series = np.zeros_like(w)
-        for start in range(1, nu_max + 1, _NU_CHUNK):
-            nu = np.arange(start, min(start + _NU_CHUNK, nu_max + 1), dtype=float)
-            for sign in (1.0, -1.0):
-                snu = sign * nu
-                hh = 2.0 * np.pi * snu[None, :, None] + xd[:, None]
-                coef = 1.0 / (snu[None, :, None] * hh)
-                series += np.sum(coef * (np.exp(1j * hh * lam) - 1.0), axis=1)
-        w -= xd / (2.0 * np.pi * 1j) * series
-        return w
-    raise ValueError(f"unknown sliced kernel {kind!r}")
-
-
-def grid_eval_sliced(n: DilationVector, kernel: str, grid: GridSpec,
-                     nu_max: int = DEFAULT_NU_MAX,
-                     budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES,
-                     workers: int = 1) -> GridField:
-    """Assemble the d-dimensional grid of S, Fcomposite or R slice by slice."""
-    if n.d < 2:
-        raise ValueError("sliced evaluation requires d >= 2")
-    if grid.s != n.d:
-        raise ValueError("grid dimension must equal d")
-    if grid.size * 16 > budget_bytes:
-        raise ResourceLimitError("sliced grid exceeds budget", estimate=grid.size)
-    lat = build_lattice(n, n.d - 1)
-    lam = lat.lambda_next()
-    xd_nodes = grid.axis_nodes(n.d - 1)
-    w = slice_weight_matrix(kernel, lam, xd_nodes, n.entries[-1], nu_max)
-    extents = lat.extents
-    flat = np.ravel_multi_index(tuple(lat.points.T), extents)
-    m_prime = grid.M[:-1]
-    out = np.empty(grid.M, dtype=np.complex128)
-    scale = int(np.prod(m_prime))
-    for t, row in enumerate(w):
-        box = np.zeros(extents, dtype=np.complex128)
-        box.ravel()[flat] = row
-        padded = np.zeros(m_prime, dtype=np.complex128)
-        padded[tuple(slice(0, e) for e in extents)] = _phase_adjusted(box)
-        out[..., t] = scipy.fft.ifftn(padded, workers=workers) * scale
-    return GridField(grid=grid, values=out, tag=f"{kernel}-grid:{n.entries}")
+        return lam.frac * e
+    small = np.abs(xd) < SINGULARITY_THRESHOLD
+    w_s = np.where(small, lam.value + 0.5j * lam.value**2 * xd,
+                   (e - 1.0) / (1j * np.where(small, 1.0, xd)))
+    if kind == "S":
+        return w_s
+    return _geometric_sum(lam.floor + 1.0, xd) - w_s + lam.frac * e

@@ -2,20 +2,31 @@
 
 All theorem-facing values are PLAIN torus integrals ||f||_(s) = int_{T^s} |f|;
 the (2 pi)^{-s} normalization is reported alongside.  Quadrature is the
-Riemann sum (2 pi / M)^s sum_t |f(x_t)| on successively doubled grids; every
-polynomial grid is validated through the exact discrete Parseval identity
+Riemann sum (2 pi / M)^s sum_t |f(x_t)| on successively doubled grids.  Two
+synthesis paths feed it:
+
+* the slice engine (:func:`slice_batches`) for the d-dimensional kernels D,
+  S, Fcomposite and R (d >= 2): batches of x_d nodes, closed-form slice
+  weights from :func:`.kernels.slice_weight_matrix` and one inverse FFT over
+  the first d-1 axes per batch, so memory is bounded by one batch;
+* a dense FFT of a coefficient box (:func:`l1_norm_field`) for polynomial
+  fields that are not slices of a d-kernel: F, the twisted differences of
+  the correction functional, I_n, and D for d = 1.
+
+Every grid is validated through the exact discrete Parseval identity
 
     (1 / prod M_j) sum_t |f(x_t)|^2 = sum_k |c_k|^2
 
-before its L1 value is accepted (for the D kernel the right-hand side is the
-lattice point count P).
+before its L1 value is accepted: per x_d slice in the engine (each slice is
+a trigonometric polynomial in x'), and over the whole grid for coefficient
+fields and for D, whose right-hand side is the lattice point count P.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft
@@ -23,6 +34,8 @@ import scipy.fft
 from .core import (
     CoefficientField,
     DilationVector,
+    ResourceLimitError,
+    SimplexLattice,
     build_lattice,
     fractional_coefficients,
     indicator_coefficients,
@@ -33,6 +46,7 @@ from .kernels import (
     GridSpec,
     _phase_adjusted,
     _geometric_sum,
+    grid_eval,
     reduce_torus,
     slice_weight_matrix,
 )
@@ -44,6 +58,7 @@ __all__ = [
     "IdentityReport",
     "l1_norm",
     "l1_norm_field",
+    "slice_batches",
     "verify_identity",
     "identity_residuals",
     "frak_f",
@@ -56,7 +71,10 @@ DEFAULT_RHO = 4.0
 DEFAULT_MAX_DOUBLINGS = 4
 PARSEVAL_RTOL = 1e-8
 
-_CHUNK_BYTES = 1 << 27
+# Bytes of complex grid values synthesized per batch or chunk.  Batches
+# of 8 MiB ran D(256, 256) and S(48.5, 3000.7) as fast as 128 MiB ones, at
+# a quarter of the peak memory (2 CPUs, numpy 2.4, scipy 1.17).
+_CHUNK_BYTES = 1 << 23
 
 _norm_cache: dict = {}
 _cache_lock = threading.Lock()
@@ -84,7 +102,6 @@ class NormResult:
     grid: tuple | None
     history: tuple
     error_estimate: float
-    converged: bool
     parseval: float | None = None
     tag: str = ""
 
@@ -119,62 +136,103 @@ class IdentityReport:
 
 # ----------------------------------------------------------------- synthesis
 
-def _phase_axes(c: np.ndarray, axes) -> np.ndarray:
-    out = np.array(c, dtype=np.complex128, copy=True)
-    for j in axes:
-        shape = [1] * c.ndim
-        shape[j] = c.shape[j]
-        out *= (1.0 - 2.0 * (np.arange(c.shape[j]) % 2)).reshape(shape)
-    return out
-
-
-def _grid_abs_sums(c: np.ndarray, M: tuple, workers: int = 1,
+def _grid_abs_sums(fld: CoefficientField, M: tuple, workers: int = 1,
                    budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES):
-    """(sum_t |f(x_t)|, sum_t |f(x_t)|^2) over the uniform grid M.
+    """(sum_t |f(x_t)|, sum_t |f(x_t)|^2) of a coefficient field on grid M.
 
-    Uses a full padded FFT when the grid fits the byte budget, otherwise
-    synthesizes the trailing axes by FFT and sweeps the first axis in chunks
-    through an explicit phase matrix (same values, bounded memory).
+    The full grid comes from :func:`.kernels.grid_eval` when it fits the
+    byte budget; otherwise the trailing axes are synthesized by FFT and the
+    first axis is swept in chunks through an explicit phase matrix (same
+    values, bounded memory).
     """
+    c = fld.weights
     s = c.ndim
-    size = int(np.prod(M))
-    if size * 16 <= budget_bytes or s == 1:
-        padded = np.zeros(M, dtype=np.complex128)
-        padded[tuple(slice(0, e) for e in c.shape)] = _phase_adjusted(c)
-        vals = scipy.fft.ifftn(padded, workers=workers, overwrite_x=True)
-        a = np.abs(vals)
-        return float(a.sum()) * size, float((a * a).sum()) * size * size
+    if s == 1 or math.prod(M) * 16 <= budget_bytes:
+        a = np.abs(grid_eval(fld, GridSpec(M), budget_bytes, workers).values)
+        return float(a.sum()), float((a * a).sum())
 
     k1 = c.shape[0]
-    rest = M[1:]
-    rest_size = int(np.prod(rest))
-    b = np.zeros((k1,) + rest, dtype=np.complex128)
+    rest_size = math.prod(M[1:])
+    if k1 * rest_size * 16 > budget_bytes:
+        raise ResourceLimitError(
+            f"chunked synthesis of {k1} x {rest_size} complex values "
+            f"exceeds budget {budget_bytes} bytes", estimate=k1 * rest_size)
+    b = np.zeros((k1,) + tuple(M[1:]), dtype=np.complex128)
     b[(slice(None),) + tuple(slice(0, e) for e in c.shape[1:])] = \
-        _phase_axes(c, range(1, s))
+        _phase_adjusted(c)
     b = scipy.fft.ifftn(b, axes=tuple(range(1, s)), workers=workers,
-                        overwrite_x=True) * rest_size
-    b = b.reshape(k1, rest_size)
+                        overwrite_x=True).reshape(k1, rest_size)
     m1 = M[0]
-    nodes = -np.pi + 2.0 * np.pi * np.arange(m1) / m1
     chunk = max(1, _CHUNK_BYTES // (rest_size * 16))
     sum_abs = 0.0
     sum_sq = 0.0
     for start in range(0, m1, chunk):
-        xs = nodes[start:start + chunk]
-        a_chunk = np.exp(1j * np.outer(xs, np.arange(k1)))
-        v = a_chunk @ b
-        av = np.abs(v)
+        # the node origin -pi is already in the (-1)^{k_1} of _phase_adjusted
+        t = np.arange(start, min(start + chunk, m1))
+        av = np.abs(np.exp(2j * np.pi / m1 * np.outer(t, np.arange(k1))) @ b)
         sum_abs += float(av.sum())
         sum_sq += float((av * av).sum())
-    return sum_abs, sum_sq
+    return sum_abs * rest_size, sum_sq * rest_size * rest_size
 
 
-def _check_parseval(sum_sq, size, coef_sq, tag):
-    lhs = sum_sq / size
-    denom = max(coef_sq, 1e-300)
-    if abs(lhs - coef_sq) > PARSEVAL_RTOL * denom and coef_sq > 0.0:
+def slice_batches(kernel: str, lat: SimplexLattice, M: tuple,
+                  workers: int = 1,
+                  budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES):
+    """Synthesize D, S, Fcomposite or R on the grid M, x_d slices in batches.
+
+    ``lat`` is the (d-1)-lattice of the kernel's dilation vector.  Each batch
+    holds at most min(_CHUNK_BYTES, budget_bytes) of grid values.  Yields
+    ``(w, v)`` per batch: the slice weights, shape (B, P'), and v, shape
+    (B,) + M', the inverse FFT of the weights, which is f / prod M' on the
+    batch's nodes (callers scale their sums, not v).
+    """
+    m_prime = tuple(M[:-1])
+    rest = math.prod(m_prime)
+    if rest * 16 > budget_bytes:
+        raise ResourceLimitError(
+            f"one x_d slice of {rest} complex values exceeds budget "
+            f"{budget_bytes} bytes", estimate=rest)
+    batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
+    flat = np.ravel_multi_index(tuple(lat.points.T), m_prime)
+    # node origin -pi: prod_j (-1)^{k_j}
+    twist = 1.0 - 2.0 * (lat.points.sum(axis=1) % 2)
+    xd = GridSpec(M).axis_nodes(len(M) - 1)
+    for start in range(0, M[-1], batch):
+        w = slice_weight_matrix(kernel, lat.lambda_parts,
+                                xd[start:start + batch])
+        v = np.zeros((len(w), rest), dtype=np.complex128)
+        v[:, flat] = w * twist
+        v = scipy.fft.ifftn(v.reshape((len(w),) + m_prime),
+                            axes=tuple(range(1, len(M))), workers=workers,
+                            overwrite_x=True)
+        yield w, v
+
+
+def _slice_abs_sums(kernel, lat, M, workers, budget_bytes):
+    """(sum_t |f(x_t)|, sum_t |f(x_t)|^2) from the slice engine, with the
+    exact Parseval identity checked on every x_d slice."""
+    rest = math.prod(M[:-1])
+    sum_abs = 0.0
+    sum_sq = 0.0
+    for w, v in slice_batches(kernel, lat, M, workers, budget_bytes):
+        av = np.abs(v).reshape(len(w), rest)
+        # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|
+        row_power = rest * np.einsum("ij,ij->i", av, av)
+        _check_parseval(row_power, np.einsum("ij,ij->i", w, w.conj()).real,
+                        f"{kernel}-slice")
+        sum_abs += float(av.sum())
+        sum_sq += float(row_power.sum())
+    return sum_abs * rest, sum_sq * rest
+
+
+def _check_parseval(power, coef_sq, tag):
+    """Grid power (1 / prod M) sum |f|^2 against sum |c|^2, elementwise."""
+    power, coef_sq = np.atleast_1d(power), np.atleast_1d(coef_sq)
+    bad = (np.abs(power - coef_sq) > PARSEVAL_RTOL * coef_sq) & (coef_sq > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise AssertionError(
-            f"Parseval mismatch on grid for {tag}: {lhs} vs {coef_sq}"
+            f"Parseval mismatch on grid for {tag}: {power[i]} vs {coef_sq[i]}"
         )
 
 
@@ -199,6 +257,23 @@ def _refine(eval_fn, grid0: GridSpec, tol: float, max_doublings: int, tag: str):
     )
 
 
+def _refined_norm(abs_sums, grid0: GridSpec, power, tol, max_doublings,
+                  tag: str) -> NormResult:
+    """Refine the Riemann sum of ``abs_sums(M)`` from grid0; the grid power
+    is checked against ``power`` (sum |c|^2) unless it is None."""
+
+    def evaluate(grid: GridSpec) -> float:
+        sum_abs, sum_sq = abs_sums(grid.M)
+        if power is not None:
+            _check_parseval(sum_sq / grid.size, power, tag)
+        return (2.0 * np.pi) ** grid.s * sum_abs / grid.size
+
+    v, grid, history, delta = _refine(evaluate, grid0, tol, max_doublings,
+                                      tag)
+    return NormResult(value=v, s=grid.s, grid=grid.M, history=history,
+                      error_estimate=delta, parseval=power, tag=tag)
+
+
 def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
                   rho: float = DEFAULT_RHO,
                   max_doublings: int = DEFAULT_MAX_DOUBLINGS,
@@ -208,65 +283,20 @@ def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
     if fld.s == 0:
         v = abs(complex(fld.weights))
         return NormResult(value=v, s=0, grid=None, history=((None, v),),
-                          error_estimate=0.0, converged=True,
-                          parseval=v * v, tag=fld.tag)
-    coef_sq = float(np.vdot(fld.weights, fld.weights).real)
-    s = fld.s
-
-    def evaluate(grid: GridSpec) -> float:
-        sum_abs, sum_sq = _grid_abs_sums(fld.weights, grid.M, workers,
-                                         budget_bytes)
-        _check_parseval(sum_sq, grid.size, coef_sq, fld.tag)
-        return (2.0 * np.pi) ** s * sum_abs / grid.size
-
+                          error_estimate=0.0, parseval=v * v, tag=fld.tag)
     grid0 = GridSpec(tuple(
         scipy.fft.next_fast_len(int(math.ceil(rho * e))) for e in fld.extents
     ))
-    v, grid, history, delta = _refine(evaluate, grid0, tol, max_doublings,
-                                      fld.tag)
-    return NormResult(value=v, s=s, grid=grid.M, history=history,
-                      error_estimate=delta, converged=True,
-                      parseval=coef_sq, tag=fld.tag)
-
-
-def _sliced_abs_sums(n: DilationVector, kind: str, M: tuple, nu_max: int,
-                     workers: int):
-    """Accumulated |f| and slice-wise Parseval check for S/Fcomposite/R."""
-    lat = build_lattice(n, n.d - 1)
-    lam = lat.lambda_next()
-    extents = lat.extents
-    flat = np.ravel_multi_index(tuple(lat.points.T), extents)
-    m_prime = M[:-1]
-    rest_size = int(np.prod(m_prime))
-    m_d = M[-1]
-    xd_nodes = -np.pi + 2.0 * np.pi * np.arange(m_d) / m_d
-    chunk = max(1, _CHUNK_BYTES // (rest_size * 16))
-    sum_abs = 0.0
-    for start in range(0, m_d, chunk):
-        xs = xd_nodes[start:start + chunk]
-        w = slice_weight_matrix(kind, lam, xs, n.entries[-1], nu_max)
-        boxes = np.zeros((len(xs),) + tuple(extents), dtype=np.complex128)
-        boxes.reshape(len(xs), -1)[:, flat] = w
-        boxes = _phase_axes(boxes, range(1, boxes.ndim))
-        padded = np.zeros((len(xs),) + m_prime, dtype=np.complex128)
-        padded[(slice(None),) + tuple(slice(0, e) for e in extents)] = boxes
-        vals = scipy.fft.ifftn(padded, axes=tuple(range(1, padded.ndim)),
-                               workers=workers, overwrite_x=True) * rest_size
-        av = np.abs(vals.reshape(len(xs), -1))
-        # Slices are trigonometric polynomials in x': exact Parseval per row.
-        row_sq = (av * av).sum(axis=1) / rest_size
-        coef_sq = (w * w.conj()).real.sum(axis=1)
-        bad = np.abs(row_sq - coef_sq) > PARSEVAL_RTOL * np.maximum(coef_sq, 1e-300)
-        if np.any(bad & (coef_sq > 0.0)):
-            raise AssertionError(f"slice Parseval mismatch for {kind}")
-        sum_abs += float(av.sum())
-    return sum_abs
+    return _refined_norm(
+        lambda M: _grid_abs_sums(fld, M, workers, budget_bytes), grid0,
+        float(np.vdot(fld.weights, fld.weights).real), tol, max_doublings,
+        fld.tag)
 
 
 def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
             rho: float = DEFAULT_RHO,
             max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-            nu_max: int = DEFAULT_NU_MAX, workers: int = 1,
+            workers: int = 1,
             budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES,
             use_cache: bool = True) -> NormResult:
     """Plain and normalized L1 norm of D, F, S, Fcomposite or R.
@@ -277,51 +307,36 @@ def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
     """
     if kernel not in ("D", "F", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    key = (kernel, tuple(float(f"{v:.12g}") for v in n.entries), rho, tol,
-           nu_max if kernel == "R" else None)
+    key = (kernel, tuple(float(f"{v:.12g}") for v in n.entries), rho, tol)
     if use_cache:
         with _cache_lock:
             if key in _norm_cache:
                 return _norm_cache[key]
-    result = _l1_norm_impl(kernel, n, tol, rho, max_doublings, nu_max,
-                           workers, budget_bytes)
+    result = _l1_norm_impl(kernel, n, tol, rho, max_doublings, workers,
+                           budget_bytes)
     if use_cache:
         with _cache_lock:
             _norm_cache[key] = result
     return result
 
 
-def _l1_norm_impl(kernel, n, tol, rho, max_doublings, nu_max, workers,
-                  budget_bytes):
-    if kernel == "D":
-        fld = indicator_coefficients(build_lattice(n))
-        res = l1_norm_field(fld, tol, rho, max_doublings, workers, budget_bytes)
-        return NormResult(value=res.value, s=res.s, grid=res.grid,
-                          history=res.history, error_estimate=res.error_estimate,
-                          converged=res.converged, parseval=res.parseval,
-                          tag=f"D:{n.entries}")
-    if kernel == "F":
-        fld = fractional_coefficients(n)
-        res = l1_norm_field(fld, tol, rho, max_doublings, workers, budget_bytes)
-        return NormResult(value=res.value, s=res.s, grid=res.grid,
-                          history=res.history, error_estimate=res.error_estimate,
-                          converged=res.converged, parseval=res.parseval,
-                          tag=f"F:{n.entries}")
+def _l1_norm_impl(kernel, n, tol, rho, max_doublings, workers, budget_bytes):
+    tag = f"{kernel}:{n.entries}"
+    if kernel == "F" or (kernel == "D" and n.d == 1):
+        fld = fractional_coefficients(n) if kernel == "F" else \
+            indicator_coefficients(build_lattice(n))
+        res = l1_norm_field(fld, tol, rho, max_doublings, workers,
+                            budget_bytes)
+        return replace(res, tag=tag)
     if n.d < 2:
         raise ValueError(f"{kernel} requires d >= 2")
-
-    d = n.d
-
-    def evaluate(grid: GridSpec) -> float:
-        sum_abs = _sliced_abs_sums(n, kernel, grid.M, nu_max, workers)
-        return (2.0 * np.pi) ** d * sum_abs / grid.size
-
-    grid0 = GridSpec.for_kernel(n, d, rho)
-    v, grid, history, delta = _refine(evaluate, grid0, tol, max_doublings,
-                                      f"{kernel}:{n.entries}")
-    return NormResult(value=v, s=d, grid=grid.M, history=history,
-                      error_estimate=delta, converged=True,
-                      tag=f"{kernel}:{n.entries}")
+    lat = build_lattice(n, n.d - 1)
+    # D's grid power is the lattice count P = sum_k' ([L_d(k')] + 1)
+    power = float((lat.lambda_parts.floor + 1).sum()) if kernel == "D" \
+        else None
+    return _refined_norm(
+        lambda M: _slice_abs_sums(kernel, lat, M, workers, budget_bytes),
+        GridSpec.for_kernel(n, n.d, rho), power, tol, max_doublings, tag)
 
 
 # --------------------------------------------------------- exact identity
@@ -337,16 +352,13 @@ def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int):
         raise ValueError("the decomposition requires d >= 2")
     pts = reduce_torus(np.asarray(points, dtype=float))
     lat = build_lattice(n, n.d - 1)
-    lam = lat.lambda_next()
-    frac = lam % 1.0
-    frac[frac >= 1.0] = 0.0
+    parts = lat.lambda_parts
+    lam = parts.value
     xd = pts[:, -1]
     ph = np.exp(1j * (pts[:, :-1] @ lat.points.T))   # (N, L)
-    d_vals = np.sum(ph * _geometric_sum(np.floor(lam) + 1.0, xd[:, None]),
-                    axis=1)
-    s_w = slice_weight_matrix("S", lam, xd, n.entries[-1], nu_max=1)
-    s_vals = np.sum(ph * s_w, axis=1)
-    f_vals = np.sum(ph * (frac * np.exp(1j * lam * xd[:, None])), axis=1)
+    d_vals, s_vals, f_vals = (
+        np.sum(ph * slice_weight_matrix(kind, parts, xd), axis=1)
+        for kind in ("D", "S", "Fcomposite"))
     r_vals = np.sum(ph * 0.5 * (np.exp(1j * lam * xd[:, None]) + 1.0), axis=1)
     series = np.zeros_like(r_vals)
     chunk = max(1, (1 << 24) // max(1, len(lam) * len(xd)))

@@ -7,7 +7,7 @@ import pytest
 
 from simplexleb.cli import main
 from simplexleb.core import DilationVector
-from simplexleb.norms import l1_norm
+from simplexleb.norms import clear_norm_cache, l1_norm
 
 
 def run(capsys, *argv):
@@ -49,6 +49,20 @@ class TestNormCommand:
         doc = json.loads(out)
         assert doc["converged"] is False
         assert doc["value"] > 0
+
+    def test_budget_too_small_exits_1(self, capsys):
+        clear_norm_cache()  # a cached value would need no grid at all
+        code, out, err = run(capsys, "norm", "--kernel", "D",
+                             "--n", "7.3,19.6", "--budget-mb", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error:")
+
+    def test_default_budget_value_unchanged(self, capsys):
+        code, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "7.3,19.6")
+        assert code == 0
+        want = l1_norm("D", DilationVector((7.3, 19.6)), use_cache=False)
+        assert json.loads(out)["value"] == want.value
 
     def test_output_embeds_config_and_conventions(self, capsys):
         _, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "2,3")
@@ -105,6 +119,39 @@ class TestSweepCommand:
         assert rows[1].split(",")[1:3] == ["4", "16"]
         assert rows[2].split(",")[1:3] == ["5", "25"]
 
+    def test_arithmetic_axis(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n1", "list(4,5.5)",
+                           "--n2", "2*n1+3", "--n3", "2.3*n2", "--t-nodes", "4")
+        assert code == 0
+        rows = [l for l in out.splitlines() if l and not l.startswith("#")]
+        cells = [dict(zip(rows[0].split(","), r.split(","))) for r in rows[1:]]
+        assert [float(c["n2"]) for c in cells] == [11.0, 14.0]
+        assert [float(c["n3"]) for c in cells] == [2.3 * 11.0, 2.3 * 14.0]
+
+    def test_expression_cannot_reach_python(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n1", "list(5.5)", "--n2",
+                             "().__class__.__name__.__len__()")
+        assert code == 1
+        assert out == ""
+        assert "simplexleb: error:" in err
+
+    def test_nonconvergent_row_flagged_exit_2(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n1", "list(5.5)",
+                           "--n2", "2.3*n1", "--tol", "1e-13")
+        assert code == 2
+        rows = [l for l in out.splitlines() if l and not l.startswith("#")]
+        cells = dict(zip(rows[0].split(","), rows[1].split(",")))
+        assert cells["converged"] == "0"
+        assert float(cells["norm_D"]) > 0
+
+    def test_converged_rows_flagged_1(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n1", "list(4)",
+                           "--n2", "list(9)", "--t-nodes", "4")
+        assert code == 0
+        rows = [l for l in out.splitlines() if l and not l.startswith("#")]
+        assert rows[0].split(",")[-1] == "converged"
+        assert rows[1].split(",")[-1] == "1"
+
     def test_geom_axis_count(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n1", "geom(4,8,5)",
                            "--n2", "pow(n1,2)", "--t-nodes", "4")
@@ -142,7 +189,8 @@ class TestSweepCommand:
         _, out, _ = run(capsys, "sweep", "--n1", "list(4)",
                         "--n2", "list(9)", "--t-nodes", "4")
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
-        assert rows[1].split(",")[-1] == "0"
+        cells = dict(zip(rows[0].split(","), rows[1].split(",")))
+        assert cells["seconds"] == "0"
 
 
 class TestIrrationalCommand:

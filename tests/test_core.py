@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from simplexleb.core import (
     build_lattice,
     fractional_coefficients,
     indicator_coefficients,
-    slice_coefficients,
 )
+from simplexleb.kernels import slice_weight_matrix
 
 
 def brute_force_points(entries):
@@ -28,6 +29,17 @@ def brute_force_points(entries):
         k for k in itertools.product(*axes)
         if sum(kj / nj for kj, nj in zip(k, entries)) <= 1.0 + 1e-12
     )
+
+
+def exact_lambdas(entries):
+    """L_d(k') over the exact (d-1)-lattice, in Fraction arithmetic (a float
+    entry is the dyadic rational it stores), in lexicographic order."""
+    q = [Fraction(v) for v in entries]
+    level = [Fraction(0)]                 # sum_j k_j / n_j per point
+    for qj in q[:-1]:
+        level = [used + Fraction(k) / qj for used in level
+                 for k in range(math.floor(qj * (1 - used)) + 1)]
+    return [q[-1] * (1 - used) for used in level]
 
 
 entry_values = st.sampled_from([1.5, 2.0, 3.7, 5.0])
@@ -129,7 +141,7 @@ class TestBuildLattice:
     def test_partial_dimension_lambda_next(self):
         n = DilationVector((2.0, 3.0))
         lat = build_lattice(n, 1)
-        np.testing.assert_allclose(lat.lambda_next(), [3.0, 1.5, 0.0])
+        np.testing.assert_allclose(lat.lambda_parts.value, [3.0, 1.5, 0.0])
 
 
 class TestIndicatorCoefficients:
@@ -174,44 +186,73 @@ class TestFractionalCoefficients:
         assert np.all((0.0 <= w) & (w < 1.0))
 
 
+class TestCertifiedLambdaParts:
+    """Floors and fractional parts of L_d against exact Fraction arithmetic."""
+
+    @staticmethod
+    def check(entries):
+        n = DilationVector(entries)
+        lam = exact_lambdas(n.entries)
+        parts = build_lattice(n, n.d - 1).lambda_parts
+        floors = [math.floor(v) for v in lam]
+        assert parts.floor.tolist() == floors, entries
+        fracs = np.array([float(v - f) for v, f in zip(lam, floors)])
+        np.testing.assert_allclose(parts.frac, fracs, rtol=0, atol=1e-12,
+                                   err_msg=str(entries))
+        assert build_lattice(n).count == sum(f + 1 for f in floors), entries
+
+    def test_integer_pairs(self):
+        for n1 in range(2, 64):
+            for n2 in range(n1, 64):
+                self.check((n1, n2))
+
+    def test_short_decimal_tuples(self):
+        decimals = [a / 10 for a in range(11, 100, 7)]
+        for a, b in itertools.product(decimals, repeat=2):
+            self.check((a, b))
+            self.check((a, 2.3 * a, 1.9 * (2.3 * a)))
+        for entries in [(5, 9.5, 23), (0.7, 2.1, 6.3), (1.5, 4.5, 9.0),
+                        (2.4, 3.6, 7.2, 14.4)]:
+            self.check(entries)
+
+    def test_7_29_keeps_the_boundary_point(self):
+        # float L_2(7) = 29 - 7 (29 / 7) is -3.6e-15; the exact value is 0
+        lat = build_lattice(DilationVector((7, 29)))
+        assert lat.count == 121
+        assert (7, 0) in set(map(tuple, lat.points))
+        assert fractional_coefficients(DilationVector((7, 29))).weights[7] == 0
+
+
 class TestSliceCoefficients:
+    """Closed-form slice weights of S and Fcomposite on the (d-1)-lattice."""
+
+    @staticmethod
+    def weights(entries, kind, x_d):
+        lam = build_lattice(DilationVector(entries), len(entries) - 1)
+        return slice_weight_matrix(kind, lam.lambda_parts, [x_d])[0]
+
     def test_s_slice_limit_at_zero(self):
-        fld = slice_coefficients(DilationVector((2, 3)), "S", 0.0)
-        np.testing.assert_allclose(fld.weights, [3.0, 1.5, 0.0])
+        np.testing.assert_allclose(self.weights((2, 3), "S", 0.0),
+                                   [3.0, 1.5, 0.0])
 
     def test_fcomposite_at_zero_equals_fractional(self):
         n = DilationVector((3.7, 9.5))
-        a = slice_coefficients(n, "Fcomposite", 0.0)
-        b = fractional_coefficients(n)
-        np.testing.assert_allclose(a.weights, b.weights)
+        np.testing.assert_allclose(self.weights(n.entries, "Fcomposite", 0.0),
+                                   fractional_coefficients(n).weights)
 
     def test_s_slice_at_pi(self):
-        fld = slice_coefficients(DilationVector((2, 2)), "S", math.pi)
         # Lambda(1) = 1: (e^{i pi} - 1) / (i pi) = 2i / pi
-        assert fld.weights[1] == pytest.approx(2j / math.pi, abs=1e-14)
+        assert self.weights((2, 2), "S", math.pi)[1] \
+            == pytest.approx(2j / math.pi, abs=1e-14)
 
     def test_continuity_at_removable_singularity(self):
-        n = DilationVector((2.0, 9.5))
-        lim = slice_coefficients(n, "S", 0.0).weights
-        near = slice_coefficients(n, "S", 1e-6).weights
+        lim = self.weights((2.0, 9.5), "S", 0.0)
+        near = self.weights((2.0, 9.5), "S", 1e-6)
         np.testing.assert_allclose(near, lim, rtol=1e-5)
 
-    def test_limit_branch_refusal(self):
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            slice_coefficients(DilationVector((2, 3)), "S", 1e-12,
-                               limit_branch=False)
-
-    def test_rdelta_requires_shift(self):
-        with pytest.raises(ValueError):
-            slice_coefficients(DilationVector((2, 3)), "Rdelta", 0.5)
-
-    def test_rdelta_weights(self):
-        n = DilationVector((2, 3))
-        h = 0.7
-        fld = slice_coefficients(n, "Rdelta", 0.0, h=h)
-        lam = np.array([3.0, 1.5, 0.0])
-        np.testing.assert_allclose(fld.weights,
-                                   np.exp(1j * lam * h / 3.0) - 1.0)
+            self.weights((2, 3), "Rdelta", 0.5)
 
 
 def test_zero_dim_field_shape():

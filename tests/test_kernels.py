@@ -22,9 +22,16 @@ from simplexleb.kernels import (
     eval_R,
     eval_S,
     grid_eval,
-    grid_eval_sliced,
     reduce_torus,
 )
+from simplexleb.norms import slice_batches
+
+
+def engine_grid(kernel, n, M):
+    """The slice engine's values of a d-kernel on the grid M, shape M."""
+    lat = build_lattice(n, n.d - 1)
+    v = np.concatenate([v for _, v in slice_batches(kernel, lat, M)])
+    return np.moveaxis(v, 0, -1) * math.prod(M[:-1])
 
 
 def brute_force_D(entries, x):
@@ -218,36 +225,48 @@ class TestGridEval:
 
 
 class TestGridEvalSliced:
+    """The norm engine's x_d-slice batches against pointwise evaluation."""
+
     def test_fcomposite_zero_for_integral_lambdas(self):
-        gf = grid_eval_sliced(DilationVector((2, 4)), "Fcomposite",
-                              GridSpec((12, 12)))
-        assert np.abs(gf.values).max() == pytest.approx(0.0, abs=1e-14)
+        vals = engine_grid("Fcomposite", DilationVector((2, 4)), (12, 12))
+        assert np.abs(vals).max() == pytest.approx(0.0, abs=1e-14)
 
     def test_s_row_at_zero_matches_limit(self):
         n = DilationVector((2, 3))
         grid = GridSpec((16, 16))
-        gf = grid_eval_sliced(n, "S", grid)
+        vals = engine_grid("S", n, grid.M)
         t0 = 8  # node x_d = 0
         assert grid.axis_nodes(1)[t0] == 0.0
         for t, x1 in enumerate(grid.axis_nodes(0)):
             want = eval_S(n, [x1, 0.0])
-            assert gf.values[t, t0] == pytest.approx(want, abs=1e-10)
+            assert vals[t, t0] == pytest.approx(want, abs=1e-10)
 
     def test_identity_on_grid(self):
-        """D-grid equals S - (composite F term) + R at every node, within
-        the truncation tail of R."""
+        """The closed-form R weights equal eval_R's nu-series at every node,
+        within its truncation tail."""
         n = DilationVector((2.0, 3.5))
         grid = GridSpec((12, 12))
         nu_max = 2**10
-        d_grid = grid_eval(indicator_coefficients(build_lattice(n)), grid)
-        s_grid = grid_eval_sliced(n, "S", grid)
-        f_grid = grid_eval_sliced(n, "Fcomposite", grid)
-        r_grid = grid_eval_sliced(n, "R", grid, nu_max=nu_max)
-        resid = np.abs(d_grid.values -
-                       (s_grid.values - f_grid.values + r_grid.values))
-        p_prime = build_lattice(n, 1).count
-        tail = 2 * p_prime * math.pi / (math.pi**2 * nu_max)
-        assert resid.max() <= tail + 1e-9 * build_lattice(n).count
+        vals = engine_grid("R", n, grid.M)
+        slack = 1e-9 * build_lattice(n).count
+        for t0, x0 in enumerate(grid.axis_nodes(0)):
+            for t1, x1 in enumerate(grid.axis_nodes(1)):
+                if x1 > -math.pi:
+                    want, tail = eval_R(n, [x0, x1], nu_max=nu_max)
+                else:
+                    # eval_R reduces x_d = -pi to +pi, where R (like S) has
+                    # another value; R(-x) = conj R(x) reaches the node
+                    want, tail = eval_R(n, [-x0, math.pi], nu_max=nu_max)
+                    want = want.conjugate()
+                assert abs(vals[t0, t1] - want) <= tail + slack
+
+    def test_engine_d_matches_dense_grid(self):
+        for entries, M in [((3.7, 9.5), (24, 48)), ((2.0, 3.5, 7.0), (12, 20, 32))]:
+            n = DilationVector(entries)
+            dense = grid_eval(indicator_coefficients(build_lattice(n)),
+                              GridSpec(M)).values
+            vals = engine_grid("D", n, M)
+            assert np.abs(vals - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_first_axes_periodicity_of_sliced_kernels():

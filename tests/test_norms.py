@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from simplexleb.core import DilationVector
+from simplexleb.core import (
+    DilationVector,
+    ResourceLimitError,
+    fractional_coefficients,
+)
 from simplexleb.norms import (
     NormConvergenceError,
     clear_norm_cache,
@@ -56,7 +60,6 @@ class TestL1Norm:
         res = l1_norm("D", DilationVector((2, 3)), use_cache=False)
         sizes = [np.prod(m) for m, _ in res.history]
         assert sizes == sorted(sizes)
-        assert res.converged
 
     def test_last_delta_within_tol(self):
         tol = 1e-3
@@ -88,8 +91,41 @@ class TestL1Norm:
     def test_sliced_norms_finite(self):
         n = DilationVector((2.0, 3.5))
         for kernel in ("S", "Fcomposite", "R"):
-            res = l1_norm(kernel, n, nu_max=256, use_cache=False)
+            res = l1_norm(kernel, n, use_cache=False)
             assert res.value >= 0 and math.isfinite(res.value)
+
+
+class TestBudget:
+    """The byte budget caps grid memory without changing any value."""
+
+    def test_slice_batches_do_not_change_values(self):
+        n = DilationVector((7.3, 19.6, 31.0))
+        for kernel in ("D", "S", "R"):
+            want = l1_norm(kernel, n, use_cache=False)
+            one_slice = 16 * np.prod(want.history[-1][0][:-1])
+            got = l1_norm(kernel, n, budget_bytes=3 * int(one_slice),
+                          use_cache=False)
+            assert [m for m, _ in got.history] == [m for m, _ in want.history]
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+
+    def test_slice_over_budget_raises(self):
+        with pytest.raises(ResourceLimitError):
+            l1_norm("D", DilationVector((7.3, 19.6)), budget_bytes=0,
+                    use_cache=False)
+
+    def test_chunked_field_path_matches_full_grid(self):
+        fld = fractional_coefficients(DilationVector((3.7, 9.5, 23.0)))
+        want = l1_norm_field(fld)
+        size = np.prod(want.history[-1][0])
+        # below the full grid, above one k_1 x M[1:] block on every level
+        got = l1_norm_field(fld, budget_bytes=int(16 * size) - 1)
+        assert [m for m, _ in got.history] == [m for m, _ in want.history]
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+
+    def test_chunked_field_path_over_budget_raises(self):
+        fld = fractional_coefficients(DilationVector((3.7, 9.5, 23.0)))
+        with pytest.raises(ResourceLimitError):
+            l1_norm_field(fld, budget_bytes=16)
 
 
 class TestScalingSanity:
