@@ -30,7 +30,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -204,7 +203,7 @@ def cmd_norm(cfg: RunConfig) -> int:
         last_grid, last_val = exc.history[-1]
         payload = {
             "value": last_val,
-            "normalized": last_val / (2 * math.pi) ** n.d,
+            "normalized": last_val / (2 * math.pi) ** len(last_grid),
             "grid": last_grid,
             "history": [[list(m) if m else None, v] for m, v in exc.history],
             "error_estimate": float("nan"),
@@ -375,11 +374,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     d = len(rows[0])
     if d < 2:
         raise ValueError("sweeps require d >= 2 (use 'norm' for d = 1)")
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(lambda e: _sweep_one(e, cfg), rows))
-    else:
-        results = [_sweep_one(entries, cfg) for entries in rows]
+    results = [_sweep_one(entries, cfg) for entries in rows]
 
     header = (["d"] + [f"n{j}" for j in range(1, d + 1)]
               + ["norm_D", "norm_S", "norm_F"]
@@ -485,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid oversampling factor")
         p.add_argument("--nu-max", dest="nu_max", type=int, default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help=f"worker threads (default ${ENV_WORKERS} "
+                       help=f"FFT worker threads (default ${ENV_WORKERS} "
                             "or CPU count)")
         p.add_argument("--budget-mb", dest="budget_mb", type=int,
                        default=None, help="grid memory cap in MiB")

@@ -32,11 +32,13 @@ the exact sum of its nu-series, so the norm engine needs no truncation;
 
 Grid synthesis phase bookkeeping: grid nodes are x_t = -pi + 2 pi t / M, so
 
-    f(x_t) = sum_k c_k prod_j (-1)^{k_j} e^{2 pi i k_j t_j / M_j},
+    f(x_t) = sum_k c_k (-1)^{sum_j k_j} prod_j e^{2 pi i k_j t_j / M_j},
 
-i.e. multiply the zero-padded coefficients by (-1)^{k_j} per axis and apply
-an inverse FFT scaled by prod M_j (numpy/scipy ifft uses the e^{+2 pi i k t/M}
-kernel with a 1/M factor).  This is oracle-tested against direct evaluation.
+i.e. multiply the zero-padded coefficients by the origin twist
+(-1)^{sum_j k_j} (:func:`_origin_twist`) and apply an inverse FFT scaled by
+prod M_j (scipy's ifft has the e^{+2 pi i k t/M} kernel and a 1/M factor).
+The norm engine twists the x' modes of each slice, and a coefficient field
+its last axis; :func:`grid_eval`, the engine's dense oracle, twists all.
 
 Tail bound derivation (truncation of the nu-series in R): for |x_d| <= pi and
 nu >= 1, |2 pi nu +- x_d| >= 2 pi nu - pi >= pi nu, and each difference term
@@ -87,7 +89,10 @@ DEFAULT_GRID_BUDGET_BYTES = 1_500_000_000
 # L + i L^2 x_d / 2 (relative error < 1e-15 there).
 SINGULARITY_THRESHOLD = 1e-8
 
-_NU_CHUNK = 1024
+# Bytes of complex values per batch of grid slices or chunk of nu terms.
+# Batches of 8 MiB ran D(256, 256) and S(48.5, 3000.7) as fast as 128 MiB
+# ones, at a quarter of the peak memory (2 CPUs, numpy 2.4, scipy 1.17).
+_CHUNK_BYTES = 1 << 23
 
 
 def reduce_torus(x) -> np.ndarray:
@@ -218,8 +223,8 @@ def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX,
            budget=None) -> tuple:
     """Truncated correction term and a rigorous bound on the discarded tail.
 
-    The +-nu terms of each pair are summed together before accumulation,
-    which improves cancellation.  Returns (value, tail_bound).
+    Returns (value, tail_bound); the value is the nu-series of
+    :func:`_r_series`.
     """
     if n.d < 2:
         raise ValueError("R requires d >= 2")
@@ -227,23 +232,36 @@ def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX,
         raise ValueError("nu_max must be >= 1")
     x = reduce_torus(np.atleast_1d(x))
     points, parts = _lattice_with_lambda(n, budget)
-    lam = parts.value
-    x_d = float(x[-1])
     phases = np.exp(1j * (points @ x[:-1]))
-    value = 0.5 * complex(phases @ (np.exp(1j * lam * x_d) + 1.0))
-    if x_d != 0.0:
-        series = 0.0 + 0.0j
-        for start in range(1, nu_max + 1, _NU_CHUNK):
-            nu = np.arange(start, min(start + _NU_CHUNK, nu_max + 1), dtype=float)
-            for sign in (1.0, -1.0):
-                snu = sign * nu
-                hh = 2.0 * np.pi * snu + x_d
-                terms = (np.exp(1j * np.outer(hh, lam)) - 1.0) @ phases
-                series += np.sum(terms / (snu * hh))
-        value -= x_d / (2.0 * np.pi * 1j) * series
-    p_prime = points.shape[0]
-    tail = 2.0 * p_prime * abs(x_d) / (np.pi**2 * nu_max)
+    value = complex(_r_series(parts.value, phases[None, :],
+                              np.array([x[-1]]), nu_max)[0])
+    tail = 2.0 * points.shape[0] * abs(x[-1]) / (np.pi**2 * nu_max)
     return value, tail
+
+
+def _r_series(lam, phases, xd, nu_max: int) -> np.ndarray:
+    """R truncated at nu_max at N points, shape (N,).
+
+    ``lam`` holds L_d(k') (P',), ``phases`` e^{i (k', x')} (N, P') and
+    ``xd`` the x_d of each point (N,).  Since e^{i (2 pi nu + x_d) L} =
+    e^{i x_d L} e^{2 pi i nu L}, a chunk of nu (_CHUNK_BYTES of values) is
+    one matrix product; its +nu and -nu terms are summed before they are
+    accumulated, which improves cancellation.
+    """
+    twisted = phases * np.exp(1j * np.outer(xd, lam))
+    value = 0.5 * np.sum(twisted + phases, axis=1)
+    base = phases.sum(axis=1)[:, None]
+    chunk = max(1, _CHUNK_BYTES // (16 * (len(lam) + len(xd))))
+    series = np.zeros(len(xd), dtype=np.complex128)
+    for start in range(1, nu_max + 1, chunk):
+        nu = np.arange(start, min(start + chunk, nu_max + 1), dtype=float)
+        pair = 0.0
+        for snu in (nu, -nu):
+            diff = twisted @ np.exp(1j * np.outer(lam, 2.0 * np.pi * snu)) \
+                - base
+            pair = pair + diff / (snu * (2.0 * np.pi * snu + xd[:, None]))
+        series += pair.sum(axis=1)
+    return value - xd / (2.0 * np.pi * 1j) * series
 
 
 def apply_delta(fld: CoefficientField, h: float, xi) -> CoefficientField:
@@ -261,20 +279,15 @@ def apply_delta(fld: CoefficientField, h: float, xi) -> CoefficientField:
                             tag=f"delta({h})|{fld.tag}")
 
 
-def _phase_adjusted(c: np.ndarray) -> np.ndarray:
-    """Multiply coefficients by prod_j (-1)^{k_j} (grid origin at -pi)."""
-    out = np.array(c, dtype=np.complex128, copy=True)
-    for j, e in enumerate(c.shape):
-        shape = [1] * c.ndim
-        shape[j] = e
-        out *= (1.0 - 2.0 * (np.arange(e) % 2)).reshape(shape)
-    return out
+def _origin_twist(k_sum) -> np.ndarray:
+    """(-1)^{k_sum}: the factor the grid origin -pi gives mode k."""
+    return (-1.0) ** np.asarray(k_sum)
 
 
 def grid_eval(fld: CoefficientField, grid: GridSpec,
               budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES,
               workers: int = 1) -> GridField:
-    """Exact trigonometric synthesis of the field on every grid node."""
+    """Exact synthesis on every grid node: the norm engine's dense oracle."""
     if grid.s != fld.s:
         raise ValueError("grid and field dimensions differ")
     for m, e in zip(grid.M, fld.extents):
@@ -285,7 +298,8 @@ def grid_eval(fld: CoefficientField, grid: GridSpec,
             f"grid of {grid.size} complex values exceeds budget", estimate=grid.size
         )
     padded = np.zeros(grid.M, dtype=np.complex128)
-    padded[tuple(slice(0, e) for e in fld.extents)] = _phase_adjusted(fld.weights)
+    box = tuple(slice(0, e) for e in fld.extents)
+    padded[box] = fld.weights * _origin_twist(sum(np.ogrid[box]))
     vals = scipy.fft.ifftn(padded, workers=workers, overwrite_x=True)
     vals *= grid.size
     return GridField(grid=grid, values=vals, tag=f"grid|{fld.tag}")

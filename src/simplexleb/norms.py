@@ -2,24 +2,26 @@
 
 All theorem-facing values are PLAIN torus integrals ||f||_(s) = int_{T^s} |f|;
 the (2 pi)^{-s} normalization is reported alongside.  Quadrature is the
-Riemann sum (2 pi / M)^s sum_t |f(x_t)| on successively doubled grids.  Two
-synthesis paths feed it:
+Riemann sum (2 pi / M)^s sum_t |f(x_t)| on successively doubled grids.
 
-* the slice engine (:func:`slice_batches`) for the d-dimensional kernels D,
-  S, Fcomposite and R (d >= 2): batches of x_d nodes, closed-form slice
-  weights from :func:`.kernels.slice_weight_matrix` and one inverse FFT over
-  the first d-1 axes per batch, so memory is bounded by one batch;
-* a dense FFT of a coefficient box (:func:`l1_norm_field`) for polynomial
-  fields that are not slices of a d-kernel: F, the twisted differences of
-  the correction functional, I_n, and D for d = 1.
+One engine (:func:`slice_batches`) synthesizes every grid in batches of
+nodes of the last axis x_s, with one inverse FFT over the leading axes x'
+per batch.  It takes the x' modes and one of two slice-weight sources:
+
+* closed forms (:func:`.kernels.slice_weight_matrix`) for the d-kernels D,
+  S, Fcomposite and R (d >= 2);
+* one inverse FFT along the last axis of a coefficient field (F, the
+  twisted differences of the correction functional, I_n, and D for d = 1);
+  for a 1-D field that transform is the whole synthesis.
 
 Every grid is validated through the exact discrete Parseval identity
 
     (1 / prod M_j) sum_t |f(x_t)|^2 = sum_k |c_k|^2
 
-before its L1 value is accepted: per x_d slice in the engine (each slice is
-a trigonometric polynomial in x'), and over the whole grid for coefficient
-fields and for D, whose right-hand side is the lattice point count P.
+before its L1 value is accepted: per x_s slice wherever x' has axes (each
+slice is a trigonometric polynomial in x'), and over the whole grid for
+coefficient fields and for D, whose right-hand side is the lattice point
+count P.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.fft
 
+from . import kernels
 from .core import (
     CoefficientField,
     DilationVector,
@@ -41,12 +44,13 @@ from .core import (
     indicator_coefficients,
 )
 from .kernels import (
+    _CHUNK_BYTES,
     DEFAULT_GRID_BUDGET_BYTES,
     DEFAULT_NU_MAX,
     GridSpec,
-    _phase_adjusted,
     _geometric_sum,
-    grid_eval,
+    _origin_twist,
+    _r_series,
     reduce_torus,
     slice_weight_matrix,
 )
@@ -70,11 +74,6 @@ DEFAULT_TOL = 1e-3
 DEFAULT_RHO = 4.0
 DEFAULT_MAX_DOUBLINGS = 4
 PARSEVAL_RTOL = 1e-8
-
-# Bytes of complex grid values synthesized per batch or chunk.  Batches
-# of 8 MiB ran D(256, 256) and S(48.5, 3000.7) as fast as 128 MiB ones, at
-# a quarter of the peak memory (2 CPUs, numpy 2.4, scipy 1.17).
-_CHUNK_BYTES = 1 << 23
 
 _norm_cache: dict = {}
 _cache_lock = threading.Lock()
@@ -136,70 +135,32 @@ class IdentityReport:
 
 # ----------------------------------------------------------------- synthesis
 
-def _grid_abs_sums(fld: CoefficientField, M: tuple, workers: int = 1,
-                   budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES):
-    """(sum_t |f(x_t)|, sum_t |f(x_t)|^2) of a coefficient field on grid M.
-
-    The full grid comes from :func:`.kernels.grid_eval` when it fits the
-    byte budget; otherwise the trailing axes are synthesized by FFT and the
-    first axis is swept in chunks through an explicit phase matrix (same
-    values, bounded memory).
-    """
-    c = fld.weights
-    s = c.ndim
-    if s == 1 or math.prod(M) * 16 <= budget_bytes:
-        a = np.abs(grid_eval(fld, GridSpec(M), budget_bytes, workers).values)
-        return float(a.sum()), float((a * a).sum())
-
-    k1 = c.shape[0]
-    rest_size = math.prod(M[1:])
-    if k1 * rest_size * 16 > budget_bytes:
-        raise ResourceLimitError(
-            f"chunked synthesis of {k1} x {rest_size} complex values "
-            f"exceeds budget {budget_bytes} bytes", estimate=k1 * rest_size)
-    b = np.zeros((k1,) + tuple(M[1:]), dtype=np.complex128)
-    b[(slice(None),) + tuple(slice(0, e) for e in c.shape[1:])] = \
-        _phase_adjusted(c)
-    b = scipy.fft.ifftn(b, axes=tuple(range(1, s)), workers=workers,
-                        overwrite_x=True).reshape(k1, rest_size)
-    m1 = M[0]
-    chunk = max(1, _CHUNK_BYTES // (rest_size * 16))
-    sum_abs = 0.0
-    sum_sq = 0.0
-    for start in range(0, m1, chunk):
-        # the node origin -pi is already in the (-1)^{k_1} of _phase_adjusted
-        t = np.arange(start, min(start + chunk, m1))
-        av = np.abs(np.exp(2j * np.pi / m1 * np.outer(t, np.arange(k1))) @ b)
-        sum_abs += float(av.sum())
-        sum_sq += float((av * av).sum())
-    return sum_abs * rest_size, sum_sq * rest_size * rest_size
-
-
-def slice_batches(kernel: str, lat: SimplexLattice, M: tuple,
-                  workers: int = 1,
+def slice_batches(points: np.ndarray, weights, M: tuple, workers: int = 1,
                   budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES):
-    """Synthesize D, S, Fcomposite or R on the grid M, x_d slices in batches.
+    """Synthesize a trigonometric polynomial on the grid M, x_s slice by slice.
 
-    ``lat`` is the (d-1)-lattice of the kernel's dilation vector.  Each batch
-    holds at most min(_CHUNK_BYTES, budget_bytes) of grid values.  Yields
-    ``(w, v)`` per batch: the slice weights, shape (B, P'), and v, shape
-    (B,) + M', the inverse FFT of the weights, which is f / prod M' on the
-    batch's nodes (callers scale their sums, not v).
+    ``points`` holds the x' modes, shape (P', s-1); ``weights(rows)`` gives
+    the slice weights of the x_s nodes ``rows`` (a slice), shape (B, P').
+    Each batch holds at most min(_CHUNK_BYTES, budget_bytes) of grid values.
+    Yields ``(w, v)`` per batch: the weights and v, shape (B,) + M', their
+    inverse FFT, which is f / prod M' on the batch's nodes (callers scale
+    their sums, not v).  Without x' axes the weights are the values.
     """
     m_prime = tuple(M[:-1])
     rest = math.prod(m_prime)
     if rest * 16 > budget_bytes:
         raise ResourceLimitError(
-            f"one x_d slice of {rest} complex values exceeds budget "
+            f"one x_s slice of {rest} complex values exceeds budget "
             f"{budget_bytes} bytes", estimate=rest)
     batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
-    flat = np.ravel_multi_index(tuple(lat.points.T), m_prime)
-    # node origin -pi: prod_j (-1)^{k_j}
-    twist = 1.0 - 2.0 * (lat.points.sum(axis=1) % 2)
-    xd = GridSpec(M).axis_nodes(len(M) - 1)
+    if m_prime:
+        flat = np.ravel_multi_index(tuple(points.T), m_prime)
+        twist = _origin_twist(points.sum(axis=1))
     for start in range(0, M[-1], batch):
-        w = slice_weight_matrix(kernel, lat.lambda_parts,
-                                xd[start:start + batch])
+        w = weights(slice(start, start + batch))
+        if not m_prime:
+            yield w, w
+            continue
         v = np.zeros((len(w), rest), dtype=np.complex128)
         v[:, flat] = w * twist
         v = scipy.fft.ifftn(v.reshape((len(w),) + m_prime),
@@ -208,18 +169,53 @@ def slice_batches(kernel: str, lat: SimplexLattice, M: tuple,
         yield w, v
 
 
-def _slice_abs_sums(kernel, lat, M, workers, budget_bytes):
+def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple):
+    """(points, weights) of a d-kernel on the grid M: closed-form slices."""
+    xd = GridSpec(M).axis_nodes(len(M) - 1)
+    return lat.points, lambda rows: slice_weight_matrix(
+        kernel, lat.lambda_parts, xd[rows])
+
+
+def _field_source(fld: CoefficientField, M: tuple, workers: int,
+                  budget_bytes: int):
+    """(points, weights) of a coefficient field on the grid M.
+
+    The slice weights of all M_s nodes come from one inverse FFT along the
+    field's last axis, zero-padded to M_s with the origin twist (-1)^{k_s};
+    they hold prod K' * M_s complex values.
+    """
+    for m, e in zip(M, fld.extents):
+        if m < e:
+            raise ValueError(f"grid size {m} below box extent {e}")
+    k_prime, k_last = fld.extents[:-1], fld.extents[-1]
+    size = math.prod(k_prime) * M[-1]
+    if size * 16 > budget_bytes:
+        raise ResourceLimitError(
+            f"slice weights of {size} complex values exceed budget "
+            f"{budget_bytes} bytes", estimate=size)
+    b = np.zeros((M[-1], size // M[-1]), dtype=np.complex128)
+    b[:k_last] = fld.weights.reshape(-1, k_last).T * \
+        _origin_twist(np.arange(k_last))[:, None]
+    w = scipy.fft.ifftn(b, axes=(0,), workers=workers, overwrite_x=True)
+    w *= M[-1]
+    # points: every x' mode of the box K', in the order of the reshape above
+    return np.argwhere(np.ones(k_prime, dtype=bool)), w.__getitem__
+
+
+def _slice_abs_sums(points, weights, M, workers, budget_bytes, tag):
     """(sum_t |f(x_t)|, sum_t |f(x_t)|^2) from the slice engine, with the
-    exact Parseval identity checked on every x_d slice."""
+    exact Parseval identity checked on every x_s slice of x' with axes."""
     rest = math.prod(M[:-1])
     sum_abs = 0.0
     sum_sq = 0.0
-    for w, v in slice_batches(kernel, lat, M, workers, budget_bytes):
+    for w, v in slice_batches(points, weights, M, workers, budget_bytes):
         av = np.abs(v).reshape(len(w), rest)
         # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|
         row_power = rest * np.einsum("ij,ij->i", av, av)
-        _check_parseval(row_power, np.einsum("ij,ij->i", w, w.conj()).real,
-                        f"{kernel}-slice")
+        if len(M) > 1:
+            _check_parseval(
+                row_power, np.einsum("ij,ij->i", w, w.conj()).real,
+                f"{tag}-slice")
         sum_abs += float(av.sum())
         sum_sq += float(row_power.sum())
     return sum_abs * rest, sum_sq * rest
@@ -288,9 +284,11 @@ def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
         scipy.fft.next_fast_len(int(math.ceil(rho * e))) for e in fld.extents
     ))
     return _refined_norm(
-        lambda M: _grid_abs_sums(fld, M, workers, budget_bytes), grid0,
-        float(np.vdot(fld.weights, fld.weights).real), tol, max_doublings,
-        fld.tag)
+        lambda M: _slice_abs_sums(
+            *_field_source(fld, M, workers, budget_bytes), M, workers,
+            budget_bytes, fld.tag),
+        grid0, float(np.vdot(fld.weights, fld.weights).real), tol,
+        max_doublings, fld.tag)
 
 
 def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
@@ -335,7 +333,8 @@ def _l1_norm_impl(kernel, n, tol, rho, max_doublings, workers, budget_bytes):
     power = float((lat.lambda_parts.floor + 1).sum()) if kernel == "D" \
         else None
     return _refined_norm(
-        lambda M: _slice_abs_sums(kernel, lat, M, workers, budget_bytes),
+        lambda M: _slice_abs_sums(*_kernel_source(kernel, lat, M), M,
+                                  workers, budget_bytes, kernel),
         GridSpec.for_kernel(n, n.d, rho), power, tol, max_doublings, tag)
 
 
@@ -353,24 +352,12 @@ def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int):
     pts = reduce_torus(np.asarray(points, dtype=float))
     lat = build_lattice(n, n.d - 1)
     parts = lat.lambda_parts
-    lam = parts.value
     xd = pts[:, -1]
     ph = np.exp(1j * (pts[:, :-1] @ lat.points.T))   # (N, L)
     d_vals, s_vals, f_vals = (
         np.sum(ph * slice_weight_matrix(kind, parts, xd), axis=1)
         for kind in ("D", "S", "Fcomposite"))
-    r_vals = np.sum(ph * 0.5 * (np.exp(1j * lam * xd[:, None]) + 1.0), axis=1)
-    series = np.zeros_like(r_vals)
-    chunk = max(1, (1 << 24) // max(1, len(lam) * len(xd)))
-    for start in range(1, nu_max + 1, chunk):
-        nu = np.arange(start, min(start + chunk, nu_max + 1), dtype=float)
-        for sign in (1.0, -1.0):
-            snu = sign * nu
-            hh = 2.0 * np.pi * snu[None, :, None] + xd[:, None, None]
-            term = np.sum((np.exp(1j * hh * lam) - 1.0) * ph[:, None, :],
-                          axis=2)
-            series += np.sum(term / (snu[None, :] * hh[:, :, 0]), axis=1)
-    r_vals = r_vals - xd / (2.0 * np.pi * 1j) * series
+    r_vals = _r_series(parts.value, ph, xd, nu_max)
     rhs = s_vals - f_vals + r_vals
     residuals = np.abs(d_vals - rhs)
     tails = 2.0 * lat.points.shape[0] * np.abs(xd) / (np.pi**2 * nu_max)
@@ -404,20 +391,6 @@ def verify_identity(n: DilationVector, num_points: int = 100,
 def _f_norm(entries: tuple, tol, rho, workers) -> float:
     return l1_norm("F", DilationVector(entries), tol=tol, rho=rho,
                    workers=workers).value
-
-
-def _delta_f_norm(tilde: tuple, n1: float, h: float, tol, rho,
-                  workers) -> float:
-    """||delta_{h, 1/tilde} F_{tilde, n1}|| over T^{len(tilde)}."""
-    vec = DilationVector(tilde + (n1,))
-    if vec.d == 1:
-        # 0-dimensional convention: |e^{i h} - 1| {n1}.
-        return abs(np.exp(1j * h) - 1.0) * (n1 % 1.0)
-    fld = fractional_coefficients(vec)
-    xi = np.array([1.0 / v for v in tilde])
-    from .kernels import apply_delta
-    return l1_norm_field(apply_delta(fld, h, xi), tol=tol, rho=rho,
-                         workers=workers).value
 
 
 def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
@@ -461,11 +434,13 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
                 breakdown.append({"l": l, "term": "mu", "mu_abs": mu_abs,
                                   "value": 0.0})
             continue
+        fld = fractional_coefficients(DilationVector(tilde + (n1,)))
+        xi = 1.0 / np.array(tilde)
         for mu_abs in range(1, mu_bound + 1):
             term = 0.0
             for mu in (mu_abs, -mu_abs):
-                val, e = _t_integral(tilde, n1, mu, base, t_nodes, tol, rho,
-                                     workers)
+                val, e = _t_integral(fld, xi, n1, mu, base, t_nodes, tol,
+                                     rho, workers)
                 term += val / mu_abs
                 err += abs(e) / mu_abs
             breakdown.append({"l": l, "term": "mu", "mu_abs": mu_abs,
@@ -481,20 +456,23 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     )
 
 
-def _t_integral(tilde, n1, mu, base_norm, t_nodes, tol, rho, workers):
-    """int_{-pi}^{pi} (||delta_{n1 (t + 2 pi mu)} F|| - 2 ||F||) dt, trapezoid."""
+def _t_integral(fld, xi, n1, mu, base_norm, t_nodes, tol, rho, workers):
+    """int_{-pi}^{pi} (||delta_{n1 (t + 2 pi mu)} F|| - 2 ||F||) dt, trapezoid.
 
-    def integrand(ts):
-        return np.array([
-            _delta_f_norm(tilde, n1, n1 * (t + 2.0 * np.pi * mu), tol, rho,
-                          workers) - 2.0 * base_norm
-            for t in ts
-        ])
-
-    coarse_t = np.linspace(-np.pi, np.pi, t_nodes)
-    coarse = np.trapezoid(integrand(coarse_t), coarse_t)
+    ``fld`` is the field F of tilde + (n1,) and ``xi`` = 1 / tilde.  The
+    coarse rule with ``t_nodes`` nodes reuses every other node of the fine
+    one.
+    """
     fine_t = np.linspace(-np.pi, np.pi, 2 * t_nodes - 1)
-    fine = np.trapezoid(integrand(fine_t), fine_t)
+    vals = np.array([
+        l1_norm_field(kernels.apply_delta(fld, n1 * (t + 2.0 * np.pi * mu),
+                                          xi),
+                      tol=tol, rho=rho, workers=workers).value
+        - 2.0 * base_norm
+        for t in fine_t
+    ])
+    fine = np.trapezoid(vals, fine_t)
+    coarse = np.trapezoid(vals[::2], fine_t[::2])
     return float(fine), float(fine - coarse)
 
 

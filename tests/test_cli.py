@@ -58,6 +58,25 @@ class TestNormCommand:
         assert out == ""
         assert err.startswith("simplexleb: error:")
 
+    def test_nonconverged_normalized_uses_norm_dimension(self, capsys):
+        # F of a 2-vector is a kernel on T^1: normalized = value / (2 pi)
+        clear_norm_cache()
+        code, out, _ = run(capsys, "norm", "--kernel", "F",
+                           "--n", "7.3,19.6", "--tol", "1e-16")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["converged"] is False
+        assert doc["normalized"] == doc["value"] / (2 * math.pi)
+
+    def test_field_grid_below_box_exits_1(self, capsys):
+        clear_norm_cache()
+        code, out, err = run(capsys, "norm", "--kernel", "F",
+                             "--n", "7.3,19.6", "--rho", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error: grid size")
+        assert "Traceback" not in err
+
     def test_default_budget_value_unchanged(self, capsys):
         code, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "7.3,19.6")
         assert code == 0

@@ -24,14 +24,21 @@ from simplexleb.kernels import (
     grid_eval,
     reduce_torus,
 )
-from simplexleb.norms import slice_batches
+from simplexleb.norms import _field_source, _kernel_source, slice_batches
+
+
+def engine_values(points, weights, M, budget_bytes=1 << 30):
+    """The slice engine's values on the grid M, shape M."""
+    batches = slice_batches(points, weights, M, budget_bytes=budget_bytes)
+    v = np.concatenate([v for _, v in batches])
+    v = v.reshape((M[-1],) + tuple(M[:-1]))
+    return np.moveaxis(v, 0, -1) * math.prod(M[:-1])
 
 
 def engine_grid(kernel, n, M):
     """The slice engine's values of a d-kernel on the grid M, shape M."""
-    lat = build_lattice(n, n.d - 1)
-    v = np.concatenate([v for _, v in slice_batches(kernel, lat, M)])
-    return np.moveaxis(v, 0, -1) * math.prod(M[:-1])
+    return engine_values(*_kernel_source(kernel, build_lattice(n, n.d - 1), M),
+                         M)
 
 
 def brute_force_D(entries, x):
@@ -141,6 +148,25 @@ class TestEvalR:
         _, t1 = eval_R(n, x, nu_max=100)
         _, t2 = eval_R(n, x, nu_max=200)
         assert t2 < t1
+
+    def test_series_matches_term_by_term_sum(self):
+        """The chunked nu-series against R's definition summed one nu and
+        one mode at a time, across several nu chunks."""
+        n = DilationVector((3.7, 9.5, 23.0))
+        x = np.array([0.4, -1.3, 2.1])
+        nu_max = 2**16   # four chunks for 24 modes and one point
+        lat = build_lattice(n, 2)
+        lam = lat.lambda_parts.value
+        ph = np.exp(1j * (lat.points @ x[:-1]))
+        want = 0.5 * np.sum(ph * (np.exp(1j * lam * x[-1]) + 1.0))
+        nu = np.arange(1.0, nu_max + 1)
+        nu = np.concatenate([nu, -nu])
+        h = 2 * math.pi * nu + x[-1]
+        series = sum(np.sum((np.exp(1j * h * lk) - 1.0) / (nu * h)) * pk
+                     for lk, pk in zip(lam, ph))
+        want -= x[-1] / (2j * math.pi) * series
+        got, _ = eval_R(n, x, nu_max=nu_max)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_truncation_stabilizes_within_tail(self):
         n = DilationVector((2, 3))
@@ -267,6 +293,29 @@ class TestGridEvalSliced:
                               GridSpec(M)).values
             vals = engine_grid("D", n, M)
             assert np.abs(vals - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("extents, M", [
+        ((7,), (37,)),
+        ((5, 9), (23, 29)),
+        ((3, 5, 7), (17, 19, 31)),
+    ])
+    def test_engine_field_matches_dense_grid(self, extents, M):
+        """Coefficient fields: odd extents, grid lengths that are not
+        FFT-fast, and batches of three x_s nodes."""
+        rng = np.random.default_rng(len(extents))
+        fld = CoefficientField(weights=rng.standard_normal(extents)
+                               + 1j * rng.standard_normal(extents))
+        dense = grid_eval(fld, GridSpec(M)).values
+        points, weights = _field_source(fld, M, 1, 1 << 30)
+        for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
+            vals = engine_values(points, weights, M, budget)
+            assert np.abs(vals - dense).max() <= \
+                1e-12 * np.abs(dense).max()
+
+    def test_engine_field_rejects_undersized_grid(self):
+        fld = CoefficientField(weights=np.ones((3, 9), dtype=complex))
+        with pytest.raises(ValueError, match="below box extent 9"):
+            _field_source(fld, (4, 8), 1, 1 << 30)
 
 
 def test_first_axes_periodicity_of_sliced_kernels():

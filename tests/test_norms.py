@@ -117,7 +117,8 @@ class TestBudget:
         fld = fractional_coefficients(DilationVector((3.7, 9.5, 23.0)))
         want = l1_norm_field(fld)
         size = np.prod(want.history[-1][0])
-        # below the full grid, above one k_1 x M[1:] block on every level
+        # below the full grid: the last level's x_s slices come in two
+        # batches of slice_batches
         got = l1_norm_field(fld, budget_bytes=int(16 * size) - 1)
         assert [m for m, _ in got.history] == [m for m, _ in want.history]
         assert got.value == pytest.approx(want.value, rel=1e-12)
