@@ -430,7 +430,8 @@ def cmd_irrational(cfg: RunConfig) -> int:
             raise ValueError(f"malformed n list {cfg.n!r}") from None
         # hand-picked n may lie below the study floor of 16
         records = study_ratio(alpha, grid, tol=cfg.tol, workers=cfg.workers,
-                              rho=cfg.rho, min_n=2)
+                              rho=cfg.rho, min_n=2,
+                              budget_bytes=cfg.budget_mb << 20)
     else:
         grid, e = [], 4
         while 2 ** e <= cfg.nmax:
@@ -439,7 +440,7 @@ def cmd_irrational(cfg: RunConfig) -> int:
         if not grid:
             raise ValueError("--nmax must be at least 16")
         records = study_ratio(alpha, grid, tol=cfg.tol, workers=cfg.workers,
-                              rho=cfg.rho)
+                              rho=cfg.rho, budget_bytes=cfg.budget_mb << 20)
     lines = _header_lines(cfg) + ["n,I_n,ratio,is_convergent_q"]
     for rec in records:
         lines.append(",".join([str(rec.n), _fmt(rec.value), _fmt(rec.ratio),

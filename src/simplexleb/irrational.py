@@ -4,23 +4,27 @@ For a real alpha the quantity of interest is the plain L1 norm
 
     I_n(alpha) = int_{-pi}^{pi} | sum_{0 <= k <= n} {alpha k} e^{i k x} | dx,
 
-whose normalized trajectory I_n / ln^2 n is tracked across an n-grid.  The
-apparatus: certified continued-fraction expansions, convergents in exact
-integer arithmetic, and arbitrary-precision fractional parts (Liouville-type
-numbers make alpha*k pass extremely close to integers, so {alpha k} is
-computed at high precision and only then rounded to a machine float).
+whose normalized trajectory I_n / ln^2 n is tracked across an n-grid.  Every
+alpha-dependent quantity is computed with Python integers.  Rational alphas
+(plain, decimal and truncated Liouville) are exact Fractions; the golden
+ratio phi enters only through floor(k phi 2^b), exact by an integer square
+root.  So {alpha k} is correctly rounded for rationals and truncated at
+2^-128 before its one rounding for golden; each value depends on k alone,
+and a study computes them once for its largest n.  Continued fractions come
+from Euclid's algorithm: exact for rationals, and for golden the common
+prefix of two rationals that bracket phi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .core import CoefficientField
+from .kernels import DEFAULT_GRID_BUDGET_BYTES
 from .norms import NormResult, l1_norm_field
 
 __all__ = [
@@ -35,9 +39,7 @@ __all__ = [
     "liouville_dip_scan",
 ]
 
-DEFAULT_PREC_BITS = 256
-FRAC_CERT_TOL = 2.0 ** -40
-_MAX_PREC_BITS = 1 << 14
+_FRAC_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class AlphaSpec:
     """A real number given exactly enough to certify all derived quantities.
 
     kind 'rational':  exact Fraction.
-    kind 'golden':    (1 + sqrt 5) / 2, evaluated at working precision.
+    kind 'golden':    (1 + sqrt 5) / 2, through exact integer floors.
     kind 'liouville': the truncation sum_{k<=depth} base^{-k!} (a rational;
                       only its convergent structure mimics Liouville growth).
     kind 'decimal':   a decimal literal, treated as the exact rational it
@@ -57,15 +59,16 @@ class AlphaSpec:
     base: int | None = None
     depth: int | None = None
     literal: str | None = None
-    prec_bits: int = DEFAULT_PREC_BITS
 
     @classmethod
     def from_rational(cls, p: int, q: int) -> "AlphaSpec":
+        if q == 0:
+            raise ValueError("rational alpha needs a nonzero denominator")
         return cls(kind="rational", rational=Fraction(p, q))
 
     @classmethod
-    def golden(cls, prec_bits: int = DEFAULT_PREC_BITS) -> "AlphaSpec":
-        return cls(kind="golden", prec_bits=prec_bits)
+    def golden(cls) -> "AlphaSpec":
+        return cls(kind="golden")
 
     @classmethod
     def liouville(cls, base: int, depth: int) -> "AlphaSpec":
@@ -84,15 +87,6 @@ class AlphaSpec:
     def is_exact_rational(self) -> bool:
         return self.rational is not None
 
-    def mpf(self, prec_bits: int | None = None) -> mpmath.mpf:
-        prec = prec_bits or self.prec_bits
-        with mpmath.workprec(prec):
-            if self.is_exact_rational:
-                return mpmath.mpf(self.rational.numerator) / self.rational.denominator
-            if self.kind == "golden":
-                return (1 + mpmath.sqrt(5)) / 2
-        raise ValueError(f"cannot evaluate alpha of kind {self.kind!r}")
-
     def describe(self) -> str:
         if self.kind == "rational":
             return f"rational:{self.rational.numerator}/{self.rational.denominator}"
@@ -110,7 +104,6 @@ class ContinuedFraction:
     quotients: tuple
     convergents: tuple          # ((p_k, q_k), ...) aligned with quotients
     exact: bool                 # True when the expansion terminated
-    certified: bool = True
 
     def determinant_identity_holds(self) -> bool:
         """p_k q_{k-1} - p_{k-1} q_k = (-1)^{k-1}, exact integers."""
@@ -135,101 +128,78 @@ def _convergents(quotients) -> tuple:
     return tuple(out)
 
 
-def cf_expand(alpha: AlphaSpec, max_terms: int = 64) -> ContinuedFraction:
-    """Continued-fraction expansion; exact for rationals, certified otherwise.
+def _golden_floor(k: int, bits: int) -> int:
+    """floor(k phi 2^bits), exact: sqrt(5 k^2) is irrational for k >= 1."""
+    return ((k << bits) + math.isqrt((5 * k * k) << (2 * bits))) >> 1
 
-    Irrational expansions are computed twice at increasing precision and
-    truncated to the agreeing prefix; if fewer than ``max_terms`` quotients
-    can be certified the result carries ``certified=False``.
+
+def _euclid(num: int, den: int, max_terms: int) -> tuple:
+    """At most max_terms partial quotients of num/den; True if it ended."""
+    quots = []
+    while den and len(quots) < max_terms:
+        a, rem = divmod(num, den)
+        quots.append(a)
+        num, den = den, rem
+    return quots, den == 0
+
+
+def cf_expand(alpha: AlphaSpec, max_terms: int = 64) -> ContinuedFraction:
+    """Continued-fraction expansion, exact for rationals, proven for golden.
+
+    Golden expands the rationals floor(phi 2^b) / 2^b and one ulp above,
+    which bracket phi.  Every real between them shares their common quotient
+    prefix less its last term (the last may be a rational's final term,
+    which has a second form); b doubles until max_terms quotients are proven.
     """
     if alpha.is_exact_rational:
-        quots = []
-        num, den = alpha.rational.numerator, alpha.rational.denominator
-        while den != 0 and len(quots) < max_terms:
-            a, rem = divmod(num, den)
-            quots.append(int(a))
-            num, den = den, rem
-        return ContinuedFraction(quotients=tuple(quots),
-                                 convergents=_convergents(quots),
-                                 exact=(den == 0))
-    prec = max(alpha.prec_bits, 64)
-    while prec <= _MAX_PREC_BITS:
-        a = _float_quotients(alpha, max_terms, prec)
-        b = _float_quotients(alpha, max_terms, 2 * prec)
-        common = []
-        for x, y in zip(a, b):
-            if x != y:
-                break
-            common.append(x)
-        if len(common) >= max_terms:
-            quots = common[:max_terms]
-            return ContinuedFraction(quotients=tuple(quots),
-                                     convergents=_convergents(quots),
-                                     exact=False)
-        prec *= 2
-    quots = tuple(common)
-    return ContinuedFraction(quotients=quots, convergents=_convergents(quots),
-                             exact=False, certified=False)
-
-
-def _float_quotients(alpha: AlphaSpec, max_terms: int, prec: int) -> list:
-    with mpmath.workprec(prec):
-        x = alpha.mpf(prec)
-        quots = []
-        for _ in range(max_terms):
-            a = mpmath.floor(x)
-            quots.append(int(a))
-            frac = x - a
-            if frac == 0:
-                break
-            x = 1 / frac
-        return quots
+        quots, exact = _euclid(alpha.rational.numerator,
+                               alpha.rational.denominator, max_terms)
+    else:
+        quots, exact, bits = [], False, 64
+        while len(quots) < max_terms:
+            lo = _golden_floor(1, bits)
+            a, _ = _euclid(lo, 1 << bits, max_terms + 1)
+            b, _ = _euclid(lo + 1, 1 << bits, max_terms + 1)
+            common = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                          min(len(a), len(b)))
+            quots = a[:max(common - 1, 0)]
+            bits *= 2
+    return ContinuedFraction(quotients=tuple(quots),
+                             convergents=_convergents(quots), exact=exact)
 
 
 def fractional_parts(alpha: AlphaSpec, n: int) -> np.ndarray:
-    """{alpha k} for k = 0..n as machine floats, certified to 2^-40.
+    """{alpha k} for k = 0..n as machine floats, from integers only.
 
-    Exact rationals use modular integer arithmetic; irrational specs raise
-    the working precision until every value is provably within tolerance of
-    the float returned.
+    Rationals are correctly rounded (p k mod q) / q.  Golden is
+    floor({k phi} 2^128) / 2^128 rounded once, so it lies within 2^-128 of
+    {k phi} before that rounding.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if alpha.is_exact_rational:
         p, q = alpha.rational.numerator, alpha.rational.denominator
-        ks = np.arange(n + 1, dtype=object)
-        return np.array([float(Fraction((p * int(k)) % q, q)) for k in ks],
-                        dtype=float)
-    prec = max(alpha.prec_bits, 64)
-    while True:
-        with mpmath.workprec(prec):
-            a = alpha.mpf(prec)
-            # absolute error of {a k} from the precision of a: k * 2^-prec * a
-            worst = mpmath.mpf(n) * a * mpmath.mpf(2) ** (-prec + 2)
-            if worst < FRAC_CERT_TOL / 4:
-                vals = np.empty(n + 1)
-                vals[0] = 0.0  # {0} is exact; the straddle test is for k >= 1
-                ok = True
-                for k in range(1, n + 1):
-                    f = mpmath.frac(a * k)
-                    # certify the value is not straddling an integer
-                    if min(f, 1 - f) < worst:
-                        ok = False
-                        break
-                    vals[k] = float(f)
-                if ok:
-                    return vals
-        prec *= 2
-        if prec > _MAX_PREC_BITS:
-            raise RuntimeError("precision exhausted certifying {alpha k}")
+        return np.array([p * k % q / q for k in range(n + 1)], dtype=float)
+    mask, scale = (1 << _FRAC_BITS) - 1, 1 << _FRAC_BITS
+    return np.array([(_golden_floor(k, _FRAC_BITS) & mask) / scale
+                     for k in range(n + 1)], dtype=float)
 
 
 def I_n(alpha: AlphaSpec, n: int, tol: float = 1e-3, rho: float = 4.0,
-        workers: int = 1) -> NormResult:
+        workers: int = 1,
+        budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES) -> NormResult:
     """Plain L1 norm of the 1-D kernel with weights {alpha k}, k = 0..n."""
-    w = fractional_parts(alpha, n).astype(np.complex128)
-    fld = CoefficientField(weights=w, tag=f"I:{alpha.describe()}@{n}")
-    return l1_norm_field(fld, tol=tol, rho=rho, workers=workers)
+    return _kernel_norm(alpha, fractional_parts(alpha, n), tol, rho, workers,
+                        budget_bytes)
+
+
+def _kernel_norm(alpha: AlphaSpec, w: np.ndarray, tol: float, rho: float,
+                 workers: int, budget_bytes: int) -> NormResult:
+    """I_n for n = len(w) - 1, from the fractional parts w = {alpha k}."""
+    fld = CoefficientField(weights=w.astype(np.complex128),
+                           tag=f"I:{alpha.describe()}@{len(w) - 1}")
+    return l1_norm_field(fld, tol=tol, rho=rho, workers=workers,
+                         budget_bytes=budget_bytes)
 
 
 @dataclass(frozen=True)
@@ -243,7 +213,8 @@ class RatioRecord:
 
 
 def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
-                workers: int = 1, rho: float = 4.0, min_n: int = 16) -> list:
+                workers: int = 1, rho: float = 4.0, min_n: int = 16,
+                budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES) -> list:
     """Per-n normalized values with running min/max finite-n estimators.
 
     The running extrema are estimators over the computed grid only, never
@@ -256,11 +227,13 @@ def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
     if any(v < min_n for v in n_grid):
         raise ValueError(f"grid entries must be >= {min_n}")
     qset = _convergent_denominators(alpha, max(n_grid))
+    w = fractional_parts(alpha, max(n_grid))
     out = []
     lo = math.inf
     hi = -math.inf
     for n in n_grid:
-        v = I_n(alpha, n, tol=tol, rho=rho, workers=workers).value
+        v = _kernel_norm(alpha, w[:n + 1], tol, rho, workers,
+                         budget_bytes).value
         ratio = v / math.log(n) ** 2
         lo = min(lo, ratio)
         hi = max(hi, ratio)
@@ -271,10 +244,7 @@ def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
 
 
 def _convergent_denominators(alpha: AlphaSpec, n_max: int) -> set:
-    try:
-        cf = cf_expand(alpha, max_terms=64)
-    except ValueError:
-        return set()
+    cf = cf_expand(alpha, max_terms=64)
     return {q for _, q in cf.convergents if 2 <= q <= n_max}
 
 
@@ -291,7 +261,9 @@ class DipReport:
 
 def liouville_dip_scan(alpha: AlphaSpec, n_max: int = 2**14, n_min: int = 16,
                        generic_points: int = 9, tol: float = 1e-3,
-                       workers: int = 1) -> DipReport:
+                       workers: int = 1,
+                       budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES
+                       ) -> DipReport:
     """Compare the normalized value at convergent denominators against the
     median over a generic geometric grid; the dip factor is median / value.
 
@@ -305,12 +277,17 @@ def liouville_dip_scan(alpha: AlphaSpec, n_max: int = 2**14, n_min: int = 16,
                 if q >= n_min)
     grid = sorted({int(round(v)) for v in
                    np.geomspace(n_min, n_max, generic_points)} - set(qs))
-    generic = [I_n(alpha, n, tol=tol, workers=workers).value /
-               math.log(n) ** 2 for n in grid]
+    w = fractional_parts(alpha, max(qs + grid, default=0))
+
+    def ratio(n):
+        return _kernel_norm(alpha, w[:n + 1], tol, 4.0, workers,
+                            budget_bytes).value / math.log(n) ** 2
+
+    generic = [ratio(n) for n in grid]
     med = float(np.median(generic)) if generic else float("nan")
     dips = []
     for q in qs:
-        r = I_n(alpha, q, tol=tol, workers=workers).value / math.log(q) ** 2
+        r = ratio(q)
         dips.append((q, r, med / r if r > 0 else math.inf))
     return DipReport(alpha=alpha.describe(), generic_median=med,
                      dips=tuple(dips))

@@ -230,6 +230,22 @@ class TestIrrationalCommand:
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows[1:])
 
+    def test_budget_too_small_exits_1(self, capsys):
+        code, out, err = run(capsys, "irrational", "--alpha", "golden",
+                             "--nmax", "64", "--budget-mb", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error:")
+        assert "Traceback" not in err
+
+    def test_zero_denominator_exits_1(self, capsys):
+        code, out, err = run(capsys, "irrational", "--alpha", "rational:1/0",
+                             "--n", "16")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error:")
+        assert "Traceback" not in err
+
     def test_golden_monotone_grid(self, capsys):
         code, out, err = run(capsys, "irrational", "--alpha", "golden",
                              "--nmax", "64")

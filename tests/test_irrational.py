@@ -1,12 +1,16 @@
 """Continued fractions, certified fractional parts and the 1-D alpha study."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+import simplexleb
 from simplexleb.irrational import (
     AlphaSpec,
     I_n,
@@ -34,6 +38,10 @@ class TestAlphaSpec:
     def test_decimal_literal(self):
         a = AlphaSpec.from_decimal("0.7071")
         assert a.rational == Fraction(7071, 10000)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            AlphaSpec.from_rational(1, 0)
 
     def test_describe_round_trips_grammar(self):
         assert AlphaSpec.golden().describe() == "golden"
@@ -87,6 +95,24 @@ class TestFractionalParts:
             for k in (1, 7, 123, 499, 500):
                 exact = mpmath.frac(phi * k)
                 assert abs(got[k] - float(exact)) <= 2.0**-40
+
+    def test_golden_is_512_bit_value_rounded(self):
+        # bit for bit the float nearest {phi k}, at small k and near 2^17
+        got = fractional_parts(AlphaSpec.golden(), 131072)
+        ks = list(range(2001)) + list(range(131072 - 500, 131073))
+        with mpmath.workprec(512):
+            phi = (1 + mpmath.sqrt(5)) / 2
+            want = [float(mpmath.frac(phi * k)) for k in ks]
+        np.testing.assert_array_equal(got[ks], want)
+
+    @pytest.mark.parametrize("alpha", [AlphaSpec.golden(),
+                                       AlphaSpec.from_rational(415, 93)],
+                             ids=["golden", "rational"])
+    def test_prefix_of_longer_run(self, alpha):
+        full = fractional_parts(alpha, 4096)
+        for n in (0, 1, 17, 1000, 4096):
+            np.testing.assert_array_equal(full[:n + 1],
+                                          fractional_parts(alpha, n))
 
     def test_values_in_unit_interval(self):
         got = fractional_parts(AlphaSpec.liouville(2, 4), 200)
@@ -142,6 +168,14 @@ class TestStudyRatio:
         ratios = [r.ratio for r in recs]
         assert ratios[-1] < ratios[0]
 
+    @pytest.mark.parametrize("alpha", [AlphaSpec.golden(),
+                                       AlphaSpec.liouville(2, 4)],
+                             ids=["golden", "liouville"])
+    def test_values_equal_I_n(self, alpha):
+        grid = [16, 47, 64, 300]
+        recs = study_ratio(alpha, grid)
+        assert [r.value for r in recs] == [I_n(alpha, n).value for n in grid]
+
     def test_convergent_denominators_flagged(self):
         recs = study_ratio(AlphaSpec.liouville(2, 4), [47, 64, 100])
         flags = {r.n: r.is_convergent_denominator for r in recs}
@@ -158,3 +192,19 @@ class TestLiouvilleDipScan:
                                     generic_points=5)
         assert all(q >= 16 for q, _, _ in report.dips)
         assert math.isfinite(report.generic_median)
+
+    def test_ratios_equal_I_n(self):
+        alpha = AlphaSpec.liouville(2, 4)
+        report = liouville_dip_scan(alpha, n_max=256, generic_points=5)
+        for q, r, _ in report.dips:
+            assert r == I_n(alpha, q).value / math.log(q) ** 2
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath is only the test oracle; the package computes with integers
+    src = os.path.dirname(os.path.dirname(simplexleb.__file__))
+    code = "import sys, simplexleb; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=os.environ | {"PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,10 +43,13 @@ def engine_grid(kernel, n, M):
 
 
 def brute_force_D(entries, x):
+    """Box sum over the exact lattice: membership in Fraction arithmetic (a
+    float entry is the dyadic rational it stores)."""
     total = 0.0 + 0.0j
+    q = [Fraction(v) for v in entries]
     axes = [range(int(v) + 1) for v in entries]
     for k in itertools.product(*axes):
-        if sum(kj / nj for kj, nj in zip(k, entries)) <= 1.0 + 1e-12:
+        if sum(Fraction(kj) / qj for kj, qj in zip(k, q)) <= 1:
             total += np.exp(1j * np.dot(k, x))
     return total
 
@@ -82,6 +86,14 @@ class TestEvalD:
         got = eval_D(DilationVector(tuple(entries)), x)
         want = brute_force_D(entries, x)
         assert got == pytest.approx(want, abs=1e-9)
+
+    def test_near_integer_entry_against_brute_force(self):
+        # 1/2 + 1/1.9999999999999982 exceeds 1, so (1, 1) is not a point;
+        # a float membership test with slack 1e-12 counted it
+        entries = [2.0, 1.9999999999999982]
+        assert brute_force_D(entries, [0.0, 0.0]) == 4
+        assert eval_D(DilationVector(tuple(entries)), [0.0, 0.0]) \
+            == pytest.approx(4, abs=1e-9)
 
     def test_conjugate_symmetry(self):
         n = DilationVector((3.7, 9.5))

@@ -83,6 +83,15 @@ class TestL1Norm:
         b = l1_norm("D", DilationVector((2, 3)))
         assert a is b
 
+    def test_cache_keys_on_max_doublings(self):
+        # D(7.3, 19.6) needs one doubling: a cached default result must not
+        # answer a call that allows none
+        clear_norm_cache()
+        n = DilationVector((7.3, 19.6))
+        assert len(l1_norm("D", n).history) == 2
+        with pytest.raises(NormConvergenceError):
+            l1_norm("D", n, max_doublings=0)
+
     def test_zero_dim_field_norm_is_modulus(self):
         fld = CoefficientField(weights=np.asarray(0.25 + 0j))
         res = l1_norm_field(fld)
