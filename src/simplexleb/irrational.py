@@ -60,6 +60,11 @@ class AlphaSpec:
     depth: int | None = None
     literal: str | None = None
 
+    def __post_init__(self):
+        if self.rational is None and self.kind != "golden":
+            raise ValueError(f"alpha of kind {self.kind!r} needs its exact "
+                             "rational value")
+
     @classmethod
     def from_rational(cls, p: int, q: int) -> "AlphaSpec":
         if q == 0:
@@ -186,15 +191,14 @@ def fractional_parts(alpha: AlphaSpec, n: int) -> np.ndarray:
 
 
 def I_n(alpha: AlphaSpec, n: int, tol: float = 1e-3, rho: float = 4.0,
-        workers: int = 1,
-        budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES) -> NormResult:
+        workers: int = 1) -> NormResult:
     """Plain L1 norm of the 1-D kernel with weights {alpha k}, k = 0..n."""
-    return _kernel_norm(alpha, fractional_parts(alpha, n), tol, rho, workers,
-                        budget_bytes)
+    return _kernel_norm(alpha, fractional_parts(alpha, n), tol, rho, workers)
 
 
 def _kernel_norm(alpha: AlphaSpec, w: np.ndarray, tol: float, rho: float,
-                 workers: int, budget_bytes: int) -> NormResult:
+                 workers: int,
+                 budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES) -> NormResult:
     """I_n for n = len(w) - 1, from the fractional parts w = {alpha k}."""
     fld = CoefficientField(weights=w.astype(np.complex128),
                            tag=f"I:{alpha.describe()}@{len(w) - 1}")
@@ -261,9 +265,7 @@ class DipReport:
 
 def liouville_dip_scan(alpha: AlphaSpec, n_max: int = 2**14, n_min: int = 16,
                        generic_points: int = 9, tol: float = 1e-3,
-                       workers: int = 1,
-                       budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES
-                       ) -> DipReport:
+                       workers: int = 1) -> DipReport:
     """Compare the normalized value at convergent denominators against the
     median over a generic geometric grid; the dip factor is median / value.
 
@@ -280,8 +282,8 @@ def liouville_dip_scan(alpha: AlphaSpec, n_max: int = 2**14, n_min: int = 16,
     w = fractional_parts(alpha, max(qs + grid, default=0))
 
     def ratio(n):
-        return _kernel_norm(alpha, w[:n + 1], tol, 4.0, workers,
-                            budget_bytes).value / math.log(n) ** 2
+        return _kernel_norm(alpha, w[:n + 1], tol, 4.0,
+                            workers).value / math.log(n) ** 2
 
     generic = [ratio(n) for n in grid]
     med = float(np.median(generic)) if generic else float("nan")

@@ -300,13 +300,13 @@ def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
     """Plain and normalized L1 norm of D, F, S, Fcomposite or R.
 
     Norm values are memoized per (kernel, n rounded to 12 significant digits,
-    rho, tol, max_doublings): the correction functional and the sweeps
-    re-request identical F norms heavily.
+    rho, tol, max_doublings, budget_bytes): the correction functional and
+    the sweeps re-request identical F norms heavily.
     """
     if kernel not in ("D", "F", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown kernel {kernel!r}")
     key = (kernel, tuple(float(f"{v:.12g}") for v in n.entries), rho, tol,
-           max_doublings)
+           max_doublings, budget_bytes)
     if use_cache:
         with _cache_lock:
             if key in _norm_cache:

@@ -43,6 +43,11 @@ class TestAlphaSpec:
         with pytest.raises(ValueError):
             AlphaSpec.from_rational(1, 0)
 
+    def test_kind_without_value_rejected(self):
+        # golden is the one kind computed without an exact rational
+        with pytest.raises(ValueError):
+            AlphaSpec(kind="pi")
+
     def test_describe_round_trips_grammar(self):
         assert AlphaSpec.golden().describe() == "golden"
         assert AlphaSpec.liouville(2, 4).describe() == "liouville:2,4"

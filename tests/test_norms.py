@@ -92,6 +92,15 @@ class TestL1Norm:
         with pytest.raises(NormConvergenceError):
             l1_norm("D", n, max_doublings=0)
 
+    def test_cache_keys_on_budget(self):
+        # a cached default result must not answer a call whose budget holds
+        # no grid slice
+        clear_norm_cache()
+        n = DilationVector((7.3, 19.6))
+        l1_norm("D", n)
+        with pytest.raises(ResourceLimitError):
+            l1_norm("D", n, budget_bytes=0)
+
     def test_zero_dim_field_norm_is_modulus(self):
         fld = CoefficientField(weights=np.asarray(0.25 + 0j))
         res = l1_norm_field(fld)
