@@ -370,6 +370,9 @@ def _sweep_one(entries: tuple, cfg: RunConfig) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    # checked here: _sweep_one turns frak_f's ValueError into a NaN column
+    if cfg.t_nodes < 2:
+        raise ValueError("--t-nodes must be >= 2")
     rows = _sweep_rows(cfg)
     d = len(rows[0])
     if d < 2:

@@ -14,14 +14,20 @@ per batch.  It takes the x' modes and one of two slice-weight sources:
   twisted differences of the correction functional, I_n, and D for d = 1);
   for a 1-D field that transform is the whole synthesis.
 
+A Hermitian f (real Fourier weights: f(-x) = conj f(x)) has the same |f|
+on the x_s slices t and M_s - t, so only t = 0..[M_s/2] are synthesized;
+t = 0 (x_s = -pi, unpaired: S, Fcomposite and R are not periodic in x_s)
+and t = M_s/2 count once, the others twice.  The d-kernels and fields with
+x' axes and real weights (F) qualify; the twisted differences do not.
+
 Every grid is validated through the exact discrete Parseval identity
 
     (1 / prod M_j) sum_t |f(x_t)|^2 = sum_k |c_k|^2
 
-before its L1 value is accepted: per x_s slice wherever x' has axes (each
-slice is a trigonometric polynomial in x'), and over the whole grid for
-coefficient fields and for D, whose right-hand side is the lattice point
-count P.
+before its L1 value is accepted: per computed x_s slice wherever x' has
+axes (each slice is a trigonometric polynomial in x'), and over the whole
+grid, with the slice multiplicities above, for coefficient fields and for
+D, whose right-hand side is the lattice point count P.
 """
 
 from __future__ import annotations
@@ -136,11 +142,13 @@ class IdentityReport:
 # ----------------------------------------------------------------- synthesis
 
 def slice_batches(points: np.ndarray, weights, M: tuple, workers: int = 1,
-                  budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES):
+                  budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES,
+                  rows: int | None = None):
     """Synthesize a trigonometric polynomial on the grid M, x_s slice by slice.
 
     ``points`` holds the x' modes, shape (P', s-1); ``weights(rows)`` gives
     the slice weights of the x_s nodes ``rows`` (a slice), shape (B, P').
+    Only the nodes 0..rows-1 are synthesized (all M_s by default).
     Each batch holds at most min(_CHUNK_BYTES, budget_bytes) of grid values.
     Yields ``(w, v)`` per batch: the weights and v, shape (B,) + M', their
     inverse FFT, which is f / prod M' on the batch's nodes (callers scale
@@ -156,8 +164,9 @@ def slice_batches(points: np.ndarray, weights, M: tuple, workers: int = 1,
     if m_prime:
         flat = np.ravel_multi_index(tuple(points.T), m_prime)
         twist = _origin_twist(points.sum(axis=1))
-    for start in range(0, M[-1], batch):
-        w = weights(slice(start, start + batch))
+    rows = M[-1] if rows is None else rows
+    for start in range(0, rows, batch):
+        w = weights(slice(start, min(start + batch, rows)))
         if not m_prime:
             yield w, w
             continue
@@ -170,15 +179,15 @@ def slice_batches(points: np.ndarray, weights, M: tuple, workers: int = 1,
 
 
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple):
-    """(points, weights) of a d-kernel on the grid M: closed-form slices."""
+    """(points, weights, hermitian) of a d-kernel on the grid M."""
     xd = GridSpec(M).axis_nodes(len(M) - 1)
     return lat.points, lambda rows: slice_weight_matrix(
-        kernel, lat.lambda_parts, xd[rows])
+        kernel, lat.lambda_parts, xd[rows]), True
 
 
 def _field_source(fld: CoefficientField, M: tuple, workers: int,
                   budget_bytes: int):
-    """(points, weights) of a coefficient field on the grid M.
+    """(points, weights, hermitian) of a coefficient field on the grid M.
 
     The slice weights of all M_s nodes come from one inverse FFT along the
     field's last axis, zero-padded to M_s with the origin twist (-1)^{k_s};
@@ -199,16 +208,22 @@ def _field_source(fld: CoefficientField, M: tuple, workers: int,
     w = scipy.fft.ifftn(b, axes=(0,), workers=workers, overwrite_x=True)
     w *= M[-1]
     # points: every x' mode of the box K', in the order of the reshape above
-    return np.argwhere(np.ones(k_prime, dtype=bool)), w.__getitem__
+    return (np.argwhere(np.ones(k_prime, dtype=bool)), w.__getitem__,
+            bool(k_prime) and not fld.weights.imag.any())
 
 
-def _slice_abs_sums(points, weights, M, workers, budget_bytes, tag):
-    """(sum_t |f(x_t)|, sum_t |f(x_t)|^2) from the slice engine, with the
-    exact Parseval identity checked on every x_s slice of x' with axes."""
+def _slice_abs_sums(points, weights, hermitian, M, workers, budget_bytes,
+                    tag):
+    """(sum_t |f(x_t)|, sum_t |f(x_t)|^2) over the grid from the slice
+    engine (half the slices for a Hermitian f), with the exact Parseval
+    identity checked on every computed x_s slice of x' with axes."""
     rest = math.prod(M[:-1])
+    m = M[-1]
     sum_abs = 0.0
     sum_sq = 0.0
-    for w, v in slice_batches(points, weights, M, workers, budget_bytes):
+    start = 0
+    for w, v in slice_batches(points, weights, M, workers, budget_bytes,
+                              m // 2 + 1 if hermitian else m):
         av = np.abs(v).reshape(len(w), rest)
         # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|
         row_power = rest * np.einsum("ij,ij->i", av, av)
@@ -216,6 +231,12 @@ def _slice_abs_sums(points, weights, M, workers, budget_bytes, tag):
             _check_parseval(
                 row_power, np.einsum("ij,ij->i", w, w.conj()).real,
                 f"{tag}-slice")
+        if hermitian:
+            # t = 0 and t = M_s/2 are their own partners under t -> M_s - t
+            t = np.arange(start, start + len(w))
+            start += len(w)
+            mult = np.where((t > 0) & (2 * t != m), 2.0, 1.0)
+            av, row_power = mult * av.sum(axis=1), mult * row_power
         sum_abs += float(av.sum())
         sum_sq += float(row_power.sum())
     return sum_abs * rest, sum_sq * rest
@@ -369,6 +390,8 @@ def verify_identity(n: DilationVector, num_points: int = 100,
                     nu_max: int = DEFAULT_NU_MAX, seed: int = 0,
                     points: np.ndarray | None = None) -> IdentityReport:
     """Check the exact decomposition at seeded pseudo-random torus points."""
+    if nu_max < 1 or (points is None and num_points < 1):
+        raise ValueError("verify needs nu_max >= 1 and num_points >= 1")
     lat = build_lattice(n)
     p_full = lat.count
     if points is None:
@@ -406,6 +429,8 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     """
     if k < 2 or k > n.d:
         raise ValueError(f"need 2 <= k <= d={n.d}")
+    if t_nodes < 2:
+        raise ValueError("t_nodes must be >= 2")
     ent = n.entries[:k]
     if any(a > b for a, b in zip(ent, ent[1:])):
         raise ValueError("entries must be ascending")

@@ -108,6 +108,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "d >= 2" in err
 
+    @pytest.mark.parametrize("option", ["--nu-max", "--points"])
+    def test_empty_verify_exits_1(self, capsys, option):
+        code, out, err = run(capsys, "verify", "--n", "5,9.5,23", option, "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error:")
+
 
 class TestSweepCommand:
     def test_single_point_matches_norm(self, capsys):
@@ -153,6 +160,13 @@ class TestSweepCommand:
         assert code == 1
         assert out == ""
         assert "simplexleb: error:" in err
+
+    def test_single_t_node_exits_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n1", "list(5.5)",
+                             "--n2", "2.3*n1", "--t-nodes", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error:")
 
     def test_nonconvergent_row_flagged_exit_2(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n1", "list(5.5)",

@@ -38,8 +38,8 @@ def engine_values(points, weights, M, budget_bytes=1 << 30):
 
 def engine_grid(kernel, n, M):
     """The slice engine's values of a d-kernel on the grid M, shape M."""
-    return engine_values(*_kernel_source(kernel, build_lattice(n, n.d - 1), M),
-                         M)
+    points, weights, _ = _kernel_source(kernel, build_lattice(n, n.d - 1), M)
+    return engine_values(points, weights, M)
 
 
 def brute_force_D(entries, x):
@@ -318,7 +318,7 @@ class TestGridEvalSliced:
         fld = CoefficientField(weights=rng.standard_normal(extents)
                                + 1j * rng.standard_normal(extents))
         dense = grid_eval(fld, GridSpec(M)).values
-        points, weights = _field_source(fld, M, 1, 1 << 30)
+        points, weights, _ = _field_source(fld, M, 1, 1 << 30)
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             vals = engine_values(points, weights, M, budget)
             assert np.abs(vals - dense).max() <= \

@@ -9,10 +9,15 @@ import scipy.integrate
 from simplexleb.core import (
     DilationVector,
     ResourceLimitError,
+    build_lattice,
     fractional_coefficients,
 )
+from simplexleb.kernels import GridSpec, apply_delta, grid_eval
 from simplexleb.norms import (
     NormConvergenceError,
+    _field_source,
+    _kernel_source,
+    _slice_abs_sums,
     clear_norm_cache,
     double_integral_ld2,
     frak_f,
@@ -21,6 +26,7 @@ from simplexleb.norms import (
     verify_identity,
 )
 from simplexleb.core import CoefficientField
+from test_kernels import engine_values
 
 
 class TestL1Norm:
@@ -147,6 +153,71 @@ class TestBudget:
             l1_norm_field(fld, budget_bytes=16)
 
 
+def _spied(weights, M):
+    """The weight source, and the x_s rows it is asked for."""
+    asked = []
+
+    def spy(rows):
+        asked.extend(range(M[-1])[rows])
+        return weights(rows)
+    return spy, asked
+
+
+class TestHalfSlices:
+    """Hermitian sources are synthesized on the x_s slices 0..[M_s/2] only;
+    the weighted sums equal the full grid's."""
+
+    # odd and even M_s; batches of three slices make the last one partial
+    GRIDS = [(16, 45), (16, 48), (12, 10, 33), (12, 10, 34)]
+
+    def _check(self, points, weights, hermitian, M, full):
+        want_abs = np.abs(full).sum()
+        want_sq = (np.abs(full) ** 2).sum()
+        for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
+            spy, asked = _spied(weights, M)
+            got_abs, got_sq = _slice_abs_sums(points, spy, hermitian, M, 1,
+                                              budget, "test")
+            assert got_abs == pytest.approx(want_abs, rel=1e-12)
+            assert got_sq == pytest.approx(want_sq, rel=1e-12)
+            top = M[-1] // 2 if hermitian else M[-1] - 1
+            assert sorted(asked) == list(range(top + 1))
+
+    @pytest.mark.parametrize("M", GRIDS)
+    @pytest.mark.parametrize("kernel", ["D", "S", "Fcomposite", "R"])
+    def test_kernels_match_full_grid(self, kernel, M):
+        n = DilationVector((3.7, 9.5, 7.0)[:len(M)])
+        points, weights, hermitian = _kernel_source(
+            kernel, build_lattice(n, n.d - 1), M)
+        assert hermitian
+        self._check(points, weights, hermitian, M,
+                    engine_values(points, weights, M))
+
+    @pytest.mark.parametrize("entries, M", [
+        ((3.7, 9.5), (45,)),
+        ((3.7, 9.5, 23.0), (16, 45)),
+        ((3.7, 9.5, 23.0), (16, 48)),
+        ((2.5, 3.7, 9.5, 23.0), (8, 12, 45)),
+        ((2.5, 3.7, 9.5, 23.0), (8, 12, 48)),
+    ])
+    def test_real_fields_match_full_grid(self, entries, M):
+        fld = fractional_coefficients(DilationVector(entries))
+        points, weights, hermitian = _field_source(fld, M, 1, 1 << 30)
+        # a 1-D field keeps every node: one FFT already gives them all
+        assert hermitian == (len(M) > 1)
+        self._check(points, weights, hermitian, M,
+                    engine_values(points, weights, M))
+
+    def test_complex_delta_field_matches_dense_grid(self):
+        n = DilationVector((3.7, 9.5, 23.0))
+        fld = apply_delta(fractional_coefficients(n), 5.3, 1.0 / np.array(
+            n.entries[:2]))
+        M = (16, 45)
+        points, weights, hermitian = _field_source(fld, M, 1, 1 << 30)
+        assert not hermitian
+        self._check(points, weights, hermitian, M,
+                    grid_eval(fld, GridSpec(M)).values)
+
+
 class TestScalingSanity:
     def test_norm_over_log_product_bounded(self):
         ratios = []
@@ -213,6 +284,11 @@ class TestFrakF:
     def test_rejects_descending(self):
         with pytest.raises(ValueError):
             frak_f(2, DilationVector((3, 2)))
+
+    def test_rejects_single_t_node(self):
+        # the trapezoid over one node is 0 and would drop every mu term
+        with pytest.raises(ValueError, match="t_nodes"):
+            frak_f(2, DilationVector((5.5, 12.65)), t_nodes=1)
 
     def test_k3_structure(self):
         got = frak_f(3, DilationVector((4.5, 9.0, 18.0)), t_nodes=8)
