@@ -13,14 +13,12 @@ from .core import (
     indicator_coefficients,
 )
 from .kernels import (
-    GridField,
     GridSpec,
     apply_delta,
     eval_D,
     eval_F,
     eval_R,
     eval_S,
-    grid_eval,
     reduce_torus,
     slice_weight_matrix,
 )
@@ -39,7 +37,6 @@ from .norms import (
 from .asymptotics import (
     PredictorValue,
     RegimeError,
-    SweepRecord,
     bilateral_fit,
     corollary1_check,
     corollary2_regime,

@@ -23,7 +23,6 @@ from .core import DilationVector
 
 __all__ = [
     "PredictorValue",
-    "SweepRecord",
     "RegimeError",
     "main_term",
     "eta_weights",
@@ -49,23 +48,6 @@ class PredictorValue:
     @property
     def total(self) -> float:
         return self.main + sum(f * w for _, f, w in self.correction_terms)
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    n: tuple
-    norm: float
-    predictor: PredictorValue
-    seconds: float = 0.0
-    grid: tuple | None = None
-
-    @property
-    def residual(self) -> float:
-        return self.norm - self.predictor.total
-
-    @property
-    def ratio(self) -> float:
-        return self.residual / self.predictor.envelope
 
 
 def _check_ascending_gt3(n: DilationVector):

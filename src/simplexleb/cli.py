@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import full_predictor, remainder_envelope
-from .core import DilationVector, ResourceLimitError
+from .core import DEFAULT_BUDGET_BYTES, DilationVector, ResourceLimitError
 from .irrational import AlphaSpec, study_ratio
 from .kernels import DEFAULT_NU_MAX
 from .norms import (
@@ -88,7 +88,7 @@ class RunConfig:
     points: int = 100
     seed: int = 0
     workers: int = 1
-    budget_mb: int = 1536
+    budget_mb: int = DEFAULT_BUDGET_BYTES >> 20
     timings: bool = False
     n1: str = ""
     n2: str = ""
@@ -206,12 +206,13 @@ def cmd_norm(cfg: RunConfig) -> int:
             "normalized": last_val / (2 * math.pi) ** len(last_grid),
             "grid": last_grid,
             "history": [[list(m) if m else None, v] for m, v in exc.history],
-            "error_estimate": float("nan"),
+            "error_estimate": None,
             "converged": False,
         }
         exit_code = 2
     doc = _meta(cfg) | {"kernel": cfg.kernel, "n": list(n.entries)} | payload
-    _emit(json.dumps(doc, indent=2, default=str) + "\n", cfg.output)
+    _emit(json.dumps(doc, indent=2, default=str, allow_nan=False) + "\n",
+          cfg.output)
     return exit_code
 
 
@@ -222,7 +223,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if n.d < 2:
         raise ValueError("identity verification requires d >= 2")
     report = verify_identity(n, num_points=cfg.points, nu_max=cfg.nu_max,
-                             seed=cfg.seed)
+                             seed=cfg.seed, budget_bytes=cfg.budget_mb << 20)
     doc = _meta(cfg) | {
         "n": list(n.entries),
         "nu_max": report.nu_max,
@@ -342,8 +343,7 @@ def _sweep_one(entries: tuple, cfg: RunConfig) -> dict:
     fraks = {}
     for k in range(2, d + 1):
         try:
-            fraks[k] = frak_f(k, n, t_nodes=cfg.t_nodes, tol=cfg.tol,
-                              rho=cfg.rho, workers=cfg.workers).value
+            fraks[k] = frak_f(k, n, t_nodes=cfg.t_nodes, **kw).value
         except ValueError:
             # outside the ascending regime of the correction functional
             fraks[k] = float("nan")
@@ -487,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"FFT worker threads (default ${ENV_WORKERS} "
                             "or CPU count)")
         p.add_argument("--budget-mb", dest="budget_mb", type=int,
-                       default=None, help="grid memory cap in MiB")
+                       default=None,
+                       help="memory cap in MiB on each array a run builds "
+                            f"(default {DEFAULT_BUDGET_BYTES >> 20})")
         p.add_argument("--output", default=None,
                        help="write to file instead of stdout")
         p.add_argument("--timings", action="store_const", const=True,

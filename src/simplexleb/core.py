@@ -29,19 +29,35 @@ __all__ = [
     "build_lattice",
     "indicator_coefficients",
     "fractional_coefficients",
-    "DEFAULT_BOX_BUDGET",
+    "DEFAULT_BUDGET_BYTES",
 ]
 
-# Dense coefficient boxes are capped at this many complex entries.
-DEFAULT_BOX_BUDGET = 2**31
+# The one memory cap, in bytes, on each array a run builds: lattice points,
+# coefficient boxes, grid slices, slice weights and verify's phase matrix.
+# The CLI's --budget-mb defaults to it.
+DEFAULT_BUDGET_BYTES = 1536 << 20
 
 
 class ResourceLimitError(RuntimeError):
-    """A lattice or coefficient box would exceed the configured memory budget."""
+    """An array would exceed the configured memory budget."""
 
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
+
+
+def check_budget(nbytes, budget_bytes: int, what: str):
+    """Refuse, with the estimate attached, an array of ``nbytes`` bytes."""
+    if nbytes > budget_bytes:
+        raise ResourceLimitError(
+            f"{what} needs {int(nbytes)} bytes, over the budget of "
+            f"{budget_bytes} bytes", estimate=int(nbytes))
+
+
+def simplex_volume(entries) -> float:
+    """prod n_j / s!, a lower bound on the lattice point count: the unit
+    cubes k + [0, 1)^s at the lattice points cover the simplex."""
+    return math.prod(entries) / math.factorial(len(entries))
 
 
 @dataclass(frozen=True)
@@ -75,10 +91,6 @@ class DilationVector:
         nxt = self.entries[s]
         return tuple(nxt / self.entries[j] for j in range(s))
 
-    def head(self, s: int) -> "DilationVector":
-        """First s entries as a dilation vector."""
-        return DilationVector(self.entries[:s])
-
 
 class LambdaParts(NamedTuple):
     """L_s at integer points: the float value and its certified parts."""
@@ -94,19 +106,9 @@ class LambdaEvaluator:
 
     n: DilationVector
 
-    def value(self, s: int, xi) -> float:
-        """L_1 = n_1;  L_s(xi) = n_s - (m^(s-1), xi) for s >= 2."""
-        ent = self.n.entries
-        if s == 1:
-            return ent[0]
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape[-1] != s - 1:
-            raise ValueError(f"expected {s - 1} coordinates, got {xi.shape[-1]}")
-        m = np.array(self.n.ratios(s - 1))
-        return ent[s - 1] - float(xi @ m)
-
     def values(self, s: int, points: np.ndarray) -> np.ndarray:
-        """Vectorized L_s over an array of points with s-1 columns."""
+        """L_1 = n_1 and L_s(xi) = n_s - (m^(s-1), xi) at an array of points
+        with s-1 columns."""
         ent = self.n.entries
         points = np.asarray(points, dtype=float)
         if s == 1:
@@ -169,11 +171,6 @@ class SimplexLattice:
             raise ValueError("lattice already spans the full dimension")
         return LambdaEvaluator(self.n).parts(self.s + 1, self.points)
 
-    def contains_all(self) -> bool:
-        """Membership predicate sum_j k_j / n_j <= 1 for every stored point."""
-        nj = np.array(self.n.entries[: self.s])
-        return bool(np.all(self.points @ (1.0 / nj) <= 1.0 + 1e-12))
-
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -195,36 +192,21 @@ class CoefficientField:
         return self.weights.shape
 
 
-def _check_box_budget(extents, budget):
-    size = 1
-    for e in extents:
-        size *= e
-    if size > budget:
-        raise ResourceLimitError(
-            f"coefficient box of {size} complex entries exceeds budget {budget}",
-            estimate=size,
-        )
-
-
 def build_lattice(n: DilationVector, s: int | None = None,
-                  budget: int = DEFAULT_BOX_BUDGET) -> SimplexLattice:
+                  budget_bytes: int = DEFAULT_BUDGET_BYTES) -> SimplexLattice:
     """Enumerate the nested-bound lattice over the first s coordinates.
 
     Enumeration is lexicographic and fully vectorized: axis by axis, every
-    existing point is extended by k_s = 0 .. [L_s(point)].
+    existing point is extended by k_s = 0 .. [L_s(point)].  The (P, s) int64
+    points must fit ``budget_bytes``; the simplex volume bounds P from below
+    before anything is enumerated.
     """
     if s is None:
         s = n.d
     if not 1 <= s <= n.d:
         raise ValueError(f"need 1 <= s <= d={n.d}, got s={s}")
-    # Upper estimate of the point count via the bounding box.
-    est = 1
-    for v in n.entries[:s]:
-        est *= int(v) + 1
-    if est > budget and _volume_estimate(n.entries[:s]) > budget:
-        raise ResourceLimitError(
-            f"lattice point estimate {est} exceeds budget {budget}", estimate=est
-        )
+    check_budget(8 * s * simplex_volume(n.entries[:s]), budget_bytes,
+                 "lattice")
     lam = LambdaEvaluator(n)
     points = np.zeros((1, 0), dtype=np.int64)
     for axis in range(1, s + 1):
@@ -233,11 +215,7 @@ def build_lattice(n: DilationVector, s: int | None = None,
         # coordinates satisfy the membership inequality.
         reps = bounds + 1
         total = int(reps.sum())
-        if total > budget:
-            raise ResourceLimitError(
-                f"lattice would hold {total}+ points, budget {budget}",
-                estimate=total,
-            )
+        check_budget(8 * axis * total, budget_bytes, "lattice")
         base = np.repeat(points, reps, axis=0)
         offsets = np.repeat(np.cumsum(reps) - reps, reps)
         new_col = np.arange(total, dtype=np.int64) - offsets
@@ -245,23 +223,13 @@ def build_lattice(n: DilationVector, s: int | None = None,
     return SimplexLattice(n=n, s=s, points=points)
 
 
-def _volume_estimate(entries) -> float:
-    prod = 1.0
-    for v in entries:
-        prod *= v + 1.0
-    return prod / math.factorial(len(entries))
-
-
-def indicator_coefficients(lattice: SimplexLattice,
-                           budget: int = DEFAULT_BOX_BUDGET) -> CoefficientField:
+def indicator_coefficients(lattice: SimplexLattice) -> CoefficientField:
     """Weight 1 at every lattice point, 0 elsewhere in the bounding box."""
-    return _scatter(lattice, 1.0, f"indicator:{lattice.n.entries}", budget)
+    return _scatter(lattice, 1.0, f"indicator:{lattice.n.entries}")
 
 
-def _scatter(lattice: SimplexLattice, values, tag: str,
-             budget: int) -> CoefficientField:
+def _scatter(lattice: SimplexLattice, values, tag: str) -> CoefficientField:
     extents = lattice.extents
-    _check_box_budget(extents, budget)
     w = np.zeros(extents, dtype=np.complex128)
     flat = np.ravel_multi_index(tuple(lattice.points.T), extents)
     w.ravel()[flat] = values
@@ -269,18 +237,20 @@ def _scatter(lattice: SimplexLattice, values, tag: str,
 
 
 def fractional_coefficients(n: DilationVector,
-                            budget: int = DEFAULT_BOX_BUDGET) -> CoefficientField:
+                            budget_bytes: int = DEFAULT_BUDGET_BYTES
+                            ) -> CoefficientField:
     """The (d-1)-dimensional field with weight {L_d(k')} at each lattice point.
 
     For d = 1 the empty index set convention applies: the field is the
-    0-dimensional constant {n_1}.
+    0-dimensional constant {n_1}.  Its box, K_j = [n_j] + 1, must fit
+    ``budget_bytes``, as must the lattice.
     """
     if n.d == 1:
         return CoefficientField(
             weights=np.array(n.entries[0] % 1.0, dtype=np.complex128),
             tag=f"fractional:{n.entries}",
         )
-    lat = build_lattice(n, n.d - 1, budget=budget)
-    return _scatter(lat, lat.lambda_parts.frac, f"fractional:{n.entries}",
-                    budget)
-
+    check_budget(16 * math.prod(int(v) + 1 for v in n.entries[:-1]),
+                 budget_bytes, "coefficient box")
+    lat = build_lattice(n, n.d - 1, budget_bytes)
+    return _scatter(lat, lat.lambda_parts.frac, f"fractional:{n.entries}")

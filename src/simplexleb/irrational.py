@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CoefficientField
-from .kernels import DEFAULT_GRID_BUDGET_BYTES
-from .norms import NormResult, l1_norm_field
+from .core import DEFAULT_BUDGET_BYTES, CoefficientField
+from .kernels import GridSpec
+from .norms import NormResult, check_grid, l1_norm_field
 
 __all__ = [
     "AlphaSpec",
@@ -110,16 +110,6 @@ class ContinuedFraction:
     convergents: tuple          # ((p_k, q_k), ...) aligned with quotients
     exact: bool                 # True when the expansion terminated
 
-    def determinant_identity_holds(self) -> bool:
-        """p_k q_{k-1} - p_{k-1} q_k = (-1)^{k-1}, exact integers."""
-        pq = ((1, 0),) + self.convergents
-        for k in range(1, len(pq)):
-            p1, q1 = pq[k]
-            p0, q0 = pq[k - 1]
-            if p1 * q0 - p0 * q1 != (-1) ** k:
-                return False
-        return True
-
 
 def _convergents(quotients) -> tuple:
     out = []
@@ -198,7 +188,7 @@ def I_n(alpha: AlphaSpec, n: int, tol: float = 1e-3, rho: float = 4.0,
 
 def _kernel_norm(alpha: AlphaSpec, w: np.ndarray, tol: float, rho: float,
                  workers: int,
-                 budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES) -> NormResult:
+                 budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """I_n for n = len(w) - 1, from the fractional parts w = {alpha k}."""
     fld = CoefficientField(weights=w.astype(np.complex128),
                            tag=f"I:{alpha.describe()}@{len(w) - 1}")
@@ -218,18 +208,22 @@ class RatioRecord:
 
 def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
                 workers: int = 1, rho: float = 4.0, min_n: int = 16,
-                budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES) -> list:
+                budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """Per-n normalized values with running min/max finite-n estimators.
 
     The running extrema are estimators over the computed grid only, never
     claims about limits.  Grid entries below ``min_n`` are refused; keep
-    min_n >= 2, since the ratio divides by ln^2 n.
+    min_n >= 2, since the ratio divides by ln^2 n.  The first grid of the
+    largest n must fit ``budget_bytes`` before any fractional part is
+    computed.
     """
     n_grid = [int(v) for v in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n grid must be increasing")
     if any(v < min_n for v in n_grid):
         raise ValueError(f"grid entries must be >= {min_n}")
+    K = (max(n_grid) + 1,)
+    check_grid(K, GridSpec.for_extents(K, rho).M, budget_bytes)
     qset = _convergent_denominators(alpha, max(n_grid))
     w = fractional_parts(alpha, max(n_grid))
     out = []

@@ -38,7 +38,7 @@ i.e. multiply the zero-padded coefficients by the origin twist
 (-1)^{sum_j k_j} (:func:`_origin_twist`) and apply an inverse FFT scaled by
 prod M_j (scipy's ifft has the e^{+2 pi i k t/M} kernel and a 1/M factor).
 The norm engine twists the x' modes of each slice, and a coefficient field
-its last axis; :func:`grid_eval`, the engine's dense oracle, twists all.
+its last axis.
 
 Tail bound derivation (truncation of the nu-series in R): for |x_d| <= pi and
 nu >= 1, |2 pi nu +- x_d| >= 2 pi nu - pi >= pi nu, and each difference term
@@ -52,38 +52,26 @@ Summing over nu > nu_max with sum 1/nu^2 <= 1/nu_max gives
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .core import (
-    CoefficientField,
-    DilationVector,
-    LambdaParts,
-    ResourceLimitError,
-    build_lattice,
-)
+from .core import CoefficientField, DilationVector, LambdaParts, build_lattice
 
 __all__ = [
     "GridSpec",
-    "GridField",
     "reduce_torus",
     "eval_D",
     "eval_F",
     "eval_S",
     "eval_R",
     "apply_delta",
-    "grid_eval",
     "slice_weight_matrix",
     "DEFAULT_NU_MAX",
-    "DEFAULT_GRID_BUDGET_BYTES",
 ]
 
 DEFAULT_NU_MAX = 4096
-# Grid memory cap in bytes: grid_eval refuses to allocate beyond it, and
-# the norm engines size their batches and chunks within it.
-DEFAULT_GRID_BUDGET_BYTES = 1_500_000_000
 
 # Below this |x_d| the S-slice weight uses the limit branch
 # L + i L^2 x_d / 2 (relative error < 1e-15 there).
@@ -114,15 +102,10 @@ class GridSpec:
         object.__setattr__(self, "M", M)
 
     @classmethod
-    def for_kernel(cls, n: DilationVector, s: int | None = None,
-                   rho: float = 4.0) -> "GridSpec":
-        """Transform-friendly grid with M_j >= rho * ([n_j] + 1)."""
-        if s is None:
-            s = n.d
-        return cls(tuple(
-            scipy.fft.next_fast_len(int(math.ceil(rho * (int(v) + 1))))
-            for v in n.entries[:s]
-        ))
+    def for_extents(cls, K: tuple, rho: float = 4.0) -> "GridSpec":
+        """Transform-friendly grid with M_j >= rho * K_j for the box K."""
+        return cls(tuple(scipy.fft.next_fast_len(int(math.ceil(rho * e)))
+                         for e in K))
 
     @property
     def s(self) -> int:
@@ -138,15 +121,6 @@ class GridSpec:
 
     def doubled(self) -> "GridSpec":
         return GridSpec(tuple(2 * m for m in self.M))
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Kernel values sampled on a GridSpec, with provenance."""
-
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-    tag: str = ""
 
 
 def _geometric_sum(m, t):
@@ -166,61 +140,46 @@ def _geometric_sum(m, t):
     return num * ratio
 
 
-def _lattice_with_lambda(n: DilationVector, budget):
-    lat = build_lattice(n, n.d - 1, budget=budget) if budget else build_lattice(n, n.d - 1)
+def _lattice_with_lambda(n: DilationVector):
+    lat = build_lattice(n, n.d - 1)
     return lat.points, lat.lambda_parts
 
 
-def eval_D(n: DilationVector, x, budget=None) -> complex:
+def eval_D(n: DilationVector, x) -> complex:
     """Exact nested lattice sum, innermost axis aggregated geometrically."""
     x = reduce_torus(np.atleast_1d(x))
     if x.shape[-1] != n.d:
         raise ValueError(f"point has {x.shape[-1]} coordinates, kernel needs {n.d}")
     if n.d == 1:
         return complex(_geometric_sum(int(n.entries[0]) + 1, x[0]))
-    points, lam = _lattice_with_lambda(n, budget)
+    points, lam = _lattice_with_lambda(n)
     phases = np.exp(1j * (points @ x[:-1]))
     inner = _geometric_sum(lam.floor + 1.0, x[-1])
     return complex(phases @ inner)
 
 
-def eval_F(n: DilationVector, x_prime, budget=None) -> complex:
+def eval_F(n: DilationVector, x_prime) -> complex:
     """Fractional-part-weighted kernel over the (d-1)-lattice."""
     if n.d == 1:
         return complex(n.entries[0] % 1.0)
     x_prime = reduce_torus(np.atleast_1d(x_prime))
     if x_prime.shape[-1] != n.d - 1:
         raise ValueError(f"expected {n.d - 1} coordinates, got {x_prime.shape[-1]}")
-    points, lam = _lattice_with_lambda(n, budget)
+    points, lam = _lattice_with_lambda(n)
     return complex(np.exp(1j * (points @ x_prime)) @ lam.frac)
 
 
-def eval_S(n: DilationVector, x, budget=None, cross_check: bool = False) -> complex:
-    """Continuous-spectrum component; both closed forms agree to roundoff."""
+def eval_S(n: DilationVector, x) -> complex:
+    """Continuous-spectrum component through its closed-form slice weights."""
     if n.d < 2:
         raise ValueError("S requires d >= 2")
     x = reduce_torus(np.atleast_1d(x))
-    points, lam = _lattice_with_lambda(n, budget)
-    x_d = float(x[-1])
-    w = slice_weight_matrix("S", lam, [x_d])[0]
-    value = complex(np.exp(1j * (points @ x[:-1])) @ w)
-    if cross_check and abs(x_d) >= SINGULARITY_THRESHOLD:
-        alt = _delta_D_prime(n, points, lam.value, x[:-1],
-                             n.entries[-1] * x_d) / (1j * x_d)
-        rel = abs(value - alt) / max(abs(value), 1.0)
-        if rel > 1e-10:
-            raise AssertionError(f"S closed forms disagree: rel={rel}")
-    return value
+    points, lam = _lattice_with_lambda(n)
+    w = slice_weight_matrix("S", lam, [float(x[-1])])[0]
+    return complex(np.exp(1j * (points @ x[:-1])) @ w)
 
 
-def _delta_D_prime(n, points, lam, x_prime, h) -> complex:
-    """delta_{h, 1/n'} D_{n'}(x') via Fourier weights e^{i h L / n_d} - 1."""
-    phases = np.exp(1j * (points @ x_prime))
-    return complex(phases @ (np.exp(1j * lam * (h / n.entries[-1])) - 1.0))
-
-
-def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX,
-           budget=None) -> tuple:
+def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX) -> tuple:
     """Truncated correction term and a rigorous bound on the discarded tail.
 
     Returns (value, tail_bound); the value is the nu-series of
@@ -231,7 +190,7 @@ def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX,
     if nu_max < 1:
         raise ValueError("nu_max must be >= 1")
     x = reduce_torus(np.atleast_1d(x))
-    points, parts = _lattice_with_lambda(n, budget)
+    points, parts = _lattice_with_lambda(n)
     phases = np.exp(1j * (points @ x[:-1]))
     value = complex(_r_series(parts.value, phases[None, :],
                               np.array([x[-1]]), nu_max)[0])
@@ -282,27 +241,6 @@ def apply_delta(fld: CoefficientField, h: float, xi) -> CoefficientField:
 def _origin_twist(k_sum) -> np.ndarray:
     """(-1)^{k_sum}: the factor the grid origin -pi gives mode k."""
     return (-1.0) ** np.asarray(k_sum)
-
-
-def grid_eval(fld: CoefficientField, grid: GridSpec,
-              budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES,
-              workers: int = 1) -> GridField:
-    """Exact synthesis on every grid node: the norm engine's dense oracle."""
-    if grid.s != fld.s:
-        raise ValueError("grid and field dimensions differ")
-    for m, e in zip(grid.M, fld.extents):
-        if m < e:
-            raise ValueError(f"grid size {m} below box extent {e}")
-    if grid.size * 16 > budget_bytes:
-        raise ResourceLimitError(
-            f"grid of {grid.size} complex values exceeds budget", estimate=grid.size
-        )
-    padded = np.zeros(grid.M, dtype=np.complex128)
-    box = tuple(slice(0, e) for e in fld.extents)
-    padded[box] = fld.weights * _origin_twist(sum(np.ogrid[box]))
-    vals = scipy.fft.ifftn(padded, workers=workers, overwrite_x=True)
-    vals *= grid.size
-    return GridField(grid=grid, values=vals, tag=f"grid|{fld.tag}")
 
 
 def slice_weight_matrix(kind: str, lam: LambdaParts, xs) -> np.ndarray:

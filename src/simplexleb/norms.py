@@ -41,17 +41,18 @@ import scipy.fft
 
 from . import kernels
 from .core import (
+    DEFAULT_BUDGET_BYTES,
     CoefficientField,
     DilationVector,
-    ResourceLimitError,
     SimplexLattice,
     build_lattice,
+    check_budget,
     fractional_coefficients,
     indicator_coefficients,
+    simplex_volume,
 )
 from .kernels import (
     _CHUNK_BYTES,
-    DEFAULT_GRID_BUDGET_BYTES,
     DEFAULT_NU_MAX,
     GridSpec,
     _geometric_sum,
@@ -69,6 +70,7 @@ __all__ = [
     "l1_norm",
     "l1_norm_field",
     "slice_batches",
+    "check_grid",
     "verify_identity",
     "identity_residuals",
     "frak_f",
@@ -141,25 +143,38 @@ class IdentityReport:
 
 # ----------------------------------------------------------------- synthesis
 
+def check_grid(K: tuple, M: tuple, budget_bytes: int, field: bool = True):
+    """Refuse the grid M for the modes of the box K: M must hold K on every
+    axis of a coefficient field and on the x' axes of a d-kernel, and one
+    x_s slice (prod M' complex values) and a field's slice weights
+    (prod K' * M_s) must fit.  The sources check every level's grid, and
+    callers the first one from n alone, before anything is built."""
+    for m, e in zip(M if field else M[:-1], K):
+        if m < e:
+            raise ValueError(f"grid size {m} below box extent {e}")
+    check_budget(16 * math.prod(M[:-1]), budget_bytes, "one x_s slice")
+    if field:
+        check_budget(16 * math.prod(K[:-1]) * M[-1], budget_bytes,
+                     "slice weights")
+
+
 def slice_batches(points: np.ndarray, weights, M: tuple, workers: int = 1,
-                  budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES,
+                  budget_bytes: int = DEFAULT_BUDGET_BYTES,
                   rows: int | None = None):
     """Synthesize a trigonometric polynomial on the grid M, x_s slice by slice.
 
     ``points`` holds the x' modes, shape (P', s-1); ``weights(rows)`` gives
     the slice weights of the x_s nodes ``rows`` (a slice), shape (B, P').
     Only the nodes 0..rows-1 are synthesized (all M_s by default).
-    Each batch holds at most min(_CHUNK_BYTES, budget_bytes) of grid values.
+    Each batch holds at most min(_CHUNK_BYTES, budget_bytes) of grid values
+    (one slice at least; the sources check that it fits, through
+    :func:`check_grid`).
     Yields ``(w, v)`` per batch: the weights and v, shape (B,) + M', their
     inverse FFT, which is f / prod M' on the batch's nodes (callers scale
     their sums, not v).  Without x' axes the weights are the values.
     """
     m_prime = tuple(M[:-1])
     rest = math.prod(m_prime)
-    if rest * 16 > budget_bytes:
-        raise ResourceLimitError(
-            f"one x_s slice of {rest} complex values exceeds budget "
-            f"{budget_bytes} bytes", estimate=rest)
     batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
     if m_prime:
         flat = np.ravel_multi_index(tuple(points.T), m_prime)
@@ -178,8 +193,10 @@ def slice_batches(points: np.ndarray, weights, M: tuple, workers: int = 1,
         yield w, v
 
 
-def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple):
+def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
+                   budget_bytes: int = DEFAULT_BUDGET_BYTES):
     """(points, weights, hermitian) of a d-kernel on the grid M."""
+    check_grid(lat.extents, M, budget_bytes, field=False)
     xd = GridSpec(M).axis_nodes(len(M) - 1)
     return lat.points, lambda rows: slice_weight_matrix(
         kernel, lat.lambda_parts, xd[rows]), True
@@ -193,16 +210,9 @@ def _field_source(fld: CoefficientField, M: tuple, workers: int,
     field's last axis, zero-padded to M_s with the origin twist (-1)^{k_s};
     they hold prod K' * M_s complex values.
     """
-    for m, e in zip(M, fld.extents):
-        if m < e:
-            raise ValueError(f"grid size {m} below box extent {e}")
+    check_grid(fld.extents, M, budget_bytes)
     k_prime, k_last = fld.extents[:-1], fld.extents[-1]
-    size = math.prod(k_prime) * M[-1]
-    if size * 16 > budget_bytes:
-        raise ResourceLimitError(
-            f"slice weights of {size} complex values exceed budget "
-            f"{budget_bytes} bytes", estimate=size)
-    b = np.zeros((M[-1], size // M[-1]), dtype=np.complex128)
+    b = np.zeros((M[-1], math.prod(k_prime)), dtype=np.complex128)
     b[:k_last] = fld.weights.reshape(-1, k_last).T * \
         _origin_twist(np.arange(k_last))[:, None]
     w = scipy.fft.ifftn(b, axes=(0,), workers=workers, overwrite_x=True)
@@ -291,32 +301,36 @@ def _refined_norm(abs_sums, grid0: GridSpec, power, tol, max_doublings,
                       error_estimate=delta, parseval=power, tag=tag)
 
 
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
                   rho: float = DEFAULT_RHO,
                   max_doublings: int = DEFAULT_MAX_DOUBLINGS,
                   workers: int = 1,
-                  budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES) -> NormResult:
+                  budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """Plain L1 norm of an arbitrary coefficient field by grid refinement."""
+    _check_tol(tol)
     if fld.s == 0:
         v = abs(complex(fld.weights))
         return NormResult(value=v, s=0, grid=None, history=((None, v),),
                           error_estimate=0.0, parseval=v * v, tag=fld.tag)
-    grid0 = GridSpec(tuple(
-        scipy.fft.next_fast_len(int(math.ceil(rho * e))) for e in fld.extents
-    ))
     return _refined_norm(
         lambda M: _slice_abs_sums(
             *_field_source(fld, M, workers, budget_bytes), M, workers,
             budget_bytes, fld.tag),
-        grid0, float(np.vdot(fld.weights, fld.weights).real), tol,
-        max_doublings, fld.tag)
+        GridSpec.for_extents(fld.extents, rho),
+        float(np.vdot(fld.weights, fld.weights).real), tol, max_doublings,
+        fld.tag)
 
 
 def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
             rho: float = DEFAULT_RHO,
             max_doublings: int = DEFAULT_MAX_DOUBLINGS,
             workers: int = 1,
-            budget_bytes: int = DEFAULT_GRID_BUDGET_BYTES,
+            budget_bytes: int = DEFAULT_BUDGET_BYTES,
             use_cache: bool = True) -> NormResult:
     """Plain and normalized L1 norm of D, F, S, Fcomposite or R.
 
@@ -326,6 +340,7 @@ def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
     """
     if kernel not in ("D", "F", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown kernel {kernel!r}")
+    _check_tol(tol)
     key = (kernel, tuple(float(f"{v:.12g}") for v in n.entries), rho, tol,
            max_doublings, budget_bytes)
     if use_cache:
@@ -342,37 +357,50 @@ def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
 
 def _l1_norm_impl(kernel, n, tol, rho, max_doublings, workers, budget_bytes):
     tag = f"{kernel}:{n.entries}"
-    if kernel == "F" or (kernel == "D" and n.d == 1):
-        fld = fractional_coefficients(n) if kernel == "F" else \
-            indicator_coefficients(build_lattice(n))
+    field = kernel == "F" or (kernel == "D" and n.d == 1)
+    if not field and n.d < 2:
+        raise ValueError(f"{kernel} requires d >= 2")
+    # the modes' box is exactly [n_j] + 1 on each axis, since L_j(0) = n_j;
+    # F lives on the first d - 1 axes (for d = 1 it is a constant)
+    s = n.d - 1 if kernel == "F" else n.d
+    K = tuple(int(v) + 1 for v in n.entries[:s])
+    grid0 = GridSpec.for_extents(K, rho)
+    if s:
+        check_grid(K, grid0.M, budget_bytes, field)
+    if field:
+        fld = fractional_coefficients(n, budget_bytes) if kernel == "F" \
+            else indicator_coefficients(build_lattice(n, 1, budget_bytes))
         res = l1_norm_field(fld, tol, rho, max_doublings, workers,
                             budget_bytes)
         return replace(res, tag=tag)
-    if n.d < 2:
-        raise ValueError(f"{kernel} requires d >= 2")
-    lat = build_lattice(n, n.d - 1)
+    lat = build_lattice(n, n.d - 1, budget_bytes)
     # D's grid power is the lattice count P = sum_k' ([L_d(k')] + 1)
     power = float((lat.lambda_parts.floor + 1).sum()) if kernel == "D" \
         else None
     return _refined_norm(
-        lambda M: _slice_abs_sums(*_kernel_source(kernel, lat, M), M,
-                                  workers, budget_bytes, kernel),
-        GridSpec.for_kernel(n, n.d, rho), power, tol, max_doublings, tag)
+        lambda M: _slice_abs_sums(*_kernel_source(kernel, lat, M,
+                                                  budget_bytes),
+                                  M, workers, budget_bytes, kernel),
+        grid0, power, tol, max_doublings, tag)
 
 
 # --------------------------------------------------------- exact identity
 
-def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int):
-    """|D - (S - e^{i n_d x_d} F(x' - x_d m) + R)| and tail bounds, vectorized.
+def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int,
+                       budget_bytes: int = DEFAULT_BUDGET_BYTES):
+    """|D - (S - e^{i n_d x_d} F(x' - x_d m) + R)|, tail bounds and P.
 
     The identity is exact; the residual is pure nu-series truncation plus
     roundoff, so it must not exceed the returned tail bound (up to roundoff
-    proportional to the lattice size).
+    proportional to the full lattice count P, returned third).  The N x P'
+    phases must fit ``budget_bytes``; P' is bounded from below first.
     """
     if n.d < 2:
         raise ValueError("the decomposition requires d >= 2")
     pts = reduce_torus(np.asarray(points, dtype=float))
-    lat = build_lattice(n, n.d - 1)
+    check_budget(16 * len(pts) * simplex_volume(n.entries[:-1]),
+                 budget_bytes, "phases")
+    lat = build_lattice(n, n.d - 1, budget_bytes)
     parts = lat.lambda_parts
     xd = pts[:, -1]
     ph = np.exp(1j * (pts[:, :-1] @ lat.points.T))   # (N, L)
@@ -383,21 +411,23 @@ def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int):
     rhs = s_vals - f_vals + r_vals
     residuals = np.abs(d_vals - rhs)
     tails = 2.0 * lat.points.shape[0] * np.abs(xd) / (np.pi**2 * nu_max)
-    return residuals, tails
+    # P = sum_k' ([L_d(k')] + 1) counts the full lattice without building it
+    return residuals, tails, int((parts.floor + 1).sum())
 
 
 def verify_identity(n: DilationVector, num_points: int = 100,
                     nu_max: int = DEFAULT_NU_MAX, seed: int = 0,
-                    points: np.ndarray | None = None) -> IdentityReport:
+                    points: np.ndarray | None = None,
+                    budget_bytes: int = DEFAULT_BUDGET_BYTES
+                    ) -> IdentityReport:
     """Check the exact decomposition at seeded pseudo-random torus points."""
     if nu_max < 1 or (points is None and num_points < 1):
         raise ValueError("verify needs nu_max >= 1 and num_points >= 1")
-    lat = build_lattice(n)
-    p_full = lat.count
     if points is None:
         rng = np.random.default_rng(seed)
         points = rng.uniform(-np.pi, np.pi, size=(num_points, n.d))
-    residuals, tails = identity_residuals(n, points, nu_max)
+    residuals, tails, p_full = identity_residuals(n, points, nu_max,
+                                                  budget_bytes)
     slack = 1e-9 * p_full
     ok = residuals <= tails + slack
     iworst = int(np.argmax(residuals - tails))
@@ -412,14 +442,10 @@ def verify_identity(n: DilationVector, num_points: int = 100,
 
 # ----------------------------------------------------- correction functional
 
-def _f_norm(entries: tuple, tol, rho, workers) -> float:
-    return l1_norm("F", DilationVector(entries), tol=tol, rho=rho,
-                   workers=workers).value
-
-
 def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
            tol: float = DEFAULT_TOL, rho: float = DEFAULT_RHO,
-           mu_range: str = "theorem", workers: int = 1) -> FrakFValue:
+           mu_range: str = "theorem", workers: int = 1,
+           budget_bytes: int = DEFAULT_BUDGET_BYTES) -> FrakFValue:
     """The correction functional aggregating F norms and shifted F norms.
 
     ``mu_range`` selects the printed range [n_{k-l}/n_1] ("theorem") or the
@@ -437,14 +463,19 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     if mu_range not in ("theorem", "proof"):
         raise ValueError("mu_range must be 'theorem' or 'proof'")
     n1 = ent[0]
+    kw = dict(tol=tol, rho=rho, workers=workers, budget_bytes=budget_bytes)
+
+    def f_norm(entries):
+        return l1_norm("F", DilationVector(entries), **kw).value
+
     breakdown = []
     total = 0.0
     err = 0.0
     for l in range(k - 1):
         vec1 = (n1,) * l + ent[: k - l]
         vec2 = (n1,) * l + ent[: k - l - 1] + (n1,)
-        t1 = _f_norm(vec1, tol, rho, workers)
-        t2 = _f_norm(vec2, tol, rho, workers)
+        t1 = f_norm(vec1)
+        t2 = f_norm(vec2)
         breakdown.append({"l": l, "term": "norm_diff", "value": t1 - t2,
                           "plus": vec1, "minus": vec2})
         total += t1 - t2
@@ -453,20 +484,20 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
         tilde = (n1,) * l + ent[1: k - l - 1]
         if mu_bound < 1:
             continue
-        base = _f_norm(tilde + (n1,), tol, rho, workers)
+        base = f_norm(tilde + (n1,))
         if len(tilde) == 0 and n1 % 1.0 == 0.0:
             # 0-dimensional field is identically zero: every term vanishes.
             for mu_abs in range(1, mu_bound + 1):
                 breakdown.append({"l": l, "term": "mu", "mu_abs": mu_abs,
                                   "value": 0.0})
             continue
-        fld = fractional_coefficients(DilationVector(tilde + (n1,)))
+        fld = fractional_coefficients(DilationVector(tilde + (n1,)),
+                                      budget_bytes)
         xi = 1.0 / np.array(tilde)
         for mu_abs in range(1, mu_bound + 1):
             term = 0.0
             for mu in (mu_abs, -mu_abs):
-                val, e = _t_integral(fld, xi, n1, mu, base, t_nodes, tol,
-                                     rho, workers)
+                val, e = _t_integral(fld, xi, n1, mu, base, t_nodes, kw)
                 term += val / mu_abs
                 err += abs(e) / mu_abs
             breakdown.append({"l": l, "term": "mu", "mu_abs": mu_abs,
@@ -482,18 +513,18 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     )
 
 
-def _t_integral(fld, xi, n1, mu, base_norm, t_nodes, tol, rho, workers):
+def _t_integral(fld, xi, n1, mu, base_norm, t_nodes, kw):
     """int_{-pi}^{pi} (||delta_{n1 (t + 2 pi mu)} F|| - 2 ||F||) dt, trapezoid.
 
-    ``fld`` is the field F of tilde + (n1,) and ``xi`` = 1 / tilde.  The
-    coarse rule with ``t_nodes`` nodes reuses every other node of the fine
-    one.
+    ``fld`` is the field F of tilde + (n1,), ``xi`` = 1 / tilde and ``kw``
+    the norms' keyword arguments.  The coarse rule with ``t_nodes`` nodes
+    reuses every other node of the fine one.
     """
     fine_t = np.linspace(-np.pi, np.pi, 2 * t_nodes - 1)
     vals = np.array([
         l1_norm_field(kernels.apply_delta(fld, n1 * (t + 2.0 * np.pi * mu),
                                           xi),
-                      tol=tol, rho=rho, workers=workers).value
+                      **kw).value
         - 2.0 * base_norm
         for t in fine_t
     ])

@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexleb.asymptotics import (
-    PredictorValue,
     RegimeError,
-    SweepRecord,
     bilateral_fit,
     corollary1_check,
     corollary2_regime,
@@ -111,15 +109,6 @@ class TestRemainderEnvelope:
         got = remainder_envelope(DilationVector((7.0, 19.0)))
         assert got == pytest.approx(
             math.log(math.log(7.0)) * math.log(19.0), rel=1e-12)
-
-
-class TestSweepRecord:
-    def test_residual_and_ratio_recomputable(self):
-        pred = PredictorValue(main=10.0, correction_terms=((2, 1.0, 2.0),),
-                              envelope=4.0)
-        rec = SweepRecord(n=(5.0, 9.0), norm=15.0, predictor=pred)
-        assert rec.residual == pytest.approx(15.0 - 12.0)
-        assert rec.ratio == pytest.approx(3.0 / 4.0)
 
 
 class TestFitEnvelope:

@@ -5,8 +5,11 @@ import math
 
 import pytest
 
+import simplexleb.irrational
+import simplexleb.norms
+from simplexleb.asymptotics import full_predictor
 from simplexleb.cli import main
-from simplexleb.core import DilationVector
+from simplexleb.core import DilationVector, LambdaEvaluator
 from simplexleb.norms import clear_norm_cache, l1_norm
 
 
@@ -14,6 +17,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sweep_cells(out):
+    """The CSV rows of a sweep as dicts keyed by the header."""
+    rows = [l for l in out.splitlines() if l and not l.startswith("#")]
+    return [dict(zip(rows[0].split(","), r.split(","))) for r in rows[1:]]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called before the budget refused the run")
+
+
+@pytest.fixture
+def no_lattice(monkeypatch):
+    """Fail the test if any lattice bound L_s is evaluated."""
+    monkeypatch.setattr(LambdaEvaluator, "parts", _never)
+
+
+def _no_json_constants(name):
+    raise AssertionError(f"non-JSON constant {name} in output")
 
 
 class TestNormCommand:
@@ -64,18 +87,36 @@ class TestNormCommand:
         code, out, _ = run(capsys, "norm", "--kernel", "F",
                            "--n", "7.3,19.6", "--tol", "1e-16")
         assert code == 2
-        doc = json.loads(out)
+        doc = json.loads(out, parse_constant=_no_json_constants)
         assert doc["converged"] is False
+        assert doc["error_estimate"] is None
         assert doc["normalized"] == doc["value"] / (2 * math.pi)
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exits_1(self, capsys, tol):
+        code, out, err = run(capsys, "norm", "--kernel", "D",
+                             "--n", "7.3,19.6", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error: tol must be")
 
     def test_field_grid_below_box_exits_1(self, capsys):
         clear_norm_cache()
-        code, out, err = run(capsys, "norm", "--kernel", "F",
-                             "--n", "7.3,19.6", "--rho", "0.5")
+        for kernel in ("F", "D", "S", "R"):
+            code, out, err = run(capsys, "norm", "--kernel", kernel,
+                                 "--n", "7.3,19.6", "--rho", "0.5")
+            assert code == 1, kernel
+            assert out == ""
+            assert err.startswith("simplexleb: error: grid size"), err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kernel", ["F", "D"])
+    def test_budget_refused_before_lattice(self, capsys, no_lattice, kernel):
+        code, out, err = run(capsys, "norm", "--kernel", kernel,
+                             "--n", "120,120,120,120", "--budget-mb", "1")
         assert code == 1
         assert out == ""
-        assert err.startswith("simplexleb: error: grid size")
-        assert "Traceback" not in err
+        assert err.startswith("simplexleb: error: one x_s slice")
 
     def test_default_budget_value_unchanged(self, capsys):
         code, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "7.3,19.6")
@@ -108,6 +149,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "d >= 2" in err
 
+    def test_budget_refused_before_lattice(self, capsys, no_lattice):
+        code, out, err = run(capsys, "verify", "--n", "120,120,120,120",
+                             "--points", "200", "--nu-max", "64",
+                             "--budget-mb", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error: phases")
+
     @pytest.mark.parametrize("option", ["--nu-max", "--points"])
     def test_empty_verify_exits_1(self, capsys, option):
         code, out, err = run(capsys, "verify", "--n", "5,9.5,23", option, "0")
@@ -127,6 +176,34 @@ class TestSweepCommand:
         cells = dict(zip(header, row))
         want = l1_norm("D", DilationVector((16, 64)))
         assert float(cells["norm_D"]) == pytest.approx(want.value, rel=1e-12)
+
+    def test_residual_and_ratio_recomputable(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n1", "list(16)",
+                           "--n2", "list(64)", "--t-nodes", "8")
+        assert code == 0
+        cells = sweep_cells(out)[0]
+        pred = full_predictor(DilationVector((16, 64)),
+                              {2: float(cells["frakF2"])})
+        assert float(cells["main_term"]) == pred.main
+        residual = float(cells["norm_D"]) - pred.total
+        assert float(cells["residual"]) == residual
+        assert float(cells["ratio"]) == residual / pred.envelope
+
+    def test_row_computes_f_once(self, capsys, monkeypatch):
+        # the row's F(n) column and frak_f's first term are one norm
+        computed = []
+        impl = simplexleb.norms._l1_norm_impl
+
+        def counting(kernel, n, *args):
+            computed.append((kernel, n.entries))
+            return impl(kernel, n, *args)
+        monkeypatch.setattr(simplexleb.norms, "_l1_norm_impl", counting)
+        clear_norm_cache()
+        code, _, _ = run(capsys, "sweep", "--n1", "list(16)",
+                         "--n2", "list(64)", "--t-nodes", "4")
+        assert code == 0
+        assert computed.count(("F", (16.0, 64.0))) == 1
+        assert len(computed) == len(set(computed))
 
     def test_envelope_column(self, capsys):
         _, out, _ = run(capsys, "sweep", "--n1", "list(16)",
@@ -251,6 +328,16 @@ class TestIrrationalCommand:
         assert out == ""
         assert err.startswith("simplexleb: error:")
         assert "Traceback" not in err
+
+    def test_budget_refused_before_fractional_parts(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(simplexleb.irrational, "fractional_parts",
+                            _never)
+        code, out, err = run(capsys, "irrational", "--alpha", "golden",
+                             "--nmax", "1048576", "--budget-mb", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error: slice weights")
 
     def test_zero_denominator_exits_1(self, capsys):
         code, out, err = run(capsys, "irrational", "--alpha", "rational:1/0",

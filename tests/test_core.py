@@ -66,23 +66,24 @@ class TestDilationVector:
         with pytest.raises(ValueError):
             n.ratios(3)
 
-    def test_head(self):
-        assert DilationVector((2, 3, 5)).head(2).entries == (2.0, 3.0)
+
+def lambda_at(n, s, xi):
+    """L_s at the one point xi (s - 1 coordinates)."""
+    return LambdaEvaluator(n).values(s, np.reshape(xi, (1, s - 1)))[0]
 
 
 class TestLambdaEvaluator:
     def test_lambda_at_origin_is_ns(self):
         n = DilationVector((2.0, 9.5, 23.0))
-        lam = LambdaEvaluator(n)
-        assert lam.value(1, ()) == 2.0
-        assert lam.value(2, [0.0]) == 9.5
-        assert lam.value(3, [0.0, 0.0]) == 23.0
+        assert lambda_at(n, 1, ()) == 2.0
+        assert lambda_at(n, 2, [0.0]) == 9.5
+        assert lambda_at(n, 3, [0.0, 0.0]) == 23.0
 
     def test_strictly_decreasing_in_each_coordinate(self):
-        lam = LambdaEvaluator(DilationVector((2.0, 9.5, 23.0)))
-        base = lam.value(3, [1.0, 1.0])
-        assert lam.value(3, [2.0, 1.0]) < base
-        assert lam.value(3, [1.0, 2.0]) < base
+        n = DilationVector((2.0, 9.5, 23.0))
+        base = lambda_at(n, 3, [1.0, 1.0])
+        assert lambda_at(n, 3, [2.0, 1.0]) < base
+        assert lambda_at(n, 3, [1.0, 2.0]) < base
 
     @given(st.lists(st.floats(1.0, 50.0), min_size=2, max_size=4),
            st.data())
@@ -92,7 +93,7 @@ class TestLambdaEvaluator:
         n = DilationVector(tuple(entries))
         s = n.d
         xi = [data.draw(st.floats(0.0, e)) for e in entries[: s - 1]]
-        lam = LambdaEvaluator(n).value(s, xi)
+        lam = lambda_at(n, s, xi)
         alt = entries[s - 1] * (1.0 - sum(x / v for x, v in
                                           zip(xi, entries[: s - 1])))
         assert lam == pytest.approx(alt, abs=1e-9 * max(1.0, abs(alt)))
@@ -125,18 +126,22 @@ class TestBuildLattice:
         pts = list(map(tuple, lat.points))
         assert pts == sorted(pts)
 
-    def test_membership_predicate(self):
-        assert build_lattice(DilationVector((2.0, 9.5, 23.0))).contains_all()
-
     def test_monotonicity_in_n(self):
         small = build_lattice(DilationVector((2.0, 3.0))).count
         large = build_lattice(DilationVector((2.5, 3.0))).count
         assert small <= large
 
     def test_resource_limit(self):
+        # refused from the simplex volume, before any point is enumerated
         with pytest.raises(ResourceLimitError) as exc:
-            build_lattice(DilationVector((1e6, 1e6, 1e6)), budget=10**6)
-        assert exc.value.estimate is not None
+            build_lattice(DilationVector((1e6, 1e6, 1e6)),
+                          budget_bytes=10**6)
+        assert exc.value.estimate == pytest.approx(24 * 1e18 / 6)
+        # (2, 2): 6 points of two int64 coordinates fit 96 bytes exactly
+        n = DilationVector((2, 2))
+        assert build_lattice(n, budget_bytes=96).count == 6
+        with pytest.raises(ResourceLimitError):
+            build_lattice(n, budget_bytes=95)
 
     def test_partial_dimension_lambda_next(self):
         n = DilationVector((2.0, 3.0))

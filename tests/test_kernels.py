@@ -22,10 +22,11 @@ from simplexleb.kernels import (
     eval_F,
     eval_R,
     eval_S,
-    grid_eval,
     reduce_torus,
 )
 from simplexleb.norms import _field_source, _kernel_source, slice_batches
+
+from oracles import grid_eval, s_via_delta
 
 
 def engine_values(points, weights, M, budget_bytes=1 << 30):
@@ -137,7 +138,9 @@ class TestEvalS:
         rng = np.random.default_rng(3)
         n = DilationVector((3.7, 9.5))
         for x in rng.uniform(-math.pi, math.pi, size=(100, 2)):
-            eval_S(n, x, cross_check=True)  # raises on disagreement
+            value = eval_S(n, x)
+            assert abs(value - s_via_delta(n, x)) <= \
+                1e-10 * max(abs(value), 1.0)
 
 
 class TestEvalR:
@@ -152,7 +155,7 @@ class TestEvalR:
         x_prime = [0.7]
         value, tail = eval_R(n, x_prime + [0.0], nu_max=16)
         assert tail == 0.0
-        assert value == pytest.approx(eval_D(n.head(1), x_prime), abs=1e-12)
+        assert value == pytest.approx(eval_D(DilationVector(n.entries[:1]), x_prime), abs=1e-12)
 
     def test_tail_decreases_with_nu_max(self):
         n = DilationVector((2, 3))
@@ -216,8 +219,7 @@ class TestApplyDelta:
 
 class TestGridSpec:
     def test_oversampling_floor(self):
-        n = DilationVector((5.0, 9.5))
-        grid = GridSpec.for_kernel(n, rho=4.0)
+        grid = GridSpec.for_extents((6, 10), rho=4.0)
         for m, e in zip(grid.M, (6, 10)):
             assert m >= 4 * e
 

@@ -12,7 +12,7 @@ from simplexleb.core import (
     build_lattice,
     fractional_coefficients,
 )
-from simplexleb.kernels import GridSpec, apply_delta, grid_eval
+from simplexleb.kernels import GridSpec, apply_delta
 from simplexleb.norms import (
     NormConvergenceError,
     _field_source,
@@ -26,6 +26,7 @@ from simplexleb.norms import (
     verify_identity,
 )
 from simplexleb.core import CoefficientField
+from oracles import grid_eval
 from test_kernels import engine_values
 
 
@@ -106,6 +107,12 @@ class TestL1Norm:
         l1_norm("D", n)
         with pytest.raises(ResourceLimitError):
             l1_norm("D", n, budget_bytes=0)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_tol_refused(self, tol):
+        fld = CoefficientField(weights=np.asarray(0.25 + 0j))
+        with pytest.raises(ValueError, match="tol"):
+            l1_norm_field(fld, tol=tol)
 
     def test_zero_dim_field_norm_is_modulus(self):
         fld = CoefficientField(weights=np.asarray(0.25 + 0j))
@@ -260,6 +267,12 @@ class TestVerifyIdentity:
     def test_rejects_1d(self):
         with pytest.raises((ValueError, IndexError)):
             verify_identity(DilationVector((5.0,)), num_points=5)
+
+    @pytest.mark.parametrize("entries", [(5, 9.5, 23), (7, 29)])
+    def test_slack_counts_full_lattice(self, entries):
+        n = DilationVector(entries)
+        report = verify_identity(n, num_points=3, nu_max=8)
+        assert report.slack == 1e-9 * build_lattice(n).count
 
 
 class TestFrakF:
