@@ -26,7 +26,6 @@ import dataclasses
 import json
 import math
 import operator
-import os
 import re
 import sys
 import time
@@ -53,23 +52,11 @@ CONVENTIONS = {
     "mu_range": "theorem",
 }
 
-ENV_WORKERS = "SIMPLEXLEB_WORKERS"
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
-
-
-def _default_workers() -> int:
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 # ------------------------------------------------------------ configuration
@@ -87,7 +74,6 @@ class RunConfig:
     t_nodes: int = 64
     points: int = 100
     seed: int = 0
-    workers: int = 1
     budget_mb: int = DEFAULT_BUDGET_BYTES >> 20
     timings: bool = False
     n1: str = ""
@@ -140,8 +126,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             setattr(cfg, key, flag_val)
-    if getattr(args, "workers", None) is None and "workers" not in file_vals:
-        cfg.workers = _default_workers()
     return cfg
 
 
@@ -189,7 +173,7 @@ def cmd_norm(cfg: RunConfig) -> int:
     exit_code = 0
     try:
         res = l1_norm(cfg.kernel, n, tol=cfg.tol, rho=cfg.rho,
-                      workers=cfg.workers, budget_bytes=cfg.budget_mb << 20)
+                      budget_bytes=cfg.budget_mb << 20)
         payload = {
             "value": res.value,
             "normalized": res.normalized,
@@ -335,8 +319,7 @@ def _sweep_one(entries: tuple, cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     n = DilationVector(entries)
     d = n.d
-    kw = dict(tol=cfg.tol, rho=cfg.rho, workers=cfg.workers,
-              budget_bytes=cfg.budget_mb << 20)
+    kw = dict(tol=cfg.tol, rho=cfg.rho, budget_bytes=cfg.budget_mb << 20)
     (norm_d, grid_d, ok_d), (norm_s, _, ok_s), (norm_f, _, ok_f) = (
         _norm_or_last(kernel, n, kw) for kernel in ("D", "S", "F"))
     converged = ok_d and ok_s and ok_f
@@ -426,15 +409,14 @@ def _parse_alpha(text: str) -> AlphaSpec:
 
 def cmd_irrational(cfg: RunConfig) -> int:
     alpha = _parse_alpha(cfg.alpha)
+    kw = {}
     if cfg.n:
         try:
             grid = sorted({int(tok) for tok in cfg.n.split(",")})
         except ValueError:
             raise ValueError(f"malformed n list {cfg.n!r}") from None
         # hand-picked n may lie below the study floor of 16
-        records = study_ratio(alpha, grid, tol=cfg.tol, workers=cfg.workers,
-                              rho=cfg.rho, min_n=2,
-                              budget_bytes=cfg.budget_mb << 20)
+        kw["min_n"] = 2
     else:
         grid, e = [], 4
         while 2 ** e <= cfg.nmax:
@@ -442,8 +424,8 @@ def cmd_irrational(cfg: RunConfig) -> int:
             e += 1
         if not grid:
             raise ValueError("--nmax must be at least 16")
-        records = study_ratio(alpha, grid, tol=cfg.tol, workers=cfg.workers,
-                              rho=cfg.rho, budget_bytes=cfg.budget_mb << 20)
+    records = study_ratio(alpha, grid, tol=cfg.tol, rho=cfg.rho,
+                          budget_bytes=cfg.budget_mb << 20, **kw)
     lines = _header_lines(cfg) + ["n,I_n,ratio,is_convergent_q"]
     for rec in records:
         lines.append(",".join([str(rec.n), _fmt(rec.value), _fmt(rec.ratio),
@@ -483,9 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", type=float, default=None,
                        help="grid oversampling factor")
         p.add_argument("--nu-max", dest="nu_max", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None,
-                       help=f"FFT worker threads (default ${ENV_WORKERS} "
-                            "or CPU count)")
         p.add_argument("--budget-mb", dest="budget_mb", type=int,
                        default=None,
                        help="memory cap in MiB on each array a run builds "

@@ -180,20 +180,18 @@ def fractional_parts(alpha: AlphaSpec, n: int) -> np.ndarray:
                      for k in range(n + 1)], dtype=float)
 
 
-def I_n(alpha: AlphaSpec, n: int, tol: float = 1e-3, rho: float = 4.0,
-        workers: int = 1) -> NormResult:
+def I_n(alpha: AlphaSpec, n: int, tol: float = 1e-3,
+        rho: float = 4.0) -> NormResult:
     """Plain L1 norm of the 1-D kernel with weights {alpha k}, k = 0..n."""
-    return _kernel_norm(alpha, fractional_parts(alpha, n), tol, rho, workers)
+    return _kernel_norm(alpha, fractional_parts(alpha, n), tol, rho)
 
 
 def _kernel_norm(alpha: AlphaSpec, w: np.ndarray, tol: float, rho: float,
-                 workers: int,
                  budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """I_n for n = len(w) - 1, from the fractional parts w = {alpha k}."""
     fld = CoefficientField(weights=w.astype(np.complex128),
                            tag=f"I:{alpha.describe()}@{len(w) - 1}")
-    return l1_norm_field(fld, tol=tol, rho=rho, workers=workers,
-                         budget_bytes=budget_bytes)
+    return l1_norm_field(fld, tol=tol, rho=rho, budget_bytes=budget_bytes)
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,7 @@ class RatioRecord:
 
 
 def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
-                workers: int = 1, rho: float = 4.0, min_n: int = 16,
+                rho: float = 4.0, min_n: int = 16,
                 budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """Per-n normalized values with running min/max finite-n estimators.
 
@@ -230,8 +228,7 @@ def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
     lo = math.inf
     hi = -math.inf
     for n in n_grid:
-        v = _kernel_norm(alpha, w[:n + 1], tol, rho, workers,
-                         budget_bytes).value
+        v = _kernel_norm(alpha, w[:n + 1], tol, rho, budget_bytes).value
         ratio = v / math.log(n) ** 2
         lo = min(lo, ratio)
         hi = max(hi, ratio)
@@ -258,8 +255,8 @@ class DipReport:
 
 
 def liouville_dip_scan(alpha: AlphaSpec, n_max: int = 2**14, n_min: int = 16,
-                       generic_points: int = 9, tol: float = 1e-3,
-                       workers: int = 1) -> DipReport:
+                       generic_points: int = 9,
+                       tol: float = 1e-3) -> DipReport:
     """Compare the normalized value at convergent denominators against the
     median over a generic geometric grid; the dip factor is median / value.
 
@@ -276,8 +273,8 @@ def liouville_dip_scan(alpha: AlphaSpec, n_max: int = 2**14, n_min: int = 16,
     w = fractional_parts(alpha, max(qs + grid, default=0))
 
     def ratio(n):
-        return _kernel_norm(alpha, w[:n + 1], tol, 4.0,
-                            workers).value / math.log(n) ** 2
+        return _kernel_norm(alpha, w[:n + 1], tol, 4.0).value \
+            / math.log(n) ** 2
 
     generic = [ratio(n) for n in grid]
     med = float(np.median(generic)) if generic else float("nan")

@@ -69,7 +69,6 @@ __all__ = [
     "IdentityReport",
     "l1_norm",
     "l1_norm_field",
-    "slice_batches",
     "check_grid",
     "verify_identity",
     "identity_residuals",
@@ -158,7 +157,7 @@ def check_grid(K: tuple, M: tuple, budget_bytes: int, field: bool = True):
                      "slice weights")
 
 
-def slice_batches(points: np.ndarray, weights, M: tuple, workers: int = 1,
+def slice_batches(points: np.ndarray, weights, M: tuple,
                   budget_bytes: int = DEFAULT_BUDGET_BYTES,
                   rows: int | None = None):
     """Synthesize a trigonometric polynomial on the grid M, x_s slice by slice.
@@ -188,7 +187,7 @@ def slice_batches(points: np.ndarray, weights, M: tuple, workers: int = 1,
         v = np.zeros((len(w), rest), dtype=np.complex128)
         v[:, flat] = w * twist
         v = scipy.fft.ifftn(v.reshape((len(w),) + m_prime),
-                            axes=tuple(range(1, len(M))), workers=workers,
+                            axes=tuple(range(1, len(M))), workers=-1,
                             overwrite_x=True)
         yield w, v
 
@@ -202,8 +201,7 @@ def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
         kernel, lat.lambda_parts, xd[rows]), True
 
 
-def _field_source(fld: CoefficientField, M: tuple, workers: int,
-                  budget_bytes: int):
+def _field_source(fld: CoefficientField, M: tuple, budget_bytes: int):
     """(points, weights, hermitian) of a coefficient field on the grid M.
 
     The slice weights of all M_s nodes come from one inverse FFT along the
@@ -215,15 +213,14 @@ def _field_source(fld: CoefficientField, M: tuple, workers: int,
     b = np.zeros((M[-1], math.prod(k_prime)), dtype=np.complex128)
     b[:k_last] = fld.weights.reshape(-1, k_last).T * \
         _origin_twist(np.arange(k_last))[:, None]
-    w = scipy.fft.ifftn(b, axes=(0,), workers=workers, overwrite_x=True)
+    w = scipy.fft.ifftn(b, axes=(0,), workers=-1, overwrite_x=True)
     w *= M[-1]
     # points: every x' mode of the box K', in the order of the reshape above
     return (np.argwhere(np.ones(k_prime, dtype=bool)), w.__getitem__,
             bool(k_prime) and not fld.weights.imag.any())
 
 
-def _slice_abs_sums(points, weights, hermitian, M, workers, budget_bytes,
-                    tag):
+def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tag):
     """(sum_t |f(x_t)|, sum_t |f(x_t)|^2) over the grid from the slice
     engine (half the slices for a Hermitian f), with the exact Parseval
     identity checked on every computed x_s slice of x' with axes."""
@@ -232,7 +229,7 @@ def _slice_abs_sums(points, weights, hermitian, M, workers, budget_bytes,
     sum_abs = 0.0
     sum_sq = 0.0
     start = 0
-    for w, v in slice_batches(points, weights, M, workers, budget_bytes,
+    for w, v in slice_batches(points, weights, M, budget_bytes,
                               m // 2 + 1 if hermitian else m):
         av = np.abs(v).reshape(len(w), rest)
         # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|
@@ -309,7 +306,6 @@ def _check_tol(tol):
 def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
                   rho: float = DEFAULT_RHO,
                   max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-                  workers: int = 1,
                   budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """Plain L1 norm of an arbitrary coefficient field by grid refinement."""
     _check_tol(tol)
@@ -318,9 +314,8 @@ def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
         return NormResult(value=v, s=0, grid=None, history=((None, v),),
                           error_estimate=0.0, parseval=v * v, tag=fld.tag)
     return _refined_norm(
-        lambda M: _slice_abs_sums(
-            *_field_source(fld, M, workers, budget_bytes), M, workers,
-            budget_bytes, fld.tag),
+        lambda M: _slice_abs_sums(*_field_source(fld, M, budget_bytes), M,
+                                  budget_bytes, fld.tag),
         GridSpec.for_extents(fld.extents, rho),
         float(np.vdot(fld.weights, fld.weights).real), tol, max_doublings,
         fld.tag)
@@ -329,33 +324,27 @@ def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
 def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
             rho: float = DEFAULT_RHO,
             max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-            workers: int = 1,
-            budget_bytes: int = DEFAULT_BUDGET_BYTES,
-            use_cache: bool = True) -> NormResult:
+            budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """Plain and normalized L1 norm of D, F, S, Fcomposite or R.
 
-    Norm values are memoized per (kernel, n rounded to 12 significant digits,
-    rho, tol, max_doublings, budget_bytes): the correction functional and
+    Norm values are memoized per (kernel, n, rho, tol, max_doublings,
+    budget_bytes), with n's entries exact: the correction functional and
     the sweeps re-request identical F norms heavily.
     """
     if kernel not in ("D", "F", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown kernel {kernel!r}")
     _check_tol(tol)
-    key = (kernel, tuple(float(f"{v:.12g}") for v in n.entries), rho, tol,
-           max_doublings, budget_bytes)
-    if use_cache:
-        with _cache_lock:
-            if key in _norm_cache:
-                return _norm_cache[key]
-    result = _l1_norm_impl(kernel, n, tol, rho, max_doublings, workers,
-                           budget_bytes)
-    if use_cache:
-        with _cache_lock:
-            _norm_cache[key] = result
+    key = (kernel, n.entries, rho, tol, max_doublings, budget_bytes)
+    with _cache_lock:
+        if key in _norm_cache:
+            return _norm_cache[key]
+    result = _l1_norm_impl(kernel, n, tol, rho, max_doublings, budget_bytes)
+    with _cache_lock:
+        _norm_cache[key] = result
     return result
 
 
-def _l1_norm_impl(kernel, n, tol, rho, max_doublings, workers, budget_bytes):
+def _l1_norm_impl(kernel, n, tol, rho, max_doublings, budget_bytes):
     tag = f"{kernel}:{n.entries}"
     field = kernel == "F" or (kernel == "D" and n.d == 1)
     if not field and n.d < 2:
@@ -370,8 +359,7 @@ def _l1_norm_impl(kernel, n, tol, rho, max_doublings, workers, budget_bytes):
     if field:
         fld = fractional_coefficients(n, budget_bytes) if kernel == "F" \
             else indicator_coefficients(build_lattice(n, 1, budget_bytes))
-        res = l1_norm_field(fld, tol, rho, max_doublings, workers,
-                            budget_bytes)
+        res = l1_norm_field(fld, tol, rho, max_doublings, budget_bytes)
         return replace(res, tag=tag)
     lat = build_lattice(n, n.d - 1, budget_bytes)
     # D's grid power is the lattice count P = sum_k' ([L_d(k')] + 1)
@@ -380,7 +368,7 @@ def _l1_norm_impl(kernel, n, tol, rho, max_doublings, workers, budget_bytes):
     return _refined_norm(
         lambda M: _slice_abs_sums(*_kernel_source(kernel, lat, M,
                                                   budget_bytes),
-                                  M, workers, budget_bytes, kernel),
+                                  M, budget_bytes, kernel),
         grid0, power, tol, max_doublings, tag)
 
 
@@ -444,14 +432,12 @@ def verify_identity(n: DilationVector, num_points: int = 100,
 
 def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
            tol: float = DEFAULT_TOL, rho: float = DEFAULT_RHO,
-           mu_range: str = "theorem", workers: int = 1,
            budget_bytes: int = DEFAULT_BUDGET_BYTES) -> FrakFValue:
     """The correction functional aggregating F norms and shifted F norms.
 
-    ``mu_range`` selects the printed range [n_{k-l}/n_1] ("theorem") or the
-    halved variant [n_{k-l}/(2 n_1)] ("proof"); the choice is recorded in the
-    output flags.  The t-integral over [-pi, pi] uses composite trapezoid
-    with ``t_nodes`` nodes, refined once for the error estimate.
+    The mu-sum runs over the theorem's range 1 <= |mu| <= [n_{k-l}/n_1].
+    The t-integral over [-pi, pi] uses composite trapezoid with ``t_nodes``
+    nodes, refined once for the error estimate.
     """
     if k < 2 or k > n.d:
         raise ValueError(f"need 2 <= k <= d={n.d}")
@@ -460,10 +446,8 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     ent = n.entries[:k]
     if any(a > b for a, b in zip(ent, ent[1:])):
         raise ValueError("entries must be ascending")
-    if mu_range not in ("theorem", "proof"):
-        raise ValueError("mu_range must be 'theorem' or 'proof'")
     n1 = ent[0]
-    kw = dict(tol=tol, rho=rho, workers=workers, budget_bytes=budget_bytes)
+    kw = dict(tol=tol, rho=rho, budget_bytes=budget_bytes)
 
     def f_norm(entries):
         return l1_norm("F", DilationVector(entries), **kw).value
@@ -479,18 +463,11 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
         breakdown.append({"l": l, "term": "norm_diff", "value": t1 - t2,
                           "plus": vec1, "minus": vec2})
         total += t1 - t2
-        denom = n1 if mu_range == "theorem" else 2.0 * n1
-        mu_bound = int(ent[k - l - 1] / denom)
+        mu_bound = int(ent[k - l - 1] / n1)
         tilde = (n1,) * l + ent[1: k - l - 1]
         if mu_bound < 1:
             continue
         base = f_norm(tilde + (n1,))
-        if len(tilde) == 0 and n1 % 1.0 == 0.0:
-            # 0-dimensional field is identically zero: every term vanishes.
-            for mu_abs in range(1, mu_bound + 1):
-                breakdown.append({"l": l, "term": "mu", "mu_abs": mu_abs,
-                                  "value": 0.0})
-            continue
         fld = fractional_coefficients(DilationVector(tilde + (n1,)),
                                       budget_bytes)
         xi = 1.0 / np.array(tilde)
@@ -508,7 +485,7 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
         breakdown=tuple(breakdown),
         t_nodes=t_nodes,
         error_estimate=2.0 * np.pi * err,
-        flags={"zero_dim_norm": "modulus", "mu_range": mu_range,
+        flags={"zero_dim_norm": "modulus", "mu_range": "theorem",
                "normalization": "plain"},
     )
 
@@ -550,7 +527,7 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
     def evaluate(grid: GridSpec) -> float:
         m = grid.M[0]
         circ = _geometric_sum(m_modes, 2.0 * np.pi * np.arange(m) / m)
-        nodes = -np.pi + 2.0 * np.pi * np.arange(m) / m
+        nodes = grid.axis_nodes(0)
         dx = _geometric_sum(m_modes, nodes)
         total = 0.0
         for u in range(m):
@@ -558,6 +535,6 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
             total += float(np.abs(c_u * np.roll(circ, u) - dx).sum())
         return (2.0 * np.pi / m) ** 2 * total
 
-    grid0 = GridSpec((scipy.fft.next_fast_len(int(math.ceil(rho * m_modes))),))
-    v, _, _, _ = _refine(evaluate, grid0, tol, max_doublings, f"ld2:{n}")
+    v, _, _, _ = _refine(evaluate, GridSpec.for_extents((m_modes,), rho), tol,
+                         max_doublings, f"ld2:{n}")
     return v

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -121,7 +122,8 @@ class TestNormCommand:
     def test_default_budget_value_unchanged(self, capsys):
         code, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "7.3,19.6")
         assert code == 0
-        want = l1_norm("D", DilationVector((7.3, 19.6)), use_cache=False)
+        clear_norm_cache()
+        want = l1_norm("D", DilationVector((7.3, 19.6)))
         assert json.loads(out)["value"] == want.value
 
     def test_output_embeds_config_and_conventions(self, capsys):
@@ -379,6 +381,17 @@ class TestConfigFile:
                          "--config", str(cfgfile))
         assert code == 1
 
+    def test_workers_setting_exits_1(self, capsys, tmp_path):
+        # the FFT thread count is not a setting: every FFT uses all CPUs
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("workers = 2\n")
+        code, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "2,3",
+                           "--config", str(cfgfile))
+        assert code == 1 and out == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--kernel", "D", "--n", "2,3", "--workers", "2"])
+        assert exc.value.code == 1
+
     def test_unknown_key_exits_1(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("wibble = 3\n")
@@ -391,3 +404,16 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["norm", "--bogus"])
     assert exc.value.code == 1
+
+
+def test_artifacts_do_not_depend_on_cpu_count(capsys, monkeypatch):
+    outs = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        clear_norm_cache()
+        outs.append([
+            run(capsys, "norm", "--kernel", "D", "--n", "2,3")[1],
+            run(capsys, "sweep", "--n1", "list(5.5)", "--n2", "2.3*n1",
+                "--t-nodes", "8")[1],
+        ])
+    assert outs[0] == outs[1]

@@ -320,7 +320,7 @@ class TestGridEvalSliced:
         fld = CoefficientField(weights=rng.standard_normal(extents)
                                + 1j * rng.standard_normal(extents))
         dense = grid_eval(fld, GridSpec(M)).values
-        points, weights, _ = _field_source(fld, M, 1, 1 << 30)
+        points, weights, _ = _field_source(fld, M, 1 << 30)
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             vals = engine_values(points, weights, M, budget)
             assert np.abs(vals - dense).max() <= \
@@ -329,7 +329,7 @@ class TestGridEvalSliced:
     def test_engine_field_rejects_undersized_grid(self):
         fld = CoefficientField(weights=np.ones((3, 9), dtype=complex))
         with pytest.raises(ValueError, match="below box extent 9"):
-            _field_source(fld, (4, 8), 1, 1 << 30)
+            _field_source(fld, (4, 8), 1 << 30)
 
 
 def test_first_axes_periodicity_of_sliced_kernels():

@@ -41,8 +41,9 @@ class TestL1Norm:
             scipy.integrate.quad(integrand, a, b, limit=200)[0]
             for a, b in [(-math.pi, 0), (0, math.pi)]
         )
+        clear_norm_cache()
         got = l1_norm("D", DilationVector((5.0,)), tol=1e-7, rho=1024.0,
-                      max_doublings=6, use_cache=False)
+                      max_doublings=6)
         assert got.value == pytest.approx(want, abs=1e-6)
 
     def test_zero_kernel(self):
@@ -64,14 +65,15 @@ class TestL1Norm:
         assert res.parseval == 10
 
     def test_refinement_history_monotone_grids(self):
-        res = l1_norm("D", DilationVector((2, 3)), use_cache=False)
+        clear_norm_cache()
+        res = l1_norm("D", DilationVector((2, 3)))
         sizes = [np.prod(m) for m, _ in res.history]
         assert sizes == sorted(sizes)
 
     def test_last_delta_within_tol(self):
         tol = 1e-3
-        res = l1_norm("D", DilationVector((3.7, 5.0)), tol=tol,
-                      use_cache=False)
+        clear_norm_cache()
+        res = l1_norm("D", DilationVector((3.7, 5.0)), tol=tol)
         assert res.error_estimate <= tol * max(abs(res.value), 1e-9)
 
     def test_unknown_kernel_rejected(self):
@@ -79,9 +81,9 @@ class TestL1Norm:
             l1_norm("Q", DilationVector((2, 3)))
 
     def test_nonconvergence_carries_history(self):
+        clear_norm_cache()
         with pytest.raises(NormConvergenceError) as exc:
-            l1_norm("D", DilationVector((5.0,)), tol=1e-16,
-                    max_doublings=1, use_cache=False)
+            l1_norm("D", DilationVector((5.0,)), tol=1e-16, max_doublings=1)
         assert len(exc.value.history) == 2
 
     def test_cache_hits_are_identical(self):
@@ -98,6 +100,14 @@ class TestL1Norm:
         assert len(l1_norm("D", n).history) == 2
         with pytest.raises(NormConvergenceError):
             l1_norm("D", n, max_doublings=0)
+
+    def test_cache_keys_on_exact_n(self):
+        # (2, 3.9999999999999) agrees with (2, 4) to 12 digits, but
+        # L_2(1) = 1.99999999999995 leaves it 7 lattice points, not 9
+        clear_norm_cache()
+        assert l1_norm("D", DilationVector((2, 4))).parseval == 9.0
+        assert l1_norm("D", DilationVector((2, 3.9999999999999))).parseval \
+            == 7.0
 
     def test_cache_keys_on_budget(self):
         # a cached default result must not answer a call whose budget holds
@@ -121,8 +131,9 @@ class TestL1Norm:
 
     def test_sliced_norms_finite(self):
         n = DilationVector((2.0, 3.5))
+        clear_norm_cache()
         for kernel in ("S", "Fcomposite", "R"):
-            res = l1_norm(kernel, n, use_cache=False)
+            res = l1_norm(kernel, n)
             assert res.value >= 0 and math.isfinite(res.value)
 
 
@@ -131,18 +142,18 @@ class TestBudget:
 
     def test_slice_batches_do_not_change_values(self):
         n = DilationVector((7.3, 19.6, 31.0))
+        clear_norm_cache()
         for kernel in ("D", "S", "R"):
-            want = l1_norm(kernel, n, use_cache=False)
+            want = l1_norm(kernel, n)
             one_slice = 16 * np.prod(want.history[-1][0][:-1])
-            got = l1_norm(kernel, n, budget_bytes=3 * int(one_slice),
-                          use_cache=False)
+            got = l1_norm(kernel, n, budget_bytes=3 * int(one_slice))
             assert [m for m, _ in got.history] == [m for m, _ in want.history]
             assert got.value == pytest.approx(want.value, rel=1e-12)
 
     def test_slice_over_budget_raises(self):
+        clear_norm_cache()
         with pytest.raises(ResourceLimitError):
-            l1_norm("D", DilationVector((7.3, 19.6)), budget_bytes=0,
-                    use_cache=False)
+            l1_norm("D", DilationVector((7.3, 19.6)), budget_bytes=0)
 
     def test_chunked_field_path_matches_full_grid(self):
         fld = fractional_coefficients(DilationVector((3.7, 9.5, 23.0)))
@@ -182,7 +193,7 @@ class TestHalfSlices:
         want_sq = (np.abs(full) ** 2).sum()
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             spy, asked = _spied(weights, M)
-            got_abs, got_sq = _slice_abs_sums(points, spy, hermitian, M, 1,
+            got_abs, got_sq = _slice_abs_sums(points, spy, hermitian, M,
                                               budget, "test")
             assert got_abs == pytest.approx(want_abs, rel=1e-12)
             assert got_sq == pytest.approx(want_sq, rel=1e-12)
@@ -208,7 +219,7 @@ class TestHalfSlices:
     ])
     def test_real_fields_match_full_grid(self, entries, M):
         fld = fractional_coefficients(DilationVector(entries))
-        points, weights, hermitian = _field_source(fld, M, 1, 1 << 30)
+        points, weights, hermitian = _field_source(fld, M, 1 << 30)
         # a 1-D field keeps every node: one FFT already gives them all
         assert hermitian == (len(M) > 1)
         self._check(points, weights, hermitian, M,
@@ -219,7 +230,7 @@ class TestHalfSlices:
         fld = apply_delta(fractional_coefficients(n), 5.3, 1.0 / np.array(
             n.entries[:2]))
         M = (16, 45)
-        points, weights, hermitian = _field_source(fld, M, 1, 1 << 30)
+        points, weights, hermitian = _field_source(fld, M, 1 << 30)
         assert not hermitian
         self._check(points, weights, hermitian, M,
                     grid_eval(fld, GridSpec(M)).values)
@@ -285,14 +296,19 @@ class TestFrakF:
         assert got.value == pytest.approx(2 * math.pi * math.pi, rel=1e-5)
 
     def test_breakdown_sums_to_value(self):
-        got = frak_f(2, DilationVector((7.5, 23.0)), t_nodes=16)
-        total = sum(term["value"] for term in got.breakdown)
-        assert got.value == pytest.approx(2 * math.pi * total, rel=1e-12)
+        for entries in [(7.5, 23.0), (4, 9)]:
+            got = frak_f(2, DilationVector(entries), t_nodes=16)
+            total = sum(term["value"] for term in got.breakdown)
+            assert got.value == pytest.approx(2 * math.pi * total, rel=1e-12)
+            # the mu terms twist the constant {n_1}: exactly 0 for integer n_1
+            mu = [t["value"] for t in got.breakdown if t["term"] == "mu"]
+            assert len(mu) == int(entries[1] / entries[0])
+            assert all(v == 0.0 for v in mu) == (entries[0] % 1 == 0)
 
     def test_flags_record_conventions(self):
         got = frak_f(2, DilationVector((2, 3)))
         assert got.flags["zero_dim_norm"] == "modulus"
-        assert got.flags["mu_range"] in ("theorem", "proof")
+        assert got.flags["mu_range"] == "theorem"
 
     def test_rejects_descending(self):
         with pytest.raises(ValueError):
