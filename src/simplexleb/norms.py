@@ -187,8 +187,7 @@ def slice_batches(points: np.ndarray, weights, M: tuple,
         v = np.zeros((len(w), rest), dtype=np.complex128)
         v[:, flat] = w * twist
         v = scipy.fft.ifftn(v.reshape((len(w),) + m_prime),
-                            axes=tuple(range(1, len(M))), workers=-1,
-                            overwrite_x=True)
+                            axes=tuple(range(1, len(M))), overwrite_x=True)
         yield w, v
 
 
@@ -213,7 +212,7 @@ def _field_source(fld: CoefficientField, M: tuple, budget_bytes: int):
     b = np.zeros((M[-1], math.prod(k_prime)), dtype=np.complex128)
     b[:k_last] = fld.weights.reshape(-1, k_last).T * \
         _origin_twist(np.arange(k_last))[:, None]
-    w = scipy.fft.ifftn(b, axes=(0,), workers=-1, overwrite_x=True)
+    w = scipy.fft.ifftn(b, axes=(0,), overwrite_x=True)
     w *= M[-1]
     # points: every x' mode of the box K', in the order of the reshape above
     return (np.argwhere(np.ones(k_prime, dtype=bool)), w.__getitem__,

@@ -382,7 +382,7 @@ class TestConfigFile:
         assert code == 1
 
     def test_workers_setting_exits_1(self, capsys, tmp_path):
-        # the FFT thread count is not a setting: every FFT uses all CPUs
+        # the FFT thread count is not a setting: every FFT runs on one thread
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("workers = 2\n")
         code, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "2,3",
