@@ -223,8 +223,10 @@ def _r_series(lam, phases, xd, nu_max: int) -> np.ndarray:
     return value - xd / (2.0 * np.pi * 1j) * series
 
 
-def apply_delta(fld: CoefficientField, h: float, xi) -> CoefficientField:
-    """Fourier-side action of the twisted difference: c_k -> (e^{i h (1-(xi,k))}-1) c_k."""
+def apply_delta(fld: CoefficientField, h, xi) -> CoefficientField:
+    """Fourier-side action of the twisted difference: c_k -> (e^{i h (1-(xi,k))}-1) c_k.
+
+    An array h gives a stack of fields, weights h.shape + K, in one broadcast."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (fld.s,):
         raise ValueError(f"xi has shape {xi.shape}, field is {fld.s}-dimensional")
@@ -233,9 +235,11 @@ def apply_delta(fld: CoefficientField, h: float, xi) -> CoefficientField:
         shape = [1] * fld.s
         shape[j] = e
         dot = dot + xi[j] * np.arange(e).reshape(shape)
-    mult = np.exp(1j * h * (1.0 - dot)) - 1.0
+    h = np.asarray(h, dtype=float)
+    mult = np.exp(1j * h.reshape(h.shape + (1,) * fld.s) * (1.0 - dot)) - 1.0
+    label = h.item() if h.ndim == 0 else f"{h.size} shifts"
     return CoefficientField(weights=mult * fld.weights,
-                            tag=f"delta({h})|{fld.tag}")
+                            tag=f"delta({label})|{fld.tag}")
 
 
 def _origin_twist(k_sum) -> np.ndarray:

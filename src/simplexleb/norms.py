@@ -10,9 +10,16 @@ per batch.  It takes the x' modes and one of two slice-weight sources:
 
 * closed forms (:func:`.kernels.slice_weight_matrix`) for the d-kernels D,
   S, Fcomposite and R (d >= 2);
-* one inverse FFT along the last axis of a coefficient field (F, the
-  twisted differences of the correction functional, I_n, and D for d = 1);
-  for a 1-D field that transform is the whole synthesis.
+* one inverse FFT along the last axis of a group of coefficient fields (F,
+  the twisted differences of the correction functional, I_n, and D for
+  d = 1); for 1-D fields that transform is the whole synthesis.
+
+Its inputs carry a leading field axis: a stack of fields on one box, such
+as the 2T - 1 twisted differences of one t-integral of the correction
+functional, is refined together.  Each level synthesizes the fields still
+live in shared batches and transforms; each field keeps its own Parseval
+checks and history, and leaves at its first converged level, so its norm
+is the one it has alone.  A d-kernel or a single field is a stack of one.
 
 A Hermitian f (real Fourier weights: f(-x) = conj f(x)) has the same |f|
 on the x_s slices t and M_s - t, so only t = 0..[M_s/2] are synthesized;
@@ -34,7 +41,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.fft
@@ -81,6 +89,8 @@ DEFAULT_TOL = 1e-3
 DEFAULT_RHO = 4.0
 DEFAULT_MAX_DOUBLINGS = 4
 PARSEVAL_RTOL = 1e-8
+# N x P' arrays identity_residuals holds at once (tracemalloc: 5.0-5.1)
+_IDENTITY_ARRAYS = 6
 
 _norm_cache: dict = {}
 _cache_lock = threading.Lock()
@@ -159,36 +169,42 @@ def check_grid(K: tuple, M: tuple, budget_bytes: int, field: bool = True):
 
 def slice_batches(points: np.ndarray, weights, M: tuple,
                   budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                  rows: int | None = None):
-    """Synthesize a trigonometric polynomial on the grid M, x_s slice by slice.
+                  rows: int | None = None, fields: int = 1):
+    """Synthesize a stack of ``fields`` trigonometric polynomials with the
+    x' modes ``points`` (P', s-1) on the grid M, x_s slice by slice.
 
-    ``points`` holds the x' modes, shape (P', s-1); ``weights(rows)`` gives
-    the slice weights of the x_s nodes ``rows`` (a slice), shape (B, P').
-    Only the nodes 0..rows-1 are synthesized (all M_s by default).
-    Each batch holds at most min(_CHUNK_BYTES, budget_bytes) of grid values
-    (one slice at least; the sources check that it fits, through
-    :func:`check_grid`).
-    Yields ``(w, v)`` per batch: the weights and v, shape (B,) + M', their
-    inverse FFT, which is f / prod M' on the batch's nodes (callers scale
-    their sums, not v).  Without x' axes the weights are the values.
+    ``weights(fs)(rs)`` gives the slice weights of the fields ``fs`` at the
+    x_s nodes ``rs`` (two slices), shape (G, B, P'); nodes 0..rows-1 are
+    synthesized (all M_s by default).  A batch holds at most
+    min(_CHUNK_BYTES, budget_bytes) of grid values, or one slice (the
+    sources check it fits): whole fields while two fit, else slices of one.
+    Yields ``(fs, rs, w, v)``: v, shape (G, B) + M', the inverse FFT of w,
+    is f / prod M' (callers scale their sums).  Without x' axes v is w.
     """
     m_prime = tuple(M[:-1])
     rest = math.prod(m_prime)
     batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
+    group = max(1, batch // M[-1])
     if m_prime:
         flat = np.ravel_multi_index(tuple(points.T), m_prime)
         twist = _origin_twist(points.sum(axis=1))
     rows = M[-1] if rows is None else rows
-    for start in range(0, rows, batch):
-        w = weights(slice(start, min(start + batch, rows)))
-        if not m_prime:
-            yield w, w
-            continue
-        v = np.zeros((len(w), rest), dtype=np.complex128)
-        v[:, flat] = w * twist
-        v = scipy.fft.ifftn(v.reshape((len(w),) + m_prime),
-                            axes=tuple(range(1, len(M))), overwrite_x=True)
-        yield w, v
+    for f0 in range(0, fields, group):
+        fs = slice(f0, min(f0 + group, fields))
+        group_weights = weights(fs)
+        for start in range(0, rows, batch):
+            rs = slice(start, min(start + batch, rows))
+            w = group_weights(rs)
+            if not m_prime:
+                yield fs, rs, w, w
+                continue
+            g, b = w.shape[:2]
+            v = np.zeros((g * b, rest), dtype=np.complex128)
+            v[:, flat] = w.reshape(g * b, -1) * twist
+            v = scipy.fft.ifftn(v.reshape((g * b,) + m_prime),
+                                axes=tuple(range(1, len(M))),
+                                overwrite_x=True)
+            yield fs, rs, w, v.reshape((g, b) + m_prime)
 
 
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
@@ -196,105 +212,108 @@ def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
     """(points, weights, hermitian) of a d-kernel on the grid M."""
     check_grid(lat.extents, M, budget_bytes, field=False)
     xd = GridSpec(M).axis_nodes(len(M) - 1)
-    return lat.points, lambda rows: slice_weight_matrix(
-        kernel, lat.lambda_parts, xd[rows]), True
+    return lat.points, lambda fs: lambda rs: slice_weight_matrix(
+        kernel, lat.lambda_parts, xd[rs])[None], True
 
 
-def _field_source(fld: CoefficientField, M: tuple, budget_bytes: int):
-    """(points, weights, hermitian) of a coefficient field on the grid M.
+def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
+    """(points, weights, hermitian) of the fields ``weights`` (H,) + K on
+    the grid M.  A group's slice weights at all M_s nodes, prod K' * M_s
+    complex values per field, come from one inverse FFT along the last
+    axis, zero-padded to M_s with the origin twist (-1)^{k_s}."""
+    K = weights.shape[1:]
+    check_grid(K, M, budget_bytes)
+    k_prime, k_last = K[:-1], K[-1]
 
-    The slice weights of all M_s nodes come from one inverse FFT along the
-    field's last axis, zero-padded to M_s with the origin twist (-1)^{k_s};
-    they hold prod K' * M_s complex values.
-    """
-    check_grid(fld.extents, M, budget_bytes)
-    k_prime, k_last = fld.extents[:-1], fld.extents[-1]
-    b = np.zeros((M[-1], math.prod(k_prime)), dtype=np.complex128)
-    b[:k_last] = fld.weights.reshape(-1, k_last).T * \
-        _origin_twist(np.arange(k_last))[:, None]
-    w = scipy.fft.ifftn(b, axes=(0,), overwrite_x=True)
-    w *= M[-1]
+    def group_weights(fs):
+        part = weights[fs].reshape(-1, math.prod(k_prime), k_last)
+        b = np.zeros((len(part), M[-1], part.shape[1]), dtype=np.complex128)
+        b[:, :k_last] = part.transpose(0, 2, 1) * \
+            _origin_twist(np.arange(k_last))[:, None]
+        w = scipy.fft.ifftn(b, axes=(1,), overwrite_x=True)
+        w *= M[-1]
+        return lambda rs: w[:, rs]
     # points: every x' mode of the box K', in the order of the reshape above
-    return (np.argwhere(np.ones(k_prime, dtype=bool)), w.__getitem__,
-            bool(k_prime) and not fld.weights.imag.any())
+    return (np.argwhere(np.ones(k_prime, dtype=bool)), group_weights,
+            bool(k_prime) and not weights.imag.any())
 
 
-def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tag):
-    """(sum_t |f(x_t)|, sum_t |f(x_t)|^2) over the grid from the slice
-    engine (half the slices for a Hermitian f), with the exact Parseval
-    identity checked on every computed x_s slice of x' with axes."""
-    rest = math.prod(M[:-1])
-    m = M[-1]
-    sum_abs = 0.0
-    sum_sq = 0.0
-    start = 0
-    for w, v in slice_batches(points, weights, M, budget_bytes,
-                              m // 2 + 1 if hermitian else m):
-        av = np.abs(v).reshape(len(w), rest)
+def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags):
+    """sum_t |f(x_t)| and sum_t |f(x_t)|^2 over the grid for each field of
+    the stack (one per tag) from the slice engine (half the slices for a
+    Hermitian f), with the exact Parseval identity checked on every
+    computed x_s slice of x' with axes."""
+    rest, m = math.prod(M[:-1]), M[-1]
+    sum_abs, sum_sq = np.zeros((2, len(tags)))
+    for fs, rs, w, v in slice_batches(points, weights, M, budget_bytes,
+                                      m // 2 + 1 if hermitian else m,
+                                      len(tags)):
+        g, b = w.shape[:2]
+        w = w.reshape(g * b, -1)
+        av = np.abs(v).reshape(g * b, rest)
         # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|
         row_power = rest * np.einsum("ij,ij->i", av, av)
         if len(M) > 1:
-            _check_parseval(
-                row_power, np.einsum("ij,ij->i", w, w.conj()).real,
-                f"{tag}-slice")
+            _check_parseval(row_power,
+                            np.einsum("ij,ij->i", w, w.conj()).real,
+                            tags[fs], "x_s slice")
         if hermitian:
             # t = 0 and t = M_s/2 are their own partners under t -> M_s - t
-            t = np.arange(start, start + len(w))
-            start += len(w)
+            t = np.arange(rs.start, rs.stop)
             mult = np.where((t > 0) & (2 * t != m), 2.0, 1.0)
-            av, row_power = mult * av.sum(axis=1), mult * row_power
-        sum_abs += float(av.sum())
-        sum_sq += float(row_power.sum())
+            av = mult * av.sum(axis=1).reshape(g, b)
+            row_power = mult * row_power.reshape(g, b)
+        sum_abs[fs] += av.reshape(g, -1).sum(axis=1)
+        sum_sq[fs] += row_power.reshape(g, -1).sum(axis=1)
     return sum_abs * rest, sum_sq * rest
 
 
-def _check_parseval(power, coef_sq, tag):
-    """Grid power (1 / prod M) sum |f|^2 against sum |c|^2, elementwise."""
-    power, coef_sq = np.atleast_1d(power), np.atleast_1d(coef_sq)
+def _check_parseval(power, coef_sq, tags, where="grid"):
+    """Grid power (1 / prod M) sum |f|^2 against sum |c|^2, elementwise;
+    the rows of both, in equal parts, belong to the fields ``tags``."""
+    power = np.reshape(power, (len(tags), -1))
+    coef_sq = np.reshape(coef_sq, power.shape)
     bad = (np.abs(power - coef_sq) > PARSEVAL_RTOL * coef_sq) & (coef_sq > 0.0)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise AssertionError(
-            f"Parseval mismatch on grid for {tag}: {power[i]} vs {coef_sq[i]}"
-        )
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise AssertionError(f"Parseval mismatch on {where} for {tags[i]}: "
+                             f"{power[i, j]} vs {coef_sq[i, j]}")
 
 
 # -------------------------------------------------------------- field norms
 
-def _refine(eval_fn, grid0: GridSpec, tol: float, max_doublings: int, tag: str):
-    history = []
-    prev = None
-    grid = grid0
+def _refine(abs_sums, grid0: GridSpec, power, tol: float,
+            max_doublings: int, tags) -> list:
+    """One NormResult per tag: a field's Riemann sum from ``abs_sums(M,
+    live)`` (the fields ``live``, an index array) on grids doubled from
+    grid0 until its relative change is at most tol, where it leaves; its
+    grid power is checked against its sum |c|^2 in ``power`` if given."""
+    histories, done = [[] for _ in tags], [None] * len(tags)
+    live = np.arange(len(tags))
+    prev, grid = None, grid0
     for _ in range(max_doublings + 1):
-        v = eval_fn(grid)
-        history.append((grid.M, v))
+        sum_abs, sum_sq = abs_sums(grid.M, live)
+        if power is not None:
+            _check_parseval(sum_sq / grid.size, power[live],
+                            [tags[i] for i in live])
+        v = (2.0 * np.pi) ** grid.s * sum_abs / grid.size
+        for i, vi in zip(live, v.tolist()):
+            histories[i].append((grid.M, vi))
         if prev is not None:
-            delta = abs(v - prev)
-            if delta <= tol * max(abs(v), 1e-9):
-                return v, grid, tuple(history), delta
+            delta = np.abs(v - prev)
+            conv = delta <= tol * np.maximum(np.abs(v), 1e-9)
+            for i, d in zip(live[conv], delta[conv].tolist()):
+                done[i] = NormResult(
+                    histories[i][-1][1], grid.s, grid.M, tuple(histories[i]),
+                    d, None if power is None else float(power[i]), tags[i])
+            live, v = live[~conv], v[~conv]
+            if not len(live):
+                return done
         prev = v
         grid = grid.doubled()
     raise NormConvergenceError(
-        f"no convergence for {tag} after {max_doublings} doublings",
-        tuple(history),
-    )
-
-
-def _refined_norm(abs_sums, grid0: GridSpec, power, tol, max_doublings,
-                  tag: str) -> NormResult:
-    """Refine the Riemann sum of ``abs_sums(M)`` from grid0; the grid power
-    is checked against ``power`` (sum |c|^2) unless it is None."""
-
-    def evaluate(grid: GridSpec) -> float:
-        sum_abs, sum_sq = abs_sums(grid.M)
-        if power is not None:
-            _check_parseval(sum_sq / grid.size, power, tag)
-        return (2.0 * np.pi) ** grid.s * sum_abs / grid.size
-
-    v, grid, history, delta = _refine(evaluate, grid0, tol, max_doublings,
-                                      tag)
-    return NormResult(value=v, s=grid.s, grid=grid.M, history=history,
-                      error_estimate=delta, parseval=power, tag=tag)
+        f"no convergence for {tags[live[0]]} after {max_doublings} "
+        "doublings", tuple(histories[live[0]]))
 
 
 def _check_tol(tol):
@@ -306,18 +325,31 @@ def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
                   rho: float = DEFAULT_RHO,
                   max_doublings: int = DEFAULT_MAX_DOUBLINGS,
                   budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
-    """Plain L1 norm of an arbitrary coefficient field by grid refinement."""
+    """Plain L1 norm of a coefficient field: a stack of one field."""
+    return _field_norms(fld.weights[None], [fld.tag], tol, rho,
+                        max_doublings, budget_bytes)[0]
+
+
+def _field_norms(weights: np.ndarray, tags, tol: float = DEFAULT_TOL,
+                 rho: float = DEFAULT_RHO,
+                 max_doublings: int = DEFAULT_MAX_DOUBLINGS,
+                 budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
+    """Plain L1 norms of the stack ``weights`` (H,) + K of coefficient
+    fields, one NormResult per tag: each refined and checked as if alone."""
     _check_tol(tol)
-    if fld.s == 0:
-        v = abs(complex(fld.weights))
-        return NormResult(value=v, s=0, grid=None, history=((None, v),),
-                          error_estimate=0.0, parseval=v * v, tag=fld.tag)
-    return _refined_norm(
-        lambda M: _slice_abs_sums(*_field_source(fld, M, budget_bytes), M,
-                                  budget_bytes, fld.tag),
-        GridSpec.for_extents(fld.extents, rho),
-        float(np.vdot(fld.weights, fld.weights).real), tol, max_doublings,
-        fld.tag)
+    if weights.ndim == 1:
+        return [NormResult(value=v, s=0, grid=None, history=((None, v),),
+                           error_estimate=0.0, parseval=v * v, tag=tag)
+                for v, tag in zip(map(abs, weights.tolist()), tags)]
+    return _refine(
+        # no copy while every field is live: it would add to the peak memory
+        lambda M, live: _slice_abs_sums(
+            *_field_source(weights[live] if len(live) < len(weights)
+                           else weights, M, budget_bytes),
+            M, budget_bytes, [tags[i] for i in live]),
+        GridSpec.for_extents(weights.shape[1:], rho),
+        np.array([np.vdot(c, c).real for c in weights]), tol, max_doublings,
+        tags)
 
 
 def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
@@ -358,17 +390,17 @@ def _l1_norm_impl(kernel, n, tol, rho, max_doublings, budget_bytes):
     if field:
         fld = fractional_coefficients(n, budget_bytes) if kernel == "F" \
             else indicator_coefficients(build_lattice(n, 1, budget_bytes))
-        res = l1_norm_field(fld, tol, rho, max_doublings, budget_bytes)
-        return replace(res, tag=tag)
+        return _field_norms(fld.weights[None], [tag], tol, rho,
+                            max_doublings, budget_bytes)[0]
     lat = build_lattice(n, n.d - 1, budget_bytes)
     # D's grid power is the lattice count P = sum_k' ([L_d(k')] + 1)
-    power = float((lat.lambda_parts.floor + 1).sum()) if kernel == "D" \
-        else None
-    return _refined_norm(
-        lambda M: _slice_abs_sums(*_kernel_source(kernel, lat, M,
-                                                  budget_bytes),
-                                  M, budget_bytes, kernel),
-        grid0, power, tol, max_doublings, tag)
+    power = np.array([float((lat.lambda_parts.floor + 1).sum())]) \
+        if kernel == "D" else None
+    return _refine(
+        lambda M, live: _slice_abs_sums(
+            *_kernel_source(kernel, lat, M, budget_bytes), M, budget_bytes,
+            [tag]),
+        grid0, power, tol, max_doublings, [tag])[0]
 
 
 # --------------------------------------------------------- exact identity
@@ -379,15 +411,20 @@ def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int,
 
     The identity is exact; the residual is pure nu-series truncation plus
     roundoff, so it must not exceed the returned tail bound (up to roundoff
-    proportional to the full lattice count P, returned third).  The N x P'
-    phases must fit ``budget_bytes``; P' is bounded from below first.
+    proportional to the full lattice count P, returned third).  The
+    _IDENTITY_ARRAYS arrays of N x P' complex values held at once must fit
+    ``budget_bytes``: with P' bounded from below before the lattice is
+    built, and with the actual P' after.
     """
     if n.d < 2:
         raise ValueError("the decomposition requires d >= 2")
     pts = reduce_torus(np.asarray(points, dtype=float))
-    check_budget(16 * len(pts) * simplex_volume(n.entries[:-1]),
-                 budget_bytes, "phases")
+    per_mode = _IDENTITY_ARRAYS * 16 * len(pts)
+    check_budget(per_mode * simplex_volume(n.entries[:-1]), budget_bytes,
+                 "phases with weights")
     lat = build_lattice(n, n.d - 1, budget_bytes)
+    check_budget(per_mode * len(lat.points), budget_bytes,
+                 "phases with weights")
     parts = lat.lambda_parts
     xd = pts[:, -1]
     ph = np.exp(1j * (pts[:, :-1] @ lat.points.T))   # (N, L)
@@ -434,9 +471,9 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
            budget_bytes: int = DEFAULT_BUDGET_BYTES) -> FrakFValue:
     """The correction functional aggregating F norms and shifted F norms.
 
-    The mu-sum runs over the theorem's range 1 <= |mu| <= [n_{k-l}/n_1].
-    The t-integral over [-pi, pi] uses composite trapezoid with ``t_nodes``
-    nodes, refined once for the error estimate.
+    The mu-sum runs over 1 <= |mu| <= [n_{k-l}/n_1] (the theorem's range;
+    an exact floor).  The t-integral over [-pi, pi] is the composite
+    trapezoid on ``t_nodes`` nodes, refined once for the error estimate.
     """
     if k < 2 or k > n.d:
         raise ValueError(f"need 2 <= k <= d={n.d}")
@@ -462,10 +499,8 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
         breakdown.append({"l": l, "term": "norm_diff", "value": t1 - t2,
                           "plus": vec1, "minus": vec2})
         total += t1 - t2
-        mu_bound = int(ent[k - l - 1] / n1)
+        mu_bound = Fraction(ent[k - l - 1]) // Fraction(n1)
         tilde = (n1,) * l + ent[1: k - l - 1]
-        if mu_bound < 1:
-            continue
         base = f_norm(tilde + (n1,))
         fld = fractional_coefficients(DilationVector(tilde + (n1,)),
                                       budget_bytes)
@@ -493,17 +528,15 @@ def _t_integral(fld, xi, n1, mu, base_norm, t_nodes, kw):
     """int_{-pi}^{pi} (||delta_{n1 (t + 2 pi mu)} F|| - 2 ||F||) dt, trapezoid.
 
     ``fld`` is the field F of tilde + (n1,), ``xi`` = 1 / tilde and ``kw``
-    the norms' keyword arguments.  The coarse rule with ``t_nodes`` nodes
+    the norms' keyword arguments.  The twisted differences at all nodes are
+    one stack of fields on F's box.  The coarse rule with ``t_nodes`` nodes
     reuses every other node of the fine one.
     """
     fine_t = np.linspace(-np.pi, np.pi, 2 * t_nodes - 1)
-    vals = np.array([
-        l1_norm_field(kernels.apply_delta(fld, n1 * (t + 2.0 * np.pi * mu),
-                                          xi),
-                      **kw).value
-        - 2.0 * base_norm
-        for t in fine_t
-    ])
+    h = n1 * (fine_t + 2.0 * np.pi * mu)
+    norms = _field_norms(kernels.apply_delta(fld, h, xi).weights,
+                         [f"delta({v})|{fld.tag}" for v in h.tolist()], **kw)
+    vals = np.array([r.value for r in norms]) - 2.0 * base_norm
     fine = np.trapezoid(vals, fine_t)
     coarse = np.trapezoid(vals[::2], fine_t[::2])
     return float(fine), float(fine - coarse)
@@ -523,17 +556,17 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
         raise ValueError("requires n > 3")
     m_modes = int(n) + 1
 
-    def evaluate(grid: GridSpec) -> float:
-        m = grid.M[0]
+    def abs_sums(M, live):
+        m = M[0]
         circ = _geometric_sum(m_modes, 2.0 * np.pi * np.arange(m) / m)
-        nodes = grid.axis_nodes(0)
+        nodes = GridSpec(M).axis_nodes(0)
         dx = _geometric_sum(m_modes, nodes)
         total = 0.0
         for u in range(m):
             c_u = np.exp(1j * (alpha * nodes[u] + beta))
             total += float(np.abs(c_u * np.roll(circ, u) - dx).sum())
-        return (2.0 * np.pi / m) ** 2 * total
+        return np.array([total]), None
 
-    v, _, _, _ = _refine(evaluate, GridSpec.for_extents((m_modes,), rho), tol,
-                         max_doublings, f"ld2:{n}")
-    return v
+    # the Riemann sum over the m x m grid of (x, y)
+    return _refine(abs_sums, GridSpec.for_extents((m_modes,) * 2, rho), None,
+                   tol, max_doublings, [f"ld2:{n}"])[0].value

@@ -13,14 +13,17 @@ from simplexleb.core import (
     fractional_coefficients,
 )
 from simplexleb.kernels import GridSpec, apply_delta
+from simplexleb import norms
 from simplexleb.norms import (
     NormConvergenceError,
+    _field_norms,
     _field_source,
     _kernel_source,
     _slice_abs_sums,
     clear_norm_cache,
     double_integral_ld2,
     frak_f,
+    identity_residuals,
     l1_norm,
     l1_norm_field,
     verify_identity,
@@ -175,9 +178,13 @@ def _spied(weights, M):
     """The weight source, and the x_s rows it is asked for."""
     asked = []
 
-    def spy(rows):
-        asked.extend(range(M[-1])[rows])
-        return weights(rows)
+    def spy(fs):
+        group_weights = weights(fs)
+
+        def rows(rs):
+            asked.extend(range(M[-1])[rs])
+            return group_weights(rs)
+        return rows
     return spy, asked
 
 
@@ -193,8 +200,8 @@ class TestHalfSlices:
         want_sq = (np.abs(full) ** 2).sum()
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             spy, asked = _spied(weights, M)
-            got_abs, got_sq = _slice_abs_sums(points, spy, hermitian, M,
-                                              budget, "test")
+            (got_abs,), (got_sq,) = _slice_abs_sums(points, spy, hermitian,
+                                                    M, budget, ["test"])
             assert got_abs == pytest.approx(want_abs, rel=1e-12)
             assert got_sq == pytest.approx(want_sq, rel=1e-12)
             top = M[-1] // 2 if hermitian else M[-1] - 1
@@ -219,7 +226,7 @@ class TestHalfSlices:
     ])
     def test_real_fields_match_full_grid(self, entries, M):
         fld = fractional_coefficients(DilationVector(entries))
-        points, weights, hermitian = _field_source(fld, M, 1 << 30)
+        points, weights, hermitian = _field_source(fld.weights[None], M, 1 << 30)
         # a 1-D field keeps every node: one FFT already gives them all
         assert hermitian == (len(M) > 1)
         self._check(points, weights, hermitian, M,
@@ -230,10 +237,90 @@ class TestHalfSlices:
         fld = apply_delta(fractional_coefficients(n), 5.3, 1.0 / np.array(
             n.entries[:2]))
         M = (16, 45)
-        points, weights, hermitian = _field_source(fld, M, 1 << 30)
+        points, weights, hermitian = _field_source(fld.weights[None], M, 1 << 30)
         assert not hermitian
         self._check(points, weights, hermitian, M,
                     grid_eval(fld, GridSpec(M)).values)
+
+
+def _stack_inputs(s, real):
+    """A base field of dimension s, real or complex, with its xi."""
+    entries = (2.5, 3.7, 9.5, 23.0)[3 - s:]
+    fld = fractional_coefficients(DilationVector(entries))
+    if not real:
+        rng = np.random.default_rng(s)
+        w = rng.standard_normal(fld.extents) + 1j * rng.standard_normal(
+            fld.extents)
+        fld = CoefficientField(weights=w, tag="random")
+    return fld, 1.0 / np.array(entries[:s])
+
+
+class TestFieldStack:
+    """A stack of twisted differences on one box is refined field by field:
+    its norms are the one-at-a-time norms, with the same grids."""
+
+    # h = 0 gives the zero field; at TOL the others converge at different
+    # levels
+    H = np.array([0.0, -2.9, 0.7, 3.1, 6.4, 11.8, 20.3, 41.5])
+    TOL = 5e-5
+
+    def _one_at_a_time(self, fld, xi):
+        return [l1_norm_field(apply_delta(fld, h, xi), tol=self.TOL)
+                for h in self.H]
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_matches_one_at_a_time(self, s, real):
+        fld, xi = _stack_inputs(s, real)
+        want = self._one_at_a_time(fld, xi)
+        stack = apply_delta(fld, self.H, xi).weights
+        assert stack.shape == (len(self.H),) + fld.extents
+        tags = [f"h{i}" for i in range(len(self.H))]
+        budgets = [1 << 30]
+        if s:
+            final = max((r.grid for r in want), key=math.prod)
+            # one field's finest grid: never the whole stack in one batch
+            budgets.append(16 * math.prod(final))
+            # a few x_s slices of one field, or its slice weights if larger
+            budgets.append(16 * max(math.prod(final[:-1]),
+                                    math.prod(fld.extents[:-1]) * final[-1]))
+        for budget in budgets:
+            got = _field_norms(stack, tags, tol=self.TOL,
+                               budget_bytes=budget)
+            for g, w in zip(got, want):
+                assert [m for m, _ in g.history] == [m for m, _ in w.history]
+                assert g.value == pytest.approx(w.value, rel=1e-12, abs=0)
+                for (_, a), (_, b) in zip(g.history, w.history):
+                    assert a == pytest.approx(b, rel=1e-12, abs=0)
+                assert g.grid == w.grid and g.s == w.s
+                assert g.parseval == pytest.approx(w.parseval, rel=1e-12)
+        if s:
+            assert len({len(w.history) for w in want}) > 1
+
+    def test_corrupted_field_trips_its_parseval_check(self, monkeypatch):
+        fld, xi = _stack_inputs(2, False)
+        source = norms._field_source
+
+        def corrupted(weights, M, budget_bytes):
+            # every field is live on the first grid: field 3 is row 3
+            weights = weights.copy()
+            weights[3] *= 1.001
+            return source(weights, M, budget_bytes)
+
+        monkeypatch.setattr(norms, "_field_source", corrupted)
+        tags = [f"h{i}" for i in range(len(self.H))]
+        with pytest.raises(AssertionError, match="Parseval mismatch on grid "
+                                                 "for h3:"):
+            _field_norms(apply_delta(fld, self.H, xi).weights, tags)
+
+    def test_nonconvergence_raises_with_the_field_history(self):
+        fld, xi = _stack_inputs(1, True)
+        tags = [f"h{i}" for i in range(1, len(self.H))]
+        with pytest.raises(NormConvergenceError, match="h1 after 0") as exc:
+            _field_norms(apply_delta(fld, self.H[1:], xi).weights, tags,
+                         max_doublings=0)
+        want = l1_norm_field(apply_delta(fld, self.H[1], xi))
+        assert exc.value.history == want.history[:1]
 
 
 class TestScalingSanity:
@@ -286,7 +373,54 @@ class TestVerifyIdentity:
         assert report.slack == 1e-9 * build_lattice(n).count
 
 
+    def test_budget_counts_working_set_before_lattice(self, monkeypatch):
+        """A budget above the phase matrix but below the arrays held with it
+        is refused before any lattice point is enumerated."""
+        monkeypatch.setattr(norms, "build_lattice", _no_lattice)
+        n = DilationVector((30, 30, 30, 30))
+        phases = 16 * 200 * math.prod(n.entries[:-1]) / 6
+        pts = np.zeros((200, 4))
+        with pytest.raises(ResourceLimitError):
+            identity_residuals(n, pts, 64, budget_bytes=int(2 * phases))
+
+    def test_budget_counts_actual_modes(self, monkeypatch):
+        """P' (5456) exceeds its volume bound (4500): a budget between the
+        two working sets is refused once the lattice is built."""
+        monkeypatch.setattr(norms, "slice_weight_matrix", _no_lattice)
+        n = DilationVector((30, 30, 30, 30))
+        pts = np.zeros((200, 4))
+        with pytest.raises(ResourceLimitError):
+            identity_residuals(n, pts, 64,
+                               budget_bytes=norms._IDENTITY_ARRAYS * 16 * 200
+                               * 5000)
+
+
+def _no_lattice(*args, **kwargs):
+    raise AssertionError("called before the budget refused the run")
+
+
 class TestFrakF:
+    # values of the one-norm-per-t-node implementation this engine replaced
+    PARENT = [
+        (2, (7.5, 23.0), 16, -40.15722231964415),
+        (3, (4.5, 9.0, 18.0), 8, -1268.208022801159),
+        (4, (2.5, 3.7, 5.2, 9.1), 6, -7481.665742164195),
+    ]
+
+    @pytest.mark.parametrize("k, entries, t_nodes, want", PARENT)
+    def test_stacked_t_integral_keeps_values(self, k, entries, t_nodes,
+                                             want):
+        got = frak_f(k, DilationVector(entries), t_nodes=t_nodes)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_mu_range_floors_exactly(self):
+        # the stored 21.9 is below 3 times the stored 7.3: [n_2/n_1] = 2,
+        # although the float quotient rounds to 3.0
+        got = frak_f(2, DilationVector((7.3, 21.9)), t_nodes=4)
+        assert 21.9 / 7.3 == 3.0
+        assert [t["mu_abs"] for t in got.breakdown if t["term"] == "mu"] \
+            == [1, 2]
+
     def test_equal_entries_vanish(self):
         assert frak_f(2, DilationVector((5, 5))).value == 0.0
 
