@@ -30,7 +30,7 @@ from oracles import grid_eval, s_via_delta
 
 
 def engine_values(points, weights, M, budget_bytes=1 << 30):
-    """The slice engine's values of a one-field stack on the grid M, shape M."""
+    """The slice engine's values of a one-field stack on the grid M."""
     batches = slice_batches(points, weights, M, budget_bytes=budget_bytes)
     v = np.concatenate([v[0] for *_, v in batches])
     v = v.reshape((M[-1],) + tuple(M[:-1]))

@@ -226,7 +226,8 @@ class TestHalfSlices:
     ])
     def test_real_fields_match_full_grid(self, entries, M):
         fld = fractional_coefficients(DilationVector(entries))
-        points, weights, hermitian = _field_source(fld.weights[None], M, 1 << 30)
+        points, weights, hermitian = _field_source(fld.weights[None], M,
+                                                   1 << 30)
         # a 1-D field keeps every node: one FFT already gives them all
         assert hermitian == (len(M) > 1)
         self._check(points, weights, hermitian, M,
@@ -237,7 +238,8 @@ class TestHalfSlices:
         fld = apply_delta(fractional_coefficients(n), 5.3, 1.0 / np.array(
             n.entries[:2]))
         M = (16, 45)
-        points, weights, hermitian = _field_source(fld.weights[None], M, 1 << 30)
+        points, weights, hermitian = _field_source(fld.weights[None], M,
+                                                   1 << 30)
         assert not hermitian
         self._check(points, weights, hermitian, M,
                     grid_eval(fld, GridSpec(M)).values)
@@ -376,7 +378,7 @@ class TestVerifyIdentity:
     def test_budget_counts_working_set_before_lattice(self, monkeypatch):
         """A budget above the phase matrix but below the arrays held with it
         is refused before any lattice point is enumerated."""
-        monkeypatch.setattr(norms, "build_lattice", _no_lattice)
+        monkeypatch.setattr(norms, "build_lattice", _never)
         n = DilationVector((30, 30, 30, 30))
         phases = 16 * 200 * math.prod(n.entries[:-1]) / 6
         pts = np.zeros((200, 4))
@@ -386,7 +388,7 @@ class TestVerifyIdentity:
     def test_budget_counts_actual_modes(self, monkeypatch):
         """P' (5456) exceeds its volume bound (4500): a budget between the
         two working sets is refused once the lattice is built."""
-        monkeypatch.setattr(norms, "slice_weight_matrix", _no_lattice)
+        monkeypatch.setattr(norms, "slice_weight_matrix", _never)
         n = DilationVector((30, 30, 30, 30))
         pts = np.zeros((200, 4))
         with pytest.raises(ResourceLimitError):
@@ -395,19 +397,20 @@ class TestVerifyIdentity:
                                * 5000)
 
 
-def _no_lattice(*args, **kwargs):
+def _never(*args, **kwargs):
     raise AssertionError("called before the budget refused the run")
 
 
 class TestFrakF:
-    # values of the one-norm-per-t-node implementation this engine replaced
-    PARENT = [
+    # values of the implementation that refined one t node at a time
+    ONE_NODE_AT_A_TIME = [
         (2, (7.5, 23.0), 16, -40.15722231964415),
         (3, (4.5, 9.0, 18.0), 8, -1268.208022801159),
         (4, (2.5, 3.7, 5.2, 9.1), 6, -7481.665742164195),
     ]
 
-    @pytest.mark.parametrize("k, entries, t_nodes, want", PARENT)
+    @pytest.mark.parametrize("k, entries, t_nodes, want",
+                             ONE_NODE_AT_A_TIME)
     def test_stacked_t_integral_keeps_values(self, k, entries, t_nodes,
                                              want):
         got = frak_f(k, DilationVector(entries), t_nodes=t_nodes)
