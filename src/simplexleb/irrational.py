@@ -7,8 +7,9 @@ For a real alpha the quantity of interest is the plain L1 norm
 whose normalized trajectory I_n / ln^2 n is tracked across an n-grid.  Every
 alpha-dependent quantity is computed with Python integers.  Rational alphas
 (plain, decimal and truncated Liouville) are exact Fractions; the golden
-ratio phi enters only through floor(k phi 2^b), exact by an integer square
-root.  So {alpha k} is correctly rounded for rationals and truncated at
+ratio phi enters only through floor(k phi 2^b), a product with a guarded
+fixed-point phi, exact by an integer square root where the guard cannot
+decide.  So {alpha k} is correctly rounded for rationals and truncated at
 2^-128 before its one rounding for golden; each value depends on k alone,
 and a study computes them once for its largest n.  Continued fractions come
 from Euclid's algorithm: exact for rationals, and for golden the common
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _FRAC_BITS = 128
+_GUARD_BITS = 64  # guard bits of the fixed-point phi in fractional_parts
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,13 @@ def fractional_parts(alpha: AlphaSpec, n: int) -> np.ndarray:
     if alpha.is_exact_rational:
         p, q = alpha.rational.numerator, alpha.rational.denominator
         return np.array([p * k % q / q for k in range(n + 1)], dtype=float)
+    # k phi 2^(FRAC+GUARD) is in (k a, k a + k), a = floor(phi 2^(FRAC+GUARD)),
+    # so k a >> GUARD is the floor unless its low bits exceed 2^GUARD - k
+    a, room = _golden_floor(1, _FRAC_BITS + _GUARD_BITS), 1 << _GUARD_BITS
+    floors = (k * a >> _GUARD_BITS if k * a % room <= room - k
+              else _golden_floor(k, _FRAC_BITS) for k in range(n + 1))
     mask, scale = (1 << _FRAC_BITS) - 1, 1 << _FRAC_BITS
-    return np.array([(_golden_floor(k, _FRAC_BITS) & mask) / scale
-                     for k in range(n + 1)], dtype=float)
+    return np.array([(f & mask) / scale for f in floors], dtype=float)
 
 
 def I_n(alpha: AlphaSpec, n: int, tol: float = 1e-3,

@@ -36,7 +36,7 @@ Grid synthesis phase bookkeeping: grid nodes are x_t = -pi + 2 pi t / M, so
 
 i.e. multiply the zero-padded coefficients by the origin twist
 (-1)^{sum_j k_j} (:func:`_origin_twist`) and apply an inverse FFT scaled by
-prod M_j (scipy's ifft has the e^{+2 pi i k t/M} kernel and a 1/M factor).
+prod M_j (numpy's ifft has the e^{+2 pi i k t/M} kernel and a 1/M factor).
 The norm engine twists the x' modes of each slice, and a coefficient field
 its last axis.
 
@@ -52,10 +52,11 @@ Summing over nu > nu_max with sum 1/nu^2 <= 1/nu_max gives
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-import scipy.fft
 
 from .core import CoefficientField, DilationVector, LambdaParts, build_lattice
 
@@ -77,9 +78,9 @@ DEFAULT_NU_MAX = 4096
 # L + i L^2 x_d / 2 (relative error < 1e-15 there).
 SINGULARITY_THRESHOLD = 1e-8
 
-# Bytes of complex values per batch of grid slices or chunk of nu terms.
-# Batches of 8 MiB ran D(256, 256) and S(48.5, 3000.7) as fast as 128 MiB
-# ones, at a quarter of the peak memory (2 CPUs, numpy 2.4, scipy 1.17).
+# Most bytes of complex values per batch of grid slices or chunk of nu terms
+# (a smaller budget shrinks them).  Batches of 8 MiB ran D(256, 256) and
+# S(48.5, 3000.7) as fast as 128 MiB ones at a quarter of the peak memory.
 _CHUNK_BYTES = 1 << 23
 
 
@@ -104,8 +105,7 @@ class GridSpec:
     @classmethod
     def for_extents(cls, K: tuple, rho: float = 4.0) -> "GridSpec":
         """Transform-friendly grid with M_j >= rho * K_j for the box K."""
-        return cls(tuple(scipy.fft.next_fast_len(int(math.ceil(rho * e)))
-                         for e in K))
+        return cls(tuple(_fast_len(int(math.ceil(rho * e))) for e in K))
 
     @property
     def s(self) -> int:
@@ -121,6 +121,26 @@ class GridSpec:
 
     def doubled(self) -> "GridSpec":
         return GridSpec(tuple(2 * m for m in self.M))
+
+
+def _fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n (scipy.fft.next_fast_len)."""
+    lengths = _smooth_lengths(1 << max(n - 1, 0).bit_length())
+    return lengths[bisect_left(lengths, n)]
+
+
+@cache
+def _smooth_lengths(top: int) -> list:
+    """The sorted 11-smooth integers <= top: lengths numpy's FFT does fast."""
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        more = []
+        for m in lengths:
+            while m <= top:
+                more.append(m)
+                m *= p
+        lengths = more
+    return sorted(lengths)
 
 
 def _geometric_sum(m, t):
@@ -198,19 +218,19 @@ def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX) -> tuple:
     return value, tail
 
 
-def _r_series(lam, phases, xd, nu_max: int) -> np.ndarray:
+def _r_series(lam, phases, xd, nu_max, budget=_CHUNK_BYTES) -> np.ndarray:
     """R truncated at nu_max at N points, shape (N,).
 
     ``lam`` holds L_d(k') (P',), ``phases`` e^{i (k', x')} (N, P') and
     ``xd`` the x_d of each point (N,).  Since e^{i (2 pi nu + x_d) L} =
-    e^{i x_d L} e^{2 pi i nu L}, a chunk of nu (_CHUNK_BYTES of values) is
-    one matrix product; its +nu and -nu terms are summed before they are
-    accumulated, which improves cancellation.
+    e^{i x_d L} e^{2 pi i nu L}, a chunk of nu (min(_CHUNK_BYTES, budget)
+    of values) is one product; its +nu and -nu terms are summed before they
+    are accumulated, which improves cancellation.
     """
     twisted = phases * np.exp(1j * np.outer(xd, lam))
     value = 0.5 * np.sum(twisted + phases, axis=1)
     base = phases.sum(axis=1)[:, None]
-    chunk = max(1, _CHUNK_BYTES // (16 * (len(lam) + len(xd))))
+    chunk = max(1, min(_CHUNK_BYTES, budget) // (16 * (len(lam) + len(xd))))
     series = np.zeros(len(xd), dtype=np.complex128)
     for start in range(1, nu_max + 1, chunk):
         nu = np.arange(start, min(start + chunk, nu_max + 1), dtype=float)

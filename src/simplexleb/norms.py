@@ -24,8 +24,8 @@ is the one it has alone.  A d-kernel or a single field is a stack of one.
 A Hermitian f (real Fourier weights: f(-x) = conj f(x)) has the same |f|
 on the x_s slices t and M_s - t, so only t = 0..[M_s/2] are synthesized;
 t = 0 (x_s = -pi, unpaired: S, Fcomposite and R are not periodic in x_s)
-and t = M_s/2 count once, the others twice.  The d-kernels and fields with
-x' axes and real weights (F) qualify; the twisted differences do not.
+and t = M_s/2 count once, the others twice.  The d-kernels and all fields
+with real weights (1-D ones too) qualify; the twisted differences do not.
 
 Every grid is validated through the exact discrete Parseval identity
 
@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft
 
 from . import kernels
 from .core import (
@@ -199,12 +198,11 @@ def slice_batches(points: np.ndarray, weights, M: tuple,
                 yield fs, rs, w, w
                 continue
             g, b = w.shape[:2]
-            v = np.zeros((g * b, rest), dtype=np.complex128)
-            v[:, flat] = w.reshape(g * b, -1) * twist
-            v = scipy.fft.ifftn(v.reshape((g * b,) + m_prime),
-                                axes=tuple(range(1, len(M))),
-                                overwrite_x=True)
-            yield fs, rs, w, v.reshape((g, b) + m_prime)
+            v = np.zeros((g, b) + m_prime, dtype=np.complex128)
+            v.reshape(g * b, rest)[:, flat] = w.reshape(g * b, -1) * twist
+            for ax in range(2, len(M) + 1):
+                np.fft.ifft(v, axis=ax, out=v)
+            yield fs, rs, w, v
 
 
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
@@ -218,24 +216,24 @@ def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
 
 def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
     """(points, weights, hermitian) of the fields ``weights`` (H,) + K on
-    the grid M.  A group's slice weights at all M_s nodes, prod K' * M_s
-    complex values per field, come from one inverse FFT along the last
-    axis, zero-padded to M_s with the origin twist (-1)^{k_s}."""
+    the grid M.  A group's slice weights come from one inverse FFT along the
+    last axis, zero-padded to M_s, with the origin twist (-1)^{k_s}: for
+    real (Hermitian) weights a real one, of the nodes 0..[M_s/2] alone."""
     K = weights.shape[1:]
     check_grid(K, M, budget_bytes)
     k_prime, k_last = K[:-1], K[-1]
+    hermitian = not weights.imag.any()
+    transform = np.fft.ihfft if hermitian else np.fft.ifft
 
     def group_weights(fs):
         part = weights[fs].reshape(-1, math.prod(k_prime), k_last)
-        b = np.zeros((len(part), M[-1], part.shape[1]), dtype=np.complex128)
-        b[:, :k_last] = part.transpose(0, 2, 1) * \
+        part = (part.real if hermitian else part).transpose(0, 2, 1) * \
             _origin_twist(np.arange(k_last))[:, None]
-        w = scipy.fft.ifftn(b, axes=(1,), overwrite_x=True)
+        w = transform(part, n=M[-1], axis=1)
         w *= M[-1]
         return lambda rs: w[:, rs]
     # points: every x' mode of the box K', in the order of the reshape above
-    return (np.argwhere(np.ones(k_prime, dtype=bool)), group_weights,
-            bool(k_prime) and not weights.imag.any())
+    return np.argwhere(np.ones(k_prime, dtype=bool)), group_weights, hermitian
 
 
 def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags):
@@ -431,7 +429,7 @@ def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int,
     d_vals, s_vals, f_vals = (
         np.sum(ph * slice_weight_matrix(kind, parts, xd), axis=1)
         for kind in ("D", "S", "Fcomposite"))
-    r_vals = _r_series(parts.value, ph, xd, nu_max)
+    r_vals = _r_series(parts.value, ph, xd, nu_max, budget_bytes)
     rhs = s_vals - f_vals + r_vals
     residuals = np.abs(d_vals - rhs)
     tails = 2.0 * lat.points.shape[0] * np.abs(xd) / (np.pi**2 * nu_max)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import simplexleb
+from simplexleb import irrational
 from simplexleb.irrational import (
     AlphaSpec,
     I_n,
@@ -126,6 +127,28 @@ class TestFractionalParts:
             np.testing.assert_array_equal(full[:n + 1],
                                           fractional_parts(alpha, n))
 
+    def test_golden_product_path_is_the_square_root_path(self):
+        got = fractional_parts(AlphaSpec.golden(), 1 << 17)
+        bits = irrational._FRAC_BITS
+        want = [(irrational._golden_floor(k, bits) & ((1 << bits) - 1))
+                / (1 << bits) for k in range(len(got))]
+        np.testing.assert_array_equal(got, want)
+
+    def test_golden_fallback_keeps_values(self, monkeypatch):
+        # with 4 guard bits the product cannot decide most floors
+        want = fractional_parts(AlphaSpec.golden(), 2000)
+        calls = []
+        exact = irrational._golden_floor
+
+        def counted(k, bits):
+            calls.append(k)
+            return exact(k, bits)
+        monkeypatch.setattr(irrational, "_GUARD_BITS", 4)
+        monkeypatch.setattr(irrational, "_golden_floor", counted)
+        np.testing.assert_array_equal(
+            fractional_parts(AlphaSpec.golden(), 2000), want)
+        assert len(calls) > 1000
+
     def test_values_in_unit_interval(self):
         got = fractional_parts(AlphaSpec.liouville(2, 4), 200)
         assert np.all((got >= 0.0) & (got < 1.0))
@@ -212,11 +235,21 @@ class TestLiouvilleDipScan:
             assert r == I_n(alpha, q).value / math.log(q) ** 2
 
 
-def test_import_leaves_mpmath_unloaded():
-    # mpmath is only the test oracle; the package computes with integers
+def _loaded_by_import(module: str) -> bool:
+    """Whether a fresh `import simplexleb` loads ``module``."""
     src = os.path.dirname(os.path.dirname(simplexleb.__file__))
-    code = "import sys, simplexleb; print('mpmath' in sys.modules)"
+    code = f"import sys, simplexleb; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=os.environ | {"PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath is only the test oracle; the package computes with integers
+    assert not _loaded_by_import("mpmath")
+
+
+def test_import_leaves_scipy_unloaded():
+    # every transform is numpy's; scipy is only a test oracle
+    assert not _loaded_by_import("scipy")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from simplexleb.core import (
 )
 from simplexleb.kernels import (
     GridSpec,
+    _fast_len,
     apply_delta,
     eval_D,
     eval_F,
@@ -230,6 +232,11 @@ class TestGridSpec:
 
     def test_doubled(self):
         assert GridSpec((10, 12)).doubled().M == (20, 24)
+
+    def test_fast_len_is_scipys_next_fast_len(self):
+        ns = range(1, (1 << 20) + 1)
+        bad = [n for n in ns if _fast_len(n) != scipy.fft.next_fast_len(n)]
+        assert bad == []
 
 
 class TestGridEval:

@@ -1,6 +1,7 @@
 """L1 quadrature engine, identity verification and the correction functional."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,10 +229,10 @@ class TestHalfSlices:
         fld = fractional_coefficients(DilationVector(entries))
         points, weights, hermitian = _field_source(fld.weights[None], M,
                                                    1 << 30)
-        # a 1-D field keeps every node: one FFT already gives them all
-        assert hermitian == (len(M) > 1)
+        # 1-D too: its source gives only the nodes 0..[M_s/2]
+        assert hermitian
         self._check(points, weights, hermitian, M,
-                    engine_values(points, weights, M))
+                    grid_eval(fld, GridSpec(M)).values)
 
     def test_complex_delta_field_matches_dense_grid(self):
         n = DilationVector((3.7, 9.5, 23.0))
@@ -395,6 +396,19 @@ class TestVerifyIdentity:
             identity_residuals(n, pts, 64,
                                budget_bytes=norms._IDENTITY_ARRAYS * 16 * 200
                                * 5000)
+
+    def test_budget_sizes_the_nu_chunks(self):
+        """At 1 MiB the nu-series chunks shrink: the run no longer holds the
+        8 MiB chunks (31 MB of tracemalloc peak) of the default budget."""
+        pts = np.random.default_rng(3).uniform(-math.pi, math.pi, (200, 2))
+        tracemalloc.start()
+        try:
+            identity_residuals(DilationVector((7.3, 19.6)), pts, 4096,
+                               budget_bytes=1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
 
 def _never(*args, **kwargs):
