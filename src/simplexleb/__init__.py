@@ -27,7 +27,6 @@ from .norms import (
     IdentityReport,
     NormConvergenceError,
     NormResult,
-    double_integral_ld2,
     frak_f,
     identity_residuals,
     l1_norm,
@@ -36,12 +35,7 @@ from .norms import (
 )
 from .asymptotics import (
     PredictorValue,
-    RegimeError,
-    bilateral_fit,
-    corollary1_check,
-    corollary2_regime,
     eta_weights,
-    fit_envelope,
     full_predictor,
     main_term,
     remainder_envelope,
@@ -52,7 +46,6 @@ from .irrational import (
     I_n,
     cf_expand,
     fractional_parts,
-    liouville_dip_scan,
     study_ratio,
 )
 

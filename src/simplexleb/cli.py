@@ -38,6 +38,7 @@ from .core import DEFAULT_BUDGET_BYTES, DilationVector, ResourceLimitError
 from .irrational import AlphaSpec, study_ratio
 from .kernels import DEFAULT_NU_MAX
 from .norms import (
+    CONVENTIONS,
     DEFAULT_RHO,
     DEFAULT_TOL,
     NormConvergenceError,
@@ -45,12 +46,6 @@ from .norms import (
     l1_norm,
     verify_identity,
 )
-
-CONVENTIONS = {
-    "normalization": "plain",
-    "zero_dim_norm": "modulus",
-    "mu_range": "theorem",
-}
 
 
 def _fmt(x) -> str:
@@ -168,8 +163,6 @@ def _emit(text: str, output: str):
 
 def cmd_norm(cfg: RunConfig) -> int:
     n = _parse_ntuple(cfg.n)
-    if cfg.kernel not in ("D", "F", "S", "Fcomposite", "R"):
-        raise ValueError(f"unknown kernel {cfg.kernel!r}")
     exit_code = 0
     try:
         res = l1_norm(cfg.kernel, n, tol=cfg.tol, rho=cfg.rho,

@@ -32,12 +32,10 @@ __all__ = [
     "AlphaSpec",
     "ContinuedFraction",
     "RatioRecord",
-    "DipReport",
     "cf_expand",
     "fractional_parts",
     "I_n",
     "study_ratio",
-    "liouville_dip_scan",
 ]
 
 _FRAC_BITS = 128
@@ -247,46 +245,3 @@ def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
 def _convergent_denominators(alpha: AlphaSpec, n_max: int) -> set:
     cf = cf_expand(alpha, max_terms=64)
     return {q for _, q in cf.convergents if 2 <= q <= n_max}
-
-
-@dataclass(frozen=True)
-class DipReport:
-    alpha: str
-    generic_median: float
-    dips: tuple                 # ((q, ratio, dip_factor), ...)
-
-    @property
-    def max_dip_factor(self) -> float:
-        return max((d for _, _, d in self.dips), default=float("nan"))
-
-
-def liouville_dip_scan(alpha: AlphaSpec, n_max: int = 2**14, n_min: int = 16,
-                       generic_points: int = 9,
-                       tol: float = 1e-3) -> DipReport:
-    """Compare the normalized value at convergent denominators against the
-    median over a generic geometric grid; the dip factor is median / value.
-
-    Plain rationals have no designated convergent tail and yield an empty
-    dip set.
-    """
-    if alpha.kind == "rational":
-        return DipReport(alpha=alpha.describe(), generic_median=float("nan"),
-                         dips=())
-    qs = sorted(q for q in _convergent_denominators(alpha, n_max)
-                if q >= n_min)
-    grid = sorted({int(round(v)) for v in
-                   np.geomspace(n_min, n_max, generic_points)} - set(qs))
-    w = fractional_parts(alpha, max(qs + grid, default=0))
-
-    def ratio(n):
-        return _kernel_norm(alpha, w[:n + 1], tol, 4.0).value \
-            / math.log(n) ** 2
-
-    generic = [ratio(n) for n in grid]
-    med = float(np.median(generic)) if generic else float("nan")
-    dips = []
-    for q in qs:
-        r = ratio(q)
-        dips.append((q, r, med / r if r > 0 else math.inf))
-    return DipReport(alpha=alpha.describe(), generic_median=med,
-                     dips=tuple(dips))

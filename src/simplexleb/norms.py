@@ -40,7 +40,6 @@ D, whose right-hand side is the lattice point count P.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,7 +61,6 @@ from .kernels import (
     _CHUNK_BYTES,
     DEFAULT_NU_MAX,
     GridSpec,
-    _geometric_sum,
     _origin_twist,
     _r_series,
     reduce_torus,
@@ -80,7 +78,6 @@ __all__ = [
     "verify_identity",
     "identity_residuals",
     "frak_f",
-    "double_integral_ld2",
     "clear_norm_cache",
 ]
 
@@ -91,13 +88,18 @@ PARSEVAL_RTOL = 1e-8
 # N x P' arrays identity_residuals holds at once (tracemalloc: 5.0-5.1)
 _IDENTITY_ARRAYS = 6
 
+# the conventions every value follows, echoed into the CLI's artifacts
+CONVENTIONS = {
+    "normalization": "plain",
+    "zero_dim_norm": "modulus",
+    "mu_range": "theorem",
+}
+
 _norm_cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def clear_norm_cache():
-    with _cache_lock:
-        _norm_cache.clear()
+    _norm_cache.clear()
 
 
 class NormConvergenceError(RuntimeError):
@@ -364,13 +366,10 @@ def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
         raise ValueError(f"unknown kernel {kernel!r}")
     _check_tol(tol)
     key = (kernel, n.entries, rho, tol, max_doublings, budget_bytes)
-    with _cache_lock:
-        if key in _norm_cache:
-            return _norm_cache[key]
-    result = _l1_norm_impl(kernel, n, tol, rho, max_doublings, budget_bytes)
-    with _cache_lock:
-        _norm_cache[key] = result
-    return result
+    if key not in _norm_cache:
+        _norm_cache[key] = _l1_norm_impl(kernel, n, tol, rho, max_doublings,
+                                         budget_bytes)
+    return _norm_cache[key]
 
 
 def _l1_norm_impl(kernel, n, tol, rho, max_doublings, budget_bytes):
@@ -517,8 +516,7 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
         breakdown=tuple(breakdown),
         t_nodes=t_nodes,
         error_estimate=2.0 * np.pi * err,
-        flags={"zero_dim_norm": "modulus", "mu_range": "theorem",
-               "normalization": "plain"},
+        flags=dict(CONVENTIONS),
     )
 
 
@@ -538,33 +536,3 @@ def _t_integral(fld, xi, n1, mu, base_norm, t_nodes, kw):
     fine = np.trapezoid(vals, fine_t)
     coarse = np.trapezoid(vals[::2], fine_t[::2])
     return float(fine), float(fine - coarse)
-
-
-# ---------------------------------------------------------- double integral
-
-def double_integral_ld2(n: float, alpha: float, beta: float,
-                        tol: float = DEFAULT_TOL, rho: float = DEFAULT_RHO,
-                        max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> float:
-    """Tensor-grid quadrature of int int |e^{i(a y + b)} D_n(x - y) - D_n(x)|.
-
-    On the uniform grid both x_t - y_u and x_t live on the same circulant set
-    of nodes, so a single table of 1-D kernel values serves every pair.
-    """
-    if n <= 3:
-        raise ValueError("requires n > 3")
-    m_modes = int(n) + 1
-
-    def abs_sums(M, live):
-        m = M[0]
-        circ = _geometric_sum(m_modes, 2.0 * np.pi * np.arange(m) / m)
-        nodes = GridSpec(M).axis_nodes(0)
-        dx = _geometric_sum(m_modes, nodes)
-        total = 0.0
-        for u in range(m):
-            c_u = np.exp(1j * (alpha * nodes[u] + beta))
-            total += float(np.abs(c_u * np.roll(circ, u) - dx).sum())
-        return np.array([total]), None
-
-    # the Riemann sum over the m x m grid of (x, y)
-    return _refine(abs_sums, GridSpec.for_extents((m_modes,) * 2, rho), None,
-                   tol, max_doublings, [f"ld2:{n}"])[0].value

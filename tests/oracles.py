@@ -3,7 +3,9 @@
 grid_eval is the dense synthesis of a coefficient field on every node of a
 grid at once, the reference for the norm engine's slice-by-slice synthesis;
 s_via_delta is the second closed form of the kernel S, through the twisted
-difference of the (d-1)-dimensional kernel.
+difference of the (d-1)-dimensional kernel; double_integral_ld2 is the
+shifted-kernel double integral of the 1-D D, which acceptance criterion 7
+compares with 4 pi ||D_n||.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +14,18 @@ import numpy as np
 import scipy.fft
 
 from simplexleb.core import CoefficientField, DilationVector, build_lattice
-from simplexleb.kernels import GridSpec, _origin_twist, reduce_torus
+from simplexleb.kernels import (
+    GridSpec,
+    _geometric_sum,
+    _origin_twist,
+    reduce_torus,
+)
+from simplexleb.norms import (
+    DEFAULT_MAX_DOUBLINGS,
+    DEFAULT_RHO,
+    DEFAULT_TOL,
+    _refine,
+)
 
 
 @dataclass(frozen=True)
@@ -51,3 +64,31 @@ def s_via_delta(n: DilationVector, x) -> complex:
     delta = phases @ (np.exp(1j * lat.lambda_parts.value
                              * (h / n.entries[-1])) - 1.0)
     return complex(delta / (1j * x[-1]))
+
+
+def double_integral_ld2(n: float, alpha: float, beta: float,
+                        tol: float = DEFAULT_TOL, rho: float = DEFAULT_RHO,
+                        max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> float:
+    """Tensor-grid quadrature of int int |e^{i(a y + b)} D_n(x - y) - D_n(x)|.
+
+    On the uniform grid both x_t - y_u and x_t live on the same circulant set
+    of nodes, so a single table of 1-D kernel values serves every pair.
+    """
+    if n <= 3:
+        raise ValueError("requires n > 3")
+    m_modes = int(n) + 1
+
+    def abs_sums(M, live):
+        m = M[0]
+        circ = _geometric_sum(m_modes, 2.0 * np.pi * np.arange(m) / m)
+        nodes = GridSpec(M).axis_nodes(0)
+        dx = _geometric_sum(m_modes, nodes)
+        total = 0.0
+        for u in range(m):
+            c_u = np.exp(1j * (alpha * nodes[u] + beta))
+            total += float(np.abs(c_u * np.roll(circ, u) - dx).sum())
+        return np.array([total]), None
+
+    # the Riemann sum over the m x m grid of (x, y)
+    return _refine(abs_sums, GridSpec.for_extents((m_modes,) * 2, rho), None,
+                   tol, max_doublings, [f"ld2:{n}"])[0].value

@@ -1,4 +1,4 @@
-"""Closed-form growth predictors and residual/envelope fitting."""
+"""Closed-form growth predictors."""
 
 import math
 
@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexleb.asymptotics import (
-    RegimeError,
-    bilateral_fit,
-    corollary1_check,
-    corollary2_regime,
     eta_weights,
-    fit_envelope,
     full_predictor,
     main_term,
     remainder_envelope,
@@ -109,43 +104,3 @@ class TestRemainderEnvelope:
         got = remainder_envelope(DilationVector((7.0, 19.0)))
         assert got == pytest.approx(
             math.log(math.log(7.0)) * math.log(19.0), rel=1e-12)
-
-
-class TestFitEnvelope:
-    def test_zero_residuals(self):
-        fit = fit_envelope([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-        assert fit.c_hat == 0.0
-
-    def test_synthetic_double_envelope(self):
-        env = [1.0, 2.0, 5.0]
-        fit = fit_envelope([2 * e for e in env], env)
-        assert fit.c_hat == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fit_envelope([], [])
-
-
-class TestBilateralFit:
-    def test_orders_correctly(self):
-        ns = [16, 32, 64]
-        norms = [50.0, 90.0, 140.0]
-        c1, c2 = bilateral_fit(ns, norms, d=2)
-        assert 0 < c1 <= c2 < math.inf
-
-
-class TestCorollaries:
-    def test_corollary1_exact_multiples_give_zero_f(self):
-        report = corollary1_check(4.0, [2, 3, 4], p=0,
-                                  f_norm_fn=lambda n: 0.0,
-                                  norm_fn=lambda n: 0.0)
-        assert all(v == 0.0 for v in report.f_norms)
-
-    def test_corollary2_rejects_isotropic(self):
-        with pytest.raises(RegimeError):
-            corollary2_regime(DilationVector((9.0, 9.0)), norm=100.0)
-
-    def test_corollary2_accepts_strong_anisotropy(self):
-        n = DilationVector((9.0, 9.0**4))
-        report = corollary2_regime(n, norm=400.0)
-        assert math.isfinite(report.ratio)

@@ -17,7 +17,6 @@ from simplexleb.irrational import (
     I_n,
     cf_expand,
     fractional_parts,
-    liouville_dip_scan,
     study_ratio,
 )
 
@@ -215,24 +214,6 @@ class TestStudyRatio:
         recs = study_ratio(AlphaSpec.liouville(2, 4), [47, 64, 100])
         flags = {r.n: r.is_convergent_denominator for r in recs}
         assert flags[47] and flags[64] and not flags[100]
-
-
-class TestLiouvilleDipScan:
-    def test_rational_has_no_dips(self):
-        report = liouville_dip_scan(AlphaSpec.from_rational(415, 93))
-        assert report.dips == ()
-
-    def test_dip_report_structure(self):
-        report = liouville_dip_scan(AlphaSpec.liouville(2, 4), n_max=256,
-                                    generic_points=5)
-        assert all(q >= 16 for q, _, _ in report.dips)
-        assert math.isfinite(report.generic_median)
-
-    def test_ratios_equal_I_n(self):
-        alpha = AlphaSpec.liouville(2, 4)
-        report = liouville_dip_scan(alpha, n_max=256, generic_points=5)
-        for q, r, _ in report.dips:
-            assert r == I_n(alpha, q).value / math.log(q) ** 2
 
 
 def _loaded_by_import(module: str) -> bool:

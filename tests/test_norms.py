@@ -22,7 +22,6 @@ from simplexleb.norms import (
     _kernel_source,
     _slice_abs_sums,
     clear_norm_cache,
-    double_integral_ld2,
     frak_f,
     identity_residuals,
     l1_norm,
@@ -30,7 +29,7 @@ from simplexleb.norms import (
     verify_identity,
 )
 from simplexleb.core import CoefficientField
-from oracles import grid_eval
+from oracles import double_integral_ld2, grid_eval
 from test_kernels import engine_values
 
 
