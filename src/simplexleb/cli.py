@@ -1,16 +1,23 @@
 """Batch front door: norms, identity checks, parameter sweeps, alpha studies.
 
-Subcommands
------------
-norm        L1 norm of one kernel for one dilation vector (JSON).
-verify      check the exact kernel decomposition at seeded random points.
-sweep       norm/predictor sweep over a dilation grid (deterministic CSV).
-irrational  the 1-D fractional-part kernel study (CSV + summary JSON).
+Subcommands, with the options each takes besides --budget-mb, --output and
+--config:
+
+norm        L1 norm of one kernel (JSON): --kernel --n --tol --rho
+verify      the exact kernel decomposition at seeded random points (JSON):
+            --n --points --seed --nu-max
+sweep       norm/predictor sweep over a dilation grid (deterministic CSV):
+            --n1 --n2 --n3 --t-nodes --timings --tol --rho
+irrational  the 1-D fractional-part kernel study (CSV + summary JSON):
+            --alpha --n --nmax --tol --rho
+
+A --config file's 'key = value' lines stand for the flags --key=value ('_'
+in a key for '-') ahead of the command line's own, so explicit flags win.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 quadrature did not
 converge (a value is still emitted with a flag), 3 identity violation.
 
-Outputs embed the effective configuration, library version, and the
+Outputs embed the subcommand's effective settings, library version, and the
 convention flags (plain-integral normalization, modulus convention for the
 0-dimensional norm, mu-range choice), so any run is reproducible from its
 own artifact.  Floats are printed with 17 significant digits, '.' decimal,
@@ -22,15 +29,12 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import json
 import math
 import operator
 import re
 import sys
 import time
-
-import numpy as np
 
 from . import __version__
 from .asymptotics import full_predictor, remainder_envelope
@@ -56,36 +60,11 @@ def _fmt(x) -> str:
 
 # ------------------------------------------------------------ configuration
 
-@dataclasses.dataclass
-class RunConfig:
-    """Effective parameters of a run; echoed verbatim into every output."""
-
-    command: str
-    kernel: str = "D"
-    n: str = ""
-    tol: float = DEFAULT_TOL
-    rho: float = DEFAULT_RHO
-    nu_max: int = DEFAULT_NU_MAX
-    t_nodes: int = 64
-    points: int = 100
-    seed: int = 0
-    budget_mb: int = DEFAULT_BUDGET_BYTES >> 20
-    timings: bool = False
-    n1: str = ""
-    n2: str = ""
-    n3: str = ""
-    alpha: str = ""
-    nmax: int = 4096
-    output: str = ""
-
-    def items(self):
-        for f in dataclasses.fields(self):
-            yield f.name, getattr(self, f.name)
-
-
-def _load_config_file(path: str) -> dict:
-    """Flat key=value text; '#' starts a comment, blank lines ignored."""
-    out = {}
+def _load_config_file(path: str) -> list:
+    """The flags a flat key=value config file stands for: 'key = value' is
+    --key=value with '_' written as '-', and 'timings = true|1|yes|on' is
+    --timings.  '#' starts a comment; blank lines are ignored."""
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -94,50 +73,32 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
-    return out
+            if key == "command":  # echoed by every artifact; argv names it
+                continue
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: config files do not nest")
+            flag = "--" + key.replace("_", "-")
+            if key != "timings":
+                flags.append(f"{flag}={val}")
+            elif val.lower() in ("1", "true", "yes", "on"):
+                flags.append(flag)
+    return flags
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    file_vals = _load_config_file(args.config) if args.config else {}
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    for key, raw in file_vals.items():
-        if key == "command":
-            continue
-        if key not in fields:
-            raise ValueError(f"unknown config key {key!r}")
-        typ = fields[key].type
-        if typ == "bool":
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif typ == "int":
-            value = int(raw)
-        elif typ == "float":
-            value = float(raw)
-        else:
-            value = raw
-        setattr(cfg, key, value)
-    for key in fields:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            setattr(cfg, key, flag_val)
-    return cfg
-
-
-def _header_lines(cfg: RunConfig) -> list:
+def _header_lines(args: argparse.Namespace) -> list:
     lines = [f"# simplexleb {__version__}"]
     for key, val in sorted(CONVENTIONS.items()):
         lines.append(f"# convention {key}={val}")
-    for key, val in cfg.items():
+    for key, val in _meta(args)["config"].items():
         lines.append(f"# config {key}={val}")
     return lines
 
 
-def _meta(cfg: RunConfig) -> dict:
+def _meta(args: argparse.Namespace) -> dict:
     return {
         "version": __version__,
         "conventions": CONVENTIONS,
-        "config": {k: v for k, v in cfg.items()},
+        "config": {k: v for k, v in vars(args).items() if k != "config"},
     }
 
 
@@ -161,50 +122,38 @@ def _emit(text: str, output: str):
 
 # ------------------------------------------------------------------ norm
 
-def cmd_norm(cfg: RunConfig) -> int:
-    n = _parse_ntuple(cfg.n)
-    exit_code = 0
-    try:
-        res = l1_norm(cfg.kernel, n, tol=cfg.tol, rho=cfg.rho,
-                      budget_bytes=cfg.budget_mb << 20)
-        payload = {
-            "value": res.value,
-            "normalized": res.normalized,
-            "grid": res.grid,
-            "history": [[list(m) if m else None, v] for m, v in res.history],
-            "error_estimate": res.error_estimate,
-            "converged": True,
-            "parseval": res.parseval,
-        }
-    except NormConvergenceError as exc:
-        last_grid, last_val = exc.history[-1]
-        payload = {
-            "value": last_val,
-            "normalized": last_val / (2 * math.pi) ** len(last_grid),
-            "grid": last_grid,
-            "history": [[list(m) if m else None, v] for m, v in exc.history],
-            "error_estimate": None,
-            "converged": False,
-        }
-        exit_code = 2
-    doc = _meta(cfg) | {"kernel": cfg.kernel, "n": list(n.entries)} | payload
+def cmd_norm(args: argparse.Namespace) -> int:
+    n = _parse_ntuple(args.n)
+    res, history = _norm_or_last(args.kernel, n, dict(
+        tol=args.tol, rho=args.rho, budget_bytes=args.budget_mb << 20))
+    grid, value = history[-1]
+    doc = _meta(args) | {
+        "kernel": args.kernel,
+        "n": list(n.entries),
+        "value": value,
+        "normalized": value / (2 * math.pi) ** len(grid or ()),
+        "grid": grid,
+        "history": [[list(m) if m else None, v] for m, v in history],
+        "error_estimate": None if res is None else res.error_estimate,
+        "converged": res is not None,
+    }
+    if res is not None:
+        doc["parseval"] = res.parseval
     _emit(json.dumps(doc, indent=2, default=str, allow_nan=False) + "\n",
-          cfg.output)
-    return exit_code
+          args.output)
+    return 0 if res is not None else 2
 
 
 # ------------------------------------------------------------------ verify
 
-def cmd_verify(cfg: RunConfig) -> int:
-    n = _parse_ntuple(cfg.n)
-    if n.d < 2:
-        raise ValueError("identity verification requires d >= 2")
-    report = verify_identity(n, num_points=cfg.points, nu_max=cfg.nu_max,
-                             seed=cfg.seed, budget_bytes=cfg.budget_mb << 20)
-    doc = _meta(cfg) | {
+def cmd_verify(args: argparse.Namespace) -> int:
+    n = _parse_ntuple(args.n)
+    report = verify_identity(n, num_points=args.points, nu_max=args.nu_max,
+                             seed=args.seed, budget_bytes=args.budget_mb << 20)
+    doc = _meta(args) | {
         "n": list(n.entries),
         "nu_max": report.nu_max,
-        "points": cfg.points,
+        "points": args.points,
         "passed": report.passed,
         "median_residual": report.median_residual,
         "max_residual": float(report.residuals.max()),
@@ -213,7 +162,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "worst_residual": report.worst[1],
         "worst_tail_bound": report.worst[2],
     }
-    _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+    _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0 if report.passed else 3
 
 
@@ -280,10 +229,10 @@ def _parse_axis(text: str, prior: dict) -> list:
     return out
 
 
-def _sweep_rows(cfg: RunConfig) -> list:
+def _sweep_rows(args: argparse.Namespace) -> list:
     axes = {}
     for name in ("n1", "n2", "n3"):
-        spec = getattr(cfg, name)
+        spec = getattr(args, name)
         if not spec:
             break
         axes[name] = _parse_axis(spec, axes)
@@ -298,28 +247,28 @@ def _sweep_rows(cfg: RunConfig) -> list:
 
 
 def _norm_or_last(kernel: str, n: DilationVector, kw: dict) -> tuple:
-    """(value, grid, converged); a norm that did not converge gives the
-    value of its last refinement level."""
+    """(result, history); result is None when the norm did not converge,
+    and the last entry of history is then its last refinement level."""
     try:
         res = l1_norm(kernel, n, **kw)
-        return res.value, res.grid, True
+        return res, res.history
     except NormConvergenceError as exc:
-        grid, value = exc.history[-1]
-        return value, grid, False
+        return None, exc.history
 
 
-def _sweep_one(entries: tuple, cfg: RunConfig) -> dict:
+def _sweep_one(entries: tuple, args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     n = DilationVector(entries)
     d = n.d
-    kw = dict(tol=cfg.tol, rho=cfg.rho, budget_bytes=cfg.budget_mb << 20)
-    (norm_d, grid_d, ok_d), (norm_s, _, ok_s), (norm_f, _, ok_f) = (
+    kw = dict(tol=args.tol, rho=args.rho, budget_bytes=args.budget_mb << 20)
+    (res_d, hist_d), (res_s, hist_s), (res_f, hist_f) = (
         _norm_or_last(kernel, n, kw) for kernel in ("D", "S", "F"))
-    converged = ok_d and ok_s and ok_f
+    grid_d, norm_d = hist_d[-1]
+    converged = None not in (res_d, res_s, res_f)
     fraks = {}
     for k in range(2, d + 1):
         try:
-            fraks[k] = frak_f(k, n, t_nodes=cfg.t_nodes, **kw).value
+            fraks[k] = frak_f(k, n, t_nodes=args.t_nodes, **kw).value
         except ValueError:
             # outside the ascending regime of the correction functional
             fraks[k] = float("nan")
@@ -336,31 +285,31 @@ def _sweep_one(entries: tuple, cfg: RunConfig) -> dict:
         env = remainder_envelope(n) if min(entries) > 1.0 else float("nan")
     return {
         "entries": entries,
-        "norm_D": norm_d, "norm_S": norm_s, "norm_F": norm_f,
+        "norm_D": norm_d, "norm_S": hist_s[-1][1], "norm_F": hist_f[-1][1],
         "fraks": fraks, "main_term": main, "residual": resid,
         "envelope": env, "ratio": ratio,
         "grid_M": "x".join(str(m) for m in grid_d),
-        "seconds": time.perf_counter() - t0 if cfg.timings else 0.0,
+        "seconds": time.perf_counter() - t0 if args.timings else 0.0,
         "converged": converged,
     }
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     # checked here: _sweep_one turns frak_f's ValueError into a NaN column
-    if cfg.t_nodes < 2:
+    if args.t_nodes < 2:
         raise ValueError("--t-nodes must be >= 2")
-    rows = _sweep_rows(cfg)
+    rows = _sweep_rows(args)
     d = len(rows[0])
     if d < 2:
         raise ValueError("sweeps require d >= 2 (use 'norm' for d = 1)")
-    results = [_sweep_one(entries, cfg) for entries in rows]
+    results = [_sweep_one(entries, args) for entries in rows]
 
     header = (["d"] + [f"n{j}" for j in range(1, d + 1)]
               + ["norm_D", "norm_S", "norm_F"]
               + [f"frakF{k}" for k in range(2, d + 1)]
               + ["main_term", "residual", "envelope", "ratio",
                  "grid_M", "seconds", "converged"])
-    lines = _header_lines(cfg) + [",".join(header)]
+    lines = _header_lines(args) + [",".join(header)]
     for row in results:
         cells = ([str(d)] + [_fmt(v) for v in row["entries"]]
                  + [_fmt(row["norm_D"]), _fmt(row["norm_S"]),
@@ -371,7 +320,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     row["grid_M"], _fmt(row["seconds"]),
                     str(int(row["converged"]))])
         lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if all(row["converged"] for row in results) else 2
 
 
@@ -400,31 +349,31 @@ def _parse_alpha(text: str) -> AlphaSpec:
     raise ValueError(f"unrecognized alpha spec {text!r}")
 
 
-def cmd_irrational(cfg: RunConfig) -> int:
-    alpha = _parse_alpha(cfg.alpha)
+def cmd_irrational(args: argparse.Namespace) -> int:
+    alpha = _parse_alpha(args.alpha)
     kw = {}
-    if cfg.n:
+    if args.n:
         try:
-            grid = sorted({int(tok) for tok in cfg.n.split(",")})
+            grid = sorted({int(tok) for tok in args.n.split(",")})
         except ValueError:
-            raise ValueError(f"malformed n list {cfg.n!r}") from None
+            raise ValueError(f"malformed n list {args.n!r}") from None
         # hand-picked n may lie below the study floor of 16
         kw["min_n"] = 2
     else:
         grid, e = [], 4
-        while 2 ** e <= cfg.nmax:
+        while 2 ** e <= args.nmax:
             grid.append(2 ** e)
             e += 1
         if not grid:
             raise ValueError("--nmax must be at least 16")
-    records = study_ratio(alpha, grid, tol=cfg.tol, rho=cfg.rho,
-                          budget_bytes=cfg.budget_mb << 20, **kw)
-    lines = _header_lines(cfg) + ["n,I_n,ratio,is_convergent_q"]
+    records = study_ratio(alpha, grid, tol=args.tol, rho=args.rho,
+                          budget_bytes=args.budget_mb << 20, **kw)
+    lines = _header_lines(args) + ["n,I_n,ratio,is_convergent_q"]
     for rec in records:
         lines.append(",".join([str(rec.n), _fmt(rec.value), _fmt(rec.ratio),
                                str(int(rec.is_convergent_denominator))]))
-    _emit("\n".join(lines) + "\n", cfg.output)
-    summary = _meta(cfg) | {
+    _emit("\n".join(lines) + "\n", args.output)
+    summary = _meta(args) | {
         "alpha": alpha.describe(),
         "running_min_ratio": records[-1].running_min,
         "running_max_ratio": records[-1].running_max,
@@ -436,10 +385,8 @@ def cmd_irrational(cfg: RunConfig) -> int:
 # ------------------------------------------------------------------- main
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors must exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
+    def error(self, message):  # main reports it and exits 1, not argparse's 2
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,51 +398,56 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_Parser)
 
+    def quadrature(p):
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--rho", type=float, default=DEFAULT_RHO,
+                       help="grid oversampling factor")
+
     def common(p):
+        p.add_argument("--budget-mb", type=int,
+                       default=DEFAULT_BUDGET_BYTES >> 20,
+                       help="memory cap in MiB on each array a run builds "
+                            "(default %(default)s)")
+        p.add_argument("--output", default="",
+                       help="write to file instead of stdout")
         p.add_argument("--config", help="flat key=value config file; "
                                         "flags override file values")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--rho", type=float, default=None,
-                       help="grid oversampling factor")
-        p.add_argument("--nu-max", dest="nu_max", type=int, default=None)
-        p.add_argument("--budget-mb", dest="budget_mb", type=int,
-                       default=None,
-                       help="memory cap in MiB on each array a run builds "
-                            f"(default {DEFAULT_BUDGET_BYTES >> 20})")
-        p.add_argument("--output", default=None,
-                       help="write to file instead of stdout")
-        p.add_argument("--timings", action="store_const", const=True,
-                       default=None,
-                       help="report wall-clock seconds (breaks byte-level "
-                            "reproducibility)")
 
     p = sub.add_parser("norm", help="L1 norm of one kernel")
-    p.add_argument("--kernel", default=None,
+    p.add_argument("--kernel", default="D",
                    choices=["D", "F", "S", "Fcomposite", "R"])
-    p.add_argument("--n", default=None, help="comma-separated dilation tuple")
+    p.add_argument("--n", required=True,
+                   help="comma-separated dilation tuple")
+    quadrature(p)
     common(p)
 
     p = sub.add_parser("verify", help="check the exact decomposition")
-    p.add_argument("--n", default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", required=True)
+    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nu-max", type=int, default=DEFAULT_NU_MAX)
     common(p)
 
     p = sub.add_parser("sweep", help="norm/predictor sweep to CSV")
-    p.add_argument("--n1", default=None,
+    p.add_argument("--n1", required=True,
                    help="geom(a,b,k) | list(v,...)")
-    p.add_argument("--n2", default=None,
+    p.add_argument("--n2", default="",
                    help="geom/list or expression in n1, e.g. pow(n1,2)")
-    p.add_argument("--n3", default=None)
-    p.add_argument("--t-nodes", dest="t_nodes", type=int, default=None)
+    p.add_argument("--n3", default="")
+    p.add_argument("--t-nodes", type=int, default=64)
+    p.add_argument("--timings", action="store_true",
+                   help="report wall-clock seconds (breaks byte-level "
+                        "reproducibility)")
+    quadrature(p)
     common(p)
 
     p = sub.add_parser("irrational", help="fractional-part kernel study")
-    p.add_argument("--alpha", default=None,
+    p.add_argument("--alpha", required=True,
                    help="rational:P/Q | golden | liouville:B,M | dec:0.70...")
-    p.add_argument("--n", default=None, help="explicit comma-separated n list")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="powers of two 16..nmax (default 4096)")
+    p.add_argument("--n", default="", help="explicit comma-separated n list")
+    p.add_argument("--nmax", type=int, default=4096,
+                   help="powers of two 16..nmax (default %(default)s)")
+    quadrature(p)
     common(p)
     return top
 
@@ -505,15 +457,17 @@ _DISPATCH = {"norm": cmd_norm, "verify": cmd_verify, "sweep": cmd_sweep,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _build_config(args)
-        required = {"norm": ["n"], "verify": ["n"], "sweep": ["n1"],
-                    "irrational": ["alpha"]}
-        for key in required[args.command]:
-            if not getattr(cfg, key):
-                raise ValueError(f"--{key} is required for {args.command}")
-        return _DISPATCH[args.command](cfg)
+        # the config file's flags go in front of the user's, so that the
+        # user's flags win: argparse keeps the last value it sees
+        find = _Parser(add_help=False)
+        find.add_argument("--config")
+        path = find.parse_known_args(argv)[0].config
+        if path:
+            argv = argv[:1] + _load_config_file(path) + argv[1:]
+        args = build_parser().parse_args(argv)
+        return _DISPATCH[args.command](args)
     except (ValueError, OSError, ResourceLimitError) as exc:
         sys.stderr.write(f"simplexleb: error: {exc}\n")
         return 1

@@ -6,14 +6,12 @@ with a warning instead of failing (the convergent-denominator grid reachable
 at desk scale is too short for the dip to emerge).
 """
 
-import json
 import math
 import subprocess
 import sys
 import time
 
 import numpy as np
-import pytest
 
 import simplexleb as sl
 from simplexleb.core import DilationVector

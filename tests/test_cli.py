@@ -388,9 +388,8 @@ class TestConfigFile:
         code, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "2,3",
                            "--config", str(cfgfile))
         assert code == 1 and out == ""
-        with pytest.raises(SystemExit) as exc:
-            main(["norm", "--kernel", "D", "--n", "2,3", "--workers", "2"])
-        assert exc.value.code == 1
+        assert main(["norm", "--kernel", "D", "--n", "2,3",
+                     "--workers", "2"]) == 1
 
     def test_unknown_key_exits_1(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -399,11 +398,51 @@ class TestConfigFile:
                          "--config", str(cfgfile))
         assert code == 1
 
+    @pytest.mark.parametrize("command, key", [
+        ("norm", "nu_max"), ("norm", "timings"), ("verify", "tol"),
+        ("verify", "rho"), ("verify", "timings"), ("sweep", "nu_max"),
+        ("irrational", "nu_max"), ("irrational", "timings")])
+    def test_option_the_command_never_reads_exits_1(self, capsys, tmp_path,
+                                                    command, key):
+        argv = {"norm": ["--kernel", "D", "--n", "2,3"],
+                "verify": ["--n", "2,3", "--points", "5"],
+                "sweep": ["--n1", "list(4)", "--n2", "list(9)",
+                          "--t-nodes", "4"],
+                "irrational": ["--alpha", "rational:1/2", "--n", "16"],
+                }[command]
+        flag = "--" + key.replace("_", "-")
+        value = {"nu_max": "64", "tol": "1e-4", "rho": "8",
+                 "timings": "true"}[key]
+        code, out, err = run(capsys, command, *argv, flag,
+                             *([] if key == "timings" else [value]))
+        assert (code, out) == (1, "")
+        assert flag in err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        code, out, err = run(capsys, command, *argv,
+                             "--config", str(cfgfile))
+        assert (code, out) == (1, "")
+        assert flag in err
+
+    def test_sweep_config_file_equals_flags(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            "n1 = list(4, 5)\nn2 = 2*n1 + 1\nn3 = n2 + 2\nt_nodes = 4\n"
+            "tol = 2e-3\nrho = 5\nbudget_mb = 256\ntimings = false\n"
+            f"output = {out}\n")
+        assert main(["sweep", "--config", str(cfgfile)]) == 0
+        from_file = out.read_bytes()
+        assert main(["sweep", "--n1", "list(4, 5)", "--n2", "2*n1 + 1",
+                     "--n3", "n2 + 2", "--t-nodes", "4", "--tol", "2e-3",
+                     "--rho", "5", "--budget-mb", "256",
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == from_file
+        assert b"# config budget_mb=256\n" in from_file
+
 
 def test_usage_error_exits_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["norm", "--bogus"])
-    assert exc.value.code == 1
+    assert main(["norm", "--bogus"]) == 1
 
 
 def test_artifacts_do_not_depend_on_cpu_count(capsys, monkeypatch):
