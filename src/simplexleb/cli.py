@@ -468,9 +468,10 @@ def main(argv=None) -> int:
             argv = argv[:1] + _load_config_file(path) + argv[1:]
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError, ResourceLimitError) as exc:
+    except (ValueError, OSError, ResourceLimitError,
+            NormConvergenceError) as exc:
         sys.stderr.write(f"simplexleb: error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, NormConvergenceError) else 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ i.e. multiply the zero-padded coefficients by the origin twist
 (-1)^{sum_j k_j} (:func:`_origin_twist`) and apply an inverse FFT scaled by
 prod M_j (numpy's ifft has the e^{+2 pi i k t/M} kernel and a 1/M factor).
 The norm engine twists the x' modes of each slice, and a coefficient field
-its last axis.
+its last axis; a d-kernel's phases e^{i L x_t} come from :func:`_grid_phases`.
 
 Tail bound derivation (truncation of the nu-series in R): for |x_d| <= pi and
 nu >= 1, |2 pi nu +- x_d| >= 2 pi nu - pi >= pi nu, and each difference term
@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -143,21 +143,24 @@ def _smooth_lengths(top: int) -> list:
     return sorted(lengths)
 
 
-def _geometric_sum(m, t):
+def _geometric_sum(m, t, phase=None, zero=None):
     """sum_{j=0}^{m-1} e^{i j t} = e^{i (m-1) t / 2} sin(m t / 2) / sin(t / 2).
 
     ``m`` integer array, ``t`` scalar or broadcastable array.  At t == 0
-    (mod 2 pi) the value is m.
+    (mod 2 pi) the value is m.  Given ``phase(mu)`` = e^{i mu t} for t in
+    [-pi, pi), both phases come from it, and ``zero`` marks t = 0.
     """
     m = np.asarray(m, dtype=float)
-    t = reduce_torus(t)
-    half = 0.5 * t
+    half = 0.5 * (t if phase else reduce_torus(t))
     denom = np.sin(half)
-    safe = np.abs(denom) > 1e-300
-    num = np.exp(1j * (m - 1.0) * half)
-    ratio = np.where(safe, np.sin(m * np.where(safe, half, 1.0)) /
-                     np.where(safe, denom, 1.0), m)
-    return num * ratio
+    if phase:
+        num, top = phase(0.5 * (m - 1.0)), phase(0.5 * m).imag
+    else:
+        zero = np.abs(denom) <= 1e-300
+        num, top = np.exp(1j * (m - 1.0) * half), np.sin(m * half)
+    top /= np.where(zero, 1.0, denom)
+    num *= np.where(zero, m, top)
+    return num
 
 
 def _lattice_with_lambda(n: DilationVector):
@@ -264,10 +267,23 @@ def apply_delta(fld: CoefficientField, h, xi) -> CoefficientField:
 
 def _origin_twist(k_sum) -> np.ndarray:
     """(-1)^{k_sum}: the factor the grid origin -pi gives mode k."""
-    return (-1.0) ** np.asarray(k_sum)
+    return 1.0 - 2.0 * (np.asarray(k_sum) & 1)
 
 
-def slice_weight_matrix(kind: str, lam: LambdaParts, xs) -> np.ndarray:
+def _grid_phases(mu, m: int, t: range) -> np.ndarray:
+    """e^{i mu x_t} at the nodes t of x_t = -pi + 2 pi t / m, shape
+    (len(t), len(mu)): with t = t.start + q a + b, the product of the
+    np.exp tables of a and of b, about sqrt(len(t)) rows each."""
+    q = max(1, math.isqrt(len(t)))
+    coarse = -np.pi + 2.0 * np.pi * np.arange(t.start, t.stop, q) / m
+    fine = 2.0 * np.pi * np.arange(q) / m
+    e = np.exp(1j * np.multiply.outer(coarse, mu))[:, None] * \
+        np.exp(1j * np.multiply.outer(fine, mu))
+    return e.reshape(-1, len(mu))[:len(t)]
+
+
+def slice_weight_matrix(kind: str, lam: LambdaParts, xs,
+                        m: int | None = None) -> np.ndarray:
     """Closed-form x_d-slice weights of every mode k', shape (len(xs), P').
 
     With L = L_d(k') (``lam`` from :attr:`SimplexLattice.lambda_parts`) and
@@ -277,18 +293,34 @@ def slice_weight_matrix(kind: str, lam: LambdaParts, xs) -> np.ndarray:
         S           (e^{i L x} - 1) / (i x)     (limit branch near x = 0)
         Fcomposite  {L} e^{i L x}
         R           w_D - w_S + w_Fcomposite
+
+    ``xs`` holds the points x (one np.exp per phase), or given ``m`` the
+    range of nodes t of x_t = -pi + 2 pi t / m (:func:`_grid_phases`).
     """
     if kind not in ("D", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown sliced kernel {kind!r}")
-    xd = np.asarray(xs, dtype=float)[:, None]
-    if kind == "D":
-        return _geometric_sum(lam.floor + 1.0, xd)
-    e = np.exp(1j * lam.value * xd)
+    if m is None:
+        xd = np.asarray(xs, dtype=float)[:, None]
+        small, phase = np.abs(xd) < SINGULARITY_THRESHOLD, None
+    else:
+        # x_t = 0 where 2 t = m, although its float may not be 0.0
+        t = np.arange(xs.start, xs.stop)[:, None]
+        xd, small = -np.pi + 2.0 * np.pi * t / m, 2 * t == m
+        phase = partial(_grid_phases, m=m, t=xs)
+    if kind in ("D", "R"):
+        w = _geometric_sum(lam.floor + 1.0, xd, phase, small)
+        if kind == "D":
+            return w
+    e = phase(lam.value) if phase else np.exp(1j * lam.value * xd)
     if kind == "Fcomposite":
-        return lam.frac * e
-    small = np.abs(xd) < SINGULARITY_THRESHOLD
-    w_s = np.where(small, lam.value + 0.5j * lam.value**2 * xd,
-                   (e - 1.0) / (1j * np.where(small, 1.0, xd)))
+        return np.multiply(e, lam.frac, out=e)
+    if kind == "R":
+        w += lam.frac * e
+    # w_S in place of e
+    e -= 1.0
+    e /= 1j * np.where(small, 1.0, xd)
+    rows = small[:, 0]
+    e[rows] = lam.value + 0.5j * lam.value**2 * xd[rows]
     if kind == "S":
-        return w_s
-    return _geometric_sum(lam.floor + 1.0, xd) - w_s + lam.frac * e
+        return e
+    return np.subtract(w, e, out=w)

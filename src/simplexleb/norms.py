@@ -5,11 +5,11 @@ the (2 pi)^{-s} normalization is reported alongside.  Quadrature is the
 Riemann sum (2 pi / M)^s sum_t |f(x_t)| on successively doubled grids.
 
 One engine (:func:`slice_batches`) synthesizes every grid in batches of
-nodes of the last axis x_s, with one inverse FFT over the leading axes x'
-per batch.  It takes the x' modes and one of two slice-weight sources:
+nodes of the last axis x_s, each transformed over x' in one reused buffer.
+It takes the x' modes and one of two slice-weight sources:
 
 * closed forms (:func:`.kernels.slice_weight_matrix`) for the d-kernels D,
-  S, Fcomposite and R (d >= 2);
+  S, Fcomposite and R (d >= 2), with phases from two small tables a batch;
 * one inverse FFT along the last axis of a group of coefficient fields (F,
   the twisted differences of the correction functional, I_n, and D for
   d = 1); for 1-D fields that transform is the whole synthesis.
@@ -180,16 +180,18 @@ def slice_batches(points: np.ndarray, weights, M: tuple,
     min(_CHUNK_BYTES, budget_bytes) of grid values, or one slice (the
     sources check it fits): whole fields while two fit, else slices of one.
     Yields ``(fs, rs, w, v)``: v, shape (G, B) + M', the inverse FFT of w,
-    is f / prod M' (callers scale their sums).  Without x' axes v is w.
+    is f / prod M' (callers scale their sums).  Without x' axes v is w;
+    else all batches share one buffer: v is valid until the next batch.
     """
     m_prime = tuple(M[:-1])
     rest = math.prod(m_prime)
     batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
     group = max(1, batch // M[-1])
+    rows = M[-1] if rows is None else rows
     if m_prime:
         flat = np.ravel_multi_index(tuple(points.T), m_prime)
         twist = _origin_twist(points.sum(axis=1))
-    rows = M[-1] if rows is None else rows
+        buf = np.empty(min(group, fields) * min(batch, rows) * rest, complex)
     for f0 in range(0, fields, group):
         fs = slice(f0, min(f0 + group, fields))
         group_weights = weights(fs)
@@ -200,7 +202,8 @@ def slice_batches(points: np.ndarray, weights, M: tuple,
                 yield fs, rs, w, w
                 continue
             g, b = w.shape[:2]
-            v = np.zeros((g, b) + m_prime, dtype=np.complex128)
+            v = buf[:g * b * rest].reshape((g, b) + m_prime)
+            v.fill(0.0)
             v.reshape(g * b, rest)[:, flat] = w.reshape(g * b, -1) * twist
             for ax in range(2, len(M) + 1):
                 np.fft.ifft(v, axis=ax, out=v)
@@ -211,9 +214,8 @@ def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
                    budget_bytes: int = DEFAULT_BUDGET_BYTES):
     """(points, weights, hermitian) of a d-kernel on the grid M."""
     check_grid(lat.extents, M, budget_bytes, field=False)
-    xd = GridSpec(M).axis_nodes(len(M) - 1)
     return lat.points, lambda fs: lambda rs: slice_weight_matrix(
-        kernel, lat.lambda_parts, xd[rs])[None], True
+        kernel, lat.lambda_parts, range(M[-1])[rs], M[-1])[None], True
 
 
 def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
@@ -242,29 +244,29 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags):
     """sum_t |f(x_t)| and sum_t |f(x_t)|^2 over the grid for each field of
     the stack (one per tag) from the slice engine (half the slices for a
     Hermitian f), with the exact Parseval identity checked on every
-    computed x_s slice of x' with axes."""
+    computed x_s slice of x' with axes.  |v| goes to one reused buffer."""
     rest, m = math.prod(M[:-1]), M[-1]
     sum_abs, sum_sq = np.zeros((2, len(tags)))
+    buf = None
     for fs, rs, w, v in slice_batches(points, weights, M, budget_bytes,
                                       m // 2 + 1 if hermitian else m,
                                       len(tags)):
         g, b = w.shape[:2]
         w = w.reshape(g * b, -1)
-        av = np.abs(v).reshape(g * b, rest)
+        buf = np.empty(v.size) if buf is None else buf  # the largest batch
+        av = np.abs(v, out=buf[:v.size].reshape(v.shape)).reshape(g * b, rest)
         # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|
         row_power = rest * np.einsum("ij,ij->i", av, av)
         if len(M) > 1:
             _check_parseval(row_power,
                             np.einsum("ij,ij->i", w, w.conj()).real,
                             tags[fs], "x_s slice")
-        if hermitian:
-            # t = 0 and t = M_s/2 are their own partners under t -> M_s - t
-            t = np.arange(rs.start, rs.stop)
-            mult = np.where((t > 0) & (2 * t != m), 2.0, 1.0)
-            av = mult * av.sum(axis=1).reshape(g, b)
-            row_power = mult * row_power.reshape(g, b)
-        sum_abs[fs] += av.reshape(g, -1).sum(axis=1)
-        sum_sq[fs] += row_power.reshape(g, -1).sum(axis=1)
+        # Hermitian: each slice counts twice but the self-paired t = 0, M_s/2
+        own = [t - rs.start for t in {0, m // 2}
+               if hermitian and 2 * t % m == 0 and t in range(m)[rs]]
+        for total, row in ((sum_abs, av.sum(axis=1)), (sum_sq, row_power)):
+            row = row.reshape(g, b)
+            total[fs] += (1 + hermitian) * row.sum(1) - row[:, own].sum(1)
     return sum_abs * rest, sum_sq * rest
 
 

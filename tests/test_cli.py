@@ -323,6 +323,14 @@ class TestIrrationalCommand:
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows[1:])
 
+    def test_no_convergence_exits_2(self, capsys):
+        code, out, err = run(capsys, "irrational", "--alpha", "rational:1/2",
+                             "--n", "4,8", "--tol", "1e-6")
+        assert code == 2
+        assert out == ""
+        assert err == ("simplexleb: error: no convergence for "
+                       "I:rational:1/2@4 after 4 doublings\n")
+
     def test_budget_too_small_exits_1(self, capsys):
         code, out, err = run(capsys, "irrational", "--alpha", "golden",
                              "--nmax", "64", "--budget-mb", "0")

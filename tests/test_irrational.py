@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -175,6 +176,20 @@ class TestIn:
         oracle = vals.mean() * 2 * math.pi
         got = I_n(AlphaSpec.golden(), n).value
         assert got == pytest.approx(oracle, rel=1e-4)
+
+    def test_golden_norm_peak_memory(self):
+        """At n = 2^17 the ihfft output alone is 16 MiB; the norm adds its
+        padded input and one batch of |v| and row sums at a time, not five
+        batch-sized arrays (42.2 MiB of tracemalloc peak)."""
+        golden = AlphaSpec.golden()
+        w = fractional_parts(golden, 1 << 17)
+        tracemalloc.start()
+        try:
+            irrational._kernel_norm(golden, w, 1e-3, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 << 20
 
     def test_shift_by_one_invariance(self):
         a = AlphaSpec.from_rational(5, 7)

@@ -25,6 +25,7 @@ from simplexleb.kernels import (
     eval_R,
     eval_S,
     reduce_torus,
+    slice_weight_matrix,
 )
 from simplexleb.norms import _field_source, _kernel_source, slice_batches
 
@@ -32,9 +33,10 @@ from oracles import grid_eval, s_via_delta
 
 
 def engine_values(points, weights, M, budget_bytes=1 << 30):
-    """The slice engine's values of a one-field stack on the grid M."""
+    """The slice engine's values of a one-field stack on the grid M; each
+    batch is copied, since the engine reuses its buffer for the next."""
     batches = slice_batches(points, weights, M, budget_bytes=budget_bytes)
-    v = np.concatenate([v[0] for *_, v in batches])
+    v = np.concatenate([v[0].copy() for *_, v in batches])
     v = v.reshape((M[-1],) + tuple(M[:-1]))
     return np.moveaxis(v, 0, -1) * math.prod(M[:-1])
 
@@ -337,6 +339,56 @@ class TestGridEvalSliced:
         fld = CoefficientField(weights=np.ones((3, 9), dtype=complex))
         with pytest.raises(ValueError, match="below box extent 9"):
             _field_source(fld.weights[None], (4, 8), 1 << 30)
+
+
+class TestGridSliceWeights:
+    """Slice weights at a batch of grid nodes t, whose phases come from
+    tables, against np.exp at the same nodes x_t = -pi + 2 pi t / M_s."""
+
+    LAM = build_lattice(DilationVector((3.7, 9.5, 23.0)), 2).lambda_parts
+
+    @staticmethod
+    def batches(m):
+        """From 0; across M_s/2; up to [M_s/2], from 0 and from below."""
+        half = m // 2
+        return [range(0, 5), range(half - 3, half + 4), range(0, half + 1),
+                range(half - 4, half + 1)]
+
+    def pointwise(self, kind, t, m):
+        nodes = GridSpec((m,)).axis_nodes(0)[t.start:t.stop]
+        return slice_weight_matrix(kind, self.LAM, nodes)
+
+    @pytest.mark.parametrize("m", [45, 16, 1540])
+    @pytest.mark.parametrize("kind", ["D", "S", "Fcomposite"])
+    def test_tables_match_exp(self, kind, m):
+        for t in self.batches(m):
+            want = self.pointwise(kind, t, m)
+            got = slice_weight_matrix(kind, self.LAM, t, m)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [45, 16, 1540])
+    def test_r_tables_within_its_parts_bound(self, m):
+        """w_R = w_D - w_S + w_Fcomposite cancels near x = 0, so its error
+        is bounded absolutely: by 1e-12 times the sum of its parts' largest
+        weights, the bound each part meets above."""
+        for t in self.batches(m):
+            bound = 1e-12 * sum(np.abs(self.pointwise(k, t, m)).max()
+                                for k in ("D", "S", "Fcomposite"))
+            got = slice_weight_matrix("R", self.LAM, t, m)
+            assert np.abs(got - self.pointwise("R", t, m)).max() <= bound
+
+    def test_zero_node_found_by_index(self):
+        """x_770 of M_s = 1540 is 0 but its float is not: the tables find
+        it as 2 t = M_s and give D and S their limits [L] + 1 and L."""
+        assert GridSpec((1540,)).axis_nodes(0)[770] != 0.0
+        t = range(770, 771)
+        np.testing.assert_allclose(
+            slice_weight_matrix("D", self.LAM, t, 1540)[0],
+            self.LAM.floor + 1.0, rtol=1e-12)
+        np.testing.assert_allclose(
+            slice_weight_matrix("S", self.LAM, t, 1540)[0], self.LAM.value,
+            rtol=1e-12)
 
 
 def test_first_axes_periodicity_of_sliced_kernels():
