@@ -13,7 +13,6 @@ from .core import (
     indicator_coefficients,
 )
 from .kernels import (
-    GridSpec,
     apply_delta,
     eval_D,
     eval_F,

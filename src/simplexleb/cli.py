@@ -107,8 +107,6 @@ def _parse_ntuple(text: str) -> DilationVector:
         entries = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"malformed n-tuple {text!r}") from None
-    if not entries or any(v <= 0 for v in entries):
-        raise ValueError(f"n entries must be positive: {text!r}")
     return DilationVector(entries)
 
 

@@ -155,10 +155,6 @@ class SimplexLattice:
     s: int
     points: np.ndarray = field(repr=False)
 
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
     @cached_property
     def extents(self) -> tuple:
         """Per-axis box extents (max k_j) + 1."""

@@ -25,8 +25,13 @@ from fractions import Fraction
 import numpy as np
 
 from .core import DEFAULT_BUDGET_BYTES, CoefficientField
-from .kernels import GridSpec
-from .norms import NormResult, check_grid, l1_norm_field
+from .norms import (
+    DEFAULT_RHO,
+    DEFAULT_TOL,
+    NormResult,
+    first_grid,
+    l1_norm_field,
+)
 
 __all__ = [
     "AlphaSpec",
@@ -184,8 +189,8 @@ def fractional_parts(alpha: AlphaSpec, n: int) -> np.ndarray:
     return np.array([(f & mask) / scale for f in floors], dtype=float)
 
 
-def I_n(alpha: AlphaSpec, n: int, tol: float = 1e-3,
-        rho: float = 4.0) -> NormResult:
+def I_n(alpha: AlphaSpec, n: int, tol: float = DEFAULT_TOL,
+        rho: float = DEFAULT_RHO) -> NormResult:
     """Plain L1 norm of the 1-D kernel with weights {alpha k}, k = 0..n."""
     return _kernel_norm(alpha, fractional_parts(alpha, n), tol, rho)
 
@@ -208,8 +213,8 @@ class RatioRecord:
     is_convergent_denominator: bool = False
 
 
-def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
-                rho: float = 4.0, min_n: int = 16,
+def study_ratio(alpha: AlphaSpec, n_grid, tol: float = DEFAULT_TOL,
+                rho: float = DEFAULT_RHO, min_n: int = 16,
                 budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """Per-n normalized values with running min/max finite-n estimators.
 
@@ -224,8 +229,7 @@ def study_ratio(alpha: AlphaSpec, n_grid, tol: float = 1e-3,
         raise ValueError("n grid must be increasing")
     if any(v < min_n for v in n_grid):
         raise ValueError(f"grid entries must be >= {min_n}")
-    K = (max(n_grid) + 1,)
-    check_grid(K, GridSpec.for_extents(K, rho).M, budget_bytes)
+    first_grid((max(n_grid) + 1,), rho, tol, budget_bytes)
     qset = _convergent_denominators(alpha, max(n_grid))
     w = fractional_parts(alpha, max(n_grid))
     out = []

@@ -52,16 +52,13 @@ Summing over nu > nu_max with sum 1/nu^2 <= 1/nu_max gives
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
 from .core import CoefficientField, DilationVector, LambdaParts, build_lattice
 
 __all__ = [
-    "GridSpec",
     "reduce_torus",
     "eval_D",
     "eval_F",
@@ -88,59 +85,6 @@ def reduce_torus(x) -> np.ndarray:
     """Reduce coordinates mod 2 pi into (-pi, pi]."""
     x = np.asarray(x, dtype=float)
     return np.pi - (np.pi - x) % (2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform torus grid with nodes x_t = -pi + 2 pi t / M_j per axis."""
-
-    M: tuple
-
-    def __post_init__(self):
-        M = tuple(int(m) for m in self.M)
-        if any(m < 1 for m in M):
-            raise ValueError("grid sizes must be positive")
-        object.__setattr__(self, "M", M)
-
-    @classmethod
-    def for_extents(cls, K: tuple, rho: float = 4.0) -> "GridSpec":
-        """Transform-friendly grid with M_j >= rho * K_j for the box K."""
-        return cls(tuple(_fast_len(int(math.ceil(rho * e))) for e in K))
-
-    @property
-    def s(self) -> int:
-        return len(self.M)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.M)
-
-    def axis_nodes(self, j: int) -> np.ndarray:
-        m = self.M[j]
-        return -np.pi + 2.0 * np.pi * np.arange(m) / m
-
-    def doubled(self) -> "GridSpec":
-        return GridSpec(tuple(2 * m for m in self.M))
-
-
-def _fast_len(n: int) -> int:
-    """The least 11-smooth integer >= n (scipy.fft.next_fast_len)."""
-    lengths = _smooth_lengths(1 << max(n - 1, 0).bit_length())
-    return lengths[bisect_left(lengths, n)]
-
-
-@cache
-def _smooth_lengths(top: int) -> list:
-    """The sorted 11-smooth integers <= top: lengths numpy's FFT does fast."""
-    lengths = [1]
-    for p in (2, 3, 5, 7, 11):
-        more = []
-        for m in lengths:
-            while m <= top:
-                more.append(m)
-                m *= p
-        lengths = more
-    return sorted(lengths)
 
 
 def _geometric_sum(m, t, phase=None, zero=None):

@@ -1,8 +1,13 @@
 """Refinement-controlled L1 quadrature of the simplex kernels.
 
 All theorem-facing values are PLAIN torus integrals ||f||_(s) = int_{T^s} |f|;
-the (2 pi)^{-s} normalization is reported alongside.  Quadrature is the
-Riemann sum (2 pi / M)^s sum_t |f(x_t)| on successively doubled grids.
+the CLI reports the (2 pi)^{-s} normalization alongside.  Quadrature is the
+Riemann sum (2 pi / M)^s sum_t |f(x_t)| on successively doubled grids.  This
+module owns that refinement: :func:`first_grid` gives the first grid of the
+modes' box K, the least 11-smooth M_j >= rho K_j, after refusing a tol or
+rho that is not finite and positive and a grid over the memory budget;
+:func:`_refine` doubles it at most MAX_DOUBLINGS times, until the relative
+change of the sum is at most tol.
 
 One engine (:func:`slice_batches`) synthesizes every grid in batches of
 nodes of the last axis x_s, each transformed over x' in one reused buffer.
@@ -40,8 +45,10 @@ D, whose right-hand side is the lattice point count P.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -60,7 +67,6 @@ from .core import (
 from .kernels import (
     _CHUNK_BYTES,
     DEFAULT_NU_MAX,
-    GridSpec,
     _origin_twist,
     _r_series,
     reduce_torus,
@@ -74,6 +80,7 @@ __all__ = [
     "IdentityReport",
     "l1_norm",
     "l1_norm_field",
+    "first_grid",
     "check_grid",
     "verify_identity",
     "identity_residuals",
@@ -83,7 +90,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-3
 DEFAULT_RHO = 4.0
-DEFAULT_MAX_DOUBLINGS = 4
+MAX_DOUBLINGS = 4
 PARSEVAL_RTOL = 1e-8
 # N x P' arrays identity_residuals holds at once (tracemalloc: 5.0-5.1)
 _IDENTITY_ARRAYS = 6
@@ -122,11 +129,6 @@ class NormResult:
     parseval: float | None = None
     tag: str = ""
 
-    @property
-    def normalized(self) -> float:
-        """(2 pi)^{-s} times the plain integral."""
-        return self.value / (2.0 * np.pi) ** self.s
-
 
 @dataclass(frozen=True)
 class FrakFValue:
@@ -153,12 +155,54 @@ class IdentityReport:
 
 # ----------------------------------------------------------------- synthesis
 
+def first_grid(K: tuple, rho: float, tol: float, budget_bytes: int,
+               field: bool = True) -> tuple:
+    """The first grid of the modes' box K: M_j is the least 11-smooth
+    length >= rho K_j.  Refuses a tol or rho that is not finite and
+    positive, and a grid check_grid refuses, whose budget it checks on
+    ceil(rho K) before any length is sought."""
+    for name, v in (("tol", tol), ("rho", rho)):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+    if not K:  # a 0-dimensional field is its one value
+        return ()
+    # M >= ceil(rho K): its bytes are checked first (K clipped to it, so
+    # the extents wait for M), capped just past the budget, so a capped axis
+    # is refused, with a lower bound as its figure, before _fast_len runs
+    cap = max(budget_bytes, 0) + 1
+    low = tuple(math.ceil(min(rho * e, cap)) for e in K)
+    check_grid(tuple(map(min, K, low)), low, budget_bytes, field)
+    M = tuple(_fast_len(math.ceil(rho * e)) for e in K)
+    check_grid(K, M, budget_bytes, field)
+    return M
+
+
+def _fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n (scipy.fft.next_fast_len)."""
+    lengths = _smooth_lengths(1 << max(n - 1, 0).bit_length())
+    return lengths[bisect_left(lengths, n)]
+
+
+@cache
+def _smooth_lengths(top: int) -> list:
+    """The sorted 11-smooth integers <= top: lengths numpy's FFT does fast."""
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        more = []
+        for m in lengths:
+            while m <= top:
+                more.append(m)
+                m *= p
+        lengths = more
+    return sorted(lengths)
+
+
 def check_grid(K: tuple, M: tuple, budget_bytes: int, field: bool = True):
     """Refuse the grid M for the modes of the box K: M must hold K on every
     axis of a coefficient field and on the x' axes of a d-kernel, and one
     x_s slice (prod M' complex values) and a field's slice weights
     (prod K' * M_s) must fit.  The sources check every level's grid, and
-    callers the first one from n alone, before anything is built."""
+    first_grid the first one from n alone, before anything is built."""
     for m, e in zip(M if field else M[:-1], K):
         if m < e:
             raise ValueError(f"grid size {m} below box extent {e}")
@@ -284,62 +328,56 @@ def _check_parseval(power, coef_sq, tags, where="grid"):
 
 # -------------------------------------------------------------- field norms
 
-def _refine(abs_sums, grid0: GridSpec, power, tol: float,
-            max_doublings: int, tags) -> list:
+def _refine(abs_sums, M0: tuple, power, tol: float, tags) -> list:
     """One NormResult per tag: a field's Riemann sum from ``abs_sums(M,
-    live)`` (the fields ``live``, an index array) on grids doubled from
-    grid0 until its relative change is at most tol, where it leaves; its
-    grid power is checked against its sum |c|^2 in ``power`` if given."""
+    live)`` (the fields ``live``, an index array) on grids doubled from M0,
+    at most MAX_DOUBLINGS times, until its relative change is at most tol,
+    where it leaves; its grid power is checked against its sum |c|^2 in
+    ``power`` if given."""
     histories, done = [[] for _ in tags], [None] * len(tags)
     live = np.arange(len(tags))
-    prev, grid = None, grid0
-    for _ in range(max_doublings + 1):
-        sum_abs, sum_sq = abs_sums(grid.M, live)
+    prev, M = None, M0
+    for _ in range(MAX_DOUBLINGS + 1):
+        size = math.prod(M)
+        sum_abs, sum_sq = abs_sums(M, live)
         if power is not None:
-            _check_parseval(sum_sq / grid.size, power[live],
+            _check_parseval(sum_sq / size, power[live],
                             [tags[i] for i in live])
-        v = (2.0 * np.pi) ** grid.s * sum_abs / grid.size
+        v = (2.0 * np.pi) ** len(M) * sum_abs / size
         for i, vi in zip(live, v.tolist()):
-            histories[i].append((grid.M, vi))
+            histories[i].append((M, vi))
         if prev is not None:
             delta = np.abs(v - prev)
             conv = delta <= tol * np.maximum(np.abs(v), 1e-9)
             for i, d in zip(live[conv], delta[conv].tolist()):
                 done[i] = NormResult(
-                    histories[i][-1][1], grid.s, grid.M, tuple(histories[i]),
+                    histories[i][-1][1], len(M), M, tuple(histories[i]),
                     d, None if power is None else float(power[i]), tags[i])
             live, v = live[~conv], v[~conv]
             if not len(live):
                 return done
         prev = v
-        grid = grid.doubled()
+        M = tuple(2 * m for m in M)
     raise NormConvergenceError(
-        f"no convergence for {tags[live[0]]} after {max_doublings} "
+        f"no convergence for {tags[live[0]]} after {MAX_DOUBLINGS} "
         "doublings", tuple(histories[live[0]]))
-
-
-def _check_tol(tol):
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
                   rho: float = DEFAULT_RHO,
-                  max_doublings: int = DEFAULT_MAX_DOUBLINGS,
                   budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """Plain L1 norm of a coefficient field: a stack of one field."""
     return _field_norms(fld.weights[None], [fld.tag], tol, rho,
-                        max_doublings, budget_bytes)[0]
+                        budget_bytes)[0]
 
 
 def _field_norms(weights: np.ndarray, tags, tol: float = DEFAULT_TOL,
                  rho: float = DEFAULT_RHO,
-                 max_doublings: int = DEFAULT_MAX_DOUBLINGS,
                  budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """Plain L1 norms of the stack ``weights`` (H,) + K of coefficient
     fields, one NormResult per tag: each refined and checked as if alone."""
-    _check_tol(tol)
-    if weights.ndim == 1:
+    M0 = first_grid(weights.shape[1:], rho, tol, budget_bytes)
+    if not M0:
         return [NormResult(value=v, s=0, grid=None, history=((None, v),),
                            error_estimate=0.0, parseval=v * v, tag=tag)
                 for v, tag in zip(map(abs, weights.tolist()), tags)]
@@ -349,32 +387,27 @@ def _field_norms(weights: np.ndarray, tags, tol: float = DEFAULT_TOL,
             *_field_source(weights[live] if len(live) < len(weights)
                            else weights, M, budget_bytes),
             M, budget_bytes, [tags[i] for i in live]),
-        GridSpec.for_extents(weights.shape[1:], rho),
-        np.array([np.vdot(c, c).real for c in weights]), tol, max_doublings,
-        tags)
+        M0, np.array([np.vdot(c, c).real for c in weights]), tol, tags)
 
 
 def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
             rho: float = DEFAULT_RHO,
-            max_doublings: int = DEFAULT_MAX_DOUBLINGS,
             budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
-    """Plain and normalized L1 norm of D, F, S, Fcomposite or R.
+    """Plain L1 norm of D, F, S, Fcomposite or R.
 
-    Norm values are memoized per (kernel, n, rho, tol, max_doublings,
-    budget_bytes), with n's entries exact: the correction functional and
-    the sweeps re-request identical F norms heavily.
+    Norm values are memoized per (kernel, n, rho, tol, budget_bytes), with
+    n's entries exact: the correction functional and the sweeps re-request
+    identical F norms heavily.
     """
     if kernel not in ("D", "F", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    _check_tol(tol)
-    key = (kernel, n.entries, rho, tol, max_doublings, budget_bytes)
+    key = (kernel, n.entries, rho, tol, budget_bytes)
     if key not in _norm_cache:
-        _norm_cache[key] = _l1_norm_impl(kernel, n, tol, rho, max_doublings,
-                                         budget_bytes)
+        _norm_cache[key] = _l1_norm_impl(kernel, n, tol, rho, budget_bytes)
     return _norm_cache[key]
 
 
-def _l1_norm_impl(kernel, n, tol, rho, max_doublings, budget_bytes):
+def _l1_norm_impl(kernel, n, tol, rho, budget_bytes):
     tag = f"{kernel}:{n.entries}"
     field = kernel == "F" or (kernel == "D" and n.d == 1)
     if not field and n.d < 2:
@@ -383,14 +416,12 @@ def _l1_norm_impl(kernel, n, tol, rho, max_doublings, budget_bytes):
     # F lives on the first d - 1 axes (for d = 1 it is a constant)
     s = n.d - 1 if kernel == "F" else n.d
     K = tuple(int(v) + 1 for v in n.entries[:s])
-    grid0 = GridSpec.for_extents(K, rho)
-    if s:
-        check_grid(K, grid0.M, budget_bytes, field)
+    M0 = first_grid(K, rho, tol, budget_bytes, field)
     if field:
         fld = fractional_coefficients(n, budget_bytes) if kernel == "F" \
             else indicator_coefficients(build_lattice(n, 1, budget_bytes))
         return _field_norms(fld.weights[None], [tag], tol, rho,
-                            max_doublings, budget_bytes)[0]
+                            budget_bytes)[0]
     lat = build_lattice(n, n.d - 1, budget_bytes)
     # D's grid power is the lattice count P = sum_k' ([L_d(k')] + 1)
     power = np.array([float((lat.lambda_parts.floor + 1).sum())]) \
@@ -399,10 +430,22 @@ def _l1_norm_impl(kernel, n, tol, rho, max_doublings, budget_bytes):
         lambda M, live: _slice_abs_sums(
             *_kernel_source(kernel, lat, M, budget_bytes), M, budget_bytes,
             [tag]),
-        grid0, power, tol, max_doublings, [tag])[0]
+        M0, power, tol, [tag])[0]
 
 
 # --------------------------------------------------------- exact identity
+
+def _check_identity_budget(n: DilationVector, num_points: int,
+                           budget_bytes: int, modes=None):
+    """Refuse d < 2, and identity_residuals' _IDENTITY_ARRAYS arrays of
+    N x P' complex values over budget; until the lattice is built, P' is
+    bounded from below by the simplex volume of n'."""
+    if n.d < 2:
+        raise ValueError("the decomposition requires d >= 2")
+    modes = simplex_volume(n.entries[:-1]) if modes is None else modes
+    check_budget(_IDENTITY_ARRAYS * 16 * num_points * modes, budget_bytes,
+                 "phases with weights")
+
 
 def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int,
                        budget_bytes: int = DEFAULT_BUDGET_BYTES):
@@ -415,15 +458,10 @@ def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int,
     ``budget_bytes``: with P' bounded from below before the lattice is
     built, and with the actual P' after.
     """
-    if n.d < 2:
-        raise ValueError("the decomposition requires d >= 2")
     pts = reduce_torus(np.asarray(points, dtype=float))
-    per_mode = _IDENTITY_ARRAYS * 16 * len(pts)
-    check_budget(per_mode * simplex_volume(n.entries[:-1]), budget_bytes,
-                 "phases with weights")
+    _check_identity_budget(n, len(pts), budget_bytes)
     lat = build_lattice(n, n.d - 1, budget_bytes)
-    check_budget(per_mode * len(lat.points), budget_bytes,
-                 "phases with weights")
+    _check_identity_budget(n, len(pts), budget_bytes, len(lat.points))
     parts = lat.lambda_parts
     xd = pts[:, -1]
     ph = np.exp(1j * (pts[:, :-1] @ lat.points.T))   # (N, L)
@@ -447,6 +485,8 @@ def verify_identity(n: DilationVector, num_points: int = 100,
     if nu_max < 1 or (points is None and num_points < 1):
         raise ValueError("verify needs nu_max >= 1 and num_points >= 1")
     if points is None:
+        # refused from n and N alone, before the N points are drawn
+        _check_identity_budget(n, num_points, budget_bytes)
         rng = np.random.default_rng(seed)
         points = rng.uniform(-np.pi, np.pi, size=(num_points, n.d))
     residuals, tails, p_full = identity_residuals(n, points, nu_max,

@@ -1,56 +1,59 @@
 """Independent oracles the tests compare the program against.
 
 grid_eval is the dense synthesis of a coefficient field on every node of a
-grid at once, the reference for the norm engine's slice-by-slice synthesis;
+grid at once, the reference for the norm engine's slice-by-slice synthesis,
+and axis_nodes the nodes of one grid axis;
 s_via_delta is the second closed form of the kernel S, through the twisted
 difference of the (d-1)-dimensional kernel; double_integral_ld2 is the
 shifted-kernel double integral of the 1-D D, which acceptance criterion 7
 compares with 4 pi ||D_n||.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
 
-from simplexleb.core import CoefficientField, DilationVector, build_lattice
-from simplexleb.kernels import (
-    GridSpec,
-    _geometric_sum,
-    _origin_twist,
-    reduce_torus,
+from simplexleb.core import (
+    DEFAULT_BUDGET_BYTES,
+    CoefficientField,
+    DilationVector,
+    build_lattice,
 )
-from simplexleb.norms import (
-    DEFAULT_MAX_DOUBLINGS,
-    DEFAULT_RHO,
-    DEFAULT_TOL,
-    _refine,
-)
+from simplexleb.kernels import _geometric_sum, _origin_twist, reduce_torus
+from simplexleb.norms import DEFAULT_RHO, DEFAULT_TOL, _refine, first_grid
+
+
+def axis_nodes(m: int) -> np.ndarray:
+    """The nodes x_t = -pi + 2 pi t / m, t = 0..m-1, of a grid axis."""
+    return -np.pi + 2.0 * np.pi * np.arange(m) / m
 
 
 @dataclass(frozen=True)
 class GridField:
-    """Kernel values sampled on a GridSpec, with provenance."""
+    """Kernel values sampled on the grid M, with provenance."""
 
-    grid: GridSpec
+    M: tuple
     values: np.ndarray = field(repr=False)
     tag: str = ""
 
 
-def grid_eval(fld: CoefficientField, grid: GridSpec) -> GridField:
-    """Exact synthesis on every grid node: one inverse FFT over all axes of
-    the zero-padded, origin-twisted coefficients, scaled by prod M_j."""
-    if grid.s != fld.s:
+def grid_eval(fld: CoefficientField, M: tuple) -> GridField:
+    """Exact synthesis on every node of the grid M: one inverse FFT over all
+    axes of the zero-padded, origin-twisted coefficients, scaled by
+    prod M_j."""
+    if len(M) != fld.s:
         raise ValueError("grid and field dimensions differ")
-    for m, e in zip(grid.M, fld.extents):
+    for m, e in zip(M, fld.extents):
         if m < e:
             raise ValueError(f"grid size {m} below box extent {e}")
-    padded = np.zeros(grid.M, dtype=np.complex128)
+    padded = np.zeros(M, dtype=np.complex128)
     box = tuple(slice(0, e) for e in fld.extents)
     padded[box] = fld.weights * _origin_twist(sum(np.ogrid[box]))
     vals = scipy.fft.ifftn(padded, overwrite_x=True)
-    vals *= grid.size
-    return GridField(grid=grid, values=vals, tag=f"grid|{fld.tag}")
+    vals *= math.prod(M)
+    return GridField(M=M, values=vals, tag=f"grid|{fld.tag}")
 
 
 def s_via_delta(n: DilationVector, x) -> complex:
@@ -67,8 +70,8 @@ def s_via_delta(n: DilationVector, x) -> complex:
 
 
 def double_integral_ld2(n: float, alpha: float, beta: float,
-                        tol: float = DEFAULT_TOL, rho: float = DEFAULT_RHO,
-                        max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> float:
+                        tol: float = DEFAULT_TOL,
+                        rho: float = DEFAULT_RHO) -> float:
     """Tensor-grid quadrature of int int |e^{i(a y + b)} D_n(x - y) - D_n(x)|.
 
     On the uniform grid both x_t - y_u and x_t live on the same circulant set
@@ -81,7 +84,7 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
     def abs_sums(M, live):
         m = M[0]
         circ = _geometric_sum(m_modes, 2.0 * np.pi * np.arange(m) / m)
-        nodes = GridSpec(M).axis_nodes(0)
+        nodes = axis_nodes(m)
         dx = _geometric_sum(m_modes, nodes)
         total = 0.0
         for u in range(m):
@@ -90,5 +93,5 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
         return np.array([total]), None
 
     # the Riemann sum over the m x m grid of (x, y)
-    return _refine(abs_sums, GridSpec.for_extents((m_modes,) * 2, rho), None,
-                   tol, max_doublings, [f"ld2:{n}"])[0].value
+    M0 = first_grid((m_modes,) * 2, rho, tol, DEFAULT_BUDGET_BYTES)
+    return _refine(abs_sums, M0, None, tol, [f"ld2:{n}"])[0].value

@@ -16,7 +16,7 @@ import numpy as np
 import simplexleb as sl
 from simplexleb.core import DilationVector
 
-from oracles import double_integral_ld2, grid_eval
+from oracles import axis_nodes, double_integral_ld2, grid_eval
 
 
 def report(num, label, passed, detail):
@@ -55,7 +55,7 @@ def test_02_parseval_exactness():
     for entries in [(2.0, 3.0), (7.3, 19.6), (5.0, 9.5, 23.0)]:
         n = DilationVector(entries)
         res = sl.l1_norm("D", n)
-        p = sl.build_lattice(n).count
+        p = len(sl.build_lattice(n).points)
         checks.append(abs(res.parseval - p) <= 1e-8 * p)
     ok = all(checks)
     report(2, "discrete power identity", ok, f"{len(checks)} kernels checked")
@@ -220,12 +220,12 @@ def test_10_oracle_equivalence():
     for entries in [(2.0, 3.0), (3.7, 9.5), (5.0,)]:
         n = DilationVector(entries)
         fld = sl.indicator_coefficients(sl.build_lattice(n))
-        grid = sl.GridSpec(tuple(4 * e for e in fld.extents))
-        gf = grid_eval(fld, grid)
-        p = sl.build_lattice(n).count
-        idx = tuple(rng.integers(0, m, 20) for m in grid.M)
+        M = tuple(4 * e for e in fld.extents)
+        gf = grid_eval(fld, M)
+        p = len(sl.build_lattice(n).points)
+        idx = tuple(rng.integers(0, m, 20) for m in M)
         for t in zip(*idx):
-            x = [grid.axis_nodes(j)[tj] for j, tj in enumerate(t)]
+            x = [axis_nodes(m)[tj] for m, tj in zip(M, t)]
             direct = sl.eval_D(n, x)
             grid_ok &= abs(gf.values[t] - direct) <= 1e-9 * p
 
@@ -236,8 +236,9 @@ def test_10_oracle_equivalence():
     cf = sl.cf_expand(sl.AlphaSpec.from_rational(415, 93))
     cf_ok = cf.quotients == (4, 2, 6, 7)
 
-    counts_ok = (sl.build_lattice(DilationVector((2, 2))).count == 6 and
-                 sl.build_lattice(DilationVector((3, 3))).count == 10)
+    counts_ok = (len(sl.build_lattice(DilationVector((2, 2))).points) == 6
+                 and len(sl.build_lattice(DilationVector((3, 3))).points)
+                 == 10)
     elapsed = time.perf_counter() - t0
     ok = grid_ok and i4_ok and cf_ok and counts_ok and elapsed <= 30.0
     report(10, "oracle equivalence", ok,

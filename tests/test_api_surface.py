@@ -1,4 +1,5 @@
-"""The package exports no name that only the tests reach."""
+"""The package exports no name, and its classes have no public method or
+property, that only the tests reach."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,9 @@ PACKAGE = Path(simplexleb.__file__).parent
 # pointwise eval_*; these move to the tests once the package reports its
 # own trace spans and the tracer no longer wraps them by name.
 TEST_ONLY = {"I_n", "eval_D", "eval_F", "eval_S", "eval_R"}
+
+# argparse calls ArgumentParser.error itself; the override makes it raise
+CALLED_FROM_OUTSIDE = {("_Parser", "error")}
 
 
 def _referenced(tree: ast.AST) -> set:
@@ -35,3 +39,16 @@ def test_every_export_is_reached_from_the_package():
         if path.name != "__init__.py":
             referenced |= _referenced(ast.parse(path.read_text()))
     assert exported - referenced == TEST_ONLY
+
+
+def test_every_public_method_is_reached_from_the_package():
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    # a method or property is used through an attribute, as in x.name
+    used = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unused = {(cls.name, fn.name) for tree in trees
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not fn.name.startswith("_") and fn.name not in used}
+    assert unused == CALLED_FROM_OUTSIDE

@@ -48,7 +48,8 @@ class TestNormCommand:
         doc = json.loads(out)
         want = l1_norm("D", DilationVector((2, 3)), tol=1e-4)
         assert doc["value"] == pytest.approx(want.value, rel=1e-12)
-        assert doc["normalized"] == pytest.approx(want.normalized, rel=1e-12)
+        assert doc["normalized"] == pytest.approx(
+            want.value / (2 * math.pi) ** want.s, rel=1e-12)
 
     def test_zero_kernel(self, capsys):
         code, out, _ = run(capsys, "norm", "--kernel", "F", "--n", "2,4")
@@ -132,6 +133,33 @@ class TestNormCommand:
         assert doc["config"]["n"] == "2,3"
         assert doc["conventions"]["normalization"] == "plain"
         assert doc["conventions"]["zero_dim_norm"] == "modulus"
+
+
+RHO_COMMANDS = {
+    "norm": ["norm", "--kernel", "D", "--n", "5,7"],
+    "sweep": ["sweep", "--n1", "list(5)", "--n2", "list(7)"],
+    "irrational": ["irrational", "--alpha", "golden", "--nmax", "64"],
+}
+
+
+@pytest.mark.parametrize("rho", ["inf", "nan", "0", "-1", "1e300"])
+@pytest.mark.parametrize("command", list(RHO_COMMANDS))
+def test_bad_rho_exits_1(capsys, monkeypatch, command, rho):
+    # a huge rho must be refused by the budget before any FFT length is
+    # sought: a search that large would not finish, so fail instead of hang
+    search = simplexleb.norms._smooth_lengths
+
+    def bounded(top):
+        assert top <= 1 << 40, "FFT lengths sought before the budget check"
+        return search(top)
+
+    monkeypatch.setattr(simplexleb.norms, "_smooth_lengths", bounded)
+    clear_norm_cache()
+    code, out, err = run(capsys, *RHO_COMMANDS[command], "--rho", rho)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("simplexleb: error: ")
+    assert len(err.splitlines()) == 1, err
 
 
 class TestVerifyCommand:

@@ -17,8 +17,6 @@ from simplexleb.core import (
     indicator_coefficients,
 )
 from simplexleb.kernels import (
-    GridSpec,
-    _fast_len,
     apply_delta,
     eval_D,
     eval_F,
@@ -27,9 +25,18 @@ from simplexleb.kernels import (
     reduce_torus,
     slice_weight_matrix,
 )
-from simplexleb.norms import _field_source, _kernel_source, slice_batches
+from simplexleb.norms import (
+    MAX_DOUBLINGS,
+    NormConvergenceError,
+    _fast_len,
+    _field_source,
+    _kernel_source,
+    first_grid,
+    l1_norm,
+    slice_batches,
+)
 
-from oracles import grid_eval, s_via_delta
+from oracles import axis_nodes, grid_eval, s_via_delta
 
 
 def engine_values(points, weights, M, budget_bytes=1 << 30):
@@ -222,18 +229,25 @@ class TestApplyDelta:
 
 
 class TestGridSpec:
+    """The grids of the norms: the first grid, its nodes and its doublings."""
+
     def test_oversampling_floor(self):
-        grid = GridSpec.for_extents((6, 10), rho=4.0)
-        for m, e in zip(grid.M, (6, 10)):
+        M = first_grid((6, 10), 4.0, 1e-3, 1 << 30)
+        for m, e in zip(M, (6, 10)):
             assert m >= 4 * e
 
     def test_axis_nodes(self):
-        grid = GridSpec((4,))
-        np.testing.assert_allclose(grid.axis_nodes(0),
+        np.testing.assert_allclose(axis_nodes(4),
                                    [-math.pi, -math.pi / 2, 0, math.pi / 2])
 
     def test_doubled(self):
-        assert GridSpec((10, 12)).doubled().M == (20, 24)
+        n = DilationVector((7.3, 19.6))
+        with pytest.raises(NormConvergenceError) as exc:
+            l1_norm("D", n, tol=1e-16)
+        grids = [M for M, _ in exc.value.history]
+        assert grids[0] == first_grid((8, 20), 4.0, 1e-16, 1 << 30, False)
+        assert grids == [tuple(m << j for m in grids[0])
+                         for j in range(MAX_DOUBLINGS + 1)]
 
     def test_fast_len_is_scipys_next_fast_len(self):
         ns = range(1, (1 << 20) + 1)
@@ -245,32 +259,31 @@ class TestGridEval:
     def test_matches_pointwise_everywhere(self):
         n = DilationVector((2, 2))
         fld = indicator_coefficients(build_lattice(n))
-        grid = GridSpec((16, 16))
-        gf = grid_eval(fld, grid)
+        gf = grid_eval(fld, (16, 16))
+        nodes = axis_nodes(16)
         for t0 in range(16):
             for t1 in range(16):
-                x = [grid.axis_nodes(0)[t0], grid.axis_nodes(1)[t1]]
+                x = [nodes[t0], nodes[t1]]
                 assert gf.values[t0, t1] == pytest.approx(eval_D(n, x),
                                                           abs=1e-10)
 
     def test_constant_field_all_ones(self):
         fld = CoefficientField(weights=np.array([1.0 + 0j, 0.0]))
-        gf = grid_eval(fld, GridSpec((8,)))
+        gf = grid_eval(fld, (8,))
         np.testing.assert_allclose(gf.values, np.ones(8), atol=1e-12)
 
     def test_parseval_exact(self):
         n = DilationVector((3.7, 5.0))
         fld = indicator_coefficients(build_lattice(n))
-        grid = GridSpec((32, 32))
-        gf = grid_eval(fld, grid)
-        discrete = np.sum(np.abs(gf.values) ** 2) / grid.size
+        gf = grid_eval(fld, (32, 32))
+        discrete = np.sum(np.abs(gf.values) ** 2) / 32**2
         exact = np.sum(np.abs(fld.weights) ** 2)
         assert discrete == pytest.approx(exact, rel=1e-10)
 
     def test_rejects_undersized_grid(self):
         fld = indicator_coefficients(build_lattice(DilationVector((9.0,))))
         with pytest.raises(ValueError):
-            grid_eval(fld, GridSpec((8,)))
+            grid_eval(fld, (8,))
 
 
 class TestGridEvalSliced:
@@ -282,11 +295,10 @@ class TestGridEvalSliced:
 
     def test_s_row_at_zero_matches_limit(self):
         n = DilationVector((2, 3))
-        grid = GridSpec((16, 16))
-        vals = engine_grid("S", n, grid.M)
+        vals = engine_grid("S", n, (16, 16))
         t0 = 8  # node x_d = 0
-        assert grid.axis_nodes(1)[t0] == 0.0
-        for t, x1 in enumerate(grid.axis_nodes(0)):
+        assert axis_nodes(16)[t0] == 0.0
+        for t, x1 in enumerate(axis_nodes(16)):
             want = eval_S(n, [x1, 0.0])
             assert vals[t, t0] == pytest.approx(want, abs=1e-10)
 
@@ -294,12 +306,11 @@ class TestGridEvalSliced:
         """The closed-form R weights equal eval_R's nu-series at every node,
         within its truncation tail."""
         n = DilationVector((2.0, 3.5))
-        grid = GridSpec((12, 12))
         nu_max = 2**10
-        vals = engine_grid("R", n, grid.M)
-        slack = 1e-9 * build_lattice(n).count
-        for t0, x0 in enumerate(grid.axis_nodes(0)):
-            for t1, x1 in enumerate(grid.axis_nodes(1)):
+        vals = engine_grid("R", n, (12, 12))
+        slack = 1e-9 * len(build_lattice(n).points)
+        for t0, x0 in enumerate(axis_nodes(12)):
+            for t1, x1 in enumerate(axis_nodes(12)):
                 if x1 > -math.pi:
                     want, tail = eval_R(n, [x0, x1], nu_max=nu_max)
                 else:
@@ -313,7 +324,7 @@ class TestGridEvalSliced:
         for entries, M in [((3.7, 9.5), (24, 48)), ((2.0, 3.5, 7.0), (12, 20, 32))]:
             n = DilationVector(entries)
             dense = grid_eval(indicator_coefficients(build_lattice(n)),
-                              GridSpec(M)).values
+                              M).values
             vals = engine_grid("D", n, M)
             assert np.abs(vals - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -328,7 +339,7 @@ class TestGridEvalSliced:
         rng = np.random.default_rng(len(extents))
         fld = CoefficientField(weights=rng.standard_normal(extents)
                                + 1j * rng.standard_normal(extents))
-        dense = grid_eval(fld, GridSpec(M)).values
+        dense = grid_eval(fld, M).values
         points, weights, _ = _field_source(fld.weights[None], M, 1 << 30)
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             vals = engine_values(points, weights, M, budget)
@@ -355,7 +366,7 @@ class TestGridSliceWeights:
                 range(half - 4, half + 1)]
 
     def pointwise(self, kind, t, m):
-        nodes = GridSpec((m,)).axis_nodes(0)[t.start:t.stop]
+        nodes = axis_nodes(m)[t.start:t.stop]
         return slice_weight_matrix(kind, self.LAM, nodes)
 
     @pytest.mark.parametrize("m", [45, 16, 1540])
@@ -381,7 +392,7 @@ class TestGridSliceWeights:
     def test_zero_node_found_by_index(self):
         """x_770 of M_s = 1540 is 0 but its float is not: the tables find
         it as 2 t = M_s and give D and S their limits [L] + 1 and L."""
-        assert GridSpec((1540,)).axis_nodes(0)[770] != 0.0
+        assert axis_nodes(1540)[770] != 0.0
         t = range(770, 771)
         np.testing.assert_allclose(
             slice_weight_matrix("D", self.LAM, t, 1540)[0],

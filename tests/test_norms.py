@@ -13,9 +13,10 @@ from simplexleb.core import (
     build_lattice,
     fractional_coefficients,
 )
-from simplexleb.kernels import GridSpec, apply_delta
+from simplexleb.kernels import apply_delta
 from simplexleb import norms
 from simplexleb.norms import (
+    MAX_DOUBLINGS,
     NormConvergenceError,
     _field_norms,
     _field_source,
@@ -45,8 +46,7 @@ class TestL1Norm:
             for a, b in [(-math.pi, 0), (0, math.pi)]
         )
         clear_norm_cache()
-        got = l1_norm("D", DilationVector((5.0,)), tol=1e-7, rho=1024.0,
-                      max_doublings=6)
+        got = l1_norm("D", DilationVector((5.0,)), tol=1e-7, rho=1024.0)
         assert got.value == pytest.approx(want, abs=1e-6)
 
     def test_zero_kernel(self):
@@ -57,10 +57,6 @@ class TestL1Norm:
         # F for (2,3) is 0.5 e^{ix}; the integral of its modulus is pi
         res = l1_norm("F", DilationVector((2, 3)), tol=1e-6)
         assert res.value == pytest.approx(math.pi, rel=1e-6)
-
-    def test_normalized_is_value_over_two_pi_powers(self):
-        res = l1_norm("D", DilationVector((2, 3)))
-        assert res.normalized == res.value / (2 * math.pi) ** 2
 
     def test_parseval_field_equals_point_count(self):
         # indicator weights make the coefficient square sum the lattice count
@@ -86,23 +82,14 @@ class TestL1Norm:
     def test_nonconvergence_carries_history(self):
         clear_norm_cache()
         with pytest.raises(NormConvergenceError) as exc:
-            l1_norm("D", DilationVector((5.0,)), tol=1e-16, max_doublings=1)
-        assert len(exc.value.history) == 2
+            l1_norm("D", DilationVector((5.0,)), tol=1e-16)
+        assert len(exc.value.history) == MAX_DOUBLINGS + 1
 
     def test_cache_hits_are_identical(self):
         clear_norm_cache()
         a = l1_norm("D", DilationVector((2, 3)))
         b = l1_norm("D", DilationVector((2, 3)))
         assert a is b
-
-    def test_cache_keys_on_max_doublings(self):
-        # D(7.3, 19.6) needs one doubling: a cached default result must not
-        # answer a call that allows none
-        clear_norm_cache()
-        n = DilationVector((7.3, 19.6))
-        assert len(l1_norm("D", n).history) == 2
-        with pytest.raises(NormConvergenceError):
-            l1_norm("D", n, max_doublings=0)
 
     def test_cache_keys_on_exact_n(self):
         # (2, 3.9999999999999) agrees with (2, 4) to 12 digits, but
@@ -231,7 +218,7 @@ class TestHalfSlices:
         # 1-D too: its source gives only the nodes 0..[M_s/2]
         assert hermitian
         self._check(points, weights, hermitian, M,
-                    grid_eval(fld, GridSpec(M)).values)
+                    grid_eval(fld, M).values)
 
     def test_complex_delta_field_matches_dense_grid(self):
         n = DilationVector((3.7, 9.5, 23.0))
@@ -242,7 +229,7 @@ class TestHalfSlices:
                                                    1 << 30)
         assert not hermitian
         self._check(points, weights, hermitian, M,
-                    grid_eval(fld, GridSpec(M)).values)
+                    grid_eval(fld, M).values)
 
 
 def _stack_inputs(s, real):
@@ -318,11 +305,14 @@ class TestFieldStack:
     def test_nonconvergence_raises_with_the_field_history(self):
         fld, xi = _stack_inputs(1, True)
         tags = [f"h{i}" for i in range(1, len(self.H))]
-        with pytest.raises(NormConvergenceError, match="h1 after 0") as exc:
+        with pytest.raises(NormConvergenceError,
+                           match=f"h1 after {MAX_DOUBLINGS}") as exc:
             _field_norms(apply_delta(fld, self.H[1:], xi).weights, tags,
-                         max_doublings=0)
-        want = l1_norm_field(apply_delta(fld, self.H[1], xi))
-        assert exc.value.history == want.history[:1]
+                         tol=1e-16)
+        with pytest.raises(NormConvergenceError) as alone:
+            l1_norm_field(apply_delta(fld, self.H[1], xi), tol=1e-16)
+        assert len(exc.value.history) == MAX_DOUBLINGS + 1
+        assert exc.value.history == alone.value.history
 
 
 class TestScalingSanity:
@@ -372,7 +362,7 @@ class TestVerifyIdentity:
     def test_slack_counts_full_lattice(self, entries):
         n = DilationVector(entries)
         report = verify_identity(n, num_points=3, nu_max=8)
-        assert report.slack == 1e-9 * build_lattice(n).count
+        assert report.slack == 1e-9 * len(build_lattice(n).points)
 
 
     def test_budget_counts_working_set_before_lattice(self, monkeypatch):
@@ -408,6 +398,19 @@ class TestVerifyIdentity:
         finally:
             tracemalloc.stop()
         assert peak < 6 << 20
+
+    def test_budget_refused_before_points_are_drawn(self):
+        """10^8 points would take 1.5 GiB: the budget refuses them from n
+        and N alone, before any point is drawn."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="phases"):
+                verify_identity(DilationVector((5, 7)), num_points=10**8,
+                                budget_bytes=1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _never(*args, **kwargs):
