@@ -234,6 +234,8 @@ def _sweep_rows(args: argparse.Namespace) -> list:
         if not spec:
             break
         axes[name] = _parse_axis(spec, axes)
+        if not axes[name]:
+            raise ValueError(f"--{name} {spec!r} gives no values")
     if not axes:
         raise ValueError("sweep needs at least --n1")
     lengths = {len(v) for v in axes.values()}

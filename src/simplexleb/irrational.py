@@ -11,9 +11,9 @@ ratio phi enters only through floor(k phi 2^b), a product with a guarded
 fixed-point phi, exact by an integer square root where the guard cannot
 decide.  So {alpha k} is correctly rounded for rationals and truncated at
 2^-128 before its one rounding for golden; each value depends on k alone,
-and a study computes them once for its largest n.  Continued fractions come
-from Euclid's algorithm: exact for rationals, and for golden the common
-prefix of two rationals that bracket phi.
+and a study computes them once for its largest n.  Continued fractions of
+rationals come from Euclid's algorithm; golden's is phi = [1; 1, 1, ...],
+since phi = 1 + 1/phi.
 """
 
 from __future__ import annotations
@@ -90,8 +90,12 @@ class AlphaSpec:
 
     @classmethod
     def from_decimal(cls, literal: str) -> "AlphaSpec":
-        return cls(kind="decimal", literal=literal,
-                   rational=Fraction(literal))
+        try:
+            rational = Fraction(literal)
+        except ZeroDivisionError:
+            raise ValueError(f"decimal alpha {literal!r} has a zero "
+                             "denominator") from None
+        return cls(kind="decimal", literal=literal, rational=rational)
 
     @property
     def is_exact_rational(self) -> bool:
@@ -144,26 +148,13 @@ def _euclid(num: int, den: int, max_terms: int) -> tuple:
 
 
 def cf_expand(alpha: AlphaSpec, max_terms: int = 64) -> ContinuedFraction:
-    """Continued-fraction expansion, exact for rationals, proven for golden.
-
-    Golden expands the rationals floor(phi 2^b) / 2^b and one ulp above,
-    which bracket phi.  Every real between them shares their common quotient
-    prefix less its last term (the last may be a rational's final term,
-    which has a second form); b doubles until max_terms quotients are proven.
-    """
+    """Continued-fraction expansion: Euclid's algorithm for rationals, and
+    all ones for golden, since phi = 1 + 1/phi."""
     if alpha.is_exact_rational:
         quots, exact = _euclid(alpha.rational.numerator,
                                alpha.rational.denominator, max_terms)
     else:
-        quots, exact, bits = [], False, 64
-        while len(quots) < max_terms:
-            lo = _golden_floor(1, bits)
-            a, _ = _euclid(lo, 1 << bits, max_terms + 1)
-            b, _ = _euclid(lo + 1, 1 << bits, max_terms + 1)
-            common = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
-                          min(len(a), len(b)))
-            quots = a[:max(common - 1, 0)]
-            bits *= 2
+        quots, exact = [1] * max_terms, False
     return ContinuedFraction(quotients=tuple(quots),
                              convergents=_convergents(quots), exact=exact)
 

@@ -85,7 +85,6 @@ __all__ = [
     "verify_identity",
     "identity_residuals",
     "frak_f",
-    "clear_norm_cache",
 ]
 
 DEFAULT_TOL = 1e-3
@@ -101,13 +100,6 @@ CONVENTIONS = {
     "zero_dim_norm": "modulus",
     "mu_range": "theorem",
 }
-
-_norm_cache: dict = {}
-
-
-def clear_norm_cache():
-    _norm_cache.clear()
-
 
 class NormConvergenceError(RuntimeError):
     """Quadrature failed to converge within the doubling budget."""
@@ -136,17 +128,14 @@ class FrakFValue:
 
     value: float
     breakdown: tuple
-    t_nodes: int
     error_estimate: float
     flags: dict
 
 
 @dataclass(frozen=True)
 class IdentityReport:
-    n: tuple
     nu_max: int
     residuals: np.ndarray = field(repr=False)
-    tail_bounds: np.ndarray = field(repr=False)
     slack: float
     passed: bool
     median_residual: float
@@ -393,21 +382,9 @@ def _field_norms(weights: np.ndarray, tags, tol: float = DEFAULT_TOL,
 def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
             rho: float = DEFAULT_RHO,
             budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
-    """Plain L1 norm of D, F, S, Fcomposite or R.
-
-    Norm values are memoized per (kernel, n, rho, tol, budget_bytes), with
-    n's entries exact: the correction functional and the sweeps re-request
-    identical F norms heavily.
-    """
+    """Plain L1 norm of D, F, S, Fcomposite or R."""
     if kernel not in ("D", "F", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    key = (kernel, n.entries, rho, tol, budget_bytes)
-    if key not in _norm_cache:
-        _norm_cache[key] = _l1_norm_impl(kernel, n, tol, rho, budget_bytes)
-    return _norm_cache[key]
-
-
-def _l1_norm_impl(kernel, n, tol, rho, budget_bytes):
     tag = f"{kernel}:{n.entries}"
     field = kernel == "F" or (kernel == "D" and n.d == 1)
     if not field and n.d < 2:
@@ -495,8 +472,8 @@ def verify_identity(n: DilationVector, num_points: int = 100,
     ok = residuals <= tails + slack
     iworst = int(np.argmax(residuals - tails))
     return IdentityReport(
-        n=n.entries, nu_max=nu_max, residuals=residuals, tail_bounds=tails,
-        slack=slack, passed=bool(np.all(ok)),
+        nu_max=nu_max, residuals=residuals, slack=slack,
+        passed=bool(np.all(ok)),
         median_residual=float(np.median(residuals)),
         worst=(tuple(points[iworst]), float(residuals[iworst]),
                float(tails[iworst])),
@@ -540,9 +517,9 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
         total += t1 - t2
         mu_bound = Fraction(ent[k - l - 1]) // Fraction(n1)
         tilde = (n1,) * l + ent[1: k - l - 1]
-        base = f_norm(tilde + (n1,))
         fld = fractional_coefficients(DilationVector(tilde + (n1,)),
                                       budget_bytes)
+        base = l1_norm_field(fld, **kw).value
         xi = 1.0 / np.array(tilde)
         for mu_abs in range(1, mu_bound + 1):
             term = 0.0
@@ -556,7 +533,6 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     return FrakFValue(
         value=2.0 * np.pi * total,
         breakdown=tuple(breakdown),
-        t_nodes=t_nodes,
         error_estimate=2.0 * np.pi * err,
         flags=dict(CONVENTIONS),
     )

@@ -22,7 +22,6 @@ from simplexleb.norms import (
     _field_source,
     _kernel_source,
     _slice_abs_sums,
-    clear_norm_cache,
     frak_f,
     identity_residuals,
     l1_norm,
@@ -45,7 +44,6 @@ class TestL1Norm:
             scipy.integrate.quad(integrand, a, b, limit=200)[0]
             for a, b in [(-math.pi, 0), (0, math.pi)]
         )
-        clear_norm_cache()
         got = l1_norm("D", DilationVector((5.0,)), tol=1e-7, rho=1024.0)
         assert got.value == pytest.approx(want, abs=1e-6)
 
@@ -64,14 +62,12 @@ class TestL1Norm:
         assert res.parseval == 10
 
     def test_refinement_history_monotone_grids(self):
-        clear_norm_cache()
         res = l1_norm("D", DilationVector((2, 3)))
         sizes = [np.prod(m) for m, _ in res.history]
         assert sizes == sorted(sizes)
 
     def test_last_delta_within_tol(self):
         tol = 1e-3
-        clear_norm_cache()
         res = l1_norm("D", DilationVector((3.7, 5.0)), tol=tol)
         assert res.error_estimate <= tol * max(abs(res.value), 1e-9)
 
@@ -80,29 +76,20 @@ class TestL1Norm:
             l1_norm("Q", DilationVector((2, 3)))
 
     def test_nonconvergence_carries_history(self):
-        clear_norm_cache()
         with pytest.raises(NormConvergenceError) as exc:
             l1_norm("D", DilationVector((5.0,)), tol=1e-16)
         assert len(exc.value.history) == MAX_DOUBLINGS + 1
 
-    def test_cache_hits_are_identical(self):
-        clear_norm_cache()
-        a = l1_norm("D", DilationVector((2, 3)))
-        b = l1_norm("D", DilationVector((2, 3)))
-        assert a is b
-
     def test_cache_keys_on_exact_n(self):
         # (2, 3.9999999999999) agrees with (2, 4) to 12 digits, but
         # L_2(1) = 1.99999999999995 leaves it 7 lattice points, not 9
-        clear_norm_cache()
         assert l1_norm("D", DilationVector((2, 4))).parseval == 9.0
         assert l1_norm("D", DilationVector((2, 3.9999999999999))).parseval \
             == 7.0
 
     def test_cache_keys_on_budget(self):
-        # a cached default result must not answer a call whose budget holds
-        # no grid slice
-        clear_norm_cache()
+        # a default-budget norm computed first must not let a call whose
+        # budget holds no grid slice through
         n = DilationVector((7.3, 19.6))
         l1_norm("D", n)
         with pytest.raises(ResourceLimitError):
@@ -121,7 +108,6 @@ class TestL1Norm:
 
     def test_sliced_norms_finite(self):
         n = DilationVector((2.0, 3.5))
-        clear_norm_cache()
         for kernel in ("S", "Fcomposite", "R"):
             res = l1_norm(kernel, n)
             assert res.value >= 0 and math.isfinite(res.value)
@@ -132,7 +118,6 @@ class TestBudget:
 
     def test_slice_batches_do_not_change_values(self):
         n = DilationVector((7.3, 19.6, 31.0))
-        clear_norm_cache()
         for kernel in ("D", "S", "R"):
             want = l1_norm(kernel, n)
             one_slice = 16 * np.prod(want.history[-1][0][:-1])
@@ -141,7 +126,6 @@ class TestBudget:
             assert got.value == pytest.approx(want.value, rel=1e-12)
 
     def test_slice_over_budget_raises(self):
-        clear_norm_cache()
         with pytest.raises(ResourceLimitError):
             l1_norm("D", DilationVector((7.3, 19.6)), budget_bytes=0)
 

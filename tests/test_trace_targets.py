@@ -12,7 +12,8 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # cli has called irrational.study_ratio, not I_n, since the irrational
-# study moved into one function; the span is still reached as irrational.I_n
+# study moved into one function; study_ratio calls irrational._kernel_norm,
+# so no program path reaches the irrational.I_n span under either name
 KNOWN_MISSING = {"simplexleb.cli.I_n"}
 
 
