@@ -98,12 +98,13 @@ def _geometric_sum(m, t, phase=None, zero=None):
     half = 0.5 * (t if phase else reduce_torus(t))
     denom = np.sin(half)
     if phase:
-        num, top = phase(0.5 * (m - 1.0)), phase(0.5 * m).imag
+        top, num = phase(0.5 * m).imag, phase(0.5 * (m - 1.0))
     else:
         zero = np.abs(denom) <= 1e-300
-        num, top = np.exp(1j * (m - 1.0) * half), np.sin(m * half)
+        num, top = np.exp(1j * (m - 1.0) * half), np.asarray(np.sin(m * half))
     top /= np.where(zero, 1.0, denom)
-    num *= np.where(zero, m, top)
+    np.copyto(top, m, where=zero)
+    num *= top
     return num
 
 
@@ -179,13 +180,17 @@ def _r_series(lam, phases, xd, nu_max, budget=_CHUNK_BYTES) -> np.ndarray:
     base = phases.sum(axis=1)[:, None]
     chunk = max(1, min(_CHUNK_BYTES, budget) // (16 * (len(lam) + len(xd))))
     series = np.zeros(len(xd), dtype=np.complex128)
+
+    def term(snu):  # one N x chunk product, divided in place
+        diff = twisted @ np.exp(1j * np.outer(lam, 2.0 * np.pi * snu))
+        diff -= base
+        diff /= snu * (2.0 * np.pi * snu + xd[:, None])
+        return diff
+
     for start in range(1, nu_max + 1, chunk):
         nu = np.arange(start, min(start + chunk, nu_max + 1), dtype=float)
-        pair = 0.0
-        for snu in (nu, -nu):
-            diff = twisted @ np.exp(1j * np.outer(lam, 2.0 * np.pi * snu)) \
-                - base
-            pair = pair + diff / (snu * (2.0 * np.pi * snu + xd[:, None]))
+        pair = term(nu)
+        pair += term(-nu)
         series += pair.sum(axis=1)
     return value - xd / (2.0 * np.pi * 1j) * series
 
@@ -216,11 +221,11 @@ def _origin_twist(k_sum) -> np.ndarray:
 
 def _grid_phases(mu, m: int, t: range) -> np.ndarray:
     """e^{i mu x_t} at the nodes t of x_t = -pi + 2 pi t / m, shape
-    (len(t), len(mu)): with t = t.start + q a + b, the product of the
-    np.exp tables of a and of b, about sqrt(len(t)) rows each."""
-    q = max(1, math.isqrt(len(t)))
-    coarse = -np.pi + 2.0 * np.pi * np.arange(t.start, t.stop, q) / m
-    fine = 2.0 * np.pi * np.arange(q) / m
+    (len(t), len(mu)): with t = t.start + (q a + b) t.step, the product of
+    the np.exp tables of a and of b, about sqrt(len(t)) rows each."""
+    q, step = max(1, math.isqrt(len(t))), t.step
+    coarse = -np.pi + 2.0 * np.pi * np.arange(t.start, t.stop, q * step) / m
+    fine = 2.0 * np.pi * np.arange(0, q * step, step) / m
     e = np.exp(1j * np.multiply.outer(coarse, mu))[:, None] * \
         np.exp(1j * np.multiply.outer(fine, mu))
     return e.reshape(-1, len(mu))[:len(t)]
@@ -238,8 +243,9 @@ def slice_weight_matrix(kind: str, lam: LambdaParts, xs,
         Fcomposite  {L} e^{i L x}
         R           w_D - w_S + w_Fcomposite
 
-    ``xs`` holds the points x (one np.exp per phase), or given ``m`` the
-    range of nodes t of x_t = -pi + 2 pi t / m (:func:`_grid_phases`).
+    ``xs`` holds the points x (one np.exp per phase), or given ``m`` a
+    range of nodes t of x_t = -pi + 2 pi t / m (:func:`_grid_phases`), such
+    as the odd t of m = 2 M_s: the grid M_s shifted by half a cell.
     """
     if kind not in ("D", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown sliced kernel {kind!r}")
@@ -248,7 +254,7 @@ def slice_weight_matrix(kind: str, lam: LambdaParts, xs,
         small, phase = np.abs(xd) < SINGULARITY_THRESHOLD, None
     else:
         # x_t = 0 where 2 t = m, although its float may not be 0.0
-        t = np.arange(xs.start, xs.stop)[:, None]
+        t = np.arange(xs.start, xs.stop, xs.step)[:, None]
         xd, small = -np.pi + 2.0 * np.pi * t / m, 2 * t == m
         phase = partial(_grid_phases, m=m, t=xs)
     if kind in ("D", "R"):

@@ -7,7 +7,10 @@ module owns that refinement: :func:`first_grid` gives the first grid of the
 modes' box K, the least 11-smooth M_j >= rho K_j, after refusing a tol or
 rho that is not finite and positive and a grid over the memory budget;
 :func:`_refine` doubles it at most MAX_DOUBLINGS times, until the relative
-change of the sum is at most tol.
+change of the sum is at most tol.  The grid 2M holds M as its even nodes,
+so each later level adds to the running sums of |f| and |f|^2 only the
+nodes M lacks: the odd x_s nodes on all of 2M', and the even ones on the
+2^{s-1} - 1 copies of M' shifted by half a cell.
 
 One engine (:func:`slice_batches`) synthesizes every grid in batches of
 nodes of the last axis x_s, each transformed over x' in one reused buffer.
@@ -17,7 +20,8 @@ It takes the x' modes and one of two slice-weight sources:
   S, Fcomposite and R (d >= 2), with phases from two small tables a batch;
 * one inverse FFT along the last axis of a group of coefficient fields (F,
   the twisted differences of the correction functional, I_n, and D for
-  d = 1); for 1-D fields that transform is the whole synthesis.
+  d = 1), whose odd and even nodes a later level takes; for 1-D fields
+  that transform is the whole synthesis.
 
 Its inputs carry a leading field axis: a stack of fields on one box, such
 as the 2T - 1 twisted differences of one t-integral of the correction
@@ -29,8 +33,10 @@ is the one it has alone.  A d-kernel or a single field is a stack of one.
 A Hermitian f (real Fourier weights: f(-x) = conj f(x)) has the same |f|
 on the x_s slices t and M_s - t, so only t = 0..[M_s/2] are synthesized;
 t = 0 (x_s = -pi, unpaired: S, Fcomposite and R are not periodic in x_s)
-and t = M_s/2 count once, the others twice.  The d-kernels and all fields
-with real weights (1-D ones too) qualify; the twisted differences do not.
+and t = M_s/2 count once, the others twice.  On the x_s nodes of M_s
+shifted by half a cell, t pairs with M_s - 1 - t, and with itself where
+2t + 1 = M_s.  The d-kernels and all fields with real weights (1-D ones
+too) qualify; the twisted differences do not.
 
 Every grid is validated through the exact discrete Parseval identity
 
@@ -44,6 +50,7 @@ D, whose right-hand side is the lattice point count P.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -201,54 +208,57 @@ def check_grid(K: tuple, M: tuple, budget_bytes: int, field: bool = True):
                      "slice weights")
 
 
-def slice_batches(points: np.ndarray, weights, M: tuple,
-                  budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                  rows: int | None = None, fields: int = 1):
+def slice_batches(points: np.ndarray, weights, passes,
+                  budget_bytes: int = DEFAULT_BUDGET_BYTES, fields: int = 1):
     """Synthesize a stack of ``fields`` trigonometric polynomials with the
-    x' modes ``points`` (P', s-1) on the grid M, x_s slice by slice.
+    x' modes ``points`` (P', s-1), x_s slice by slice, in ``passes``: each
+    (M', shift, nodes) asks for the x_s nodes ``nodes`` (a range) on the x'
+    grid M', its nodes moved half a cell on the axes where shift is 1.
 
-    ``weights(fs)(rs)`` gives the slice weights of the fields ``fs`` at the
-    x_s nodes ``rs`` (two slices), shape (G, B, P'); nodes 0..rows-1 are
-    synthesized (all M_s by default).  A batch holds at most
-    min(_CHUNK_BYTES, budget_bytes) of grid values, or one slice (the
-    sources check it fits): whole fields while two fit, else slices of one.
-    Yields ``(fs, rs, w, v)``: v, shape (G, B) + M', the inverse FFT of w,
-    is f / prod M' (callers scale their sums).  Without x' axes v is w;
-    else all batches share one buffer: v is valid until the next batch.
-    """
-    m_prime = tuple(M[:-1])
-    rest = math.prod(m_prime)
+    ``weights(fs)(ns)`` gives the slice weights of the fields ``fs`` at the
+    x_s nodes ``ns``, shape (G, B, P').  A batch holds at most
+    min(_CHUNK_BYTES, budget_bytes) of values on the largest M', or one
+    slice (the sources check it fits): whole fields while two fit, else
+    slices of one; each group runs every pass.  Yields ``(fs, p, ns, w,
+    v)``: v, shape (G, B) + M', the inverse FFT of w in pass p, is
+    f / prod M' (callers scale their sums).  Without x' axes v is w; else
+    all batches share one buffer: v is valid until the next batch."""
+    rest = max(math.prod(m_prime) for m_prime, *_ in passes)
+    rows = max(len(nodes) for *_, nodes in passes)
     batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
-    group = max(1, batch // M[-1])
-    rows = M[-1] if rows is None else rows
-    if m_prime:
-        flat = np.ravel_multi_index(tuple(points.T), m_prime)
-        twist = _origin_twist(points.sum(axis=1))
+    group = max(1, batch // rows)
+    if points.shape[1]:
         buf = np.empty(min(group, fields) * min(batch, rows) * rest, complex)
     for f0 in range(0, fields, group):
         fs = slice(f0, min(f0 + group, fields))
         group_weights = weights(fs)
-        for start in range(0, rows, batch):
-            rs = slice(start, min(start + batch, rows))
-            w = group_weights(rs)
-            if not m_prime:
-                yield fs, rs, w, w
-                continue
-            g, b = w.shape[:2]
-            v = buf[:g * b * rest].reshape((g, b) + m_prime)
-            v.fill(0.0)
-            v.reshape(g * b, rest)[:, flat] = w.reshape(g * b, -1) * twist
-            for ax in range(2, len(M) + 1):
-                np.fft.ifft(v, axis=ax, out=v)
-            yield fs, rs, w, v
+        for p, (m_prime, shift, nodes) in enumerate(passes):
+            rest = math.prod(m_prime)
+            flat = np.ravel_multi_index(tuple(points.T), m_prime)
+            # the origin twist (-1)^{sum k} e^{i pi sum_j shift_j k_j / M'_j}
+            twist = _origin_twist(points.sum(axis=1)) * np.exp(
+                1j * np.pi * (points @ np.divide(shift, m_prime)))
+            for start in range(0, len(nodes), batch):
+                ns = nodes[start:start + batch]
+                w = group_weights(ns)
+                if not m_prime:
+                    yield fs, p, ns, w, w
+                    continue
+                g, b = w.shape[:2]
+                v = buf[:g * b * rest].reshape((g, b) + m_prime)
+                v.fill(0.0)
+                v.reshape(g * b, rest)[:, flat] = w.reshape(g * b, -1) * twist
+                for ax in range(2, len(m_prime) + 2):
+                    np.fft.ifft(v, axis=ax, out=v)
+                yield fs, p, ns, w, v
 
 
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
                    budget_bytes: int = DEFAULT_BUDGET_BYTES):
     """(points, weights, hermitian) of a d-kernel on the grid M."""
     check_grid(lat.extents, M, budget_bytes, field=False)
-    return lat.points, lambda fs: lambda rs: slice_weight_matrix(
-        kernel, lat.lambda_parts, range(M[-1])[rs], M[-1])[None], True
+    return lat.points, lambda fs: lambda ns: slice_weight_matrix(
+        kernel, lat.lambda_parts, ns, M[-1])[None], True
 
 
 def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
@@ -268,39 +278,62 @@ def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
             _origin_twist(np.arange(k_last))[:, None]
         w = transform(part, n=M[-1], axis=1)
         w *= M[-1]
-        return lambda rs: w[:, rs]
+        return lambda ns: w[:, ns.start:ns.stop:ns.step]
     # points: every x' mode of the box K', in the order of the reshape above
     return np.argwhere(np.ones(k_prime, dtype=bool)), group_weights, hermitian
 
 
-def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags):
-    """sum_t |f(x_t)| and sum_t |f(x_t)|^2 over the grid for each field of
-    the stack (one per tag) from the slice engine (half the slices for a
-    Hermitian f), with the exact Parseval identity checked on every
-    computed x_s slice of x' with axes.  |v| goes to one reused buffer."""
-    rest, m = math.prod(M[:-1]), M[-1]
+def _passes(M: tuple, nested: bool) -> list:
+    """The engine's passes (M', shift, x_s nodes) over the grid M, or
+    (nested) over the nodes M / 2 lacks: (a) the odd x_s nodes on all of
+    M', (b) the even ones on the 2^{s-1} - 1 copies of M' / 2 shifted by
+    half a cell."""
+    m_prime, m = M[:-1], M[-1]
+    zero, *shifts = itertools.product((0, 1), repeat=len(m_prime))
+    if not nested:
+        return [(m_prime, zero, range(m))]
+    return [(m_prime, zero, range(1, m, 2))] + [
+        (tuple(k // 2 for k in m_prime), shift, range(0, m, 2))
+        for shift in shifts]
+
+
+def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
+                    nested=False):
+    """sum_t |f(x_t)| and sum_t |f(x_t)|^2 for each field of the stack (one
+    per tag) over the grid M, or (nested) over the nodes M / 2 lacks, from
+    the slice engine (for a Hermitian f the x_s nodes t <= M_s / 2), with
+    the exact Parseval identity checked on every computed x_s slice of x'
+    with axes.  |v| goes to one reused buffer."""
+    m, passes = M[-1], _passes(M, nested)
+    if hermitian:
+        passes = [(mp, shift, ns[:(m // 2 - ns.start) // ns.step + 1])
+                  for mp, shift, ns in passes]
     sum_abs, sum_sq = np.zeros((2, len(tags)))
     buf = None
-    for fs, rs, w, v in slice_batches(points, weights, M, budget_bytes,
-                                      m // 2 + 1 if hermitian else m,
-                                      len(tags)):
+    for fs, p, ns, w, v in slice_batches(points, weights, passes,
+                                         budget_bytes, len(tags)):
         g, b = w.shape[:2]
-        w = w.reshape(g * b, -1)
+        rest = math.prod(passes[p][0])
         buf = np.empty(v.size) if buf is None else buf  # the largest batch
-        av = np.abs(v, out=buf[:v.size].reshape(v.shape)).reshape(g * b, rest)
-        # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|
-        row_power = rest * np.einsum("ij,ij->i", av, av)
+        av = np.abs(v, out=buf[:v.size].reshape(v.shape)).reshape(g, b, rest)
         if len(M) > 1:
-            _check_parseval(row_power,
+            # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|
+            power = np.einsum("ijk,ijk->ij", av, av)
+            w = w.reshape(g * b, -1)
+            _check_parseval(rest * power,
                             np.einsum("ij,ij->i", w, w.conj()).real,
                             tags[fs], "x_s slice")
-        # Hermitian: each slice counts twice but the self-paired t = 0, M_s/2
-        own = [t - rs.start for t in {0, m // 2}
-               if hermitian and 2 * t % m == 0 and t in range(m)[rs]]
-        for total, row in ((sum_abs, av.sum(axis=1)), (sum_sq, row_power)):
-            row = row.reshape(g, b)
-            total[fs] += (1 + hermitian) * row.sum(1) - row[:, own].sum(1)
-    return sum_abs * rest, sum_sq * rest
+            sq = power.sum(axis=1)
+        else:  # one value a row: no per-row sums
+            sq = np.einsum("ijk,ijk->i", av, av)
+        # Hermitian: each node counts twice but the self-paired ones
+        own = av[:, [ns.index(t) for t in {0, m // 2}
+                     if hermitian and 2 * t % m == 0 and t in ns]]
+        sum_abs[fs] += rest * ((1 + hermitian) * av.sum(axis=(1, 2))
+                               - own.sum(axis=(1, 2)))
+        sum_sq[fs] += rest * rest * ((1 + hermitian) * sq
+                                     - np.einsum("ijk,ijk->i", own, own))
+    return sum_abs, sum_sq
 
 
 def _check_parseval(power, coef_sq, tags, where="grid"):
@@ -318,21 +351,22 @@ def _check_parseval(power, coef_sq, tags, where="grid"):
 # -------------------------------------------------------------- field norms
 
 def _refine(abs_sums, M0: tuple, power, tol: float, tags) -> list:
-    """One NormResult per tag: a field's Riemann sum from ``abs_sums(M,
-    live)`` (the fields ``live``, an index array) on grids doubled from M0,
-    at most MAX_DOUBLINGS times, until its relative change is at most tol,
-    where it leaves; its grid power is checked against its sum |c|^2 in
-    ``power`` if given."""
+    """One NormResult per tag: a field's Riemann sum on grids doubled from
+    M0, at most MAX_DOUBLINGS times, until its relative change is at most
+    tol, where it leaves; its grid power is checked against its sum |c|^2
+    in ``power`` if given.  Each level adds to its running sums ``abs_sums
+    (M, live, nested)``: sum |f| and sum |f|^2 of the fields ``live`` (an
+    index array) on the grid M, or (nested) on the nodes M / 2 lacks."""
     histories, done = [[] for _ in tags], [None] * len(tags)
     live = np.arange(len(tags))
-    prev, M = None, M0
-    for _ in range(MAX_DOUBLINGS + 1):
+    prev, M, sums = None, M0, 0.0
+    for level in range(MAX_DOUBLINGS + 1):
         size = math.prod(M)
-        sum_abs, sum_sq = abs_sums(M, live)
+        sums = sums + np.array(abs_sums(M, live, level > 0))
         if power is not None:
-            _check_parseval(sum_sq / size, power[live],
+            _check_parseval(sums[1] / size, power[live],
                             [tags[i] for i in live])
-        v = (2.0 * np.pi) ** len(M) * sum_abs / size
+        v = (2.0 * np.pi) ** len(M) * sums[0] / size
         for i, vi in zip(live, v.tolist()):
             histories[i].append((M, vi))
         if prev is not None:
@@ -342,7 +376,7 @@ def _refine(abs_sums, M0: tuple, power, tol: float, tags) -> list:
                 done[i] = NormResult(
                     histories[i][-1][1], len(M), M, tuple(histories[i]),
                     d, None if power is None else float(power[i]), tags[i])
-            live, v = live[~conv], v[~conv]
+            live, v, sums = live[~conv], v[~conv], sums[:, ~conv]
             if not len(live):
                 return done
         prev = v
@@ -372,10 +406,10 @@ def _field_norms(weights: np.ndarray, tags, tol: float = DEFAULT_TOL,
                 for v, tag in zip(map(abs, weights.tolist()), tags)]
     return _refine(
         # no copy while every field is live: it would add to the peak memory
-        lambda M, live: _slice_abs_sums(
+        lambda M, live, nested: _slice_abs_sums(
             *_field_source(weights[live] if len(live) < len(weights)
                            else weights, M, budget_bytes),
-            M, budget_bytes, [tags[i] for i in live]),
+            M, budget_bytes, [tags[i] for i in live], nested),
         M0, np.array([np.vdot(c, c).real for c in weights]), tol, tags)
 
 
@@ -404,9 +438,9 @@ def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
     power = np.array([float((lat.lambda_parts.floor + 1).sum())]) \
         if kernel == "D" else None
     return _refine(
-        lambda M, live: _slice_abs_sums(
+        lambda M, live, nested: _slice_abs_sums(
             *_kernel_source(kernel, lat, M, budget_bytes), M, budget_bytes,
-            [tag]),
+            [tag], nested),
         M0, power, tol, [tag])[0]
 
 

@@ -81,7 +81,7 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
         raise ValueError("requires n > 3")
     m_modes = int(n) + 1
 
-    def abs_sums(M, live):
+    def abs_sums(M, live, nested):
         m = M[0]
         circ = _geometric_sum(m_modes, 2.0 * np.pi * np.arange(m) / m)
         nodes = axis_nodes(m)
@@ -89,8 +89,12 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
         total = 0.0
         for u in range(m):
             c_u = np.exp(1j * (alpha * nodes[u] + beta))
-            total += float(np.abs(c_u * np.roll(circ, u) - dx).sum())
-        return np.array([total]), None
+            row = np.abs(c_u * np.roll(circ, u) - dx)
+            if nested and u % 2 == 0:
+                # the grid M / 2 holds the nodes (x_t, y_u) of even t and u
+                row = row[1::2]
+            total += float(row.sum())
+        return np.array([total]), np.zeros(1)  # no grid power to check
 
     # the Riemann sum over the m x m grid of (x, y)
     M0 = first_grid((m_modes,) * 2, rho, tol, DEFAULT_BUDGET_BYTES)

@@ -14,9 +14,11 @@ from simplexleb.core import (
     CoefficientField,
     DilationVector,
     build_lattice,
+    fractional_coefficients,
     indicator_coefficients,
 )
 from simplexleb.kernels import (
+    _grid_phases,
     apply_delta,
     eval_D,
     eval_F,
@@ -31,6 +33,7 @@ from simplexleb.norms import (
     _fast_len,
     _field_source,
     _kernel_source,
+    _passes,
     first_grid,
     l1_norm,
     slice_batches,
@@ -42,7 +45,8 @@ from oracles import axis_nodes, grid_eval, s_via_delta
 def engine_values(points, weights, M, budget_bytes=1 << 30):
     """The slice engine's values of a one-field stack on the grid M; each
     batch is copied, since the engine reuses its buffer for the next."""
-    batches = slice_batches(points, weights, M, budget_bytes=budget_bytes)
+    batches = slice_batches(points, weights, _passes(M, False),
+                            budget_bytes=budget_bytes)
     v = np.concatenate([v[0].copy() for *_, v in batches])
     v = v.reshape((M[-1],) + tuple(M[:-1]))
     return np.moveaxis(v, 0, -1) * math.prod(M[:-1])
@@ -400,6 +404,109 @@ class TestGridSliceWeights:
         np.testing.assert_allclose(
             slice_weight_matrix("S", self.LAM, t, 1540)[0], self.LAM.value,
             rtol=1e-12)
+
+
+    @pytest.mark.parametrize("m", [90, 32, 3080])
+    def test_step_two_phases_match_exp(self, m):
+        """Odd and even nodes of the grid m: the phases of mu agree with one
+        np.exp each to 1e-15 per unit of pi |mu|, the largest argument,
+        whose rounding both sides share."""
+        mu = self.LAM.value
+        for t in (range(1, m, 2), range(1, m, 2)[3:40], range(0, m, 2)[5:9]):
+            arg = np.multiply.outer(axis_nodes(m)[t.start:t.stop:t.step], mu)
+            got = _grid_phases(mu, m, t)
+            assert got.shape == arg.shape
+            assert (np.abs(got - np.exp(1j * arg))
+                    <= 1e-15 * (1.0 + np.pi * np.abs(mu))).all()
+
+    @pytest.mark.parametrize("kind", ["D", "S", "Fcomposite", "R"])
+    def test_odd_nodes_are_the_half_shifted_grid(self, kind):
+        """Odd t on m = 2 M_s are the nodes of M_s shifted by half a cell;
+        for M_s = 771, t = 771 is x_t = 0, found as 2 t = m."""
+        m = 1542
+        x = -np.pi + np.pi * (2 * np.arange(771) + 1) / 771
+        want = slice_weight_matrix(kind, self.LAM, x)
+        got = slice_weight_matrix(kind, self.LAM, range(1, m, 2), m)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if kind in ("D", "S"):
+            limit = self.LAM.floor + 1.0 if kind == "D" else self.LAM.value
+            np.testing.assert_allclose(
+                slice_weight_matrix(kind, self.LAM, range(771, 772, 2), m)[0],
+                limit, rtol=1e-12)
+
+
+def dense_kernel(kind, n, M):
+    """A d-kernel on every node of the grid M: at each x_s node, grid_eval
+    over M' of the slice's x' weights, each from one np.exp."""
+    lat = build_lattice(n, n.d - 1)
+    weights = slice_weight_matrix(kind, lat.lambda_parts, axis_nodes(M[-1]))
+    values = np.empty(M, dtype=complex)
+    box = np.zeros(lat.extents, dtype=complex)
+    for t, w in enumerate(weights):
+        box[tuple(lat.points.T)] = w
+        values[..., t] = grid_eval(CoefficientField(weights=box),
+                                   M[:-1]).values
+    return values
+
+
+class TestNestedPasses:
+    """A nested level's passes synthesize each node of the doubled grid M
+    that M / 2 lacks exactly once: (a) the odd x_s nodes on all of M', (b)
+    the even ones on the shifted copies of M' / 2."""
+
+    # M / 2 with odd and with even lengths, in 2-D and 3-D
+    GRIDS = [(9, 11), (8, 12), (5, 7, 9), (6, 8, 10)]
+
+    @staticmethod
+    def check(points, weights, hermitian, M, dense):
+        """A Hermitian source gives the nodes x_s <= 0 alone."""
+        passes = _passes(M, True)
+        assert len(passes) == 2 ** (len(M) - 1)
+        if hermitian:
+            passes = [(m_prime, shift, range(ns.start, M[-1] // 2 + 1, 2))
+                      for m_prime, shift, ns in passes]
+            dense = dense[..., :M[-1] // 2 + 1]
+        old = np.zeros(dense.shape, dtype=bool)
+        old[(slice(None, None, 2),) * len(M)] = True
+        # one batch, then batches of three x_s nodes
+        for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
+            count = np.zeros(dense.shape, dtype=int)
+            for _, p, ns, _, v in slice_batches(points, weights, passes,
+                                                budget_bytes=budget):
+                m_prime, shift, _ = passes[p]
+                nodes = tuple(slice(None) if k == full else slice(a, None, 2)
+                              for k, full, a in zip(m_prime, M, shift))
+                nodes += (list(ns),)
+                want = np.moveaxis(dense[nodes], -1, 0)
+                got = v[0] * math.prod(m_prime)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(dense).max()
+                count[nodes] += 1
+            assert (count == ~old).all()
+
+    @pytest.mark.parametrize("half", GRIDS)
+    @pytest.mark.parametrize("kernel", ["D", "S", "Fcomposite", "R"])
+    def test_kernels(self, kernel, half):
+        n = DilationVector((2.0, 3.5, 7.0) if len(half) == 3 else (3.7, 9.5))
+        M = tuple(2 * m for m in half)
+        points, weights, _ = _kernel_source(kernel,
+                                            build_lattice(n, n.d - 1), M)
+        self.check(points, weights, False, M, dense_kernel(kernel, n, M))
+
+    @pytest.mark.parametrize("half", GRIDS)
+    @pytest.mark.parametrize("real", [True, False])
+    def test_fields(self, real, half):
+        entries = (2.5, 3.7, 9.5, 23.0)[3 - len(half):]
+        fld = fractional_coefficients(DilationVector(entries))
+        if not real:
+            rng = np.random.default_rng(len(half))
+            fld = CoefficientField(
+                weights=rng.standard_normal(fld.extents)
+                + 1j * rng.standard_normal(fld.extents))
+        M = tuple(2 * m for m in half)
+        points, weights, hermitian = _field_source(fld.weights[None], M,
+                                                   1 << 30)
+        assert hermitian == real
+        self.check(points, weights, hermitian, M, grid_eval(fld, M).values)
 
 
 def test_first_axes_periodicity_of_sliced_kernels():

@@ -12,6 +12,7 @@ from simplexleb.core import (
     ResourceLimitError,
     build_lattice,
     fractional_coefficients,
+    indicator_coefficients,
 )
 from simplexleb.kernels import apply_delta
 from simplexleb import norms
@@ -145,16 +146,16 @@ class TestBudget:
             l1_norm_field(fld, budget_bytes=16)
 
 
-def _spied(weights, M):
-    """The weight source, and the x_s rows it is asked for."""
+def _spied(weights):
+    """The weight source, and the x_s nodes it is asked for."""
     asked = []
 
     def spy(fs):
         group_weights = weights(fs)
 
-        def rows(rs):
-            asked.extend(range(M[-1])[rs])
-            return group_weights(rs)
+        def rows(ns):
+            asked.extend(ns)
+            return group_weights(ns)
         return rows
     return spy, asked
 
@@ -170,7 +171,7 @@ class TestHalfSlices:
         want_abs = np.abs(full).sum()
         want_sq = (np.abs(full) ** 2).sum()
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
-            spy, asked = _spied(weights, M)
+            spy, asked = _spied(weights)
             (got_abs,), (got_sq,) = _slice_abs_sums(points, spy, hermitian,
                                                     M, budget, ["test"])
             assert got_abs == pytest.approx(want_abs, rel=1e-12)
@@ -214,6 +215,116 @@ class TestHalfSlices:
         assert not hermitian
         self._check(points, weights, hermitian, M,
                     grid_eval(fld, M).values)
+
+
+def _source(kernel, n, M, fld=None):
+    """(points, weights, hermitian) of a d-kernel, or of the field fld."""
+    if fld is not None:
+        return _field_source(fld.weights[None], M, 1 << 30)
+    return _kernel_source(kernel, build_lattice(n, n.d - 1), M)
+
+
+class TestNestedLevels:
+    """A level after the first synthesizes only the nodes that the half of
+    its grid lacks, and adds their sums to those of the level before."""
+
+    @pytest.mark.parametrize("kernel, entries, half", [
+        ("D", (3.7, 9.5), (8, 45)),
+        ("D", (3.7, 9.5), (8, 48)),
+        ("R", (3.7, 9.5, 7.0), (6, 10, 33)),
+        ("R", (3.7, 9.5, 7.0), (6, 10, 34)),
+        ("F", (3.7, 9.5), (45,)),
+        ("F", (3.7, 9.5, 23.0), (8, 22)),
+        ("F", (3.7, 9.5, 23.0), (8, 23)),
+    ])
+    def test_hermitian_nodes_and_sums(self, kernel, entries, half):
+        """On the half-cell-shifted x_s nodes 2t + 1 only t = 0..[(M_c - 1)
+        / 2] are asked, slice t pairing with M_c - 1 - t; the even nodes
+        0..M_c/2 once per shifted copy of the x' grid.  With the sums of
+        M / 2 they give the full grid's."""
+        n = DilationVector(entries)
+        fld = fractional_coefficients(n) if kernel == "F" else None
+        M, m_c = tuple(2 * m for m in half), half[-1]
+        points, weights, hermitian = _source(kernel, n, M, fld)
+        assert hermitian
+        full = fld and grid_eval(fld, M).values
+        if full is None:
+            full = engine_values(points, weights, M)
+        # odd slice t and M_c - 1 - t: the same sum of |f|
+        odd = np.abs(full[..., 1::2]).reshape(-1, m_c).sum(axis=0)
+        np.testing.assert_allclose(odd, odd[::-1], rtol=1e-12)
+        for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
+            spy, asked = _spied(weights)
+            (new_abs,), (new_sq,) = _slice_abs_sums(
+                points, spy, hermitian, M, budget, ["test"], nested=True)
+            assert sorted(u for u in asked if u % 2) == \
+                [2 * t + 1 for t in range((m_c - 1) // 2 + 1)]
+            assert sorted(u for u in asked if u % 2 == 0) == sorted(
+                list(range(0, m_c + 1, 2)) * (2 ** (len(M) - 1) - 1))
+            (old_abs,), (old_sq,) = _slice_abs_sums(
+                *_source(kernel, n, half, fld), half, budget, ["test"])
+            assert old_abs + new_abs == pytest.approx(np.abs(full).sum(),
+                                                      rel=1e-12)
+            assert old_sq + new_sq == pytest.approx(
+                (np.abs(full) ** 2).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("kernel, entries, tol", [
+        ("D", (7.3, 19.6), 1e-4), ("D", (4.5, 7.3, 13.1), 1e-4),
+        ("D", (7.3,), 1e-3), ("S", (5, 9.5, 23), 1e-4),
+        ("Fcomposite", (7.3, 19.6), 1e-4), ("R", (5, 9.5, 23), 1e-4),
+        ("F", (3.7, 9.5, 23.0), 1e-4), ("F", (3.7, 9.5), 1e-4),
+    ])
+    def test_levels_equal_full_resynthesis(self, kernel, entries, tol):
+        """Each level's value is the Riemann sum of a full synthesis of
+        its grid, and those sums stop at the same level."""
+        n = DilationVector(entries)
+        res = l1_norm(kernel, n, tol=tol)
+        fld = None
+        if kernel == "F" or n.d == 1:
+            fld = fractional_coefficients(n) if kernel == "F" else \
+                indicator_coefficients(build_lattice(n, 1))
+        grids = [M for M, _ in res.history]
+        assert grids == [tuple(m << k for m in grids[0])
+                         for k in range(len(grids))]
+        full = []
+        for M, value in res.history:
+            (total,), _ = _slice_abs_sums(*_source(kernel, n, M, fld), M,
+                                          1 << 30, ["full"])
+            full.append((2.0 * math.pi) ** len(M) * total / math.prod(M))
+            assert value == pytest.approx(full[-1], rel=1e-12, abs=0)
+        stop = next(k for k in range(1, len(full)) if abs(
+            full[k] - full[k - 1]) <= tol * max(abs(full[k]), 1e-9))
+        assert stop == len(grids) - 1
+
+    def test_complex_stack_levels_equal_full_resynthesis(self):
+        fld, xi = _stack_inputs(2, False)
+        stack = apply_delta(fld, np.array([0.7, 6.4, 20.3]), xi).weights
+        tags = ["a", "b", "c"]
+        for res, weights in zip(_field_norms(stack, tags), stack):
+            for M, value in res.history:
+                (total,), _ = _slice_abs_sums(
+                    *_field_source(weights[None], M, 1 << 30), M, 1 << 30,
+                    [res.tag])
+                assert value == pytest.approx(
+                    (2.0 * math.pi) ** 2 * total / math.prod(M), rel=1e-12)
+
+    @pytest.mark.parametrize("entries", [(7.3, 19.6), (4.5, 7.3, 13.1)])
+    @pytest.mark.parametrize("which", ["odd x_s", "shifted x'"])
+    def test_tampered_slice_trips_its_parseval_check(self, monkeypatch,
+                                                     which, entries):
+        engine = norms.slice_batches
+
+        def tampered(points, weights, passes, *args):
+            for fs, p, ns, w, v in engine(points, weights, passes, *args):
+                _, shift, nodes = passes[p]
+                if any(shift) if which == "shifted x'" else nodes.step == 2:
+                    v[:, 0] *= 1.001  # the batch's first slice
+                yield fs, p, ns, w, v
+
+        monkeypatch.setattr(norms, "slice_batches", tampered)
+        with pytest.raises(AssertionError,
+                           match="Parseval mismatch on x_s slice"):
+            l1_norm("D", DilationVector(entries))
 
 
 def _stack_inputs(s, real):
