@@ -45,6 +45,11 @@ __all__ = [
 
 _FRAC_BITS = 128
 _GUARD_BITS = 64  # guard bits of the fixed-point phi in fractional_parts
+_LIMB_K = 1 << 32  # golden k below it take the uint64 limbs
+# The most bits of the denominator base^{depth!} of a Liouville alpha: the
+# Fraction sum and Euclid's algorithm on it take time quadratic in them
+# (liouville:2,10, 3.6 M bits: 6.9 s; liouville:2,11, 40 M bits: over 60 s).
+_LIOUVILLE_BITS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,17 @@ class AlphaSpec:
     def liouville(cls, base: int, depth: int) -> "AlphaSpec":
         if base < 2 or depth < 1:
             raise ValueError("need base >= 2 and depth >= 1")
+        # base^{m!} has at least m! (bitlen(base) - 1) + 1 bits: a depth
+        # over the bound is refused from that count before any power is built
+        fact = 1
+        for m in range(2, depth + 1):
+            fact *= m
+            if fact * (base.bit_length() - 1) >= _LIOUVILLE_BITS:
+                break
+        if fact * (base.bit_length() - 1) >= _LIOUVILLE_BITS or \
+                (base ** fact).bit_length() > _LIOUVILLE_BITS:
+            raise ValueError(f"liouville:{base},{depth} has a denominator "
+                             f"of more than {_LIOUVILLE_BITS} bits")
         frac = sum(Fraction(1, base ** math.factorial(k))
                    for k in range(1, depth + 1))
         return cls(kind="liouville", base=base, depth=depth, rational=frac)
@@ -171,13 +187,45 @@ def fractional_parts(alpha: AlphaSpec, n: int) -> np.ndarray:
     if alpha.is_exact_rational:
         p, q = alpha.rational.numerator, alpha.rational.denominator
         return np.array([p * k % q / q for k in range(n + 1)], dtype=float)
-    # k phi 2^(FRAC+GUARD) is in (k a, k a + k), a = floor(phi 2^(FRAC+GUARD)),
-    # so k a >> GUARD is the floor unless its low bits exceed 2^GUARD - k
-    a, room = _golden_floor(1, _FRAC_BITS + _GUARD_BITS), 1 << _GUARD_BITS
-    floors = (k * a >> _GUARD_BITS if k * a % room <= room - k
-              else _golden_floor(k, _FRAC_BITS) for k in range(n + 1))
+    return _golden_parts(n)
+
+
+def _golden_parts(n: int) -> np.ndarray:
+    """{k phi} for k = 0..n, as fractional_parts gives them.
+
+    k phi 2^(FRAC+GUARD) is in (k a, k a + k), a = floor(phi 2^(FRAC+GUARD)),
+    so k a >> GUARD is the floor unless its low bits exceed 2^GUARD - k.
+    For k < 2^32, k a is formed in 32-bit limbs of uint64 arrays (k a_i +
+    carry < 2^64); Python integers take the rest: a guard that cannot
+    decide, a fraction with fewer than 55 bits above 2^-64, and k >= 2^32.
+    """
+    guard, bits = _GUARD_BITS, _FRAC_BITS + _GUARD_BITS
+    a, room = _golden_floor(1, bits), 1 << guard
     mask, scale = (1 << _FRAC_BITS) - 1, 1 << _FRAC_BITS
-    return np.array([(f & mask) / scale for f in floors], dtype=float)
+    k = np.arange(min(n + 1, _LIMB_K), dtype=np.uint64)
+    limbs, carry = [], np.zeros_like(k)
+    for i in range(0, 32 * ((guard + 64) // 32 + 3), 32):
+        p = k * np.uint64(a >> i & 0xFFFFFFFF) + carry
+        limbs.append(p & 0xFFFFFFFF)
+        carry = p >> 32
+
+    def window(b):  # bits b..b+63 of k a
+        j, s = divmod(b, 32)
+        return limbs[j] >> s | limbs[j + 1] << 32 - s | limbs[j + 2] << 64 - s
+
+    top = np.uint64(room - 1)
+    fits = (k <= top) & (window(0) & top <= top - k + 1)
+    # the fraction H 2^64 + L with H >= 2^54: H | (L != 0), rounded to odd
+    # with >= 55 bits, rounds to the float the 128-bit fraction rounds to
+    low, high = window(guard), window(guard + 64)
+    fast = fits & (high >= 1 << 54)
+    out = np.empty(n + 1)
+    out[:len(k)] = (high | (low != 0)).astype(float) * 2.0**-64
+    for j in np.flatnonzero(~fast).tolist() + list(range(len(k), n + 1)):
+        f = j * a >> guard if j * a % room <= room - j \
+            else _golden_floor(j, _FRAC_BITS)
+        out[j] = (f & mask) / scale
+    return out
 
 
 def I_n(alpha: AlphaSpec, n: int, tol: float = DEFAULT_TOL,

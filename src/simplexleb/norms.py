@@ -10,18 +10,23 @@ rho that is not finite and positive and a grid over the memory budget;
 change of the sum is at most tol.  The grid 2M holds M as its even nodes,
 so each later level adds to the running sums of |f| and |f|^2 only the
 nodes M lacks: the odd x_s nodes on all of 2M', and the even ones on the
-2^{s-1} - 1 copies of M' shifted by half a cell.
+copies of M' shifted by half a cell along the x' axes that doubled.
 
 One engine (:func:`slice_batches`) synthesizes every grid in batches of
 nodes of the last axis x_s, each transformed over x' in one reused buffer.
-It takes the x' modes and one of two slice-weight sources:
+It takes the x' modes and one of three slice-weight sources:
 
 * closed forms (:func:`.kernels.slice_weight_matrix`) for the d-kernels D,
   S, Fcomposite and R (d >= 2), with phases from two small tables a batch;
-* one inverse FFT along the last axis of a group of coefficient fields (F,
-  the twisted differences of the correction functional, I_n, and D for
-  d = 1), whose odd and even nodes a later level takes; for 1-D fields
-  that transform is the whole synthesis.
+* one inverse FFT along the last axis of a group of coefficient fields of
+  dimension s >= 2 (F for d >= 3, the twisted differences of the correction
+  functional), whose odd and even nodes a later level takes;
+* for a 1-D field (I_n, D for d = 1, F and the twisted differences for
+  d = 2), its fold (Markel's FFT pruning): with K modes on the first grid
+  M0, F is the least divisor of M0 with F >= K, fixed for all levels, and
+  node t = q + r u of the grid M = r F is node u of the x_s slice q, an
+  F-point transform of the modes k with weights c_k e^{2 pi i k q / M}.
+  The u axis never doubles, so a later level is the odd slices q alone.
 
 Its inputs carry a leading field axis: a stack of fields on one box, such
 as the 2T - 1 twisted differences of one t-integral of the correction
@@ -35,17 +40,18 @@ on the x_s slices t and M_s - t, so only t = 0..[M_s/2] are synthesized;
 t = 0 (x_s = -pi, unpaired: S, Fcomposite and R are not periodic in x_s)
 and t = M_s/2 count once, the others twice.  On the x_s nodes of M_s
 shifted by half a cell, t pairs with M_s - 1 - t, and with itself where
-2t + 1 = M_s.  The d-kernels and all fields with real weights (1-D ones
-too) qualify; the twisted differences do not.
+2t + 1 = M_s.  A folded 1-D field's slice q pairs with r - q, the same
+rule with M_s = r.  The d-kernels and all fields with real weights
+qualify; the twisted differences do not.
 
 Every grid is validated through the exact discrete Parseval identity
 
     (1 / prod M_j) sum_t |f(x_t)|^2 = sum_k |c_k|^2
 
-before its L1 value is accepted: per computed x_s slice wherever x' has
-axes (each slice is a trigonometric polynomial in x'), and over the whole
-grid, with the slice multiplicities above, for coefficient fields and for
-D, whose right-hand side is the lattice point count P.
+before its L1 value is accepted: per computed x_s slice (each slice is a
+trigonometric polynomial in x', or in u for a folded field), and over the
+whole grid, with the slice multiplicities above, for coefficient fields and
+for D, whose right-hand side is the lattice point count P.
 """
 
 from __future__ import annotations
@@ -208,6 +214,13 @@ def check_grid(K: tuple, M: tuple, budget_bytes: int, field: bool = True):
                      "slice weights")
 
 
+def _fold(k: int, m: int) -> int:
+    """F, the fold length of k <= m modes on the grid m: its least divisor
+    >= k."""
+    return min(f for d in range(1, math.isqrt(m) + 1) if m % d == 0
+               for f in (d, m // d) if f >= k)
+
+
 def slice_batches(points: np.ndarray, weights, passes,
                   budget_bytes: int = DEFAULT_BUDGET_BYTES, fields: int = 1):
     """Synthesize a stack of ``fields`` trigonometric polynomials with the
@@ -221,14 +234,13 @@ def slice_batches(points: np.ndarray, weights, passes,
     slice (the sources check it fits): whole fields while two fit, else
     slices of one; each group runs every pass.  Yields ``(fs, p, ns, w,
     v)``: v, shape (G, B) + M', the inverse FFT of w in pass p, is
-    f / prod M' (callers scale their sums).  Without x' axes v is w; else
-    all batches share one buffer: v is valid until the next batch."""
+    f / prod M' (callers scale their sums).  All batches share one buffer:
+    v is valid until the next batch."""
     rest = max(math.prod(m_prime) for m_prime, *_ in passes)
     rows = max(len(nodes) for *_, nodes in passes)
     batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
     group = max(1, batch // rows)
-    if points.shape[1]:
-        buf = np.empty(min(group, fields) * min(batch, rows) * rest, complex)
+    buf = np.empty(min(group, fields) * min(batch, rows) * rest, complex)
     for f0 in range(0, fields, group):
         fs = slice(f0, min(f0 + group, fields))
         group_weights = weights(fs)
@@ -236,14 +248,13 @@ def slice_batches(points: np.ndarray, weights, passes,
             rest = math.prod(m_prime)
             flat = np.ravel_multi_index(tuple(points.T), m_prime)
             # the origin twist (-1)^{sum k} e^{i pi sum_j shift_j k_j / M'_j}
-            twist = _origin_twist(points.sum(axis=1)) * np.exp(
-                1j * np.pi * (points @ np.divide(shift, m_prime)))
+            twist = _origin_twist(points.sum(axis=1))
+            if any(shift):
+                twist = twist * np.exp(
+                    1j * np.pi * (points @ np.divide(shift, m_prime)))
             for start in range(0, len(nodes), batch):
                 ns = nodes[start:start + batch]
                 w = group_weights(ns)
-                if not m_prime:
-                    yield fs, p, ns, w, w
-                    continue
                 g, b = w.shape[:2]
                 v = buf[:g * b * rest].reshape((g, b) + m_prime)
                 v.fill(0.0)
@@ -262,10 +273,11 @@ def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
 
 
 def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
-    """(points, weights, hermitian) of the fields ``weights`` (H,) + K on
-    the grid M.  A group's slice weights come from one inverse FFT along the
-    last axis, zero-padded to M_s, with the origin twist (-1)^{k_s}: for
-    real (Hermitian) weights a real one, of the nodes 0..[M_s/2] alone."""
+    """(points, weights, hermitian) of the fields ``weights`` (H,) + K, of
+    dimension s >= 2, on the grid M.  A group's slice weights come from one
+    inverse FFT along the last axis, zero-padded to M_s, with the origin
+    twist (-1)^{k_s}: for real (Hermitian) weights a real one, of the nodes
+    0..[M_s/2] alone."""
     K = weights.shape[1:]
     check_grid(K, M, budget_bytes)
     k_prime, k_last = K[:-1], K[-1]
@@ -283,28 +295,60 @@ def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
     return np.argwhere(np.ones(k_prime, dtype=bool)), group_weights, hermitian
 
 
-def _passes(M: tuple, nested: bool) -> list:
-    """The engine's passes (M', shift, x_s nodes) over the grid M, or
-    (nested) over the nodes M / 2 lacks: (a) the odd x_s nodes on all of
-    M', (b) the even ones on the 2^{s-1} - 1 copies of M' / 2 shifted by
-    half a cell."""
+def _folded_source(weights: np.ndarray, M: tuple, budget_bytes: int):
+    """(points, weights, hermitian) of the 1-D fields ``weights`` (H, K) on
+    the fold M = (F, r) of the grid m = r F: node t = q + r u is node u of
+    the x_s slice q, whose x' modes are the k, with the slice weights
+    c_k e^{2 pi i k q / m}; the origin twist (-1)^k is the engine's.  Real
+    (Hermitian) fields are synthesized on the slices q <= r / 2 alone."""
+    K = weights.shape[1]
+    # the box (K, 1) on (F, r): one slice of F values and K r slice weights,
+    # counted as if held at once although they come a batch at a time
+    check_grid((K, 1), M, budget_bytes)
+    hermitian = not weights.imag.any()
+
+    def group_weights(fs):
+        c = (weights[fs].real if hermitian else weights[fs])[:, None]
+        return lambda ns: c * _fold_phases(K, math.prod(M), ns)
+    return np.arange(K)[:, None], group_weights, hermitian
+
+
+def _fold_phases(K: int, m: int, ns: range) -> np.ndarray:
+    """e^{2 pi i k q / m} for k < K at the nodes q of ns, shape (len(ns),
+    K): with k = a Q + b, the product of the np.exp tables of a Q and of b,
+    about sqrt(K) columns each, of arguments reduced mod m in integers."""
+    step = max(1, math.isqrt(K))
+    q = np.arange(ns.start, ns.stop, ns.step)[:, None]
+
+    def table(k):
+        return np.exp(2j * np.pi / m * (q * k % m))
+    e = table(np.arange(0, K, step))[:, :, None] * \
+        table(np.arange(step))[:, None, :]
+    return e.reshape(len(q), -1)[:, :K]
+
+
+def _passes(M: tuple, half: tuple | None = None) -> list:
+    """The engine's passes (M', shift, x_s nodes) over the grid M, or over
+    the nodes its half grid ``half`` lacks: (a) the odd x_s nodes on all of
+    M', (b) the even ones on the copies of half' shifted by half a cell
+    along the x' axes that doubled (none for a folded 1-D field)."""
     m_prime, m = M[:-1], M[-1]
-    zero, *shifts = itertools.product((0, 1), repeat=len(m_prime))
-    if not nested:
-        return [(m_prime, zero, range(m))]
+    if half is None:
+        return [(m_prime, (0,) * len(m_prime), range(m))]
+    zero, *shifts = itertools.product(
+        *[(0, 1) if k != h else (0,) for k, h in zip(m_prime, half)])
     return [(m_prime, zero, range(1, m, 2))] + [
-        (tuple(k // 2 for k in m_prime), shift, range(0, m, 2))
-        for shift in shifts]
+        (half[:-1], shift, range(0, m, 2)) for shift in shifts]
 
 
 def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
-                    nested=False):
+                    half=None):
     """sum_t |f(x_t)| and sum_t |f(x_t)|^2 for each field of the stack (one
-    per tag) over the grid M, or (nested) over the nodes M / 2 lacks, from
-    the slice engine (for a Hermitian f the x_s nodes t <= M_s / 2), with
-    the exact Parseval identity checked on every computed x_s slice of x'
-    with axes.  |v| goes to one reused buffer."""
-    m, passes = M[-1], _passes(M, nested)
+    per tag) over the grid M, or over the nodes its half grid ``half``
+    lacks, from the slice engine (for a Hermitian f the x_s nodes t <=
+    M_s / 2), with the exact Parseval identity checked on every computed
+    x_s slice.  |v| goes to one reused buffer."""
+    m, passes = M[-1], _passes(M, half)
     if hermitian:
         passes = [(mp, shift, ns[:(m // 2 - ns.start) // ns.step + 1])
                   for mp, shift, ns in passes]
@@ -316,22 +360,18 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
         rest = math.prod(passes[p][0])
         buf = np.empty(v.size) if buf is None else buf  # the largest batch
         av = np.abs(v, out=buf[:v.size].reshape(v.shape)).reshape(g, b, rest)
-        if len(M) > 1:
-            # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|
-            power = np.einsum("ijk,ijk->ij", av, av)
-            w = w.reshape(g * b, -1)
-            _check_parseval(rest * power,
-                            np.einsum("ij,ij->i", w, w.conj()).real,
-                            tags[fs], "x_s slice")
-            sq = power.sum(axis=1)
-        else:  # one value a row: no per-row sums
-            sq = np.einsum("ijk,ijk->i", av, av)
+        # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|,
+        # against sum |w|^2 from the float views of w
+        power = np.einsum("ijk,ijk->ij", av, av)
+        _check_parseval(rest * power, sum(
+            np.einsum("ijk,ijk->ij", part, part) for part in (w.real, w.imag)),
+            tags[fs], "x_s slice")
         # Hermitian: each node counts twice but the self-paired ones
         own = av[:, [ns.index(t) for t in {0, m // 2}
                      if hermitian and 2 * t % m == 0 and t in ns]]
         sum_abs[fs] += rest * ((1 + hermitian) * av.sum(axis=(1, 2))
                                - own.sum(axis=(1, 2)))
-        sum_sq[fs] += rest * rest * ((1 + hermitian) * sq
+        sum_sq[fs] += rest * rest * ((1 + hermitian) * power.sum(axis=1)
                                      - np.einsum("ijk,ijk->i", own, own))
     return sum_abs, sum_sq
 
@@ -355,14 +395,15 @@ def _refine(abs_sums, M0: tuple, power, tol: float, tags) -> list:
     M0, at most MAX_DOUBLINGS times, until its relative change is at most
     tol, where it leaves; its grid power is checked against its sum |c|^2
     in ``power`` if given.  Each level adds to its running sums ``abs_sums
-    (M, live, nested)``: sum |f| and sum |f|^2 of the fields ``live`` (an
-    index array) on the grid M, or (nested) on the nodes M / 2 lacks."""
+    (M, live, half)``: sum |f| and sum |f|^2 of the fields ``live`` (an
+    index array) on the grid M, or on the nodes its half grid ``half``
+    lacks (None on the first level)."""
     histories, done = [[] for _ in tags], [None] * len(tags)
     live = np.arange(len(tags))
-    prev, M, sums = None, M0, 0.0
+    prev, half, M, sums = None, None, M0, 0.0
     for level in range(MAX_DOUBLINGS + 1):
         size = math.prod(M)
-        sums = sums + np.array(abs_sums(M, live, level > 0))
+        sums = sums + np.array(abs_sums(M, live, half))
         if power is not None:
             _check_parseval(sums[1] / size, power[live],
                             [tags[i] for i in live])
@@ -379,7 +420,7 @@ def _refine(abs_sums, M0: tuple, power, tol: float, tags) -> list:
             live, v, sums = live[~conv], v[~conv], sums[:, ~conv]
             if not len(live):
                 return done
-        prev = v
+        prev, half = v, M
         M = tuple(2 * m for m in M)
     raise NormConvergenceError(
         f"no convergence for {tags[live[0]]} after {MAX_DOUBLINGS} "
@@ -404,12 +445,16 @@ def _field_norms(weights: np.ndarray, tags, tol: float = DEFAULT_TOL,
         return [NormResult(value=v, s=0, grid=None, history=((None, v),),
                            error_estimate=0.0, parseval=v * v, tag=tag)
                 for v, tag in zip(map(abs, weights.tolist()), tags)]
+    source, fold = _field_source, lambda M: M
+    if len(M0) == 1:  # the engine runs on the fold (F, M / F), F fixed
+        F = _fold(weights.shape[1], M0[0])
+        source, fold = _folded_source, lambda M: M and (F, M[0] // F)
     return _refine(
         # no copy while every field is live: it would add to the peak memory
-        lambda M, live, nested: _slice_abs_sums(
-            *_field_source(weights[live] if len(live) < len(weights)
-                           else weights, M, budget_bytes),
-            M, budget_bytes, [tags[i] for i in live], nested),
+        lambda M, live, half: _slice_abs_sums(
+            *source(weights[live] if len(live) < len(weights) else weights,
+                    fold(M), budget_bytes),
+            fold(M), budget_bytes, [tags[i] for i in live], fold(half)),
         M0, np.array([np.vdot(c, c).real for c in weights]), tol, tags)
 
 
@@ -438,9 +483,9 @@ def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
     power = np.array([float((lat.lambda_parts.floor + 1).sum())]) \
         if kernel == "D" else None
     return _refine(
-        lambda M, live, nested: _slice_abs_sums(
+        lambda M, live, half: _slice_abs_sums(
             *_kernel_source(kernel, lat, M, budget_bytes), M, budget_bytes,
-            [tag], nested),
+            [tag], half),
         M0, power, tol, [tag])[0]
 
 

@@ -81,7 +81,7 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
         raise ValueError("requires n > 3")
     m_modes = int(n) + 1
 
-    def abs_sums(M, live, nested):
+    def abs_sums(M, live, half):
         m = M[0]
         circ = _geometric_sum(m_modes, 2.0 * np.pi * np.arange(m) / m)
         nodes = axis_nodes(m)
@@ -90,7 +90,7 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
         for u in range(m):
             c_u = np.exp(1j * (alpha * nodes[u] + beta))
             row = np.abs(c_u * np.roll(circ, u) - dx)
-            if nested and u % 2 == 0:
+            if half and u % 2 == 0:
                 # the grid M / 2 holds the nodes (x_t, y_u) of even t and u
                 row = row[1::2]
             total += float(row.sum())

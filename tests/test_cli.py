@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -356,6 +357,18 @@ class TestIrrationalCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("simplexleb: error: slice weights")
+
+    def test_liouville_depth_over_bound_exits_1_at_once(self, capsys):
+        """2^{11!} has 40 M bits: the sum of its Fractions did not finish in
+        60 s; it is refused before the sum."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "irrational", "--alpha",
+                             "liouville:2,11", "--n", "16")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error: liouville:2,11 has a "
+                              "denominator of more than")
 
     @pytest.mark.parametrize("alpha", ["rational:1/0", "dec:1/0"])
     def test_zero_denominator_exits_1(self, capsys, alpha):

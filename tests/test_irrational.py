@@ -43,6 +43,18 @@ class TestAlphaSpec:
         with pytest.raises(ValueError):
             AlphaSpec.liouville(1, 3)
 
+    def test_liouville_depth_over_bit_bound_refused(self, monkeypatch):
+        """base^{depth!} may have _LIOUVILLE_BITS bits, not one more: 2^24
+        has 25 bits."""
+        monkeypatch.setattr(irrational, "_LIOUVILLE_BITS", 25)
+        assert AlphaSpec.liouville(2, 4).rational.denominator == 2 ** 24
+        monkeypatch.setattr(irrational, "_LIOUVILLE_BITS", 24)
+        with pytest.raises(ValueError, match="more than 24 bits"):
+            AlphaSpec.liouville(2, 4)
+        with pytest.raises(ValueError, match="more than 24 bits"):
+            AlphaSpec.liouville(1 << 30, 1)
+        AlphaSpec.liouville(2, 3)
+
     def test_decimal_literal(self):
         a = AlphaSpec.from_decimal("0.7071")
         assert a.rational == Fraction(7071, 10000)
@@ -149,6 +161,14 @@ class TestFractionalParts:
             fractional_parts(AlphaSpec.golden(), 2000), want)
         assert len(calls) > 1000
 
+    def test_golden_python_tail_keeps_values(self, monkeypatch):
+        """k at and past the limbs' bound (2^32, lowered to 1000 here) take
+        Python integers, with the same floats."""
+        want = fractional_parts(AlphaSpec.golden(), 2000)
+        monkeypatch.setattr(irrational, "_LIMB_K", 1000)
+        np.testing.assert_array_equal(
+            fractional_parts(AlphaSpec.golden(), 2000), want)
+
     def test_values_in_unit_interval(self):
         got = fractional_parts(AlphaSpec.liouville(2, 4), 200)
         assert np.all((got >= 0.0) & (got < 1.0))
@@ -178,9 +198,9 @@ class TestIn:
         assert got == pytest.approx(oracle, rel=1e-4)
 
     def test_golden_norm_peak_memory(self):
-        """At n = 2^17 the ihfft output alone is 16 MiB; the norm adds its
-        padded input and one batch of |v| and row sums at a time, not five
-        batch-sized arrays (42.2 MiB of tracemalloc peak)."""
+        """At n = 2^17 the fold (131220, r) holds a few batch-sized arrays
+        of 3 slices (6.3 MB complex each) at a time: the buffer, |v|, the
+        weights and their twisted copy (24.4 MiB of tracemalloc peak)."""
         golden = AlphaSpec.golden()
         w = fractional_parts(golden, 1 << 17)
         tracemalloc.start()

@@ -32,6 +32,8 @@ from simplexleb.norms import (
     NormConvergenceError,
     _fast_len,
     _field_source,
+    _fold,
+    _folded_source,
     _kernel_source,
     _passes,
     first_grid,
@@ -39,17 +41,33 @@ from simplexleb.norms import (
     slice_batches,
 )
 
+from simplexleb import norms
+
 from oracles import axis_nodes, grid_eval, s_via_delta
 
 
 def engine_values(points, weights, M, budget_bytes=1 << 30):
     """The slice engine's values of a one-field stack on the grid M; each
     batch is copied, since the engine reuses its buffer for the next."""
-    batches = slice_batches(points, weights, _passes(M, False),
+    batches = slice_batches(points, weights, _passes(M),
                             budget_bytes=budget_bytes)
     v = np.concatenate([v[0].copy() for *_, v in batches])
     v = v.reshape((M[-1],) + tuple(M[:-1]))
     return np.moveaxis(v, 0, -1) * math.prod(M[:-1])
+
+
+def folded_values(weights, m, budget_bytes=1 << 30):
+    """The slice engine's values of a stack of 1-D fields (H, K) on the grid
+    m, shape (H, m), from their fold (F, m / F): node t = q + r u is node u
+    of the x_s slice q."""
+    F = _fold(weights.shape[1], m)
+    M = (F, m // F)
+    points, source, _ = _folded_source(weights, M, budget_bytes)
+    values = np.empty((len(weights),) + M, dtype=complex)
+    for fs, _, ns, _, v in slice_batches(points, source, _passes(M),
+                                         budget_bytes, len(weights)):
+        values[fs, :, ns.start:ns.stop:ns.step] = np.moveaxis(v, 1, 2) * F
+    return values.reshape(len(weights), m)
 
 
 def engine_grid(kernel, n, M):
@@ -344,6 +362,12 @@ class TestGridEvalSliced:
         fld = CoefficientField(weights=rng.standard_normal(extents)
                                + 1j * rng.standard_normal(extents))
         dense = grid_eval(fld, M).values
+        if len(M) == 1:  # a 1-D field runs on its fold (37, 1)
+            for budget in (1 << 30, 3 * 16 * M[0]):
+                vals = folded_values(fld.weights[None], M[0], budget)[0]
+                assert np.abs(vals - dense).max() <= \
+                    1e-12 * np.abs(dense).max()
+            return
         points, weights, _ = _field_source(fld.weights[None], M, 1 << 30)
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             vals = engine_values(points, weights, M, budget)
@@ -460,7 +484,7 @@ class TestNestedPasses:
     @staticmethod
     def check(points, weights, hermitian, M, dense):
         """A Hermitian source gives the nodes x_s <= 0 alone."""
-        passes = _passes(M, True)
+        passes = _passes(M, tuple(m // 2 for m in M))
         assert len(passes) == 2 ** (len(M) - 1)
         if hermitian:
             passes = [(m_prime, shift, range(ns.start, M[-1] // 2 + 1, 2))
@@ -507,6 +531,81 @@ class TestNestedPasses:
                                                    1 << 30)
         assert hermitian == real
         self.check(points, weights, hermitian, M, grid_eval(fld, M).values)
+
+
+class TestFold:
+    """A 1-D field on the grid m = r F is r F-point transforms: node
+    t = q + r u is node u of the x_s slice q, with weights c_k e^{2 pi i k q
+    / m}.  At equal grids the folded engine is the dense synthesis."""
+
+    @staticmethod
+    def golden_like(n):
+        """Real weights {k phi}, k = 0..n, as I_n takes them."""
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        return (np.arange(n + 1) * phi % 1.0).astype(complex)[None]
+
+    @staticmethod
+    def check(monkeypatch, weights, m, batch):
+        """One batch, then batches of ``batch`` slices: the budget counts
+        all K r slice weights of a fold, so only the chunk size splits
+        them."""
+        F = _fold(weights.shape[1], m)
+        dense = np.array([grid_eval(CoefficientField(weights=c), (m,)).values
+                          for c in weights])
+        for chunk in (1 << 30, batch * 16 * F):
+            monkeypatch.setattr(norms, "_CHUNK_BYTES", chunk)
+            got = folded_values(weights, m)
+            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_fold_lengths(self):
+        """F is the least divisor of the first grid with F >= K: D(18) has
+        K = 19 modes on M0 = 77, which has no divisor in [19, 77)."""
+        assert first_grid((19,), 4.0, 1e-3, 1 << 30) == (77,)
+        assert _fold(19, 77) == 77
+        assert _fold(131073, 524880) == 131220
+        assert _fold(201, 810) == 270
+
+    @pytest.mark.parametrize("m", [810, 1620, 6480])
+    def test_real_field(self, monkeypatch, m):
+        """K = 201 on F = 270, r = 3, 6 and 24."""
+        self.check(monkeypatch, self.golden_like(200), m, 2)
+
+    @pytest.mark.parametrize("m", [45, 90, 720])
+    def test_complex_delta_stack(self, monkeypatch, m):
+        fld = fractional_coefficients(DilationVector((3.7, 9.5)))
+        stack = apply_delta(fld, np.array([0.7, 6.4, 20.3]),
+                            [1.0 / 3.7]).weights
+        assert stack.shape == (3, 4) and stack.imag.any()
+        self.check(monkeypatch, stack, m, 3)
+
+    @pytest.mark.parametrize("m", [77, 154, 1232])
+    def test_d18_single_slice_first_grid(self, monkeypatch, m):
+        """r = 1 on its first grid, then 2 and 16 slices of F = 77."""
+        fld = indicator_coefficients(build_lattice(DilationVector((18,)), 1))
+        self.check(monkeypatch, fld.weights[None], m, 1)
+
+    def test_nested_pass_is_the_odd_slices(self):
+        """F does not double: a nested level is the one pass of odd q, with
+        no shifted copies, and together with the half grid's slices they
+        are every slice once."""
+        F, r = 270, 12
+        assert _passes((F, r), (F, r // 2)) == [((F,), (0,),
+                                                 range(1, r, 2))]
+        assert _passes((F, r)) == [((F,), (0,), range(r))]
+        weights = self.golden_like(200)
+        points, source, _ = _folded_source(weights, (F, r), 1 << 30)
+        dense = grid_eval(CoefficientField(weights=weights[0]),
+                          (F * r,)).values.reshape(F, r)
+        for fs, p, ns, w, v in slice_batches(
+                points, source, _passes((F, r), (F, r // 2))):
+            assert p == 0 and list(ns) == list(range(1, r, 2))
+            got = np.moveaxis(v[0], 0, 1) * F
+            assert np.abs(got - dense[:, 1::2]).max() <= \
+                1e-12 * np.abs(dense).max()
+
+    def test_fold_refuses_undersized_slice(self):
+        with pytest.raises(ValueError, match="below box extent 201"):
+            _folded_source(self.golden_like(200), (200, 4), 1 << 30)
 
 
 def test_first_axes_periodicity_of_sliced_kernels():

@@ -21,6 +21,8 @@ from simplexleb.norms import (
     NormConvergenceError,
     _field_norms,
     _field_source,
+    _fold,
+    _folded_source,
     _kernel_source,
     _slice_abs_sums,
     frak_f,
@@ -198,12 +200,12 @@ class TestHalfSlices:
     ])
     def test_real_fields_match_full_grid(self, entries, M):
         fld = fractional_coefficients(DilationVector(entries))
-        points, weights, hermitian = _field_source(fld.weights[None], M,
-                                                   1 << 30)
-        # 1-D too: its source gives only the nodes 0..[M_s/2]
+        (grid,) = _grids(fld, M)
+        points, weights, hermitian = _source(None, None, grid, fld)
+        # 1-D too: its fold (5, 9) gives only the slices q = 0..[r/2]
         assert hermitian
-        self._check(points, weights, hermitian, M,
-                    grid_eval(fld, M).values)
+        self._check(points, weights, hermitian, grid,
+                    grid_eval(fld, M).values.reshape(grid))
 
     def test_complex_delta_field_matches_dense_grid(self):
         n = DilationVector((3.7, 9.5, 23.0))
@@ -218,10 +220,21 @@ class TestHalfSlices:
 
 
 def _source(kernel, n, M, fld=None):
-    """(points, weights, hermitian) of a d-kernel, or of the field fld."""
+    """(points, weights, hermitian) of a d-kernel, or of the field fld, on
+    the engine's grid M (the fold of a 1-D field)."""
     if fld is not None:
-        return _field_source(fld.weights[None], M, 1 << 30)
+        source = _folded_source if fld.s == 1 else _field_source
+        return source(fld.weights[None], M, 1 << 30)
     return _kernel_source(kernel, build_lattice(n, n.d - 1), M)
+
+
+def _grids(fld, *grids):
+    """The engine's grids for ``grids``, the first the coarsest: for a 1-D
+    field its folds (F, M / F), with F from the first; else the grids."""
+    if fld is None or fld.s > 1:
+        return grids
+    F = _fold(fld.extents[0], grids[0][0])
+    return tuple((F, M[0] // F) for M in grids)
 
 
 class TestNestedLevels:
@@ -244,23 +257,27 @@ class TestNestedLevels:
         M / 2 they give the full grid's."""
         n = DilationVector(entries)
         fld = fractional_coefficients(n) if kernel == "F" else None
-        M, m_c = tuple(2 * m for m in half), half[-1]
+        full = fld and grid_eval(fld, tuple(2 * m for m in half)).values
+        # a 1-D field's fold (5, 9) doubles its slices alone: no even ones
+        folded = len(half) == 1
+        half, M = _grids(fld, half, tuple(2 * m for m in half))
+        m_c, copies = half[-1], 0 if folded else 2 ** (len(M) - 1) - 1
         points, weights, hermitian = _source(kernel, n, M, fld)
         assert hermitian
-        full = fld and grid_eval(fld, M).values
         if full is None:
             full = engine_values(points, weights, M)
+        full = full.reshape(M)
         # odd slice t and M_c - 1 - t: the same sum of |f|
         odd = np.abs(full[..., 1::2]).reshape(-1, m_c).sum(axis=0)
         np.testing.assert_allclose(odd, odd[::-1], rtol=1e-12)
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             spy, asked = _spied(weights)
             (new_abs,), (new_sq,) = _slice_abs_sums(
-                points, spy, hermitian, M, budget, ["test"], nested=True)
+                points, spy, hermitian, M, budget, ["test"], half)
             assert sorted(u for u in asked if u % 2) == \
                 [2 * t + 1 for t in range((m_c - 1) // 2 + 1)]
             assert sorted(u for u in asked if u % 2 == 0) == sorted(
-                list(range(0, m_c + 1, 2)) * (2 ** (len(M) - 1) - 1))
+                list(range(0, m_c + 1, 2)) * copies)
             (old_abs,), (old_sq,) = _slice_abs_sums(
                 *_source(kernel, n, half, fld), half, budget, ["test"])
             assert old_abs + new_abs == pytest.approx(np.abs(full).sum(),
@@ -287,9 +304,9 @@ class TestNestedLevels:
         assert grids == [tuple(m << k for m in grids[0])
                          for k in range(len(grids))]
         full = []
-        for M, value in res.history:
-            (total,), _ = _slice_abs_sums(*_source(kernel, n, M, fld), M,
-                                          1 << 30, ["full"])
+        for (M, value), grid in zip(res.history, _grids(fld, *grids)):
+            (total,), _ = _slice_abs_sums(*_source(kernel, n, grid, fld),
+                                          grid, 1 << 30, ["full"])
             full.append((2.0 * math.pi) ** len(M) * total / math.prod(M))
             assert value == pytest.approx(full[-1], rel=1e-12, abs=0)
         stop = next(k for k in range(1, len(full)) if abs(
@@ -325,6 +342,49 @@ class TestNestedLevels:
         with pytest.raises(AssertionError,
                            match="Parseval mismatch on x_s slice"):
             l1_norm("D", DilationVector(entries))
+
+
+    def test_folded_levels_ask_their_odd_slices_alone(self, monkeypatch):
+        """D(18) keeps F = 77: each level after the first asks its fold
+        (77, r) for the odd slices q <= r / 2 alone."""
+        source, asked = norms._folded_source, []
+
+        def spied_source(weights, M, budget_bytes):
+            points, weights, hermitian = source(weights, M, budget_bytes)
+            spy, qs = _spied(weights)
+            asked.append((M, qs))
+            return points, spy, hermitian
+
+        monkeypatch.setattr(norms, "_folded_source", spied_source)
+        res = l1_norm("D", DilationVector((18,)), tol=1e-4)
+        assert [M for M, _ in res.history] == \
+            [(77 << k,) for k in range(4)]
+        assert [M for M, _ in asked] == [(77, 1 << k) for k in range(4)]
+        assert asked[0][1] == [0]
+        for (_, r), qs in asked[1:]:
+            assert sorted(qs) == list(range(1, r // 2 + 1, 2))
+
+    @pytest.mark.parametrize("case", ["D(7.3)", "complex stack"])
+    def test_corrupted_1d_weight_row_trips_its_slice_check(self, monkeypatch,
+                                                           case):
+        """The weight row the check sees no longer matches its synthesized
+        slice: a 1-D field's slices have their own Parseval check."""
+        engine = norms.slice_batches
+
+        def tampered(points, weights, passes, *args):
+            for fs, p, ns, w, v in engine(points, weights, passes, *args):
+                w[:, 0] *= 1.001  # the batch's first weight row
+                yield fs, p, ns, w, v
+
+        monkeypatch.setattr(norms, "slice_batches", tampered)
+        with pytest.raises(AssertionError,
+                           match="Parseval mismatch on x_s slice"):
+            if case == "D(7.3)":
+                l1_norm("D", DilationVector((7.3,)))
+            else:
+                fld, xi = _stack_inputs(1, False)
+                _field_norms(apply_delta(fld, np.array([0.7, 6.4]),
+                                         xi).weights, ["a", "b"])
 
 
 def _stack_inputs(s, real):
