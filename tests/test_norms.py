@@ -343,7 +343,6 @@ class TestNestedLevels:
                            match="Parseval mismatch on x_s slice"):
             l1_norm("D", DilationVector(entries))
 
-
     def test_folded_levels_ask_their_odd_slices_alone(self, monkeypatch):
         """D(18) keeps F = 77: each level after the first asks its fold
         (77, r) for the odd slices q <= r / 2 alone."""
