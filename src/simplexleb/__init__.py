@@ -14,10 +14,6 @@ from .core import (
 )
 from .kernels import (
     apply_delta,
-    eval_D,
-    eval_F,
-    eval_R,
-    eval_S,
     reduce_torus,
     slice_weight_matrix,
 )
@@ -42,7 +38,6 @@ from .asymptotics import (
 from .irrational import (
     AlphaSpec,
     ContinuedFraction,
-    I_n,
     cf_expand,
     fractional_parts,
     study_ratio,

@@ -19,6 +19,7 @@ since phi = 1 + 1/phi.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,17 +40,18 @@ __all__ = [
     "RatioRecord",
     "cf_expand",
     "fractional_parts",
-    "I_n",
     "study_ratio",
 ]
 
 _FRAC_BITS = 128
 _GUARD_BITS = 64  # guard bits of the fixed-point phi in fractional_parts
 _LIMB_K = 1 << 32  # golden k below it take the uint64 limbs
-# The most bits of the denominator base^{depth!} of a Liouville alpha: the
-# Fraction sum and Euclid's algorithm on it take time quadratic in them
-# (liouville:2,10, 3.6 M bits: 6.9 s; liouville:2,11, 40 M bits: over 60 s).
-_LIOUVILLE_BITS = 1 << 22
+# The most bits of the power base^{depth!} of a Liouville alpha, or 10^|e|
+# of a decimal alpha with exponent e: building it, the Fraction sum and
+# Euclid's algorithm take time that grows steeply with them (liouville:2,10,
+# 3.6 M bits: 6.9 s; liouville:2,11, 40 M bits: over 60 s;
+# dec:1e-10000000, 33 M bits: 13 s).
+_ALPHA_BITS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -94,18 +96,23 @@ class AlphaSpec:
         fact = 1
         for m in range(2, depth + 1):
             fact *= m
-            if fact * (base.bit_length() - 1) >= _LIOUVILLE_BITS:
+            if fact * (base.bit_length() - 1) >= _ALPHA_BITS:
                 break
-        if fact * (base.bit_length() - 1) >= _LIOUVILLE_BITS or \
-                (base ** fact).bit_length() > _LIOUVILLE_BITS:
+        if fact * (base.bit_length() - 1) >= _ALPHA_BITS or \
+                (base ** fact).bit_length() > _ALPHA_BITS:
             raise ValueError(f"liouville:{base},{depth} has a denominator "
-                             f"of more than {_LIOUVILLE_BITS} bits")
+                             f"of more than {_ALPHA_BITS} bits")
         frac = sum(Fraction(1, base ** math.factorial(k))
                    for k in range(1, depth + 1))
         return cls(kind="liouville", base=base, depth=depth, rational=frac)
 
     @classmethod
     def from_decimal(cls, literal: str) -> "AlphaSpec":
+        # Fraction builds 10^|e| in full, past Python's limit on int digits
+        exp = re.search(r"e([-+]?[\d_]+)\s*$", literal, re.IGNORECASE)
+        if exp and abs(int(exp[1])) * math.log2(10) >= _ALPHA_BITS:
+            raise ValueError(f"decimal alpha {literal!r} has a power of ten "
+                             f"of more than {_ALPHA_BITS} bits")
         try:
             rational = Fraction(literal)
         except ZeroDivisionError:
@@ -226,12 +233,6 @@ def _golden_parts(n: int) -> np.ndarray:
             else _golden_floor(j, _FRAC_BITS)
         out[j] = (f & mask) / scale
     return out
-
-
-def I_n(alpha: AlphaSpec, n: int, tol: float = DEFAULT_TOL,
-        rho: float = DEFAULT_RHO) -> NormResult:
-    """Plain L1 norm of the 1-D kernel with weights {alpha k}, k = 0..n."""
-    return _kernel_norm(alpha, fractional_parts(alpha, n), tol, rho)
 
 
 def _kernel_norm(alpha: AlphaSpec, w: np.ndarray, tol: float, rho: float,

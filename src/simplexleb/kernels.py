@@ -20,15 +20,17 @@ c_k -> (e^{i h (1 - sum_j k_j / n_j)} - 1) c_k.  The exact identity
 
     D(x) = S(x) - e^{i n_d x_d} F(x' - x_d m^(d-1)) + R(x)
 
-holds pointwise; truncating the nu-series of R at nu_max leaves a residual
-controlled by the tail bound returned by :func:`eval_R`.
+holds pointwise; truncating the nu-series of R at nu_max (:func:`_r_series`)
+leaves a residual controlled by the tail bound derived below, which
+:func:`.norms.identity_residuals` returns with it.
 
 The identity also holds mode by mode in k': on the slice at fixed x_d each
 of the four d-dimensional kernels is a trigonometric polynomial in x' whose
 weight on mode k' is a closed-form function of L = L_d(k') and x_d
 (:func:`slice_weight_matrix`).  R's weight is w_D - w_S + w_Fcomposite,
 the exact sum of its nu-series, so the norm engine needs no truncation;
-:func:`eval_R` keeps the series as the independent oracle of the theorem.
+the identity check keeps the series as the independent oracle of the
+theorem.
 
 Grid synthesis phase bookkeeping: grid nodes are x_t = -pi + 2 pi t / M, so
 
@@ -56,14 +58,10 @@ from functools import partial
 
 import numpy as np
 
-from .core import CoefficientField, DilationVector, LambdaParts, build_lattice
+from .core import CoefficientField, LambdaParts
 
 __all__ = [
     "reduce_torus",
-    "eval_D",
-    "eval_F",
-    "eval_S",
-    "eval_R",
     "apply_delta",
     "slice_weight_matrix",
     "DEFAULT_NU_MAX",
@@ -108,65 +106,7 @@ def _geometric_sum(m, t, phase=None, zero=None):
     return num
 
 
-def _lattice_with_lambda(n: DilationVector):
-    lat = build_lattice(n, n.d - 1)
-    return lat.points, lat.lambda_parts
-
-
-def eval_D(n: DilationVector, x) -> complex:
-    """Exact nested lattice sum, innermost axis aggregated geometrically."""
-    x = reduce_torus(np.atleast_1d(x))
-    if x.shape[-1] != n.d:
-        raise ValueError(f"point has {x.shape[-1]} coordinates, kernel needs {n.d}")
-    if n.d == 1:
-        return complex(_geometric_sum(int(n.entries[0]) + 1, x[0]))
-    points, lam = _lattice_with_lambda(n)
-    phases = np.exp(1j * (points @ x[:-1]))
-    inner = _geometric_sum(lam.floor + 1.0, x[-1])
-    return complex(phases @ inner)
-
-
-def eval_F(n: DilationVector, x_prime) -> complex:
-    """Fractional-part-weighted kernel over the (d-1)-lattice."""
-    if n.d == 1:
-        return complex(n.entries[0] % 1.0)
-    x_prime = reduce_torus(np.atleast_1d(x_prime))
-    if x_prime.shape[-1] != n.d - 1:
-        raise ValueError(f"expected {n.d - 1} coordinates, got {x_prime.shape[-1]}")
-    points, lam = _lattice_with_lambda(n)
-    return complex(np.exp(1j * (points @ x_prime)) @ lam.frac)
-
-
-def eval_S(n: DilationVector, x) -> complex:
-    """Continuous-spectrum component through its closed-form slice weights."""
-    if n.d < 2:
-        raise ValueError("S requires d >= 2")
-    x = reduce_torus(np.atleast_1d(x))
-    points, lam = _lattice_with_lambda(n)
-    w = slice_weight_matrix("S", lam, [float(x[-1])])[0]
-    return complex(np.exp(1j * (points @ x[:-1])) @ w)
-
-
-def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX) -> tuple:
-    """Truncated correction term and a rigorous bound on the discarded tail.
-
-    Returns (value, tail_bound); the value is the nu-series of
-    :func:`_r_series`.
-    """
-    if n.d < 2:
-        raise ValueError("R requires d >= 2")
-    if nu_max < 1:
-        raise ValueError("nu_max must be >= 1")
-    x = reduce_torus(np.atleast_1d(x))
-    points, parts = _lattice_with_lambda(n)
-    phases = np.exp(1j * (points @ x[:-1]))
-    value = complex(_r_series(parts.value, phases[None, :],
-                              np.array([x[-1]]), nu_max)[0])
-    tail = 2.0 * points.shape[0] * abs(x[-1]) / (np.pi**2 * nu_max)
-    return value, tail
-
-
-def _r_series(lam, phases, xd, nu_max, budget=_CHUNK_BYTES) -> np.ndarray:
+def _r_series(lam, phases, xd, nu_max, budget) -> np.ndarray:
     """R truncated at nu_max at N points, shape (N,).
 
     ``lam`` holds L_d(k') (P',), ``phases`` e^{i (k', x')} (N, P') and

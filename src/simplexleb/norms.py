@@ -302,9 +302,9 @@ def _folded_source(weights: np.ndarray, M: tuple, budget_bytes: int):
     c_k e^{2 pi i k q / m}; the origin twist (-1)^k is the engine's.  Real
     (Hermitian) fields are synthesized on the slices q <= r / 2 alone."""
     K = weights.shape[1]
-    # the box (K, 1) on (F, r): one slice of F values and K r slice weights,
-    # counted as if held at once although they come a batch at a time
-    check_grid((K, 1), M, budget_bytes)
+    # one slice holds F values and K weights; the slices come a batch at a
+    # time, which slice_batches caps at min(_CHUNK_BYTES, budget_bytes)
+    check_grid((K, 1), (M[0], 1), budget_bytes)
     hermitian = not weights.imag.any()
 
     def group_weights(fs):
@@ -534,17 +534,15 @@ def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int,
 
 def verify_identity(n: DilationVector, num_points: int = 100,
                     nu_max: int = DEFAULT_NU_MAX, seed: int = 0,
-                    points: np.ndarray | None = None,
                     budget_bytes: int = DEFAULT_BUDGET_BYTES
                     ) -> IdentityReport:
     """Check the exact decomposition at seeded pseudo-random torus points."""
-    if nu_max < 1 or (points is None and num_points < 1):
+    if nu_max < 1 or num_points < 1:
         raise ValueError("verify needs nu_max >= 1 and num_points >= 1")
-    if points is None:
-        # refused from n and N alone, before the N points are drawn
-        _check_identity_budget(n, num_points, budget_bytes)
-        rng = np.random.default_rng(seed)
-        points = rng.uniform(-np.pi, np.pi, size=(num_points, n.d))
+    # refused from n and N alone, before the N points are drawn
+    _check_identity_budget(n, num_points, budget_bytes)
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-np.pi, np.pi, size=(num_points, n.d))
     residuals, tails, p_full = identity_residuals(n, points, nu_max,
                                                   budget_bytes)
     slack = 1e-9 * p_full

@@ -1,5 +1,10 @@
 """Independent oracles the tests compare the program against.
 
+eval_D, eval_F, eval_S and eval_R evaluate the kernels at one point from
+the (d-1)-lattice, R through its nu-series truncated at nu_max with a
+rigorous bound on the discarded tail (the derivation is in
+simplexleb.kernels); I_n is the plain L1 norm of the 1-D kernel with
+weights {alpha k}, k = 0..n, whose study simplexleb.irrational runs;
 grid_eval is the dense synthesis of a coefficient field on every node of a
 grid at once, the reference for the norm engine's slice-by-slice synthesis,
 and axis_nodes the nodes of one grid axis;
@@ -21,8 +26,87 @@ from simplexleb.core import (
     DilationVector,
     build_lattice,
 )
-from simplexleb.kernels import _geometric_sum, _origin_twist, reduce_torus
-from simplexleb.norms import DEFAULT_RHO, DEFAULT_TOL, _refine, first_grid
+from simplexleb.irrational import AlphaSpec, _kernel_norm, fractional_parts
+from simplexleb.kernels import (
+    _CHUNK_BYTES,
+    DEFAULT_NU_MAX,
+    _geometric_sum,
+    _origin_twist,
+    _r_series,
+    reduce_torus,
+    slice_weight_matrix,
+)
+from simplexleb.norms import (
+    DEFAULT_RHO,
+    DEFAULT_TOL,
+    NormResult,
+    _refine,
+    first_grid,
+)
+
+
+def _lattice_with_lambda(n: DilationVector):
+    lat = build_lattice(n, n.d - 1)
+    return lat.points, lat.lambda_parts
+
+
+def eval_D(n: DilationVector, x) -> complex:
+    """Exact nested lattice sum, innermost axis aggregated geometrically."""
+    x = reduce_torus(np.atleast_1d(x))
+    if x.shape[-1] != n.d:
+        raise ValueError(f"point has {x.shape[-1]} coordinates, kernel needs {n.d}")
+    if n.d == 1:
+        return complex(_geometric_sum(int(n.entries[0]) + 1, x[0]))
+    points, lam = _lattice_with_lambda(n)
+    phases = np.exp(1j * (points @ x[:-1]))
+    inner = _geometric_sum(lam.floor + 1.0, x[-1])
+    return complex(phases @ inner)
+
+
+def eval_F(n: DilationVector, x_prime) -> complex:
+    """Fractional-part-weighted kernel over the (d-1)-lattice."""
+    if n.d == 1:
+        return complex(n.entries[0] % 1.0)
+    x_prime = reduce_torus(np.atleast_1d(x_prime))
+    if x_prime.shape[-1] != n.d - 1:
+        raise ValueError(f"expected {n.d - 1} coordinates, got {x_prime.shape[-1]}")
+    points, lam = _lattice_with_lambda(n)
+    return complex(np.exp(1j * (points @ x_prime)) @ lam.frac)
+
+
+def eval_S(n: DilationVector, x) -> complex:
+    """Continuous-spectrum component through its closed-form slice weights."""
+    if n.d < 2:
+        raise ValueError("S requires d >= 2")
+    x = reduce_torus(np.atleast_1d(x))
+    points, lam = _lattice_with_lambda(n)
+    w = slice_weight_matrix("S", lam, [float(x[-1])])[0]
+    return complex(np.exp(1j * (points @ x[:-1])) @ w)
+
+
+def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX) -> tuple:
+    """Truncated correction term and a rigorous bound on the discarded tail.
+
+    Returns (value, tail_bound); the value is the nu-series of
+    :func:`_r_series`.
+    """
+    if n.d < 2:
+        raise ValueError("R requires d >= 2")
+    if nu_max < 1:
+        raise ValueError("nu_max must be >= 1")
+    x = reduce_torus(np.atleast_1d(x))
+    points, parts = _lattice_with_lambda(n)
+    phases = np.exp(1j * (points @ x[:-1]))
+    value = complex(_r_series(parts.value, phases[None, :],
+                              np.array([x[-1]]), nu_max, _CHUNK_BYTES)[0])
+    tail = 2.0 * points.shape[0] * abs(x[-1]) / (np.pi**2 * nu_max)
+    return value, tail
+
+
+def I_n(alpha: AlphaSpec, n: int, tol: float = DEFAULT_TOL,
+        rho: float = DEFAULT_RHO) -> NormResult:
+    """Plain L1 norm of the 1-D kernel with weights {alpha k}, k = 0..n."""
+    return _kernel_norm(alpha, fractional_parts(alpha, n), tol, rho)
 
 
 def axis_nodes(m: int) -> np.ndarray:

@@ -8,12 +8,6 @@ import simplexleb
 
 PACKAGE = Path(simplexleb.__file__).parent
 
-# perfbench/tracer.py wraps simplexleb.irrational.I_n and
-# simplexleb.kernels.build_lattice, which kernels imports only for the
-# pointwise eval_*; these move to the tests once the package reports its
-# own trace spans and the tracer no longer wraps them by name.
-TEST_ONLY = {"I_n", "eval_D", "eval_F", "eval_S", "eval_R"}
-
 # argparse calls ArgumentParser.error itself; the override makes it raise
 CALLED_FROM_OUTSIDE = {("_Parser", "error")}
 
@@ -38,7 +32,7 @@ def test_every_export_is_reached_from_the_package():
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             referenced |= _referenced(ast.parse(path.read_text()))
-    assert exported - referenced == TEST_ONLY
+    assert exported - referenced == set()
 
 
 def test_every_public_method_is_reached_from_the_package():

@@ -370,6 +370,18 @@ class TestIrrationalCommand:
         assert err.startswith("simplexleb: error: liouville:2,11 has a "
                               "denominator of more than")
 
+    def test_decimal_exponent_over_bound_exits_1_at_once(self, capsys):
+        """10^10000000 has 33 M bits: building it took 13 s; the exponent is
+        refused before any power is built."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "irrational", "--alpha",
+                             "dec:1e-10000000", "--nmax", "16")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("simplexleb: error: decimal alpha "
+                              "'1e-10000000' has a power of ten of more than")
+
     @pytest.mark.parametrize("alpha", ["rational:1/0", "dec:1/0"])
     def test_zero_denominator_exits_1(self, capsys, alpha):
         code, out, err = run(capsys, "irrational", "--alpha", alpha,

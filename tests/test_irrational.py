@@ -15,11 +15,12 @@ import simplexleb
 from simplexleb import irrational
 from simplexleb.irrational import (
     AlphaSpec,
-    I_n,
     cf_expand,
     fractional_parts,
     study_ratio,
 )
+
+from oracles import I_n
 
 
 def determinant_identity_holds(cf) -> bool:
@@ -44,11 +45,11 @@ class TestAlphaSpec:
             AlphaSpec.liouville(1, 3)
 
     def test_liouville_depth_over_bit_bound_refused(self, monkeypatch):
-        """base^{depth!} may have _LIOUVILLE_BITS bits, not one more: 2^24
+        """base^{depth!} may have _ALPHA_BITS bits, not one more: 2^24
         has 25 bits."""
-        monkeypatch.setattr(irrational, "_LIOUVILLE_BITS", 25)
+        monkeypatch.setattr(irrational, "_ALPHA_BITS", 25)
         assert AlphaSpec.liouville(2, 4).rational.denominator == 2 ** 24
-        monkeypatch.setattr(irrational, "_LIOUVILLE_BITS", 24)
+        monkeypatch.setattr(irrational, "_ALPHA_BITS", 24)
         with pytest.raises(ValueError, match="more than 24 bits"):
             AlphaSpec.liouville(2, 4)
         with pytest.raises(ValueError, match="more than 24 bits"):
@@ -58,6 +59,20 @@ class TestAlphaSpec:
     def test_decimal_literal(self):
         a = AlphaSpec.from_decimal("0.7071")
         assert a.rational == Fraction(7071, 10000)
+
+    def test_decimal_exponent_over_bit_bound_refused(self, monkeypatch):
+        """10^|e| may have at most _ALPHA_BITS bits: at 24, 10^7 (24 bits)
+        passes and 10^8 (27 bits) does not; the exponent is read before
+        Fraction builds the power."""
+        assert AlphaSpec.from_decimal("1e-1000").rational == \
+            Fraction(1, 10 ** 1000)
+        monkeypatch.setattr(irrational, "_ALPHA_BITS", 24)
+        assert AlphaSpec.from_decimal("1e7").rational == 10 ** 7
+        assert AlphaSpec.from_decimal("2.5E-7").rational == \
+            Fraction(1, 4 * 10 ** 6)
+        for literal in ("1e8", "1e-8", "0.5E+1_0 "):
+            with pytest.raises(ValueError, match="more than 24 bits"):
+                AlphaSpec.from_decimal(literal)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from simplexleb.core import (
     CoefficientField,
     DilationVector,
+    ResourceLimitError,
     build_lattice,
     fractional_coefficients,
     indicator_coefficients,
@@ -20,10 +21,6 @@ from simplexleb.core import (
 from simplexleb.kernels import (
     _grid_phases,
     apply_delta,
-    eval_D,
-    eval_F,
-    eval_R,
-    eval_S,
     reduce_torus,
     slice_weight_matrix,
 )
@@ -38,12 +35,21 @@ from simplexleb.norms import (
     _passes,
     first_grid,
     l1_norm,
+    l1_norm_field,
     slice_batches,
 )
 
 from simplexleb import norms
 
-from oracles import axis_nodes, grid_eval, s_via_delta
+from oracles import (
+    axis_nodes,
+    eval_D,
+    eval_F,
+    eval_R,
+    eval_S,
+    grid_eval,
+    s_via_delta,
+)
 
 
 def engine_values(points, weights, M, budget_bytes=1 << 30):
@@ -546,9 +552,8 @@ class TestFold:
 
     @staticmethod
     def check(monkeypatch, weights, m, batch):
-        """One batch, then batches of ``batch`` slices: the budget counts
-        all K r slice weights of a fold, so only the chunk size splits
-        them."""
+        """One batch, then batches of ``batch`` slices, split by the chunk
+        size."""
         F = _fold(weights.shape[1], m)
         dense = np.array([grid_eval(CoefficientField(weights=c), (m,)).values
                           for c in weights])
@@ -564,6 +569,27 @@ class TestFold:
         assert _fold(19, 77) == 77
         assert _fold(131073, 524880) == 131220
         assert _fold(201, 810) == 270
+
+    def test_budget_counts_one_slice(self):
+        """A fold holds F values and K weights a slice and takes its slices
+        a batch at a time, so a budget below its K r slice weights splits
+        it into batches that fit; one slice over the budget is refused."""
+        weights, m = self.golden_like(200), 6480
+        F = _fold(201, m)
+        M, budget = (F, m // F), 2 * 16 * F
+        assert 16 * 201 * M[1] > budget
+        points, source, _ = _folded_source(weights, M, budget)
+        for *_, w, v in slice_batches(points, source, _passes(M), budget):
+            assert max(w.nbytes, v.nbytes) <= budget
+        dense = grid_eval(CoefficientField(weights=weights[0]), (m,)).values
+        got = folded_values(weights, m, budget)[0]
+        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+        with pytest.raises(ResourceLimitError, match="one x_s slice"):
+            _folded_source(weights, M, 16 * F - 1)
+        # golden n = 100 refines its fold (135, 3) to (135, 6)
+        fld = CoefficientField(weights=self.golden_like(100)[0])
+        assert l1_norm_field(fld, budget_bytes=16 * 405).value == \
+            l1_norm_field(fld).value
 
     @pytest.mark.parametrize("m", [810, 1620, 6480])
     def test_real_field(self, monkeypatch, m):
