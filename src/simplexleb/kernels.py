@@ -121,10 +121,12 @@ def _r_series(lam, phases, xd, nu_max, budget) -> np.ndarray:
     chunk = max(1, min(_CHUNK_BYTES, budget) // (16 * (len(lam) + len(xd))))
     series = np.zeros(len(xd), dtype=np.complex128)
 
-    def term(snu):  # one N x chunk product, divided in place
+    def term(snu):  # one N x chunk product and its divisor, in place
         diff = twisted @ np.exp(1j * np.outer(lam, 2.0 * np.pi * snu))
         diff -= base
-        diff /= snu * (2.0 * np.pi * snu + xd[:, None])
+        divisor = np.add.outer(xd, 2.0 * np.pi * snu)
+        divisor *= snu
+        diff /= divisor
         return diff
 
     for start in range(1, nu_max + 1, chunk):

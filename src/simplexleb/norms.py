@@ -28,6 +28,15 @@ It takes the x' modes and one of three slice-weight sources:
   F-point transform of the modes k with weights c_k e^{2 pi i k q / M}.
   The u axis never doubles, so a later level is the odd slices q alone.
 
+A source writes a batch's slice weights where the engine says:
+``weights(fs)(ns, out)``.  Where the x' modes are the first P' nodes of
+the grid (every 2-D kernel and field, and every fold), ``out`` is the
+transform buffer itself, so a batch holds that buffer and the |v| buffer
+of the reduction alone; elsewhere it is a P'-wide array the engine
+scatters.  The transforms are pruned: x' axis j runs only on the columns
+where the axes after it still hold modes, since the zero columns
+transform to zeros.
+
 Its inputs carry a leading field axis: a stack of fields on one box, such
 as the 2T - 1 twisted differences of one t-integral of the correction
 functional, is refined together.  Each level synthesizes the fields still
@@ -162,7 +171,8 @@ def first_grid(K: tuple, rho: float, tol: float, budget_bytes: int,
     """The first grid of the modes' box K: M_j is the least 11-smooth
     length >= rho K_j.  Refuses a tol or rho that is not finite and
     positive, and a grid check_grid refuses, whose budget it checks on
-    ceil(rho K) before any length is sought."""
+    ceil(rho K) before any length is sought.  A 1-D field is checked as
+    its fold holds it: a slice of F values and K weights."""
     for name, v in (("tol", tol), ("rho", rho)):
         if not 0.0 < v < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {v}")
@@ -170,12 +180,19 @@ def first_grid(K: tuple, rho: float, tol: float, budget_bytes: int,
         return ()
     # M >= ceil(rho K): its bytes are checked first (K clipped to it, so
     # the extents wait for M), capped just past the budget, so a capped axis
-    # is refused, with a lower bound as its figure, before _fast_len runs
+    # is refused, with a lower bound as its figure, before _fast_len runs;
+    # an uncapped fold holds at least K weights a slice
     cap = max(budget_bytes, 0) + 1
     low = tuple(math.ceil(min(rho * e, cap)) for e in K)
+    folded = field and len(K) == 1
+    if folded and low[0] < cap:
+        low = K
     check_grid(tuple(map(min, K, low)), low, budget_bytes, field)
     M = tuple(_fast_len(math.ceil(rho * e)) for e in K)
-    check_grid(K, M, budget_bytes, field)
+    if folded:
+        check_grid((K[0], 1), (_fold(K[0], M[0]), 1), budget_bytes)
+    else:
+        check_grid(K, M, budget_bytes, field)
     return M
 
 
@@ -216,9 +233,9 @@ def check_grid(K: tuple, M: tuple, budget_bytes: int, field: bool = True):
 
 def _fold(k: int, m: int) -> int:
     """F, the fold length of k <= m modes on the grid m: its least divisor
-    >= k."""
-    return min(f for d in range(1, math.isqrt(m) + 1) if m % d == 0
-               for f in (d, m // d) if f >= k)
+    >= k (m itself if k > m, which check_grid refuses)."""
+    return min((f for d in range(1, math.isqrt(m) + 1) if m % d == 0
+                for f in (d, m // d) if f >= k), default=m)
 
 
 def slice_batches(points: np.ndarray, weights, passes,
@@ -228,48 +245,68 @@ def slice_batches(points: np.ndarray, weights, passes,
     (M', shift, nodes) asks for the x_s nodes ``nodes`` (a range) on the x'
     grid M', its nodes moved half a cell on the axes where shift is 1.
 
-    ``weights(fs)(ns)`` gives the slice weights of the fields ``fs`` at the
-    x_s nodes ``ns``, shape (G, B, P').  A batch holds at most
+    ``weights(fs)(ns, out)`` writes the slice weights of the fields ``fs``
+    at the x_s nodes ``ns`` into ``out``, shape (G, B, P'): the buffer's
+    first P' columns where the modes' flat indices on M' are 0..P'-1,
+    else a scratch array that is scattered into it.  A batch holds at most
     min(_CHUNK_BYTES, budget_bytes) of values on the largest M', or one
     slice (the sources check it fits): whole fields while two fit, else
-    slices of one; each group runs every pass.  Yields ``(fs, p, ns, w,
-    v)``: v, shape (G, B) + M', the inverse FFT of w in pass p, is
-    f / prod M' (callers scale their sums).  All batches share one buffer:
-    v is valid until the next batch."""
+    slices of one; each group runs every pass.  Yields ``(fs, p, ns,
+    w_sq, v)``: w_sq, shape (G, B), is sum |w|^2 per slice, and v, shape
+    (G, B) + M', the inverse FFT of w in pass p, is f / prod M' (callers
+    scale their sums).  All batches share one buffer: v is valid until the
+    next batch."""
     rest = max(math.prod(m_prime) for m_prime, *_ in passes)
     rows = max(len(nodes) for *_, nodes in passes)
     batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
     group = max(1, batch // rows)
-    buf = np.empty(min(group, fields) * min(batch, rows) * rest, complex)
+    size = min(group, fields) * min(batch, rows)
+    buf = np.empty(size * rest, complex)
+    modes, scratch = len(points), None
+    extents = points.max(axis=0) + 1
+    # the origin twist (-1)^{sum k}, times e^{i pi sum_j shift_j k_j / M'_j}
+    origin = _origin_twist(points.sum(axis=1))
     for f0 in range(0, fields, group):
         fs = slice(f0, min(f0 + group, fields))
         group_weights = weights(fs)
         for p, (m_prime, shift, nodes) in enumerate(passes):
             rest = math.prod(m_prime)
             flat = np.ravel_multi_index(tuple(points.T), m_prime)
-            # the origin twist (-1)^{sum k} e^{i pi sum_j shift_j k_j / M'_j}
-            twist = _origin_twist(points.sum(axis=1))
-            if any(shift):
-                twist = twist * np.exp(
-                    1j * np.pi * (points @ np.divide(shift, m_prime)))
+            run = np.array_equal(flat, np.arange(modes))
+            if not run and scratch is None:
+                scratch = np.empty(size * modes, complex)
+            twist = origin * np.exp(1j * np.pi * (
+                points @ np.divide(shift, m_prime))) if any(shift) else origin
             for start in range(0, len(nodes), batch):
                 ns = nodes[start:start + batch]
-                w = group_weights(ns)
-                g, b = w.shape[:2]
-                v = buf[:g * b * rest].reshape((g, b) + m_prime)
-                v.fill(0.0)
-                v.reshape(g * b, rest)[:, flat] = w.reshape(g * b, -1) * twist
-                for ax in range(2, len(m_prime) + 2):
-                    np.fft.ifft(v, axis=ax, out=v)
-                yield fs, p, ns, w, v
+                g, b = fs.stop - fs.start, len(ns)
+                v = buf[:g * b * rest].reshape(g, b, rest)
+                w = v[..., :modes] if run else \
+                    scratch[:g * b * modes].reshape(g, b, modes)
+                group_weights(ns, w)
+                w_sq = np.einsum("ijk,ijk->ij", w.real, w.real) + \
+                    np.einsum("ijk,ijk->ij", w.imag, w.imag)
+                w *= twist
+                if run:
+                    v[..., modes:] = 0.0
+                else:
+                    v.fill(0.0)
+                    v.reshape(g * b, rest)[:, flat] = w.reshape(g * b, -1)
+                v = v.reshape((g, b) + m_prime)
+                # x' axis j, on the columns where the axes after it hold modes
+                for j in range(len(m_prime)):
+                    part = v[(slice(None),) * (j + 3)
+                             + tuple(map(slice, extents[j + 1:]))]
+                    np.fft.ifft(part, axis=j + 2, out=part)
+                yield fs, p, ns, w_sq, v
 
 
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
                    budget_bytes: int = DEFAULT_BUDGET_BYTES):
     """(points, weights, hermitian) of a d-kernel on the grid M."""
     check_grid(lat.extents, M, budget_bytes, field=False)
-    return lat.points, lambda fs: lambda ns: slice_weight_matrix(
-        kernel, lat.lambda_parts, ns, M[-1])[None], True
+    return lat.points, lambda fs: lambda ns, out: np.copyto(
+        out[0], slice_weight_matrix(kernel, lat.lambda_parts, ns, M[-1])), True
 
 
 def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
@@ -290,7 +327,7 @@ def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
             _origin_twist(np.arange(k_last))[:, None]
         w = transform(part, n=M[-1], axis=1)
         w *= M[-1]
-        return lambda ns: w[:, ns.start:ns.stop:ns.step]
+        return lambda ns, out: np.copyto(out, w[:, ns.start:ns.stop:ns.step])
     # points: every x' mode of the box K', in the order of the reshape above
     return np.argwhere(np.ones(k_prime, dtype=bool)), group_weights, hermitian
 
@@ -309,22 +346,31 @@ def _folded_source(weights: np.ndarray, M: tuple, budget_bytes: int):
 
     def group_weights(fs):
         c = (weights[fs].real if hermitian else weights[fs])[:, None]
-        return lambda ns: c * _fold_phases(K, math.prod(M), ns)
+
+        def rows(ns, out):  # the phases in the first field's rows, then c
+            _fold_phases(K, math.prod(M), ns, out[0])
+            np.multiply(c[1:], out[0], out=out[1:])
+            np.multiply(c[0], out[0], out=out[0])
+        return rows
     return np.arange(K)[:, None], group_weights, hermitian
 
 
-def _fold_phases(K: int, m: int, ns: range) -> np.ndarray:
-    """e^{2 pi i k q / m} for k < K at the nodes q of ns, shape (len(ns),
-    K): with k = a Q + b, the product of the np.exp tables of a Q and of b,
-    about sqrt(K) columns each, of arguments reduced mod m in integers."""
+def _fold_phases(K: int, m: int, ns: range, out: np.ndarray):
+    """Write e^{2 pi i k q / m} for k < K at the nodes q of ns into ``out``
+    (len(ns), K): with k = a Q + b, the product of the np.exp tables of a Q
+    and of b, about sqrt(K) columns each, of arguments reduced mod m in
+    integers; the a < K // Q block, then the last a's columns."""
     step = max(1, math.isqrt(K))
+    whole = K // step
     q = np.arange(ns.start, ns.stop, ns.step)[:, None]
 
     def table(k):
         return np.exp(2j * np.pi / m * (q * k % m))
-    e = table(np.arange(0, K, step))[:, :, None] * \
-        table(np.arange(step))[:, None, :]
-    return e.reshape(len(q), -1)[:, :K]
+    high, low = table(np.arange(0, K, step)), table(np.arange(step))
+    np.multiply(high[:, :whole, None], low[:, None, :],
+                out=out[:, :whole * step].reshape(len(q), whole, step))
+    np.multiply(high[:, whole:], low[:, :K - whole * step],
+                out=out[:, whole * step:])
 
 
 def _passes(M: tuple, half: tuple | None = None) -> list:
@@ -354,18 +400,16 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
                   for mp, shift, ns in passes]
     sum_abs, sum_sq = np.zeros((2, len(tags)))
     buf = None
-    for fs, p, ns, w, v in slice_batches(points, weights, passes,
-                                         budget_bytes, len(tags)):
-        g, b = w.shape[:2]
+    for fs, p, ns, w_sq, v in slice_batches(points, weights, passes,
+                                            budget_bytes, len(tags)):
+        g, b = v.shape[:2]
         rest = math.prod(passes[p][0])
         buf = np.empty(v.size) if buf is None else buf  # the largest batch
         av = np.abs(v, out=buf[:v.size].reshape(v.shape)).reshape(g, b, rest)
         # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|,
-        # against sum |w|^2 from the float views of w
+        # against sum |w|^2
         power = np.einsum("ijk,ijk->ij", av, av)
-        _check_parseval(rest * power, sum(
-            np.einsum("ijk,ijk->ij", part, part) for part in (w.real, w.imag)),
-            tags[fs], "x_s slice")
+        _check_parseval(rest * power, w_sq, tags[fs], "x_s slice")
         # Hermitian: each node counts twice but the self-paired ones
         own = av[:, [ns.index(t) for t in {0, m // 2}
                      if hermitian and 2 * t % m == 0 and t in ns]]

@@ -358,6 +358,20 @@ class TestIrrationalCommand:
         assert out == ""
         assert err.startswith("simplexleb: error: slice weights")
 
+    def test_budget_counts_the_fold_of_the_first_grid(self, capsys):
+        """Golden n = 2^17 runs on a fold of F = 131220 values and K =
+        131073 weights a slice, about 2 MiB each, not on 16 M0 = 8 MiB of
+        slice weights: 8 MiB gives the default run's CSV, 1 MiB is
+        refused."""
+        argv = ("irrational", "--alpha", "golden", "--nmax", "131072")
+        code, out, _ = run(capsys, *argv, "--budget-mb", "8")
+        assert code == 0
+        _, want, _ = run(capsys, *argv)
+        assert out == want.replace("budget_mb=1536", "budget_mb=8")
+        code, out, err = run(capsys, *argv, "--budget-mb", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("simplexleb: error: slice weights")
+
     def test_liouville_depth_over_bound_exits_1_at_once(self, capsys):
         """2^{11!} has 40 M bits: the sum of its Fractions did not finish in
         60 s; it is refused before the sum."""

@@ -147,6 +147,34 @@ class TestBudget:
         with pytest.raises(ResourceLimitError):
             l1_norm_field(fld, budget_bytes=16)
 
+    def test_folded_batch_holds_its_buffer_and_moduli(self, monkeypatch):
+        """A folded batch writes its weights into its transform buffer: above
+        the field's weights a norm holds that buffer and the |v| buffer
+        (half its bytes), not a weight array and its twisted copy as well.
+        The slack, an eighth of the buffer, covers the phase tables of about
+        sqrt(K) columns and the per-mode index and twist arrays."""
+        monkeypatch.setattr(norms, "_CHUNK_BYTES", 1 << 21)
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        fld = CoefficientField(weights=(np.arange(2001) * phi % 1.0)
+                               .astype(complex))
+        engine, batch = norms.slice_batches, [0]
+
+        def sized(*args):
+            for fs, p, ns, w_sq, v in engine(*args):
+                batch[0] = max(batch[0], v.nbytes)
+                yield fs, p, ns, w_sq, v
+        monkeypatch.setattr(norms, "slice_batches", sized)
+        l1_norm_field(fld, rho=128.0)  # its FFT lengths are cached
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            l1_norm_field(fld, rho=128.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert batch[0] > 3 * fld.weights.nbytes
+        assert peak - fld.weights.nbytes <= (1.5 + 1 / 8) * batch[0]
+
 
 def _spied(weights):
     """The weight source, and the x_s nodes it is asked for."""
@@ -155,11 +183,29 @@ def _spied(weights):
     def spy(fs):
         group_weights = weights(fs)
 
-        def rows(ns):
+        def rows(ns, out):
             asked.extend(ns)
-            return group_weights(ns)
+            group_weights(ns, out)
         return rows
     return spy, asked
+
+
+def test_x_prime_transforms_skip_zero_columns(monkeypatch):
+    """On a 3-D grid the first x' axis is transformed only on the K'_2
+    columns that hold modes, the last one in full."""
+    n = DilationVector((4.5, 7.3, 13.1))
+    K = tuple(int(v) + 1 for v in n.entries[:-1])
+    ifft, shapes = np.fft.ifft, {2: set(), 3: set()}
+
+    def spy(a, *args, axis=-1, **kwargs):
+        shapes[axis].add(a.shape[2:])
+        return ifft(a, *args, axis=axis, **kwargs)
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    res = l1_norm("D", n)
+    grids = {M[:-1] for M, _ in res.history}
+    grids |= {tuple(m // 2 for m in M) for M in grids}  # shifted passes
+    assert shapes[2] and {(m1, K[1]) for m1, _ in grids} >= shapes[2]
+    assert shapes[3] and grids >= shapes[3]
 
 
 class TestHalfSlices:
