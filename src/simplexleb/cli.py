@@ -38,7 +38,8 @@ import time
 
 from . import __version__
 from .asymptotics import full_predictor, remainder_envelope
-from .core import DEFAULT_BUDGET_BYTES, DilationVector, ResourceLimitError
+from .core import (DEFAULT_BUDGET_BYTES, DilationVector, ResourceLimitError,
+                   check_budget)
 from .irrational import AlphaSpec, study_ratio
 from .kernels import DEFAULT_NU_MAX
 from .norms import (
@@ -197,15 +198,17 @@ def _eval_expr(node, scope: dict) -> float:
     raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
-def _parse_axis(text: str, prior: dict) -> list:
+def _parse_axis(text: str, prior: dict, budget_bytes: int) -> list:
     """One sweep-axis spec: geom(a,b,k), list(v,...) or an expression
-    in earlier axes such as pow(n1,2) or 2*n1+3."""
+    in earlier axes such as pow(n1,2) or 2*n1+3.  The budget is checked
+    before a geom() builds its k floats (32 bytes each, with list slots)."""
     text = text.strip()
     m = _GEOM_RE.match(text)
     if m:
         a, b, k = float(m.group(1)), float(m.group(2)), int(m.group(3))
         if a <= 0 or b <= 0 or k < 1:
             raise ValueError(f"bad geom() bounds in {text!r}")
+        check_budget(32 * k, budget_bytes, f"axis {text!r}")
         if k == 1:
             return [a]
         return [a * (b / a) ** (i / (k - 1)) for i in range(k)]
@@ -233,7 +236,7 @@ def _sweep_rows(args: argparse.Namespace) -> list:
         spec = getattr(args, name)
         if not spec:
             break
-        axes[name] = _parse_axis(spec, axes)
+        axes[name] = _parse_axis(spec, axes, args.budget_mb << 20)
         if not axes[name]:
             raise ValueError(f"--{name} {spec!r} gives no values")
     if not axes:

@@ -5,8 +5,8 @@ The lattice of a dilation vector n = (n_1, ..., n_d) consists of the integer
 points k >= 0 with sum_j k_j / n_j <= 1, enumerated through the nested bounds
 k_1 <= [L_1], k_2 <= [L_2(k_1)], ... where L_1 = n_1 and
 L_s(xi) = n_s - (m^(s-1), xi) with m^(s) = (n_{s+1}/n_1, ..., n_{s+1}/n_s).
-Entries of n need not be integers; floors enter only through the bounds,
-and LambdaEvaluator.parts certifies them at integer boundaries.
+Floats are read as the dyadic rationals they store, so L_s times a common
+denominator is an integer linear form in k: [L_s] and {L_s} are exact.
 """
 
 from __future__ import annotations
@@ -84,20 +84,36 @@ class DilationVector:
         """n_1 <= ... <= n_d; required by the asymptotic predictors only."""
         return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
 
-    def ratios(self, s: int) -> tuple:
-        """The tuple m^(s) = (n_{s+1}/n_1, ..., n_{s+1}/n_s)."""
-        if not 1 <= s < self.d:
-            raise ValueError(f"ratios defined for 1 <= s < d, got s={s}")
-        nxt = self.entries[s]
-        return tuple(nxt / self.entries[j] for j in range(s))
+
+def _form_parts(c0: int, coeffs, points: np.ndarray, den: int):
+    """[num / den] (int64) and {num / den}, correctly rounded and below 1, of
+    the integer linear form num = c0 + points @ coeffs at nonnegative integer
+    points (P, len(coeffs)), in chunks of about 8 MiB.  int64 holds num where
+    |c0| + sum_j |c_j| max k < 2^63 and den <= 2^53 (rem / den is then one
+    correctly rounded division), else Python ints in object arrays."""
+    bound = abs(c0) + sum(map(abs, coeffs)) * int(np.max(points, initial=0))
+    if bound < 1 << 63 and den <= 1 << 53:
+        dtype, split = np.int64, np.divmod
+    else:
+        dtype, split = object, np.frompyfunc(divmod, 2, 2)
+    step = max(1, (8 << 20) // (bound.bit_length() // 7 + 40))
+    coeffs = np.array(coeffs, dtype=dtype)
+    floor, frac = [], []
+    for i in range(0, len(points), step):
+        num = c0 + np.asarray(points[i:i + step], dtype=dtype) @ coeffs
+        whole, rem = split(num, den)
+        floor.append(whole.astype(np.int64, copy=False))
+        frac.append((rem / den).astype(float))
+    # rem / den rounds to 1.0 only where den > 2^53
+    return np.concatenate(floor), np.minimum(np.concatenate(frac), 1 - 2**-53)
 
 
 class LambdaParts(NamedTuple):
-    """L_s at integer points: the float value and its certified parts."""
+    """L_s at integer points, from its exact floor and fractional part."""
 
-    value: np.ndarray   # float L_s as LambdaEvaluator.values computes it
+    value: np.ndarray   # floor + frac in floats, within an ulp of L_s
     floor: np.ndarray   # [L_s], exact (int64)
-    frac: np.ndarray    # {L_s}, the exact value rounded to float
+    frac: np.ndarray    # {L_s}, correctly rounded, below 1
 
 
 @dataclass(frozen=True)
@@ -106,40 +122,17 @@ class LambdaEvaluator:
 
     n: DilationVector
 
-    def values(self, s: int, points: np.ndarray) -> np.ndarray:
-        """L_1 = n_1 and L_s(xi) = n_s - (m^(s-1), xi) at an array of points
-        with s-1 columns."""
-        ent = self.n.entries
-        points = np.asarray(points, dtype=float)
-        if s == 1:
-            return np.full(points.shape[0], ent[0])
-        m = np.array(self.n.ratios(s - 1))
-        return ent[s - 1] - points[:, : s - 1] @ m
-
     def parts(self, s: int, points: np.ndarray) -> LambdaParts:
-        """L_s at integer points with certified floors and fractional parts.
-
-        The float value is off by less than (s + 2) 2^-52 (n_s + (m, xi));
-        points whose value lies that close to an integer are recomputed
-        exactly, reading every float entry as the dyadic rational it stores.
-        """
-        points = np.asarray(points, dtype=np.int64)
-        value = self.values(s, points)
-        floor = np.floor(value).astype(np.int64)
-        frac = value - floor
-        n_s = self.n.entries[s - 1]
-        err = (s + 2) * 2.0**-52 * (2.0 * n_s - value)  # n_s + (m, xi)
-        near = np.flatnonzero(np.abs(value - np.rint(value)) <= err)
-        if near.size:
-            q = [Fraction(v) for v in self.n.entries[:s]]
-            ratios = [q[-1] / qj for qj in q[:-1]]
-            for i in near:
-                exact = q[-1] - sum(int(k) * r
-                                    for k, r in zip(points[i], ratios))
-                floor[i] = fl = math.floor(exact)
-                # {L} < 1 even where its float rounding would reach 1.0
-                frac[i] = min(float(exact - fl), 1.0 - 2.0**-53)
-        return LambdaParts(value, floor, frac)
+        """L_1 = n_1 and L_s(k) = n_s - sum_j (n_s / n_j) k_j, exactly, at
+        integer points with s-1 columns: den L_s is an integer linear form,
+        den the common denominator of n_s and the ratios n_s / n_j."""
+        q = [Fraction(v) for v in self.n.entries[:s]]
+        ratios = [q[-1] / qj for qj in q[:-1]]
+        den = math.lcm(*(r.denominator for r in [q[-1], *ratios]))
+        floor, frac = _form_parts(int(q[-1] * den),
+                                  [-int(r * den) for r in ratios],
+                                  points, den)
+        return LambdaParts(floor + frac, floor, frac)
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ class SimplexLattice:
     """Integer points of the nested-bound lattice, in lexicographic order.
 
     ``points`` has shape (P, s).  When ``s < d`` the values L_{s+1}(k) and
-    their certified floors and fractional parts are available through
+    their exact floors and fractional parts are available through
     :attr:`lambda_parts`, which the kernels and the norm engine consume.
     """
 
@@ -162,7 +155,7 @@ class SimplexLattice:
 
     @cached_property
     def lambda_parts(self) -> LambdaParts:
-        """L_{s+1} at every lattice point, with certified parts (s < d)."""
+        """L_{s+1} at every lattice point, with its exact parts (s < d)."""
         if self.s >= self.n.d:
             raise ValueError("lattice already spans the full dimension")
         return LambdaEvaluator(self.n).parts(self.s + 1, self.points)

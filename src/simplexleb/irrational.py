@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET_BYTES, CoefficientField
+from .core import DEFAULT_BUDGET_BYTES, CoefficientField, _form_parts
 from .norms import (
     DEFAULT_RHO,
     DEFAULT_TOL,
@@ -185,15 +185,16 @@ def cf_expand(alpha: AlphaSpec, max_terms: int = 64) -> ContinuedFraction:
 def fractional_parts(alpha: AlphaSpec, n: int) -> np.ndarray:
     """{alpha k} for k = 0..n as machine floats, from integers only.
 
-    Rationals are correctly rounded (p k mod q) / q.  Golden is
+    Rationals are (p k mod q) / q, correctly rounded and below 1.  Golden is
     floor({k phi} 2^128) / 2^128 rounded once, so it lies within 2^-128 of
     {k phi} before that rounding.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if alpha.is_exact_rational:
+        # {alpha k} = {(p mod q) k / q}: the floors stay below k
         p, q = alpha.rational.numerator, alpha.rational.denominator
-        return np.array([p * k % q / q for k in range(n + 1)], dtype=float)
+        return _form_parts(0, [p % q], np.arange(n + 1)[:, None], q)[1]
     return _golden_parts(n)
 
 

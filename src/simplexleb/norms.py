@@ -263,7 +263,7 @@ def slice_batches(points: np.ndarray, weights, passes,
     size = min(group, fields) * min(batch, rows)
     buf = np.empty(size * rest, complex)
     modes, scratch = len(points), None
-    extents = points.max(axis=0) + 1
+    extents = (points.max(axis=0) + 1).tolist()
     # the origin twist (-1)^{sum k}, times e^{i pi sum_j shift_j k_j / M'_j}
     origin = _origin_twist(points.sum(axis=1))
     for f0 in range(0, fields, group):
@@ -271,10 +271,12 @@ def slice_batches(points: np.ndarray, weights, passes,
         group_weights = weights(fs)
         for p, (m_prime, shift, nodes) in enumerate(passes):
             rest = math.prod(m_prime)
-            flat = np.ravel_multi_index(tuple(points.T), m_prime)
-            run = np.array_equal(flat, np.arange(modes))
-            if not run and scratch is None:
-                scratch = np.empty(size * modes, complex)
+            # modes that fill their box, with M'[1:] trailing: flat 0..P'-1
+            run = modes == math.prod(extents) and extents[1:] == [*m_prime[1:]]
+            if not run:
+                flat = np.ravel_multi_index(tuple(points.T), m_prime)
+                if scratch is None:
+                    scratch = np.empty(size * modes, complex)
             twist = origin * np.exp(1j * np.pi * (
                 points @ np.divide(shift, m_prime))) if any(shift) else origin
             for start in range(0, len(nodes), batch):
@@ -411,12 +413,12 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
         power = np.einsum("ijk,ijk->ij", av, av)
         _check_parseval(rest * power, w_sq, tags[fs], "x_s slice")
         # Hermitian: each node counts twice but the self-paired ones
-        own = av[:, [ns.index(t) for t in {0, m // 2}
-                     if hermitian and 2 * t % m == 0 and t in ns]]
-        sum_abs[fs] += rest * ((1 + hermitian) * av.sum(axis=(1, 2))
-                               - own.sum(axis=(1, 2)))
-        sum_sq[fs] += rest * rest * ((1 + hermitian) * power.sum(axis=1)
-                                     - np.einsum("ijk,ijk->i", own, own))
+        mult = np.full(b, 1.0 + hermitian)
+        mult[[ns.index(t) for t in {0, m // 2}
+              if hermitian and 2 * t % m == 0 and t in ns]] -= 1.0
+        # reductions per field, not a matmul: the same bits in any stack
+        sum_abs[fs] += rest * (av.sum(axis=2) * mult).sum(axis=1)
+        sum_sq[fs] += rest * rest * (power * mult).sum(axis=1)
     return sum_abs, sum_sq
 
 

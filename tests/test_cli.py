@@ -293,6 +293,18 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--n1", spec)
         assert code == 1
 
+    def test_geom_over_budget_exits_1_at_once(self, capsys):
+        """10^12 values at 32 bytes each are refused before the list of
+        them is built."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "--n1",
+                             "geom(16,64,1000000000000)", "--n2", "pow(n1,2)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("simplexleb: error: axis "
+                              "'geom(16,64,1000000000000)' needs "
+                              "32000000000000 bytes")
+
     def test_mismatched_lengths_exit_1(self, capsys):
         code, _, err = run(capsys, "sweep", "--n1", "list(4,5)",
                            "--n2", "list(9)")

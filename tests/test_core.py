@@ -59,44 +59,40 @@ class TestDilationVector:
         assert DilationVector((2, 3, 3)).sorted_ascending
         assert not DilationVector((3, 2)).sorted_ascending
 
-    def test_ratios_exact(self):
-        n = DilationVector((2.0, 3.0, 7.5))
-        assert n.ratios(1) == (1.5,)
-        assert n.ratios(2) == (7.5 / 2.0, 2.5)
-        with pytest.raises(ValueError):
-            n.ratios(3)
 
-
-def lambda_at(n, s, xi):
-    """L_s at the one point xi (s - 1 coordinates)."""
-    return LambdaEvaluator(n).values(s, np.reshape(xi, (1, s - 1)))[0]
+def lambda_at(n, s, k):
+    """The parts of L_s at the one integer point k (s - 1 coordinates)."""
+    parts = LambdaEvaluator(n).parts(s, np.reshape(k, (1, s - 1)))
+    return [float(a[0]) for a in parts]
 
 
 class TestLambdaEvaluator:
     def test_lambda_at_origin_is_ns(self):
         n = DilationVector((2.0, 9.5, 23.0))
-        assert lambda_at(n, 1, ()) == 2.0
-        assert lambda_at(n, 2, [0.0]) == 9.5
-        assert lambda_at(n, 3, [0.0, 0.0]) == 23.0
+        assert lambda_at(n, 1, ()) == [2.0, 2.0, 0.0]
+        assert lambda_at(n, 2, [0]) == [9.5, 9.0, 0.5]
+        assert lambda_at(n, 3, [0, 0]) == [23.0, 23.0, 0.0]
 
     def test_strictly_decreasing_in_each_coordinate(self):
         n = DilationVector((2.0, 9.5, 23.0))
-        base = lambda_at(n, 3, [1.0, 1.0])
-        assert lambda_at(n, 3, [2.0, 1.0]) < base
-        assert lambda_at(n, 3, [1.0, 2.0]) < base
+        base = lambda_at(n, 3, [1, 1])[0]
+        assert lambda_at(n, 3, [2, 1])[0] < base
+        assert lambda_at(n, 3, [1, 2])[0] < base
 
     @given(st.lists(st.floats(1.0, 50.0), min_size=2, max_size=4),
            st.data())
     @settings(max_examples=50, deadline=None)
     def test_algebraic_equivalence(self, entries, data):
-        """n_s - (m^(s-1), xi) == n_s (1 - sum xi_j / n_j) to roundoff."""
+        """n_s - (m^(s-1), k) == n_s (1 - sum k_j / n_j), exactly, at
+        integer points inside and outside the lattice."""
         n = DilationVector(tuple(entries))
         s = n.d
-        xi = [data.draw(st.floats(0.0, e)) for e in entries[: s - 1]]
-        lam = lambda_at(n, s, xi)
-        alt = entries[s - 1] * (1.0 - sum(x / v for x, v in
-                                          zip(xi, entries[: s - 1])))
-        assert lam == pytest.approx(alt, abs=1e-9 * max(1.0, abs(alt)))
+        k = [data.draw(st.integers(0, 2 * int(e))) for e in entries[: s - 1]]
+        q = [Fraction(v) for v in entries]
+        exact = q[-1] * (1 - sum(kj / qj for kj, qj in zip(k, q)))
+        floor = math.floor(exact)
+        frac = min(float(exact - floor), 1.0 - 2.0**-53)
+        assert lambda_at(n, s, k) == [floor + frac, floor, frac]
 
 
 class TestBuildLattice:
@@ -192,20 +188,22 @@ class TestFractionalCoefficients:
 
 
 class TestCertifiedLambdaParts:
-    """Floors and fractional parts of L_d against exact Fraction arithmetic."""
+    """Floors, fractional parts and values of L_d against exact Fraction
+    arithmetic: {L} correctly rounded (kept below 1), value = [L] + {L}."""
 
     @staticmethod
-    def check(entries):
+    def check(entries, count=True):
         n = DilationVector(entries)
         lam = exact_lambdas(n.entries)
         parts = build_lattice(n, n.d - 1).lambda_parts
         floors = [math.floor(v) for v in lam]
+        fracs = [min(float(v - f), 1.0 - 2.0**-53)
+                 for v, f in zip(lam, floors)]
         assert parts.floor.tolist() == floors, entries
-        fracs = np.array([float(v - f) for v, f in zip(lam, floors)])
-        np.testing.assert_allclose(parts.frac, fracs, rtol=0, atol=1e-12,
-                                   err_msg=str(entries))
-        assert len(build_lattice(n).points) == sum(f + 1 for f in floors), \
-            entries
+        assert parts.frac.tolist() == fracs, entries
+        assert parts.value.tolist() == [f + r for f, r in zip(floors, fracs)]
+        assert not count or len(build_lattice(n).points) == \
+            sum(f + 1 for f in floors), entries
 
     def test_integer_pairs(self):
         for n1 in range(2, 64):
@@ -220,6 +218,23 @@ class TestCertifiedLambdaParts:
         for entries in [(5, 9.5, 23), (0.7, 2.1, 6.3), (1.5, 4.5, 9.0),
                         (2.4, 3.6, 7.2, 14.4)]:
             self.check(entries)
+
+    @pytest.mark.parametrize("big", [1537228672809128960,
+                                     3074457345618258944])
+    def test_either_side_of_the_int64_bound(self, big):
+        """For (3, N), 3 L_2(k) = 3N - N k with k <= 3.  The first N is the
+        largest float with 3N + 3N < 2^63 that 3 does not divide (int64); the
+        second the least with 3N >= 2^63 (Python ints: int64 cannot even
+        hold 3N)."""
+        assert float(big) == big and big % 3
+        self.check((3, big), count=False)  # the d-lattice has 2N points
+
+    @pytest.mark.parametrize("e", [50, 52])
+    def test_either_side_of_the_exact_division_bound(self, e):
+        """For (7, x), x = 1 + 2^-e, den = 7 2^e: below 2^53 for e = 50
+        (int64, one float division), above it for e = 52, where a float
+        remainder would round two of the fractional parts wrongly."""
+        self.check((7, 1.0 + 2.0**-e))
 
     def test_7_29_keeps_the_boundary_point(self):
         # float L_2(7) = 29 - 7 (29 / 7) is -3.6e-15; the exact value is 0

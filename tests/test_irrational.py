@@ -184,6 +184,33 @@ class TestFractionalParts:
         np.testing.assert_array_equal(
             fractional_parts(AlphaSpec.golden(), 2000), want)
 
+    @pytest.mark.parametrize("alpha, wide", [
+        (AlphaSpec.from_rational((1 << 50) + 1, (1 << 53) - 1), False),
+        (AlphaSpec.from_rational(-(1 << 52) - 1, (1 << 53) - 1), True),
+        (AlphaSpec.liouville(3, 5), True)], ids=["int64", "wide", "liouville"])
+    def test_wide_rationals_are_the_python_int_values(self, alpha, wide):
+        """(p mod q) n >= 2^62 at n = 4096: under int64's bound 2^63, then
+        over it, and a Liouville alpha whose denominator 3^120 is over 2^53;
+        each value is the Python integers' p k % q / q."""
+        p, q = alpha.rational.numerator, alpha.rational.denominator
+        assert p % q * 4096 >= 1 << 62
+        assert (p % q * 4096 >= 1 << 63 or q > 1 << 53) == wide
+        assert fractional_parts(alpha, 4096).tolist() == \
+            [p * k % q / q for k in range(4097)]
+
+    def test_huge_denominator_is_taken_in_chunks(self):
+        """liouville:2,9 has a 362 880-bit denominator: its 1025 remainders
+        alone would take 47 MiB at once, and with the numerators 94 MiB;
+        chunks of about 8 MiB hold a few of those at a time (30 MiB)."""
+        alpha = AlphaSpec.liouville(2, 9)
+        tracemalloc.start()
+        try:
+            fractional_parts(alpha, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 << 20
+
     def test_values_in_unit_interval(self):
         got = fractional_parts(AlphaSpec.liouville(2, 4), 200)
         assert np.all((got >= 0.0) & (got < 1.0))
