@@ -88,10 +88,10 @@ class DilationVector:
 def _form_parts(c0: int, coeffs, points: np.ndarray, den: int):
     """[num / den] (int64) and {num / den}, correctly rounded and below 1, of
     the integer linear form num = c0 + points @ coeffs at nonnegative integer
-    points (P, len(coeffs)), in chunks of about 8 MiB.  int64 holds num where
-    |c0| + sum_j |c_j| max k < 2^63 and den <= 2^53 (rem / den is then one
-    correctly rounded division), else Python ints in object arrays."""
-    bound = abs(c0) + sum(map(abs, coeffs)) * int(np.max(points, initial=0))
+    points (P, len(coeffs)), in chunks of about 8 MiB.  int64 holds c_j, num
+    where |c0| + sum_j |c_j| max(1, max k) < 2^63 and den <= 2^53 (rem / den
+    is one correctly rounded division), else Python ints in object arrays."""
+    bound = abs(c0) + sum(map(abs, coeffs)) * int(np.max(points, initial=1))
     if bound < 1 << 63 and den <= 1 << 53:
         dtype, split = np.int64, np.divmod
     else:

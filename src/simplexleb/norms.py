@@ -413,12 +413,12 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
         power = np.einsum("ijk,ijk->ij", av, av)
         _check_parseval(rest * power, w_sq, tags[fs], "x_s slice")
         # Hermitian: each node counts twice but the self-paired ones
-        mult = np.full(b, 1.0 + hermitian)
-        mult[[ns.index(t) for t in {0, m // 2}
-              if hermitian and 2 * t % m == 0 and t in ns]] -= 1.0
-        # reductions per field, not a matmul: the same bits in any stack
-        sum_abs[fs] += rest * (av.sum(axis=2) * mult).sum(axis=1)
-        sum_sq[fs] += rest * rest * (power * mult).sum(axis=1)
+        own = av[:, [ns.index(t) for t in {0, m // 2}
+                     if hermitian and 2 * t % m == 0 and t in ns]]
+        sum_abs[fs] += rest * ((1 + hermitian) * av.sum(axis=(1, 2))
+                               - own.sum(axis=(1, 2)))
+        sum_sq[fs] += rest * rest * ((1 + hermitian) * power.sum(axis=1)
+                                     - np.einsum("ijk,ijk->i", own, own))
     return sum_abs, sum_sq
 
 

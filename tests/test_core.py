@@ -229,6 +229,12 @@ class TestCertifiedLambdaParts:
         assert float(big) == big and big % 3
         self.check((3, big), count=False)  # the d-lattice has 2N points
 
+    @pytest.mark.parametrize("entries", [(0.3, 5000), (0.3, 0.5, 5000)])
+    def test_coefficients_past_int64_at_the_origin_alone(self, entries):
+        """n_1 < 1 leaves only the origin below level d, so max k = 0, but
+        den n_d / n_1 is about -1.8e19 and does not fit int64."""
+        self.check(entries)
+
     @pytest.mark.parametrize("e", [50, 52])
     def test_either_side_of_the_exact_division_bound(self, e):
         """For (7, x), x = 1 + 2^-e, den = 7 2^e: below 2^53 for e = 50
