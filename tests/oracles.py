@@ -11,7 +11,10 @@ and axis_nodes the nodes of one grid axis;
 s_via_delta is the second closed form of the kernel S, through the twisted
 difference of the (d-1)-dimensional kernel; double_integral_ld2 is the
 shifted-kernel double integral of the 1-D D, which acceptance criterion 7
-compares with 4 pi ||D_n||.
+compares with 4 pi ||D_n||; t_integral and frak_f_two_sided are the
+correction functional with both halves +mu and -mu of its mu-sum computed,
+the reference for simplexleb.norms.frak_f, which computes the +mu half
+alone.
 """
 
 import math
@@ -20,17 +23,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
+from fractions import Fraction
+
 from simplexleb.core import (
     DEFAULT_BUDGET_BYTES,
     CoefficientField,
     DilationVector,
     build_lattice,
+    fractional_coefficients,
 )
 from simplexleb.irrational import AlphaSpec, _kernel_norm, fractional_parts
 from simplexleb.kernels import (
     _CHUNK_BYTES,
     DEFAULT_NU_MAX,
     _geometric_sum,
+    apply_delta,
     _origin_twist,
     _r_series,
     reduce_torus,
@@ -40,8 +47,11 @@ from simplexleb.norms import (
     DEFAULT_RHO,
     DEFAULT_TOL,
     NormResult,
+    _field_norms,
     _refine,
     first_grid,
+    l1_norm,
+    l1_norm_field,
 )
 
 
@@ -183,3 +193,45 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
     # the Riemann sum over the m x m grid of (x, y)
     M0 = first_grid((m_modes,) * 2, rho, tol, DEFAULT_BUDGET_BYTES)
     return _refine(abs_sums, M0, None, tol, [f"ld2:{n}"])[0].value
+
+
+def t_integral(fld: CoefficientField, xi, n1: float, mu: int, base: float,
+               t_nodes: int, kw: dict) -> tuple:
+    """(fine, fine - coarse, norms) of the t-integral of frak_f at any
+    integer mu: int_{-pi}^{pi} (||delta_{n1 (t + 2 pi mu)} F|| - 2 ||F||) dt
+    on 2 t_nodes - 1 trapezoid nodes, with the NormResult of each twisted
+    difference, in the order of the nodes t."""
+    fine_t = np.linspace(-np.pi, np.pi, 2 * t_nodes - 1)
+    h = n1 * (fine_t + 2.0 * np.pi * mu)
+    norms = _field_norms(apply_delta(fld, h, xi).weights,
+                         [f"delta({v})|{fld.tag}" for v in h.tolist()], **kw)
+    vals = np.array([r.value for r in norms]) - 2.0 * base
+    fine = np.trapezoid(vals, fine_t)
+    return float(fine), float(fine - np.trapezoid(vals[::2], fine_t[::2])), \
+        norms
+
+
+def frak_f_two_sided(k: int, n: DilationVector, t_nodes: int = 64,
+                     tol: float = DEFAULT_TOL, rho: float = DEFAULT_RHO) -> tuple:
+    """(value, error estimate) of the correction functional k at n, its
+    mu-sum over mu = +|mu| and -|mu| for 1 <= |mu| <= [n_{k-l} / n_1]."""
+    ent, kw = n.entries[:k], dict(tol=tol, rho=rho)
+    n1, total, err = ent[0], 0.0, 0.0
+
+    def f_norm(entries):
+        return l1_norm("F", DilationVector(entries), **kw).value
+    for l in range(k - 1):
+        total += f_norm((n1,) * l + ent[:k - l]) - \
+            f_norm((n1,) * l + ent[:k - l - 1] + (n1,))
+        tilde = (n1,) * l + ent[1:k - l - 1]
+        fld = fractional_coefficients(DilationVector(tilde + (n1,)))
+        base = l1_norm_field(fld, **kw).value
+        for mu_abs in range(1, Fraction(ent[k - l - 1]) // Fraction(n1) + 1):
+            term = 0.0
+            for mu in (mu_abs, -mu_abs):
+                val, e, _ = t_integral(fld, 1.0 / np.array(tilde), n1, mu,
+                                       base, t_nodes, kw)
+                term += val / mu_abs
+                err += abs(e) / mu_abs
+            total += term
+    return 2.0 * np.pi * total, 2.0 * np.pi * err

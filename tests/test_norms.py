@@ -31,8 +31,10 @@ from simplexleb.norms import (
     l1_norm_field,
     verify_identity,
 )
+from simplexleb.cli import main as cli_main
 from simplexleb.core import CoefficientField
-from oracles import double_integral_ld2, grid_eval
+from oracles import double_integral_ld2, frak_f_two_sided, grid_eval, \
+    t_integral
 from test_kernels import engine_values
 
 
@@ -632,6 +634,59 @@ class TestFrakF:
                                              want):
         got = frak_f(k, DilationVector(entries), t_nodes=t_nodes)
         assert got.value == pytest.approx(want, rel=1e-12, abs=0)
+
+    # the rows of the sweep --n1 "list(5.5,7.3,9.7)" --n2 "2.3*n1"
+    # --n3 "1.9*n2", as its float arithmetic gives them
+    CLI_STUDY = [(v, 2.3 * v, 1.9 * (2.3 * v)) for v in (5.5, 7.3, 9.7)]
+
+    @pytest.mark.parametrize("tilde, n1", [
+        ((), 5.5), ((12.65,), 5.5), ((3.7, 5.2), 2.5),
+        ((3.7, 5.2, 6.1), 2.5)])
+    def test_minus_mu_integral_mirrors_plus_mu(self, tilde, n1):
+        """For a real F of dimension 0 to 3, the -mu t-integral equals the
+        +mu one, node t of one stack mirroring node -t of the other with
+        the same grid history."""
+        fld = fractional_coefficients(DilationVector(tilde + (n1,)))
+        xi, kw = 1.0 / np.array(tilde), dict(tol=1e-3, rho=4.0)
+        base = l1_norm_field(fld).value
+        for mu in (1, 2):
+            plus, _, norms_plus = t_integral(fld, xi, n1, mu, base, 6, kw)
+            minus, _, norms_minus = t_integral(fld, xi, n1, -mu, base, 6, kw)
+            assert minus == pytest.approx(plus, rel=1e-12, abs=1e-12)
+            for a, b in zip(norms_plus, norms_minus[::-1]):
+                assert [m for m, _ in a.history] == \
+                    [m for m, _ in b.history]
+                assert b.value == pytest.approx(a.value, rel=1e-12)
+
+    @pytest.mark.parametrize("k, entries, t_nodes", [
+        *[case[:3] for case in ONE_NODE_AT_A_TIME],
+        *[(k, n, 64) for n in CLI_STUDY for k in (2, 3)]])
+    def test_equals_two_sided_sum(self, k, entries, t_nodes):
+        got = frak_f(k, DilationVector(entries), t_nodes=t_nodes)
+        want, _ = frak_f_two_sided(k, DilationVector(entries), t_nodes)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_stacks_shift_by_positive_mu_alone(self, monkeypatch, capsys):
+        """Each stack of the cli-study sweep is h = n1 (t + 2 pi mu) on the
+        t nodes -pi..pi, with mu >= 1: 24 stacks of 3048 fields in all,
+        half of those of the two-sided sum."""
+        stacks = []
+
+        def spy(fld, h, xi):
+            stacks.append(np.array(h))
+            return apply_delta(fld, h, xi)
+        monkeypatch.setattr(norms.kernels, "apply_delta", spy)
+        assert cli_main(["sweep", "--n1", "list(5.5,7.3,9.7)",
+                         "--n2", "2.3*n1", "--n3", "1.9*n2"]) == 0
+        capsys.readouterr()
+        assert (len(stacks), sum(map(len, stacks))) == (24, 3048)
+        firsts = {row[0] for row in self.CLI_STUDY}
+        for h in stacks:
+            n1 = (h[-1] - h[0]) / (2 * np.pi)
+            mu = (h[0] / n1 + np.pi) / (2 * np.pi)
+            assert min(firsts, key=lambda v: abs(v - n1)) == \
+                pytest.approx(n1, rel=1e-12)
+            assert round(mu) >= 1 and mu == pytest.approx(round(mu), rel=1e-12)
 
     def test_mu_range_floors_exactly(self):
         # the stored 21.9 is below 3 times the stored 7.3: [n_2/n_1] = 2,
