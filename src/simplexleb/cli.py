@@ -354,23 +354,17 @@ def _parse_alpha(text: str) -> AlphaSpec:
 
 def cmd_irrational(args: argparse.Namespace) -> int:
     alpha = _parse_alpha(args.alpha)
-    kw = {}
     if args.n:
         try:
             grid = sorted({int(tok) for tok in args.n.split(",")})
         except ValueError:
             raise ValueError(f"malformed n list {args.n!r}") from None
-        # hand-picked n may lie below the study floor of 16
-        kw["min_n"] = 2
     else:
-        grid, e = [], 4
-        while 2 ** e <= args.nmax:
-            grid.append(2 ** e)
-            e += 1
+        grid = [2 ** e for e in range(4, args.nmax.bit_length())]
         if not grid:
             raise ValueError("--nmax must be at least 16")
     records = study_ratio(alpha, grid, tol=args.tol, rho=args.rho,
-                          budget_bytes=args.budget_mb << 20, **kw)
+                          budget_bytes=args.budget_mb << 20)
     lines = _header_lines(args) + ["n,I_n,ratio,is_convergent_q"]
     for rec in records:
         lines.append(",".join([str(rec.n), _fmt(rec.value), _fmt(rec.ratio),

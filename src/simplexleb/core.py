@@ -90,8 +90,12 @@ def _form_parts(c0: int, coeffs, points: np.ndarray, den: int):
     the integer linear form num = c0 + points @ coeffs at nonnegative integer
     points (P, len(coeffs)), in chunks of about 8 MiB.  int64 holds c_j, num
     where |c0| + sum_j |c_j| max(1, max k) < 2^63 and den <= 2^53 (rem / den
-    is one correctly rounded division), else Python ints in object arrays."""
+    is one correctly rounded division), else Python ints in object arrays.
+    Floors that can reach 2^63 (bound >= 2^63 den) are refused first."""
     bound = abs(c0) + sum(map(abs, coeffs)) * int(np.max(points, initial=1))
+    if bound >= den << 63:
+        raise ValueError(f"L_s can reach 2^{(bound // den).bit_length()} in "
+                         "magnitude, but its floors are int64 (< 2^63)")
     if bound < 1 << 63 and den <= 1 << 53:
         dtype, split = np.int64, np.divmod
     else:

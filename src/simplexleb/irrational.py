@@ -255,21 +255,20 @@ class RatioRecord:
 
 
 def study_ratio(alpha: AlphaSpec, n_grid, tol: float = DEFAULT_TOL,
-                rho: float = DEFAULT_RHO, min_n: int = 16,
+                rho: float = DEFAULT_RHO,
                 budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """Per-n normalized values with running min/max finite-n estimators.
 
     The running extrema are estimators over the computed grid only, never
-    claims about limits.  Grid entries below ``min_n`` are refused; keep
-    min_n >= 2, since the ratio divides by ln^2 n.  The first grid of the
-    largest n must fit ``budget_bytes`` before any fractional part is
-    computed.
+    claims about limits.  Grid entries below 2 are refused, since the
+    ratio divides by ln^2 n.  The first grid of the largest n must fit
+    ``budget_bytes`` before any fractional part is computed.
     """
     n_grid = [int(v) for v in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n grid must be increasing")
-    if any(v < min_n for v in n_grid):
-        raise ValueError(f"grid entries must be >= {min_n}")
+    if any(v < 2 for v in n_grid):
+        raise ValueError("grid entries must be >= 2")
     first_grid((max(n_grid) + 1,), rho, tol, budget_bytes)
     qset = _convergent_denominators(alpha, max(n_grid))
     w = fractional_parts(alpha, max(n_grid))

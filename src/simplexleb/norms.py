@@ -188,7 +188,7 @@ def first_grid(K: tuple, rho: float, tol: float, budget_bytes: int,
     if folded and low[0] < cap:
         low = K
     check_grid(tuple(map(min, K, low)), low, budget_bytes, field)
-    M = tuple(_fast_len(math.ceil(rho * e)) for e in K)
+    M = tuple(_fast_len(math.ceil(min(rho * e, 2.0**63))) for e in K)
     if folded:
         check_grid((K[0], 1), (_fold(K[0], M[0]), 1), budget_bytes)
     else:
@@ -197,7 +197,10 @@ def first_grid(K: tuple, rho: float, tol: float, budget_bytes: int,
 
 
 def _fast_len(n: int) -> int:
-    """The least 11-smooth integer >= n (scipy.fft.next_fast_len)."""
+    """The least 11-smooth integer >= n < 2^63 (scipy.fft.next_fast_len)."""
+    if n >= 1 << 63:
+        raise ValueError(f"a grid length of at least {n} does not fit int64 "
+                         "(< 2^63)")
     lengths = _smooth_lengths(1 << max(n - 1, 0).bit_length())
     return lengths[bisect_left(lengths, n)]
 
@@ -541,10 +544,11 @@ def _check_identity_budget(n: DilationVector, num_points: int,
                            budget_bytes: int, modes=None):
     """Refuse d < 2, and identity_residuals' _IDENTITY_ARRAYS arrays of
     N x P' complex values over budget; until the lattice is built, P' is
-    bounded from below by the simplex volume of n'."""
+    bounded from below by the simplex volume of n' and by 1 (the origin)."""
     if n.d < 2:
         raise ValueError("the decomposition requires d >= 2")
-    modes = simplex_volume(n.entries[:-1]) if modes is None else modes
+    if modes is None:
+        modes = max(1.0, simplex_volume(n.entries[:-1]))
     check_budget(_IDENTITY_ARRAYS * 16 * num_points * modes, budget_bytes,
                  "phases with weights")
 
@@ -629,17 +633,14 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     def f_norm(entries):
         return l1_norm("F", DilationVector(entries), **kw).value
 
-    breakdown = []
-    total = 0.0
-    err = 0.0
+    breakdown, total, err = [], 0.0, 0.0
     for l in range(k - 1):
         vec1 = (n1,) * l + ent[: k - l]
         vec2 = (n1,) * l + ent[: k - l - 1] + (n1,)
-        t1 = f_norm(vec1)
-        t2 = f_norm(vec2)
-        breakdown.append({"l": l, "term": "norm_diff", "value": t1 - t2,
+        diff = f_norm(vec1) - f_norm(vec2)
+        breakdown.append({"l": l, "term": "norm_diff", "value": diff,
                           "plus": vec1, "minus": vec2})
-        total += t1 - t2
+        total += diff
         mu_bound = Fraction(ent[k - l - 1]) // Fraction(n1)
         tilde = (n1,) * l + ent[1: k - l - 1]
         fld = fractional_coefficients(DilationVector(tilde + (n1,)),
@@ -652,12 +653,8 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
                               "value": 2.0 * val / mu})
             total += 2.0 * val / mu
             err += 2.0 * abs(e) / mu
-    return FrakFValue(
-        value=2.0 * np.pi * total,
-        breakdown=tuple(breakdown),
-        error_estimate=2.0 * np.pi * err,
-        flags=dict(CONVENTIONS),
-    )
+    return FrakFValue(2.0 * np.pi * total, tuple(breakdown),
+                      2.0 * np.pi * err, dict(CONVENTIONS))
 
 
 def _t_integral(fld, xi, n1, mu, base_norm, t_nodes, kw):
@@ -669,12 +666,10 @@ def _t_integral(fld, xi, n1, mu, base_norm, t_nodes, kw):
     one stack of fields on F's box.  The coarse rule with ``t_nodes`` nodes
     reuses every other node of the fine one.
 
-    F's weights are real, so delta_{-h} F has the conjugate weights of
-    delta_h F, and its kernel is the conjugate of that of delta_h F at -x:
-    the two have the same L1 norm, and the same Riemann sum on every grid,
-    whose nodes are symmetric under x -> -x.  This holds for the
-    0-dimensional F = {n1} too, and t -> -t maps the symmetric trapezoid
-    nodes of -mu onto those of mu.
+    F's weights are real (also for d = 0, F = {n1}), so delta_{-h} F is
+    the conjugate of delta_h F at -x: both have the same Riemann sum on
+    every grid, whose nodes are symmetric under x -> -x, and t -> -t maps
+    the trapezoid nodes of -mu onto those of mu.
     """
     fine_t = np.linspace(-np.pi, np.pi, 2 * t_nodes - 1)
     h = n1 * (fine_t + 2.0 * np.pi * mu)

@@ -212,7 +212,8 @@ def t_integral(fld: CoefficientField, xi, n1: float, mu: int, base: float,
 
 
 def frak_f_two_sided(k: int, n: DilationVector, t_nodes: int = 64,
-                     tol: float = DEFAULT_TOL, rho: float = DEFAULT_RHO) -> tuple:
+                     tol: float = DEFAULT_TOL,
+                     rho: float = DEFAULT_RHO) -> tuple:
     """(value, error estimate) of the correction functional k at n, its
     mu-sum over mu = +|mu| and -|mu| for 1 <= |mu| <= [n_{k-l} / n_1]."""
     ent, kw = n.entries[:k], dict(tol=tol, rho=rho)

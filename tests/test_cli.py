@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import signal
 import time
+import tracemalloc
 
 import pytest
 
@@ -158,6 +160,43 @@ def test_bad_rho_exits_1(capsys, monkeypatch, command, rho):
     assert len(err.splitlines()) == 1, err
 
 
+class _Hung(Exception):
+    """Raised by the alarm; not an OSError, which main turns into exit 1."""
+
+
+def _hang(*args):
+    raise _Hung
+
+
+class TestInt64Bounds:
+    """Inputs whose floors or grid lengths do not fit int64 are refused
+    before any work, each with one error line naming its bound."""
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--kernel", "D", "--n", "1e-20,1e25"],
+        ["norm", "--kernel", "F", "--n", "1e-20,1e25"],
+        ["verify", "--n", "1e-20,1e25", "--points", "3"],
+        ["sweep", "--n1", "list(16)", "--n2", "n1**n1"],
+        ["norm", "--kernel", "D", "--n", "5,1e300"],
+    ])
+    def test_refused_within_a_second(self, capsys, argv):
+        previous = signal.signal(signal.SIGALRM, _hang)
+        signal.alarm(1)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, out) == (1, "")
+        assert err.startswith("simplexleb: error:") and "2^63" in err
+        assert err.count("\n") == 1
+
+    def test_lone_origin_still_runs(self, capsys):
+        code, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "0.3,5000")
+        assert code == 0
+        assert json.loads(out)["converged"] is True
+
+
 class TestVerifyCommand:
     def test_passes_on_exact_identity(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2,3", "--points", "50",
@@ -182,6 +221,20 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("simplexleb: error: phases")
+
+    def test_budget_counts_the_origin(self, capsys):
+        """The simplex volume of n' = 0.001 is far below 1, but P' >= 1:
+        the budget refuses the 2 * 10^6 points before they are drawn."""
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify", "--n", "0.001,5",
+                                 "--points", "2000000", "--budget-mb", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err.startswith("simplexleb: error: phases")
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("option", ["--nu-max", "--points"])
     def test_empty_verify_exits_1(self, capsys, option):

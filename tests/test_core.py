@@ -14,6 +14,7 @@ from simplexleb.core import (
     DilationVector,
     LambdaEvaluator,
     ResourceLimitError,
+    _form_parts,
     build_lattice,
     fractional_coefficients,
     indicator_coefficients,
@@ -234,6 +235,18 @@ class TestCertifiedLambdaParts:
         """n_1 < 1 leaves only the origin below level d, so max k = 0, but
         den n_d / n_1 is about -1.8e19 and does not fit int64."""
         self.check(entries)
+
+    def test_floors_past_int64_are_refused(self):
+        """A floor c0 / den fits int64 below 2^63 and is refused from 2^63
+        on, before any chunk is computed; so is L_2 = 10^45 of (1e-20,
+        1e25)."""
+        origin = np.zeros((1, 0), dtype=np.int64)
+        assert _form_parts((3 << 63) - 1, [], origin, 3)[0].tolist() == \
+            [(1 << 63) - 1]
+        with pytest.raises(ValueError, match="2\\^63"):
+            _form_parts(3 << 63, [], origin, 3)
+        with pytest.raises(ValueError, match="2\\^150 .* 2\\^63"):
+            build_lattice(DilationVector((1e-20, 1e25)), 1).lambda_parts
 
     @pytest.mark.parametrize("e", [50, 52])
     def test_either_side_of_the_exact_division_bound(self, e):

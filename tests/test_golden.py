@@ -29,7 +29,7 @@ def test_artifacts_match_golden(stem):
     for name, text in render(stem).items():
         want = (HERE / name).read_bytes()
         if same_numpy:
-            assert text.encode() == want, f"{name} differs from its golden copy"
+            assert text.encode() == want, f"{name} differs from the file"
             continue
         got, layout = _numbers_and_layout(text)
         ref, ref_layout = _numbers_and_layout(want.decode())

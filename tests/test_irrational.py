@@ -269,9 +269,10 @@ class TestStudyRatio:
         with pytest.raises(ValueError):
             study_ratio(AlphaSpec.golden(), [64, 32])
 
-    def test_requires_floor_16(self):
-        with pytest.raises(ValueError):
-            study_ratio(AlphaSpec.golden(), [8, 64])
+    def test_requires_n_at_least_2(self):
+        # the ratio divides by ln^2 n
+        with pytest.raises(ValueError, match=">= 2"):
+            study_ratio(AlphaSpec.golden(), [1, 64])
 
     def test_rational_ratio_decays(self):
         recs = study_ratio(AlphaSpec.from_rational(415, 93),

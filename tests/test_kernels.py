@@ -282,6 +282,13 @@ class TestGridSpec:
         bad = [n for n in ns if _fast_len(n) != scipy.fft.next_fast_len(n)]
         assert bad == []
 
+    def test_fast_len_refuses_2_63_before_any_search(self, monkeypatch):
+        # the lengths up to 2^1000 alone would not fit any memory
+        monkeypatch.setattr(norms, "_smooth_lengths", None)
+        for n in (1 << 63, 1 << 1000):
+            with pytest.raises(ValueError, match="2\\^63"):
+                _fast_len(n)
+
 
 class TestGridEval:
     def test_matches_pointwise_everywhere(self):
