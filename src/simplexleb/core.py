@@ -91,11 +91,13 @@ def _form_parts(c0: int, coeffs, points: np.ndarray, den: int):
     points (P, len(coeffs)), in chunks of about 8 MiB.  int64 holds c_j, num
     where |c0| + sum_j |c_j| max(1, max k) < 2^63 and den <= 2^53 (rem / den
     is one correctly rounded division), else Python ints in object arrays.
-    Floors that can reach 2^63 (bound >= 2^63 den) are refused first."""
-    bound = abs(c0) + sum(map(abs, coeffs)) * int(np.max(points, initial=1))
-    if bound >= den << 63:
-        raise ValueError(f"L_s can reach 2^{(bound // den).bit_length()} in "
+    Refused where floors can reach 2^63: |c0| + sum |c_j| max k >= 2^63 den."""
+    top, scale = int(np.max(points, initial=0)), sum(map(abs, coeffs))
+    reach = (abs(c0) + scale * top) // den
+    if reach >> 63:
+        raise ValueError(f"L_s can reach 2^{reach.bit_length() - 1} in "
                          "magnitude, but its floors are int64 (< 2^63)")
+    bound = abs(c0) + scale * max(1, top)
     if bound < 1 << 63 and den <= 1 << 53:
         dtype, split = np.int64, np.divmod
     else:

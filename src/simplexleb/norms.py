@@ -199,8 +199,7 @@ def first_grid(K: tuple, rho: float, tol: float, budget_bytes: int,
 def _fast_len(n: int) -> int:
     """The least 11-smooth integer >= n < 2^63 (scipy.fft.next_fast_len)."""
     if n >= 1 << 63:
-        raise ValueError(f"a grid length of at least {n} does not fit int64 "
-                         "(< 2^63)")
+        raise ValueError(f"a grid length >= {n} does not fit int64 (< 2^63)")
     lengths = _smooth_lengths(1 << max(n - 1, 0).bit_length())
     return lengths[bisect_left(lengths, n)]
 

@@ -19,11 +19,10 @@ alone.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.fft
-
-from fractions import Fraction
 
 from simplexleb.core import (
     DEFAULT_BUDGET_BYTES,
@@ -37,9 +36,9 @@ from simplexleb.kernels import (
     _CHUNK_BYTES,
     DEFAULT_NU_MAX,
     _geometric_sum,
-    apply_delta,
     _origin_twist,
     _r_series,
+    apply_delta,
     reduce_torus,
     slice_weight_matrix,
 )

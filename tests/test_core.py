@@ -230,10 +230,12 @@ class TestCertifiedLambdaParts:
         assert float(big) == big and big % 3
         self.check((3, big), count=False)  # the d-lattice has 2N points
 
-    @pytest.mark.parametrize("entries", [(0.3, 5000), (0.3, 0.5, 5000)])
+    @pytest.mark.parametrize("entries", [(0.3, 5000), (0.3, 0.5, 5000),
+                                         (1e-30, 1000)])
     def test_coefficients_past_int64_at_the_origin_alone(self, entries):
         """n_1 < 1 leaves only the origin below level d, so max k = 0, but
-        den n_d / n_1 is about -1.8e19 and does not fit int64."""
+        den n_d / n_1 is about -1.8e19 and does not fit int64.  For (1e-30,
+        1000) it is 1e33 den, and still the floors, at most 1000, fit."""
         self.check(entries)
 
     def test_floors_past_int64_are_refused(self):
@@ -245,7 +247,7 @@ class TestCertifiedLambdaParts:
             [(1 << 63) - 1]
         with pytest.raises(ValueError, match="2\\^63"):
             _form_parts(3 << 63, [], origin, 3)
-        with pytest.raises(ValueError, match="2\\^150 .* 2\\^63"):
+        with pytest.raises(ValueError, match="2\\^83 .* 2\\^63"):
             build_lattice(DilationVector((1e-20, 1e25)), 1).lambda_parts
 
     @pytest.mark.parametrize("e", [50, 52])
