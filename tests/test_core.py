@@ -240,7 +240,7 @@ class TestCertifiedLambdaParts:
 
     def test_floors_past_int64_are_refused(self):
         """A floor c0 / den fits int64 below 2^63 and is refused from 2^63
-        on, before any chunk is computed; so is L_2 = 10^45 of (1e-20,
+        on, before any chunk is computed; so is L_2(0) = 10^25 of (1e-20,
         1e25)."""
         origin = np.zeros((1, 0), dtype=np.int64)
         assert _form_parts((3 << 63) - 1, [], origin, 3)[0].tolist() == \
