@@ -85,18 +85,20 @@ def reduce_torus(x) -> np.ndarray:
     return np.pi - (np.pi - x) % (2.0 * np.pi)
 
 
-def _geometric_sum(m, t, phase=None, zero=None):
+def _geometric_sum(m, t, phase=None, zero=None, out=None):
     """sum_{j=0}^{m-1} e^{i j t} = e^{i (m-1) t / 2} sin(m t / 2) / sin(t / 2).
 
     ``m`` integer array, ``t`` scalar or broadcastable array.  At t == 0
-    (mod 2 pi) the value is m.  Given ``phase(mu)`` = e^{i mu t} for t in
-    [-pi, pi), both phases come from it, and ``zero`` marks t = 0.
+    (mod 2 pi) the value is m.  Given ``phase(mu, out)`` = e^{i mu t} for t
+    in [-pi, pi), both phases come from it into ``out`` (the sines into one
+    real table), and ``zero`` marks t = 0.
     """
     m = np.asarray(m, dtype=float)
     half = 0.5 * (t if phase else reduce_torus(t))
     denom = np.sin(half)
     if phase:
-        top, num = phase(0.5 * m).imag, phase(0.5 * (m - 1.0))
+        top = phase(0.5 * m, out=out).imag.copy()
+        num = phase(0.5 * (m - 1.0), out=out)
     else:
         zero = np.abs(denom) <= 1e-300
         num, top = np.exp(1j * (m - 1.0) * half), np.asarray(np.sin(m * half))
@@ -161,20 +163,25 @@ def _origin_twist(k_sum) -> np.ndarray:
     return 1.0 - 2.0 * (np.asarray(k_sum) & 1)
 
 
-def _grid_phases(mu, m: int, t: range) -> np.ndarray:
+def _grid_phases(mu, m: int, t: range, out=None) -> np.ndarray:
     """e^{i mu x_t} at the nodes t of x_t = -pi + 2 pi t / m, shape
-    (len(t), len(mu)): with t = t.start + (q a + b) t.step, the product of
-    the np.exp tables of a and of b, about sqrt(len(t)) rows each."""
+    (len(t), len(mu)), into ``out`` if given: with t = t.start + (q a + b)
+    t.step, the product of the np.exp tables of a and of b, about
+    sqrt(len(t)) rows each."""
     q, step = max(1, math.isqrt(len(t))), t.step
     coarse = -np.pi + 2.0 * np.pi * np.arange(t.start, t.stop, q * step) / m
     fine = 2.0 * np.pi * np.arange(0, q * step, step) / m
-    e = np.exp(1j * np.multiply.outer(coarse, mu))[:, None] * \
-        np.exp(1j * np.multiply.outer(fine, mu))
-    return e.reshape(-1, len(mu))[:len(t)]
+    high, low = (np.exp(1j * np.multiply.outer(x, mu)) for x in (coarse, fine))
+    out = np.empty((len(t), len(mu)), complex) if out is None else out
+    whole = len(t) // q
+    np.multiply(high[:whole, None], low,
+                out=out[:whole * q].reshape(whole, q, len(mu)))
+    np.multiply(high[whole:], low[:len(t) - whole * q], out=out[whole * q:])
+    return out
 
 
 def slice_weight_matrix(kind: str, lam: LambdaParts, xs,
-                        m: int | None = None) -> np.ndarray:
+                        m: int | None = None, out=None) -> np.ndarray:
     """Closed-form x_d-slice weights of every mode k', shape (len(xs), P').
 
     With L = L_d(k') (``lam`` from :attr:`SimplexLattice.lambda_parts`) and
@@ -187,27 +194,33 @@ def slice_weight_matrix(kind: str, lam: LambdaParts, xs,
 
     ``xs`` holds the points x (one np.exp per phase), or given ``m`` a
     range of nodes t of x_t = -pi + 2 pi t / m (:func:`_grid_phases`), such
-    as the odd t of m = 2 M_s: the grid M_s shifted by half a cell.
+    as the odd t of m = 2 M_s: the grid M_s shifted by half a cell, and
+    then written into ``out`` if given; one more array of P' values a node
+    is held at a time: the real sines of D and R, then R's second phases.
     """
     if kind not in ("D", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown sliced kernel {kind!r}")
     if m is None:
         xd = np.asarray(xs, dtype=float)[:, None]
-        small, phase = np.abs(xd) < SINGULARITY_THRESHOLD, None
+        small, grid = np.abs(xd) < SINGULARITY_THRESHOLD, None
+
+        def phase(mu, out=None):
+            return np.exp(1j * mu * xd, out=out)
     else:
         # x_t = 0 where 2 t = m, although its float may not be 0.0
         t = np.arange(xs.start, xs.stop, xs.step)[:, None]
         xd, small = -np.pi + 2.0 * np.pi * t / m, 2 * t == m
-        phase = partial(_grid_phases, m=m, t=xs)
+        phase = grid = partial(_grid_phases, m=m, t=xs)
     if kind in ("D", "R"):
-        w = _geometric_sum(lam.floor + 1.0, xd, phase, small)
+        w = _geometric_sum(lam.floor + 1.0, xd, grid, small, out)
         if kind == "D":
             return w
-    e = phase(lam.value) if phase else np.exp(1j * lam.value * xd)
+    e = phase(lam.value, out=None if kind == "R" else out)
     if kind == "Fcomposite":
         return np.multiply(e, lam.frac, out=e)
-    if kind == "R":
-        w += lam.frac * e
+    if kind == "R":  # w_D + {L} e^{i L x}, then e^{i L x} again for w_S
+        w += np.multiply(e, lam.frac, out=e)
+        e = phase(lam.value, out=e)
     # w_S in place of e
     e -= 1.0
     e /= 1j * np.where(small, 1.0, xd)

@@ -29,13 +29,13 @@ It takes the x' modes and one of three slice-weight sources:
   The u axis never doubles, so a later level is the odd slices q alone.
 
 A source writes a batch's slice weights where the engine says:
-``weights(fs)(ns, out)``.  Where the x' modes are the first P' nodes of
-the grid (every 2-D kernel and field, and every fold), ``out`` is the
-transform buffer itself, so a batch holds that buffer and the |v| buffer
-of the reduction alone; elsewhere it is a P'-wide array the engine
-scatters.  The transforms are pruned: x' axis j runs only on the columns
-where the axes after it still hold modes, since the zero columns
-transform to zeros.
+``weights(fs)(ns, out)``: into the transform buffer where the x' modes are
+its first P' nodes (every 2-D kernel and field, every fold), else into a
+P'-wide array the engine scatters.  Beside the buffer a batch holds |v| a
+block at a time in a scratch of _CHUNK_BYTES / 32 bytes, and at most one
+more P'-wide array of a closed form.  The transforms are pruned: x' axis j
+runs only on the columns where the axes after it still hold modes, since
+the zero columns transform to zeros.
 
 Its inputs carry a leading field axis: a stack of fields on one box, such
 as the 2T - 1 twisted differences of one t-integral of the correction
@@ -250,14 +250,15 @@ def slice_batches(points: np.ndarray, weights, passes,
     ``weights(fs)(ns, out)`` writes the slice weights of the fields ``fs``
     at the x_s nodes ``ns`` into ``out``, shape (G, B, P'): the buffer's
     first P' columns where the modes' flat indices on M' are 0..P'-1,
-    else a scratch array that is scattered into it.  A batch holds at most
-    min(_CHUNK_BYTES, budget_bytes) of values on the largest M', or one
-    slice (the sources check it fits): whole fields while two fit, else
-    slices of one; each group runs every pass.  Yields ``(fs, p, ns,
-    w_sq, v)``: w_sq, shape (G, B), is sum |w|^2 per slice, and v, shape
-    (G, B) + M', the inverse FFT of w in pass p, is f / prod M' (callers
-    scale their sums).  All batches share one buffer: v is valid until the
-    next batch."""
+    else a scratch array that is scattered into it: besides what the source
+    holds while it writes, the only arrays here that grow with a batch.
+    The buffer holds at most min(_CHUNK_BYTES, budget_bytes) of values on
+    the largest M', or one slice (the sources check it fits): whole fields
+    while two fit, else slices of one; each group runs every pass.  Yields
+    ``(fs, p, ns, w_sq, v)``: w_sq, shape (G, B), is sum |w|^2 per slice,
+    and v, shape (G, B) + M', the inverse FFT of w in pass p, is f / prod
+    M' (callers scale their sums).  All batches share one buffer: v is
+    valid until the next batch."""
     rest = max(math.prod(m_prime) for m_prime, *_ in passes)
     rows = max(len(nodes) for *_, nodes in passes)
     batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
@@ -309,8 +310,8 @@ def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
                    budget_bytes: int = DEFAULT_BUDGET_BYTES):
     """(points, weights, hermitian) of a d-kernel on the grid M."""
     check_grid(lat.extents, M, budget_bytes, field=False)
-    return lat.points, lambda fs: lambda ns, out: np.copyto(
-        out[0], slice_weight_matrix(kernel, lat.lambda_parts, ns, M[-1])), True
+    return lat.points, lambda fs: lambda ns, out: slice_weight_matrix(
+        kernel, lat.lambda_parts, ns, M[-1], out[0]), True
 
 
 def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
@@ -397,30 +398,36 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
     per tag) over the grid M, or over the nodes its half grid ``half``
     lacks, from the slice engine (for a Hermitian f the x_s nodes t <=
     M_s / 2), with the exact Parseval identity checked on every computed
-    x_s slice.  |v| goes to one reused buffer."""
+    x_s slice.  |v| goes a block at a time to one reused scratch of at most
+    _CHUNK_BYTES / 32; the slices' multiplicities weight their sums."""
     m, passes = M[-1], _passes(M, half)
     if hermitian:
         passes = [(mp, shift, ns[:(m // 2 - ns.start) // ns.step + 1])
                   for mp, shift, ns in passes]
     sum_abs, sum_sq = np.zeros((2, len(tags)))
-    buf = None
+    scratch = None
     for fs, p, ns, w_sq, v in slice_batches(points, weights, passes,
                                             budget_bytes, len(tags)):
-        g, b = v.shape[:2]
         rest = math.prod(passes[p][0])
-        buf = np.empty(v.size) if buf is None else buf  # the largest batch
-        av = np.abs(v, out=buf[:v.size].reshape(v.shape)).reshape(g, b, rest)
+        if scratch is None:  # the first batch is the largest
+            scratch = np.empty(min(_CHUNK_BYTES // 256, v.size))
+        # |v| in blocks of whole x_s slices, or of parts of one
+        rows, sums = v.reshape(-1, rest), np.zeros((2, v.size // rest))
+        step, cols = max(1, len(scratch) // rest), min(rest, len(scratch))
+        for r, c in itertools.product(range(0, len(rows), step),
+                                      range(0, rest, cols)):
+            block = rows[r:r + step, c:c + cols]
+            av = np.abs(block, out=scratch[:block.size].reshape(block.shape))
+            sums[:, r:r + step] += av.sum(1), np.einsum("ij,ij->i", av, av)
         # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|,
         # against sum |w|^2
-        power = np.einsum("ijk,ijk->ij", av, av)
+        slice_abs, power = sums.reshape((2,) + w_sq.shape)
         _check_parseval(rest * power, w_sq, tags[fs], "x_s slice")
         # Hermitian: each node counts twice but the self-paired ones
-        own = av[:, [ns.index(t) for t in {0, m // 2}
-                     if hermitian and 2 * t % m == 0 and t in ns]]
-        sum_abs[fs] += rest * ((1 + hermitian) * av.sum(axis=(1, 2))
-                               - own.sum(axis=(1, 2)))
-        sum_sq[fs] += rest * rest * ((1 + hermitian) * power.sum(axis=1)
-                                     - np.einsum("ijk,ijk->i", own, own))
+        mult = 1.0 + hermitian * (np.arange(ns.start, ns.stop, ns.step)
+                                  * 2 % m != 0)
+        sum_abs[fs] += rest * (slice_abs * mult).sum(axis=1)
+        sum_sq[fs] += rest * rest * (power * mult).sum(axis=1)
     return sum_abs, sum_sq
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -442,6 +443,31 @@ class TestGridSliceWeights:
             slice_weight_matrix("S", self.LAM, t, 1540)[0], self.LAM.value,
             rtol=1e-12)
 
+
+    @pytest.mark.parametrize("kind", ["D", "S", "Fcomposite", "R"])
+    def test_written_into_out(self, kind):
+        """Given ``out``, here the first P' columns of a wider buffer as the
+        engine passes it, the weights are written there, equal to the
+        allocated ones.  Beside it a batch holds at most one P'-wide array,
+        D's real sines (half of ``out``) or R's second phase table (one),
+        and tables of about sqrt(len(t)) rows, within a quarter of ``out``
+        for these 400 nodes of 441 modes."""
+        lam = build_lattice(DilationVector((20.5, 40.5, 80.0)), 2).lambda_parts
+        m, t = 1540, range(1, 1540, 2)[:400]
+        want = slice_weight_matrix(kind, lam, t, m)
+        modes = len(lam.value)
+        buf = np.zeros((len(t), 4 * modes), complex)
+        tracemalloc.start()
+        try:
+            got = slice_weight_matrix(kind, lam, t, m, buf[:, :modes])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(buf[:, :modes], want)
+        assert not buf[:, modes:].any()
+        held = {"D": 0.5, "R": 1.0}.get(kind, 0.0)
+        assert peak <= (held + 1 / 4) * want.nbytes
 
     @pytest.mark.parametrize("m", [90, 32, 3080])
     def test_step_two_phases_match_exp(self, m):
