@@ -270,13 +270,13 @@ def _sweep_one(entries: tuple, args: argparse.Namespace) -> dict:
     converged = None not in (res_d, res_s, res_f)
     fraks = {}
     for k in range(2, d + 1):
+        # NaN outside the ascending regime of the correction functional
+        fraks[k] = float("nan")
+        if any(a > b for a, b in zip(n.entries[:k - 1], n.entries[1:k])):
+            continue
         try:
             fraks[k] = frak_f(k, n, t_nodes=args.t_nodes, **kw).value
-        except ValueError:
-            # outside the ascending regime of the correction functional
-            fraks[k] = float("nan")
         except NormConvergenceError:
-            fraks[k] = float("nan")
             converged = False
     try:
         pred = full_predictor(n, fraks)
@@ -298,7 +298,7 @@ def _sweep_one(entries: tuple, args: argparse.Namespace) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # checked here: _sweep_one turns frak_f's ValueError into a NaN column
+    # checked before the first row's norms, not at its first frak_f
     if args.t_nodes < 2:
         raise ValueError("--t-nodes must be >= 2")
     rows = _sweep_rows(args)

@@ -5,7 +5,8 @@ the CLI reports the (2 pi)^{-s} normalization alongside.  Quadrature is the
 Riemann sum (2 pi / M)^s sum_t |f(x_t)| on successively doubled grids.  This
 module owns that refinement: :func:`first_grid` gives the first grid of the
 modes' box K, the least 11-smooth M_j >= rho K_j, after refusing a tol or
-rho that is not finite and positive and a grid over the memory budget;
+rho that is not finite and positive, a grid over the memory budget and
+levels whose nodes exceed the work bound MAX_WORK;
 :func:`_refine` doubles it at most MAX_DOUBLINGS times, until the relative
 change of the sum is at most tol.  The grid 2M holds M as its even nodes,
 so each later level adds to the running sums of |f| and |f|^2 only the
@@ -113,6 +114,8 @@ DEFAULT_TOL = 1e-3
 DEFAULT_RHO = 4.0
 MAX_DOUBLINGS = 4
 PARSEVAL_RTOL = 1e-8
+# the work bound: grid nodes of a norm's levels, or fields of one frak_f
+MAX_WORK = 1 << 48
 # N x P' arrays identity_residuals holds at once (tracemalloc: 5.0-5.1)
 _IDENTITY_ARRAYS = 6
 
@@ -170,9 +173,9 @@ def first_grid(K: tuple, rho: float, tol: float, budget_bytes: int,
                field: bool = True) -> tuple:
     """The first grid of the modes' box K: M_j is the least 11-smooth
     length >= rho K_j.  Refuses a tol or rho that is not finite and
-    positive, and a grid check_grid refuses, whose budget it checks on
-    ceil(rho K) before any length is sought.  A 1-D field is checked as
-    its fold holds it: a slice of F values and K weights."""
+    positive, a grid check_grid refuses, whose budget it checks on
+    ceil(rho K) before any length is sought, and levels over MAX_WORK
+    nodes.  A 1-D field is checked as its fold holds it (a slice)."""
     for name, v in (("tol", tol), ("rho", rho)):
         if not 0.0 < v < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {v}")
@@ -193,6 +196,10 @@ def first_grid(K: tuple, rho: float, tol: float, budget_bytes: int,
         check_grid((K[0], 1), (_fold(K[0], M[0]), 1), budget_bytes)
     else:
         check_grid(K, M, budget_bytes, field)
+    nodes = math.prod(M) << len(M) * MAX_DOUBLINGS
+    if nodes > MAX_WORK:
+        raise ValueError(f"the grids {M} to {2**MAX_DOUBLINGS} x {M} hold "
+                         f"{nodes} nodes, over the work bound 2^48")
     return M
 
 
@@ -624,7 +631,8 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     an exact floor).  The t-integral over [-pi, pi] is the composite
     trapezoid on ``t_nodes`` nodes, refined once for the error estimate.
     Its -mu half equals its +mu half (:func:`_t_integral`), so each |mu|
-    takes one t-integral, weighted 2 / |mu|.
+    takes one t-integral, weighted 2 / |mu|, of 2 t_nodes - 1 fields: all
+    of them are checked against MAX_WORK first.
     """
     if k < 2 or k > n.d:
         raise ValueError(f"need 2 <= k <= d={n.d}")
@@ -634,6 +642,12 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     if any(a > b for a, b in zip(ent, ent[1:])):
         raise ValueError("entries must be ascending")
     n1 = ent[0]
+    mu_bounds = [Fraction(e) // Fraction(n1) for e in ent[:0:-1]]
+    fields = sum(mu_bounds) * (2 * t_nodes - 1)
+    if fields > MAX_WORK:
+        raise ValueError(f"the mu-sum refines >= 2^{fields.bit_length() - 1}"
+                         " fields (mu terms x (2 t_nodes - 1)), over the "
+                         "work bound 2^48")
     kw = dict(tol=tol, rho=rho, budget_bytes=budget_bytes)
 
     def f_norm(entries):
@@ -647,13 +661,12 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
         breakdown.append({"l": l, "term": "norm_diff", "value": diff,
                           "plus": vec1, "minus": vec2})
         total += diff
-        mu_bound = Fraction(ent[k - l - 1]) // Fraction(n1)
         tilde = (n1,) * l + ent[1: k - l - 1]
         fld = fractional_coefficients(DilationVector(tilde + (n1,)),
                                       budget_bytes)
         base = l1_norm_field(fld, **kw).value
         xi = 1.0 / np.array(tilde)
-        for mu in range(1, mu_bound + 1):
+        for mu in range(1, mu_bounds[l] + 1):
             val, e = _t_integral(fld, xi, n1, mu, base, t_nodes, kw)
             breakdown.append({"l": l, "term": "mu", "mu_abs": mu,
                               "value": 2.0 * val / mu})

@@ -197,6 +197,29 @@ class TestInt64Bounds:
         assert json.loads(out)["converged"] is True
 
 
+class TestWorkBound:
+    """Inputs whose grids or mu-sum exceed the work bound are refused before
+    any synthesis, each with one error line naming the bound."""
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--kernel", "R", "--n", "3e-10,4e15", "--budget-mb", "4"],
+        ["norm", "--kernel", "D", "--n", "1e-300,1e-300,1e17",
+         "--budget-mb", "4"],
+        ["sweep", "--n1", "list(1e-300)", "--n2", "n1*1e200"],
+    ])
+    def test_refused_within_a_second(self, capsys, argv):
+        previous = signal.signal(signal.SIGALRM, _hang)
+        signal.alarm(1)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, out) == (1, "")
+        assert err.startswith("simplexleb: error:") and "work bound" in err
+        assert err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_passes_on_exact_identity(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2,3", "--points", "50",
@@ -339,6 +362,7 @@ class TestSweepCommand:
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         cells = dict(zip(rows[0].split(","), rows[1].split(",")))
         assert math.isnan(float(cells["main_term"]))
+        assert math.isnan(float(cells["frakF2"]))
         assert float(cells["norm_D"]) > 0
 
     @pytest.mark.parametrize("spec", ["geom(16,)", "list()", "list(,)"])

@@ -211,6 +211,33 @@ class TestBudget:
         assert got.parseval == want.parseval
 
 
+class TestWorkBound:
+    """One bound on the work of a call, checked before any synthesis: the
+    nodes of a norm's grids over every level, and the fields of frak_f's
+    mu-sum."""
+
+    def test_first_grid_at_and_over_the_bound(self, monkeypatch):
+        M0 = norms.first_grid((17, 33), 4.0, 1e-3, 1 << 30)
+        nodes = math.prod(M0) << 2 * MAX_DOUBLINGS
+        monkeypatch.setattr(norms, "MAX_WORK", nodes)
+        assert norms.first_grid((17, 33), 4.0, 1e-3, 1 << 30) == M0
+        monkeypatch.setattr(norms, "MAX_WORK", nodes - 1)
+        with pytest.raises(ValueError, match="work bound"):
+            norms.first_grid((17, 33), 4.0, 1e-3, 1 << 30)
+
+    def test_frak_f_refused_before_any_norm(self, monkeypatch):
+        """(8, 16, 32) at k = 3 has [32/8] + [16/8] = 6 mu terms of
+        2 T - 1 = 7 fields each."""
+        n = DilationVector((8.0, 16.0, 32.0))
+        monkeypatch.setattr(norms, "MAX_WORK", 6 * 7 - 1)
+        calls = []
+        monkeypatch.setattr(norms, "l1_norm",
+                            lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="work bound"):
+            frak_f(3, n, t_nodes=4)
+        assert calls == []
+
+
 def _spied(weights):
     """The weight source, and the x_s nodes it is asked for."""
     asked = []
