@@ -5,7 +5,6 @@ and the fractional-part ("irrational") study."""
 from .core import (
     CoefficientField,
     DilationVector,
-    LambdaEvaluator,
     ResourceLimitError,
     SimplexLattice,
     build_lattice,

@@ -43,7 +43,6 @@ from .core import (DEFAULT_BUDGET_BYTES, DilationVector, ResourceLimitError,
 from .irrational import AlphaSpec, study_ratio
 from .kernels import DEFAULT_NU_MAX
 from .norms import (
-    CONVENTIONS,
     DEFAULT_RHO,
     DEFAULT_TOL,
     NormConvergenceError,
@@ -51,6 +50,11 @@ from .norms import (
     l1_norm,
     verify_identity,
 )
+
+
+# the conventions every value follows, echoed into each artifact
+CONVENTIONS = {"normalization": "plain", "zero_dim_norm": "modulus",
+               "mu_range": "theorem"}
 
 
 def _fmt(x) -> str:
@@ -87,12 +91,9 @@ def _load_config_file(path: str) -> list:
 
 
 def _header_lines(args: argparse.Namespace) -> list:
-    lines = [f"# simplexleb {__version__}"]
-    for key, val in sorted(CONVENTIONS.items()):
-        lines.append(f"# convention {key}={val}")
-    for key, val in _meta(args)["config"].items():
-        lines.append(f"# config {key}={val}")
-    return lines
+    return [f"# simplexleb {__version__}"] + [
+        f"# convention {key}={val}" for key, val in sorted(CONVENTIONS.items())
+    ] + [f"# config {key}={val}" for key, val in _meta(args)["config"].items()]
 
 
 def _meta(args: argparse.Namespace) -> dict:
@@ -259,20 +260,20 @@ def _norm_or_last(kernel: str, n: DilationVector, kw: dict) -> tuple:
         return None, exc.history
 
 
-def _sweep_one(entries: tuple, args: argparse.Namespace) -> dict:
+def _sweep_one(entries: tuple, args: argparse.Namespace) -> tuple:
+    """(CSV cells, converged) of the sweep row of ``entries``."""
     t0 = time.perf_counter()
     n = DilationVector(entries)
-    d = n.d
     kw = dict(tol=args.tol, rho=args.rho, budget_bytes=args.budget_mb << 20)
     (res_d, hist_d), (res_s, hist_s), (res_f, hist_f) = (
         _norm_or_last(kernel, n, kw) for kernel in ("D", "S", "F"))
     grid_d, norm_d = hist_d[-1]
     converged = None not in (res_d, res_s, res_f)
     fraks = {}
-    for k in range(2, d + 1):
+    for k in range(2, n.d + 1):
         # NaN outside the ascending regime of the correction functional
         fraks[k] = float("nan")
-        if any(a > b for a, b in zip(n.entries[:k - 1], n.entries[1:k])):
+        if not DilationVector(entries[:k]).sorted_ascending:
             continue
         try:
             fraks[k] = frak_f(k, n, t_nodes=args.t_nodes, **kw).value
@@ -280,21 +281,16 @@ def _sweep_one(entries: tuple, args: argparse.Namespace) -> dict:
             converged = False
     try:
         pred = full_predictor(n, fraks)
-        main, resid, ratio = pred.main, norm_d - pred.total, \
-            (norm_d - pred.total) / pred.envelope
-        env = pred.envelope
+        main, resid = pred.main, norm_d - pred.total
+        env, ratio = pred.envelope, resid / pred.envelope
     except (ValueError, KeyError):
         main = resid = ratio = float("nan")
         env = remainder_envelope(n) if min(entries) > 1.0 else float("nan")
-    return {
-        "entries": entries,
-        "norm_D": norm_d, "norm_S": hist_s[-1][1], "norm_F": hist_f[-1][1],
-        "fraks": fraks, "main_term": main, "residual": resid,
-        "envelope": env, "ratio": ratio,
-        "grid_M": "x".join(str(m) for m in grid_d),
-        "seconds": time.perf_counter() - t0 if args.timings else 0.0,
-        "converged": converged,
-    }
+    seconds = time.perf_counter() - t0 if args.timings else 0.0
+    values = (*entries, norm_d, hist_s[-1][1], hist_f[-1][1],
+              *fraks.values(), main, resid, env, ratio)
+    return ([str(n.d), *map(_fmt, values), "x".join(map(str, grid_d)),
+             _fmt(seconds), str(int(converged))], converged)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -306,54 +302,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if d < 2:
         raise ValueError("sweeps require d >= 2 (use 'norm' for d = 1)")
     results = [_sweep_one(entries, args) for entries in rows]
-
-    header = (["d"] + [f"n{j}" for j in range(1, d + 1)]
-              + ["norm_D", "norm_S", "norm_F"]
-              + [f"frakF{k}" for k in range(2, d + 1)]
-              + ["main_term", "residual", "envelope", "ratio",
-                 "grid_M", "seconds", "converged"])
-    lines = _header_lines(args) + [",".join(header)]
-    for row in results:
-        cells = ([str(d)] + [_fmt(v) for v in row["entries"]]
-                 + [_fmt(row["norm_D"]), _fmt(row["norm_S"]),
-                    _fmt(row["norm_F"])]
-                 + [_fmt(row["fraks"][k]) for k in range(2, d + 1)]
-                 + [_fmt(row["main_term"]), _fmt(row["residual"]),
-                    _fmt(row["envelope"]), _fmt(row["ratio"]),
-                    row["grid_M"], _fmt(row["seconds"]),
-                    str(int(row["converged"]))])
-        lines.append(",".join(cells))
+    header = ["d", *(f"n{j}" for j in range(1, d + 1)), "norm_D", "norm_S",
+              "norm_F", *(f"frakF{k}" for k in range(2, d + 1)),
+              "main_term", "residual", "envelope", "ratio", "grid_M",
+              "seconds", "converged"]
+    lines = _header_lines(args) + [",".join(header)] + [
+        ",".join(cells) for cells, _ in results]
     _emit("\n".join(lines) + "\n", args.output)
-    return 0 if all(row["converged"] for row in results) else 2
+    return 0 if all(converged for _, converged in results) else 2
 
 
 # -------------------------------------------------------------- irrational
 
-def _parse_alpha(text: str) -> AlphaSpec:
-    text = text.strip()
-    if text == "golden":
-        return AlphaSpec.golden()
-    if text.startswith("rational:"):
-        body = text[len("rational:"):]
-        m = re.fullmatch(r"(-?\d+)\s*/\s*(\d+)", body) or \
-            re.fullmatch(r"(-?\d+)()", body)
-        if not m:
-            raise ValueError(f"malformed rational alpha {text!r}")
-        p, q = int(m.group(1)), int(m.group(2) or 1)
-        return AlphaSpec.from_rational(p, q)
-    if text.startswith("liouville:"):
-        body = text[len("liouville:"):]
-        m = re.fullmatch(r"(\d+)\s*,\s*(\d+)", body)
-        if not m:
-            raise ValueError(f"malformed liouville alpha {text!r}")
-        return AlphaSpec.liouville(int(m.group(1)), int(m.group(2)))
-    if text.startswith("dec:"):
-        return AlphaSpec.from_decimal(text[len("dec:"):])
-    raise ValueError(f"unrecognized alpha spec {text!r}")
-
-
 def cmd_irrational(args: argparse.Namespace) -> int:
-    alpha = _parse_alpha(args.alpha)
+    alpha = AlphaSpec.parse(args.alpha)
     if args.n:
         try:
             grid = sorted({int(tok) for tok in args.n.split(",")})
@@ -371,7 +333,7 @@ def cmd_irrational(args: argparse.Namespace) -> int:
                                str(int(rec.is_convergent_denominator))]))
     _emit("\n".join(lines) + "\n", args.output)
     summary = _meta(args) | {
-        "alpha": alpha.describe(),
+        "alpha": alpha.name,
         "running_min_ratio": records[-1].running_min,
         "running_max_ratio": records[-1].running_max,
     }

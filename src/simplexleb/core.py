@@ -21,12 +21,12 @@ import numpy as np
 
 __all__ = [
     "DilationVector",
-    "LambdaEvaluator",
     "LambdaParts",
     "SimplexLattice",
     "CoefficientField",
     "ResourceLimitError",
     "build_lattice",
+    "lambda_parts_at",
     "indicator_coefficients",
     "fractional_coefficients",
     "DEFAULT_BUDGET_BYTES",
@@ -122,23 +122,18 @@ class LambdaParts(NamedTuple):
     frac: np.ndarray    # {L_s}, correctly rounded, below 1
 
 
-@dataclass(frozen=True)
-class LambdaEvaluator:
-    """Evaluates the nested affine bounds L_s of a dilation vector."""
-
-    n: DilationVector
-
-    def parts(self, s: int, points: np.ndarray) -> LambdaParts:
-        """L_1 = n_1 and L_s(k) = n_s - sum_j (n_s / n_j) k_j, exactly, at
-        integer points with s-1 columns: den L_s is an integer linear form,
-        den the common denominator of n_s and the ratios n_s / n_j."""
-        q = [Fraction(v) for v in self.n.entries[:s]]
-        ratios = [q[-1] / qj for qj in q[:-1]]
-        den = math.lcm(*(r.denominator for r in [q[-1], *ratios]))
-        floor, frac = _form_parts(int(q[-1] * den),
-                                  [-int(r * den) for r in ratios],
-                                  points, den)
-        return LambdaParts(floor + frac, floor, frac)
+def lambda_parts_at(n: DilationVector, s: int,
+                    points: np.ndarray) -> LambdaParts:
+    """The nested affine bound L_s of n, L_1 = n_1 and L_s(k) = n_s -
+    sum_j (n_s / n_j) k_j, exactly, at integer points with s-1 columns:
+    den L_s is an integer linear form, den the common denominator of n_s
+    and the ratios n_s / n_j."""
+    q = [Fraction(v) for v in n.entries[:s]]
+    ratios = [q[-1] / qj for qj in q[:-1]]
+    den = math.lcm(*(r.denominator for r in [q[-1], *ratios]))
+    floor, frac = _form_parts(int(q[-1] * den),
+                              [-int(r * den) for r in ratios], points, den)
+    return LambdaParts(floor + frac, floor, frac)
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,7 @@ class SimplexLattice:
         """L_{s+1} at every lattice point, with its exact parts (s < d)."""
         if self.s >= self.n.d:
             raise ValueError("lattice already spans the full dimension")
-        return LambdaEvaluator(self.n).parts(self.s + 1, self.points)
+        return lambda_parts_at(self.n, self.s + 1, self.points)
 
 
 @dataclass(frozen=True)
@@ -202,10 +197,9 @@ def build_lattice(n: DilationVector, s: int | None = None,
         raise ValueError(f"need 1 <= s <= d={n.d}, got s={s}")
     check_budget(8 * s * simplex_volume(n.entries[:s]), budget_bytes,
                  "lattice")
-    lam = LambdaEvaluator(n)
     points = np.zeros((1, 0), dtype=np.int64)
     for axis in range(1, s + 1):
-        bounds = lam.parts(axis, points).floor
+        bounds = lambda_parts_at(n, axis, points).floor
         # bounds >= 0 along the lattice: L_axis >= 0 whenever the previous
         # coordinates satisfy the membership inequality.
         reps = bounds + 1

@@ -56,36 +56,49 @@ _ALPHA_BITS = 1 << 22
 
 @dataclass(frozen=True)
 class AlphaSpec:
-    """A real number given exactly enough to certify all derived quantities.
+    """A real number given exactly enough to certify all derived quantities:
+    its canonical --alpha text ``name``, which :meth:`parse` reads back, and
+    its exact value ``rational``, None for golden (1 + sqrt 5) / 2 alone.
+    rational:P/Q is P/Q in lowest terms, liouville:B,M the truncation
+    sum_{k<=M} B^{-k!} (only its convergents mimic Liouville growth), and
+    dec:LITERAL the exact rational a decimal literal denotes."""
 
-    kind 'rational':  exact Fraction.
-    kind 'golden':    (1 + sqrt 5) / 2, through exact integer floors.
-    kind 'liouville': the truncation sum_{k<=depth} base^{-k!} (a rational;
-                      only its convergent structure mimics Liouville growth).
-    kind 'decimal':   a decimal literal, treated as the exact rational it
-                      denotes.
-    """
-
-    kind: str
+    name: str
     rational: Fraction | None = None
-    base: int | None = None
-    depth: int | None = None
-    literal: str | None = None
 
     def __post_init__(self):
-        if self.rational is None and self.kind != "golden":
-            raise ValueError(f"alpha of kind {self.kind!r} needs its exact "
-                             "rational value")
+        if self.rational is None and self.name != "golden":
+            raise ValueError(f"alpha {self.name!r} needs an exact rational")
+
+    @classmethod
+    def parse(cls, text: str) -> "AlphaSpec":
+        """The alpha of an --alpha text; rational:P stands for P/1."""
+        text = text.strip()
+        kind, colon, body = text.partition(":")
+        if text == "golden":
+            return cls.golden()
+        if colon and kind == "dec":
+            return cls.from_decimal(body)
+        if not colon or kind not in ("rational", "liouville"):
+            raise ValueError(f"unrecognized alpha spec {text!r}")
+        m = re.fullmatch(r"(-?\d+)(?:\s*/\s*(\d+))?" if kind == "rational"
+                         else r"(\d+)\s*,\s*(\d+)", body)
+        if not m:
+            raise ValueError(f"malformed {kind} alpha {text!r}")
+        if kind == "liouville":
+            return cls.liouville(int(m[1]), int(m[2]))
+        return cls.from_rational(int(m[1]), int(m[2] or 1))
 
     @classmethod
     def from_rational(cls, p: int, q: int) -> "AlphaSpec":
         if q == 0:
             raise ValueError("rational alpha needs a nonzero denominator")
-        return cls(kind="rational", rational=Fraction(p, q))
+        r = Fraction(p, q)
+        return cls(f"rational:{r.numerator}/{r.denominator}", r)
 
     @classmethod
     def golden(cls) -> "AlphaSpec":
-        return cls(kind="golden")
+        return cls("golden")
 
     @classmethod
     def liouville(cls, base: int, depth: int) -> "AlphaSpec":
@@ -104,7 +117,7 @@ class AlphaSpec:
                              f"of more than {_ALPHA_BITS} bits")
         frac = sum(Fraction(1, base ** math.factorial(k))
                    for k in range(1, depth + 1))
-        return cls(kind="liouville", base=base, depth=depth, rational=frac)
+        return cls(f"liouville:{base},{depth}", frac)
 
     @classmethod
     def from_decimal(cls, literal: str) -> "AlphaSpec":
@@ -118,20 +131,7 @@ class AlphaSpec:
         except ZeroDivisionError:
             raise ValueError(f"decimal alpha {literal!r} has a zero "
                              "denominator") from None
-        return cls(kind="decimal", literal=literal, rational=rational)
-
-    @property
-    def is_exact_rational(self) -> bool:
-        return self.rational is not None
-
-    def describe(self) -> str:
-        if self.kind == "rational":
-            return f"rational:{self.rational.numerator}/{self.rational.denominator}"
-        if self.kind == "golden":
-            return "golden"
-        if self.kind == "liouville":
-            return f"liouville:{self.base},{self.depth}"
-        return f"dec:{self.literal}"
+        return cls(f"dec:{literal}", rational)
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def _euclid(num: int, den: int, max_terms: int) -> tuple:
 def cf_expand(alpha: AlphaSpec, max_terms: int = 64) -> ContinuedFraction:
     """Continued-fraction expansion: Euclid's algorithm for rationals, and
     all ones for golden, since phi = 1 + 1/phi."""
-    if alpha.is_exact_rational:
+    if alpha.rational is not None:
         quots, exact = _euclid(alpha.rational.numerator,
                                alpha.rational.denominator, max_terms)
     else:
@@ -191,7 +191,7 @@ def fractional_parts(alpha: AlphaSpec, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if alpha.is_exact_rational:
+    if alpha.rational is not None:
         # {alpha k} = {(p mod q) k / q}: the floors stay below k
         p, q = alpha.rational.numerator, alpha.rational.denominator
         return _form_parts(0, [p % q], np.arange(n + 1)[:, None], q)[1]
@@ -240,7 +240,7 @@ def _kernel_norm(alpha: AlphaSpec, w: np.ndarray, tol: float, rho: float,
                  budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """I_n for n = len(w) - 1, from the fractional parts w = {alpha k}."""
     fld = CoefficientField(weights=w.astype(np.complex128),
-                           tag=f"I:{alpha.describe()}@{len(w) - 1}")
+                           tag=f"I:{alpha.name}@{len(w) - 1}")
     return l1_norm_field(fld, tol=tol, rho=rho, budget_bytes=budget_bytes)
 
 

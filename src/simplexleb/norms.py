@@ -114,17 +114,10 @@ DEFAULT_TOL = 1e-3
 DEFAULT_RHO = 4.0
 MAX_DOUBLINGS = 4
 PARSEVAL_RTOL = 1e-8
-# the work bound: grid nodes of a norm's levels, or fields of one frak_f
+# the work bound: grid nodes of a norm's levels, or of one frak_f's fields
 MAX_WORK = 1 << 48
 # N x P' arrays identity_residuals holds at once (tracemalloc: 5.0-5.1)
 _IDENTITY_ARRAYS = 6
-
-# the conventions every value follows, echoed into the CLI's artifacts
-CONVENTIONS = {
-    "normalization": "plain",
-    "zero_dim_norm": "modulus",
-    "mu_range": "theorem",
-}
 
 class NormConvergenceError(RuntimeError):
     """Quadrature failed to converge within the doubling budget."""
@@ -139,22 +132,18 @@ class NormResult:
     """An L1 norm with its grid, refinement history and error estimate."""
 
     value: float
-    s: int
     grid: tuple | None
     history: tuple
     error_estimate: float
     parseval: float | None = None
-    tag: str = ""
 
 
 @dataclass(frozen=True)
 class FrakFValue:
-    """Value of the correction functional with its per-term breakdown."""
+    """Value of the correction functional with its error estimate."""
 
     value: float
-    breakdown: tuple
     error_estimate: float
-    flags: dict
 
 
 @dataclass(frozen=True)
@@ -196,11 +185,16 @@ def first_grid(K: tuple, rho: float, tol: float, budget_bytes: int,
         check_grid((K[0], 1), (_fold(K[0], M[0]), 1), budget_bytes)
     else:
         check_grid(K, M, budget_bytes, field)
-    nodes = math.prod(M) << len(M) * MAX_DOUBLINGS
+    nodes = _last_level(M)
     if nodes > MAX_WORK:
         raise ValueError(f"the grids {M} to {2**MAX_DOUBLINGS} x {M} hold "
                          f"{nodes} nodes, over the work bound 2^48")
     return M
+
+
+def _last_level(M: tuple) -> int:
+    """The nodes of M doubled MAX_DOUBLINGS times, which hold every level's."""
+    return math.prod(M) << len(M) * MAX_DOUBLINGS
 
 
 def _fast_len(n: int) -> int:
@@ -477,8 +471,8 @@ def _refine(abs_sums, M0: tuple, power, tol: float, tags) -> list:
             conv = delta <= tol * np.maximum(np.abs(v), 1e-9)
             for i, d in zip(live[conv], delta[conv].tolist()):
                 done[i] = NormResult(
-                    histories[i][-1][1], len(M), M, tuple(histories[i]),
-                    d, None if power is None else float(power[i]), tags[i])
+                    histories[i][-1][1], M, tuple(histories[i]), d,
+                    None if power is None else float(power[i]))
             live, v, sums = live[~conv], v[~conv], sums[:, ~conv]
             if not len(live):
                 return done
@@ -504,9 +498,9 @@ def _field_norms(weights: np.ndarray, tags, tol: float = DEFAULT_TOL,
     fields, one NormResult per tag: each refined and checked as if alone."""
     M0 = first_grid(weights.shape[1:], rho, tol, budget_bytes)
     if not M0:
-        return [NormResult(value=v, s=0, grid=None, history=((None, v),),
-                           error_estimate=0.0, parseval=v * v, tag=tag)
-                for v, tag in zip(map(abs, weights.tolist()), tags)]
+        return [NormResult(value=v, grid=None, history=((None, v),),
+                           error_estimate=0.0, parseval=v * v)
+                for v in map(abs, weights.tolist())]
     source, fold = _field_source, lambda M: M
     if len(M0) == 1:  # the engine runs on the fold (F, M / F), F fixed
         F = _fold(weights.shape[1], M0[0])
@@ -631,49 +625,48 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     an exact floor).  The t-integral over [-pi, pi] is the composite
     trapezoid on ``t_nodes`` nodes, refined once for the error estimate.
     Its -mu half equals its +mu half (:func:`_t_integral`), so each |mu|
-    takes one t-integral, weighted 2 / |mu|, of 2 t_nodes - 1 fields: all
-    of them are checked against MAX_WORK first.
+    takes one t-integral, weighted 2 / |mu|, of 2 t_nodes - 1 fields.  Each
+    field costs the nodes of its last level, at least 2^9 (a 0-dimensional
+    field takes about as long as 2^9 nodes of the engine); the sum over all
+    of them is checked against MAX_WORK first.
     """
     if k < 2 or k > n.d:
         raise ValueError(f"need 2 <= k <= d={n.d}")
     if t_nodes < 2:
         raise ValueError("t_nodes must be >= 2")
     ent = n.entries[:k]
-    if any(a > b for a, b in zip(ent, ent[1:])):
+    if not DilationVector(ent).sorted_ascending:
         raise ValueError("entries must be ascending")
     n1 = ent[0]
-    mu_bounds = [Fraction(e) // Fraction(n1) for e in ent[:0:-1]]
-    fields = sum(mu_bounds) * (2 * t_nodes - 1)
-    if fields > MAX_WORK:
-        raise ValueError(f"the mu-sum refines >= 2^{fields.bit_length() - 1}"
-                         " fields (mu terms x (2 t_nodes - 1)), over the "
-                         "work bound 2^48")
+    # level l: its mu terms 1..[n_{k-l} / n_1], each a t-integral of the
+    # twisted field F of tilde + (n1,), on the box [tilde] + 1
+    levels = [(Fraction(ent[k - l - 1]) // Fraction(n1),
+               (n1,) * l + ent[1:k - l - 1]) for l in range(k - 1)]
+    work = (2 * t_nodes - 1) * sum(mu * max(1 << 9, _last_level(first_grid(
+        tuple(int(v) + 1 for v in tilde), rho, tol, budget_bytes)))
+        for mu, tilde in levels)
+    if work > MAX_WORK:
+        raise ValueError(f"the mu-sum costs >= 2^{work.bit_length() - 1} nodes"
+                         " (mu terms x (2 t_nodes - 1) fields x max(2^9, "
+                         "last-level nodes)), over the work bound 2^48")
     kw = dict(tol=tol, rho=rho, budget_bytes=budget_bytes)
 
     def f_norm(entries):
         return l1_norm("F", DilationVector(entries), **kw).value
 
-    breakdown, total, err = [], 0.0, 0.0
-    for l in range(k - 1):
-        vec1 = (n1,) * l + ent[: k - l]
-        vec2 = (n1,) * l + ent[: k - l - 1] + (n1,)
-        diff = f_norm(vec1) - f_norm(vec2)
-        breakdown.append({"l": l, "term": "norm_diff", "value": diff,
-                          "plus": vec1, "minus": vec2})
-        total += diff
-        tilde = (n1,) * l + ent[1: k - l - 1]
+    total, err = 0.0, 0.0
+    for l, (mu_max, tilde) in enumerate(levels):
+        total += f_norm((n1,) * l + ent[:k - l]) - \
+            f_norm((n1,) * l + ent[:k - l - 1] + (n1,))
         fld = fractional_coefficients(DilationVector(tilde + (n1,)),
                                       budget_bytes)
         base = l1_norm_field(fld, **kw).value
         xi = 1.0 / np.array(tilde)
-        for mu in range(1, mu_bounds[l] + 1):
+        for mu in range(1, mu_max + 1):
             val, e = _t_integral(fld, xi, n1, mu, base, t_nodes, kw)
-            breakdown.append({"l": l, "term": "mu", "mu_abs": mu,
-                              "value": 2.0 * val / mu})
             total += 2.0 * val / mu
             err += 2.0 * abs(e) / mu
-    return FrakFValue(2.0 * np.pi * total, tuple(breakdown),
-                      2.0 * np.pi * err, dict(CONVENTIONS))
+    return FrakFValue(2.0 * np.pi * total, 2.0 * np.pi * err)
 
 
 def _t_integral(fld, xi, n1, mu, base_norm, t_nodes, kw):

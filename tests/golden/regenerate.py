@@ -5,7 +5,8 @@ Run from the root of a checkout:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Each artifact is what one in-process ``simplexleb.cli.main`` call writes:
-its standard output, and for ``irrational`` also the summary JSON on
+its standard output (CSV for ``sweep`` and ``irrational``, JSON for
+``norm`` and ``verify``), and for ``irrational`` also the summary JSON on
 standard error.  NUMPY_VERSION records the numpy the files were made with.
 tests/test_golden.py regenerates every file and compares bytes under that
 numpy, and the layout and every number to 1e-12 relative under another.
@@ -35,6 +36,14 @@ COMMANDS = {
     "verify-5-9.5-23": ["verify", "--n", "5,9.5,23", "--points", "200",
                         "--seed", "7"],
 }
+# the benchmark's grid-d and slice-r norms, but for the three that take
+# seconds: D(256, 256), D(384, 384) and D(64, 4096)
+COMMANDS |= {f"norm-{kernel}-{n.replace(',', '-')}":
+             ["norm", "--kernel", kernel, "--n", n] for kernel, n in [
+                 ("D", "16,32,64"), ("D", "7,29"), ("R", "7.3,19.6"),
+                 ("R", "10.5,30.2"), ("R", "5,9.5,23"),
+                 ("S", "48.5,3000.7"), ("Fcomposite", "48.5,3000.7"),
+                 ("S", "5,9.5,23"), ("Fcomposite", "5,9.5,23")]}
 
 
 def render(stem: str) -> dict:
@@ -45,8 +54,8 @@ def render(stem: str) -> dict:
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"{argv} exited {code}: {err.getvalue()}")
-    files = {f"{stem}.{'json' if argv[0] == 'verify' else 'csv'}":
-             out.getvalue()}
+    ext = "csv" if argv[0] in ("sweep", "irrational") else "json"
+    files = {f"{stem}.{ext}": out.getvalue()}
     if argv[0] == "irrational":
         files[f"{stem}.summary.json"] = err.getvalue()
     return files

@@ -1,5 +1,5 @@
-"""The package exports no name, and its classes have no public method or
-property, that only the tests reach."""
+"""The package exports no name, its classes have no public method or
+property, and its records no field, that only the tests reach."""
 
 import ast
 from pathlib import Path
@@ -7,9 +7,16 @@ from pathlib import Path
 import simplexleb
 
 PACKAGE = Path(simplexleb.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # argparse calls ArgumentParser.error itself; the override makes it raise
 CALLED_FROM_OUTSIDE = {("_Parser", "error")}
+
+# fields no attribute of src/ or perfbench/ reads, each with its reason
+UNREAD_FIELDS = {
+    ("ContinuedFraction", "quotients"): "the expansion cf_expand returns",
+    ("ContinuedFraction", "exact"): "the expansion cf_expand returns",
+}
 
 
 def _referenced(tree: ast.AST) -> set:
@@ -46,3 +53,26 @@ def test_every_public_method_is_reached_from_the_package():
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               and not fn.name.startswith("_") and fn.name not in used}
     assert unused == CALLED_FROM_OUTSIDE
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple."""
+    return any(ast.unparse(d).startswith("dataclass")
+               for d in cls.decorator_list) or \
+        any(ast.unparse(b) == "NamedTuple" for b in cls.bases)
+
+
+def test_every_field_is_read_in_the_package_or_the_benchmark():
+    """Matched by name, as the methods are: a field counts as read where
+    any attribute of that name is loaded."""
+    read = {node.attr
+            for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = {(cls.name, stmt.target.id)
+              for path in PACKAGE.glob("*.py")
+              for cls in ast.walk(ast.parse(path.read_text()))
+              if isinstance(cls, ast.ClassDef) and _is_record(cls)
+              for stmt in cls.body if isinstance(stmt, ast.AnnAssign)}
+    assert {f for f in fields if f[1] not in read} == set(UNREAD_FIELDS)

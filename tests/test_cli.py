@@ -9,11 +9,12 @@ import tracemalloc
 
 import pytest
 
+import simplexleb.core
 import simplexleb.irrational
 import simplexleb.norms
 from simplexleb.asymptotics import full_predictor
 from simplexleb.cli import main
-from simplexleb.core import DilationVector, LambdaEvaluator
+from simplexleb.core import DilationVector
 from simplexleb.norms import l1_norm
 
 
@@ -36,7 +37,7 @@ def _never(*args, **kwargs):
 @pytest.fixture
 def no_lattice(monkeypatch):
     """Fail the test if any lattice bound L_s is evaluated."""
-    monkeypatch.setattr(LambdaEvaluator, "parts", _never)
+    monkeypatch.setattr(simplexleb.core, "lambda_parts_at", _never)
 
 
 def _no_json_constants(name):
@@ -52,7 +53,7 @@ class TestNormCommand:
         want = l1_norm("D", DilationVector((2, 3)), tol=1e-4)
         assert doc["value"] == pytest.approx(want.value, rel=1e-12)
         assert doc["normalized"] == pytest.approx(
-            want.value / (2 * math.pi) ** want.s, rel=1e-12)
+            want.value / (2 * math.pi) ** len(want.grid), rel=1e-12)
 
     def test_zero_kernel(self, capsys):
         code, out, _ = run(capsys, "norm", "--kernel", "F", "--n", "2,4")
@@ -206,6 +207,9 @@ class TestWorkBound:
         ["norm", "--kernel", "D", "--n", "1e-300,1e-300,1e17",
          "--budget-mb", "4"],
         ["sweep", "--n1", "list(1e-300)", "--n2", "n1*1e200"],
+        # 10^12 mu terms of 127 0-dimensional fields: under 2^48 as fields,
+        # over it at 2^9 nodes a field
+        ["sweep", "--n1", "list(1e-10)", "--n2", "n1*1e12"],
     ])
     def test_refused_within_a_second(self, capsys, argv):
         previous = signal.signal(signal.SIGALRM, _hang)
@@ -507,6 +511,22 @@ class TestIrrationalCommand:
     def test_unparsable_alpha_exits_1(self, capsys):
         code, _, err = run(capsys, "irrational", "--alpha", "sqrt2")
         assert code == 1
+
+    @pytest.mark.parametrize("alpha, message", [
+        ("rational:1/x", "malformed rational alpha 'rational:1/x'"),
+        ("rational:", "malformed rational alpha 'rational:'"),
+        (" rational:1/-2", "malformed rational alpha 'rational:1/-2'"),
+        ("liouville:2", "malformed liouville alpha 'liouville:2'"),
+        ("liouville:-2,3", "malformed liouville alpha 'liouville:-2,3'"),
+        ("sqrt2", "unrecognized alpha spec 'sqrt2'"),
+        ("rational", "unrecognized alpha spec 'rational'"),
+        ("golden:1", "unrecognized alpha spec 'golden:1'"),
+    ])
+    def test_malformed_alpha_names_its_form(self, capsys, alpha, message):
+        code, out, err = run(capsys, "irrational", "--alpha", alpha,
+                             "--n", "16")
+        assert (code, out) == (1, "")
+        assert err == f"simplexleb: error: {message}\n"
 
 
 class TestConfigFile:

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from simplexleb.core import (
     CoefficientField,
     DilationVector,
-    LambdaEvaluator,
     ResourceLimitError,
     _form_parts,
     build_lattice,
     fractional_coefficients,
     indicator_coefficients,
+    lambda_parts_at,
 )
 from simplexleb.kernels import slice_weight_matrix
 
@@ -63,11 +63,13 @@ class TestDilationVector:
 
 def lambda_at(n, s, k):
     """The parts of L_s at the one integer point k (s - 1 coordinates)."""
-    parts = LambdaEvaluator(n).parts(s, np.reshape(k, (1, s - 1)))
+    parts = lambda_parts_at(n, s, np.reshape(k, (1, s - 1)))
     return [float(a[0]) for a in parts]
 
 
 class TestLambdaEvaluator:
+    """L_s and its exact parts, from core.lambda_parts_at."""
+
     def test_lambda_at_origin_is_ns(self):
         n = DilationVector((2.0, 9.5, 23.0))
         assert lambda_at(n, 1, ()) == [2.0, 2.0, 0.0]

@@ -7,6 +7,7 @@ be the same and every number within 1e-12 relative.
 tests/golden/regenerate.py rewrites the files.
 """
 
+import json
 import math
 import re
 
@@ -37,3 +38,18 @@ def test_artifacts_match_golden(stem):
         for a, b in zip(got, ref):
             assert a == b or (math.isnan(a) and math.isnan(b)) or \
                 abs(a - b) <= 1e-12 * abs(b), f"{name}: {a!r} against {b!r}"
+
+
+def test_headers_record_conventions():
+    """Every artifact names the conventions its values follow: plain
+    integrals, the modulus as the norm of a 0-dimensional kernel, and the
+    theorem's mu range."""
+    want = {"normalization": "plain", "zero_dim_norm": "modulus",
+            "mu_range": "theorem"}
+    for path in sorted(HERE.glob("*.csv")) + sorted(HERE.glob("*.json")):
+        text = path.read_text()
+        if path.suffix == ".json":
+            assert json.loads(text)["conventions"] == want, path.name
+        else:
+            assert {f"# convention {k}={v}" for k, v in want.items()} <= \
+                set(text.splitlines()), path.name

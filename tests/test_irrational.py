@@ -10,15 +10,19 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simplexleb
 from simplexleb import irrational
+from simplexleb.core import DilationVector, fractional_coefficients
 from simplexleb.irrational import (
     AlphaSpec,
     cf_expand,
     fractional_parts,
     study_ratio,
 )
+from simplexleb.norms import l1_norm
 
 from oracles import I_n
 
@@ -32,9 +36,9 @@ def determinant_identity_holds(cf) -> bool:
 
 class TestAlphaSpec:
     def test_rational_is_exact(self):
-        a = AlphaSpec.from_rational(415, 93)
-        assert a.is_exact_rational
+        a = AlphaSpec.from_rational(830, 186)
         assert a.rational == Fraction(415, 93)
+        assert a.name == "rational:415/93"
 
     def test_liouville_truncation_value(self):
         a = AlphaSpec.liouville(10, 3)
@@ -79,14 +83,34 @@ class TestAlphaSpec:
             AlphaSpec.from_rational(1, 0)
 
     def test_kind_without_value_rejected(self):
-        # golden is the one kind computed without an exact rational
-        with pytest.raises(ValueError):
-            AlphaSpec(kind="pi")
+        # golden is the one alpha computed without an exact rational
+        with pytest.raises(ValueError, match="exact rational"):
+            AlphaSpec("pi")
+        assert AlphaSpec("golden") == AlphaSpec.golden()
 
-    def test_describe_round_trips_grammar(self):
-        assert AlphaSpec.golden().describe() == "golden"
-        assert AlphaSpec.liouville(2, 4).describe() == "liouville:2,4"
-        assert AlphaSpec.from_rational(1, 2).describe() == "rational:1/2"
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.integers(-10**6, 10**6),
+                  st.integers(-10**6, 10**6).filter(bool)).map(
+            lambda pq: AlphaSpec.from_rational(*pq)),
+        st.just(AlphaSpec.golden()),
+        st.tuples(st.integers(2, 50), st.integers(1, 4)).map(
+            lambda bd: AlphaSpec.liouville(*bd)),
+        st.one_of(
+            st.decimals(-10**6, 10**6, allow_nan=False).map(str),
+            st.fractions(max_denominator=10**6).map(str),
+            st.floats(-1e6, 1e6).map(repr)).map(AlphaSpec.from_decimal)))
+    def test_parse_round_trips_name(self, alpha):
+        assert AlphaSpec.parse(alpha.name) == alpha
+
+    def test_parse_reads_the_spec_text(self):
+        """Blanks around the text and inside rational:P / Q and
+        liouville:B, M are allowed; rational:P stands for P/1."""
+        assert AlphaSpec.parse(" rational:-6 / 4 ") == \
+            AlphaSpec.from_rational(-3, 2)
+        assert AlphaSpec.parse("rational:7").name == "rational:7/1"
+        assert AlphaSpec.parse("liouville:2 ,4").name == "liouville:2,4"
+        assert AlphaSpec.parse("dec:0.25").rational == Fraction(1, 4)
 
 
 class TestContinuedFraction:
@@ -252,6 +276,25 @@ class TestIn:
         finally:
             tracemalloc.stop()
         assert peak <= 36 << 20
+
+    @pytest.mark.parametrize("spec, m", [
+        ("rational:355/113", 113), ("rational:7/3", 30),
+        ("rational:22/7", 70), ("rational:5/2", 64), ("rational:5/2", 12),
+        ("liouville:2,3", 64)])
+    def test_equals_F_of_m_and_alpha_m(self, spec, m):
+        """For alpha = p/q and m a multiple of q, {L_2(m - j)} = {alpha j}
+        at n = (m, alpha m): F's coefficients are those of I_m(alpha) in
+        reverse order, on the same grids, so ||F(m, alpha m)|| = I_m(alpha),
+        one value from the rational part and one from the irrational study
+        (arXiv 2004.12236).  liouville:2,3 is 49/64."""
+        alpha = AlphaSpec.parse(spec)
+        assert (alpha.rational * m).denominator == 1
+        n = DilationVector((m, float(alpha.rational * m)))
+        assert np.array_equal(fractional_coefficients(n).weights[::-1],
+                              fractional_parts(alpha, m))
+        got, want = l1_norm("F", n), I_n(alpha, m)
+        assert got.grid == want.grid
+        assert got.value == pytest.approx(want.value, rel=1e-13, abs=0)
 
     def test_shift_by_one_invariance(self):
         a = AlphaSpec.from_rational(5, 7)

@@ -109,7 +109,7 @@ class TestL1Norm:
     def test_zero_dim_field_norm_is_modulus(self):
         fld = CoefficientField(weights=np.asarray(0.25 + 0j))
         res = l1_norm_field(fld)
-        assert res.value == 0.25 and res.s == 0
+        assert res.value == 0.25 and res.grid is None
 
     def test_sliced_norms_finite(self):
         n = DilationVector((2.0, 3.5))
@@ -213,8 +213,8 @@ class TestBudget:
 
 class TestWorkBound:
     """One bound on the work of a call, checked before any synthesis: the
-    nodes of a norm's grids over every level, and the fields of frak_f's
-    mu-sum."""
+    nodes of a norm's grids over every level, and those of frak_f's fields,
+    at least 2^9 a field."""
 
     def test_first_grid_at_and_over_the_bound(self, monkeypatch):
         M0 = norms.first_grid((17, 33), 4.0, 1e-3, 1 << 30)
@@ -225,17 +225,39 @@ class TestWorkBound:
         with pytest.raises(ValueError, match="work bound"):
             norms.first_grid((17, 33), 4.0, 1e-3, 1 << 30)
 
+    # (8, 16, 32) at k = 3, T = 4: 7 fields a mu term; [32/8] = 4 mu terms
+    # twist the 1-D F of (16, 8), whose last level has 70 x 16 nodes, and
+    # [16/8] = 2 that of (8, 8), 36 x 16 nodes
+    K3_WORK = 7 * (4 * 70 * 16 + 2 * 36 * 16)
+
     def test_frak_f_refused_before_any_norm(self, monkeypatch):
-        """(8, 16, 32) at k = 3 has [32/8] + [16/8] = 6 mu terms of
-        2 T - 1 = 7 fields each."""
         n = DilationVector((8.0, 16.0, 32.0))
-        monkeypatch.setattr(norms, "MAX_WORK", 6 * 7 - 1)
+        monkeypatch.setattr(norms, "MAX_WORK", self.K3_WORK - 1)
         calls = []
         monkeypatch.setattr(norms, "l1_norm",
                             lambda *a, **kw: calls.append(a))
         with pytest.raises(ValueError, match="work bound"):
             frak_f(3, n, t_nodes=4)
         assert calls == []
+
+    @pytest.mark.parametrize("k, entries, work", [
+        (3, (8.0, 16.0, 32.0), K3_WORK),
+        # [12.65/5.5] = 2 mu terms of a 0-dimensional field, 2^9 nodes each
+        (2, (5.5, 12.65), 7 * 2 * 2**9)])
+    def test_frak_f_at_and_over_the_bound(self, monkeypatch, k, entries,
+                                          work):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(norms, "l1_norm", reached)
+        monkeypatch.setattr(norms, "MAX_WORK", work)
+        with pytest.raises(Reached):
+            frak_f(k, DilationVector(entries), t_nodes=4)
+        monkeypatch.setattr(norms, "MAX_WORK", work - 1)
+        with pytest.raises(ValueError, match="work bound"):
+            frak_f(k, DilationVector(entries), t_nodes=4)
 
 
 def _spied(weights):
@@ -425,11 +447,11 @@ class TestNestedLevels:
         fld, xi = _stack_inputs(2, False)
         stack = apply_delta(fld, np.array([0.7, 6.4, 20.3]), xi).weights
         tags = ["a", "b", "c"]
-        for res, weights in zip(_field_norms(stack, tags), stack):
+        for res, weights, tag in zip(_field_norms(stack, tags), stack, tags):
             for M, value in res.history:
                 (total,), _ = _slice_abs_sums(
                     *_field_source(weights[None], M, 1 << 30), M, 1 << 30,
-                    [res.tag])
+                    [tag])
                 assert value == pytest.approx(
                     (2.0 * math.pi) ** 2 * total / math.prod(M), rel=1e-12)
 
@@ -543,7 +565,7 @@ class TestFieldStack:
                 assert g.value == pytest.approx(w.value, rel=1e-12, abs=0)
                 for (_, a), (_, b) in zip(g.history, w.history):
                     assert a == pytest.approx(b, rel=1e-12, abs=0)
-                assert g.grid == w.grid and g.s == w.s
+                assert g.grid == w.grid
                 assert g.parseval == pytest.approx(w.parseval, rel=1e-12)
         if s:
             assert len({len(w.history) for w in want}) > 1
@@ -748,13 +770,28 @@ class TestFrakF:
                 pytest.approx(n1, rel=1e-12)
             assert round(mu) >= 1 and mu == pytest.approx(round(mu), rel=1e-12)
 
-    def test_mu_range_floors_exactly(self):
+    @staticmethod
+    def spy_stacks(monkeypatch) -> list:
+        """(mu, dimension, all zero) of each stack of twisted differences
+        frak_f builds, from h = n1 (t + 2 pi mu) on the t nodes -pi..pi."""
+        stacks = []
+
+        def spy(fld, h, xi):
+            out = apply_delta(fld, h, xi)
+            n1 = (h[-1] - h[0]) / (2 * np.pi)
+            stacks.append((round((h[0] / n1 + np.pi) / (2 * np.pi)),
+                           fld.s, not out.weights.any()))
+            return out
+        monkeypatch.setattr(norms.kernels, "apply_delta", spy)
+        return stacks
+
+    def test_mu_range_floors_exactly(self, monkeypatch):
         # the stored 21.9 is below 3 times the stored 7.3: [n_2/n_1] = 2,
         # although the float quotient rounds to 3.0
-        got = frak_f(2, DilationVector((7.3, 21.9)), t_nodes=4)
+        stacks = self.spy_stacks(monkeypatch)
+        frak_f(2, DilationVector((7.3, 21.9)), t_nodes=4)
         assert 21.9 / 7.3 == 3.0
-        assert [t["mu_abs"] for t in got.breakdown if t["term"] == "mu"] \
-            == [1, 2]
+        assert [mu for mu, _, _ in stacks] == [1, 2]
 
     def test_equal_entries_vanish(self):
         assert frak_f(2, DilationVector((5, 5))).value == 0.0
@@ -764,20 +801,17 @@ class TestFrakF:
         got = frak_f(2, DilationVector((2, 3)), tol=1e-6)
         assert got.value == pytest.approx(2 * math.pi * math.pi, rel=1e-5)
 
-    def test_breakdown_sums_to_value(self):
+    def test_mu_terms_sum_to_two_sided_value(self, monkeypatch):
+        """[n_2/n_1] mu terms, each twisting the constant {n_1}: all zero
+        exactly for integer n_1; the value is the two-sided oracle's."""
         for entries in [(7.5, 23.0), (4, 9)]:
+            stacks = self.spy_stacks(monkeypatch)
             got = frak_f(2, DilationVector(entries), t_nodes=16)
-            total = sum(term["value"] for term in got.breakdown)
-            assert got.value == pytest.approx(2 * math.pi * total, rel=1e-12)
-            # the mu terms twist the constant {n_1}: exactly 0 for integer n_1
-            mu = [t["value"] for t in got.breakdown if t["term"] == "mu"]
-            assert len(mu) == int(entries[1] / entries[0])
-            assert all(v == 0.0 for v in mu) == (entries[0] % 1 == 0)
-
-    def test_flags_record_conventions(self):
-        got = frak_f(2, DilationVector((2, 3)))
-        assert got.flags["zero_dim_norm"] == "modulus"
-        assert got.flags["mu_range"] == "theorem"
+            want, _ = frak_f_two_sided(2, DilationVector(entries), 16)
+            assert got.value == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert [(mu, s) for mu, s, _ in stacks] == \
+                [(mu, 0) for mu in range(1, int(entries[1] / entries[0]) + 1)]
+            assert all(zero for *_, zero in stacks) == (entries[0] % 1 == 0)
 
     def test_rejects_descending(self):
         with pytest.raises(ValueError):
@@ -788,11 +822,17 @@ class TestFrakF:
         with pytest.raises(ValueError, match="t_nodes"):
             frak_f(2, DilationVector((5.5, 12.65)), t_nodes=1)
 
-    def test_k3_structure(self):
-        got = frak_f(3, DilationVector((4.5, 9.0, 18.0)), t_nodes=8)
-        ls = sorted({term["l"] for term in got.breakdown})
-        assert ls == [0, 1]
-        assert math.isfinite(got.value)
+    def test_k3_structure(self, monkeypatch):
+        """Level l = 0 twists the 1-D F of (9, 4.5) for mu = 1..[18/4.5],
+        then l = 1 that of (4.5, 4.5) for mu = 1..[9/4.5]; the value is the
+        two-sided oracle's."""
+        stacks = self.spy_stacks(monkeypatch)
+        n = DilationVector((4.5, 9.0, 18.0))
+        got = frak_f(3, n, t_nodes=8)
+        assert [(mu, s) for mu, s, _ in stacks] == \
+            [(1, 1), (2, 1), (3, 1), (4, 1), (1, 1), (2, 1)]
+        want, _ = frak_f_two_sided(3, n, 8)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestDoubleIntegral:
