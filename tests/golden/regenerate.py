@@ -29,6 +29,10 @@ COMMANDS = {
                             "--n2", "pow(n1,2)", "--t-nodes", "8"],
     "sweep-cli-study": ["sweep", "--n1", "list(5.5,7.3,9.7)",
                         "--n2", "2.3*n1", "--n3", "1.9*n2"],
+    # 36 mu terms at level 0, more than one stack of them at 1 MiB
+    "sweep-mu-stacks": ["sweep", "--n1", "list(5.5)", "--n2", "n1*5.5",
+                        "--n3", "n2*6.6", "--t-nodes", "16",
+                        "--budget-mb", "1"],
     "irrational-rational-355-113": ["irrational", "--alpha",
                                     "rational:355/113", "--nmax", "4096"],
     "irrational-liouville-3-5": ["irrational", "--alpha", "liouville:3,5",
