@@ -39,7 +39,7 @@ runs only on the columns where the axes after it still hold modes, since
 the zero columns transform to zeros.
 
 Its inputs carry a leading field axis: a stack of fields on one box, such
-as the 2T - 1 twisted differences of one t-integral of the correction
+as the twisted differences of a run of mu terms of the correction
 functional, is refined together.  Each level synthesizes the fields still
 live in shared batches and transforms; each field keeps its own Parseval
 checks and history, and leaves at its first converged level, so its norm
@@ -622,13 +622,20 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     """The correction functional aggregating F norms and shifted F norms.
 
     The mu-sum runs over 1 <= |mu| <= [n_{k-l}/n_1] (the theorem's range;
-    an exact floor).  The t-integral over [-pi, pi] is the composite
-    trapezoid on ``t_nodes`` nodes, refined once for the error estimate.
-    Its -mu half equals its +mu half (:func:`_t_integral`), so each |mu|
-    takes one t-integral, weighted 2 / |mu|, of 2 t_nodes - 1 fields.  Each
+    an exact floor) of int_{-pi}^{pi} (||delta_h F|| - 2 ||F||) dt, h = n_1
+    (t + 2 pi mu), F the field of tilde + (n_1,): the trapezoid on 2 t_nodes
+    - 1 nodes, minus that on every other node the error estimate.  F's
+    weights are real (also for d = 0, F = {n_1}), so delta_{-h} F is the
+    conjugate of delta_h F at -x: the same Riemann sum on every grid, whose
+    nodes are symmetric under x -> -x, and t -> -t maps the t nodes of -mu
+    onto those of mu.  So each |mu| takes the +mu integral, weighted 2 / |mu|.
+
+    The fields of a run of mu terms are one stack, refined together.  A
     field costs the nodes of its last level, at least 2^9 (a 0-dimensional
-    field takes about as long as 2^9 nodes of the engine); the sum over all
-    of them is checked against MAX_WORK first.
+    field takes about as long as 2^9 engine nodes), and holds 32 bytes a
+    mode (its weights and apply_delta's multiplier) and about 512 more (its
+    NormResult and tag).  Before any norm, all fields' cost is checked
+    against MAX_WORK, and one mu term's bytes against the budget.
     """
     if k < 2 or k > n.d:
         raise ValueError(f"need 2 <= k <= d={n.d}")
@@ -637,57 +644,48 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     ent = n.entries[:k]
     if not DilationVector(ent).sorted_ascending:
         raise ValueError("entries must be ascending")
-    n1 = ent[0]
-    # level l: its mu terms 1..[n_{k-l} / n_1], each a t-integral of the
-    # twisted field F of tilde + (n1,), on the box [tilde] + 1
-    levels = [(Fraction(ent[k - l - 1]) // Fraction(n1),
-               (n1,) * l + ent[1:k - l - 1]) for l in range(k - 1)]
-    work = (2 * t_nodes - 1) * sum(mu * max(1 << 9, _last_level(first_grid(
-        tuple(int(v) + 1 for v in tilde), rho, tol, budget_bytes)))
-        for mu, tilde in levels)
+    n1, fields = ent[0], 2 * t_nodes - 1
+    # level l: its mu terms 1..[n_{k-l} / n_1], each twisting the field F
+    # of tilde + (n1,), on the box [tilde] + 1
+    levels = [(Fraction(ent[k - l - 1]) // Fraction(n1), tilde,
+               tuple(int(v) + 1 for v in tilde)) for l in range(k - 1)
+              for tilde in [(n1,) * l + ent[1:k - l - 1]]]
+    work = fields * sum(mu * max(1 << 9, _last_level(first_grid(
+        box, rho, tol, budget_bytes))) for mu, _, box in levels)
     if work > MAX_WORK:
         raise ValueError(f"the mu-sum costs >= 2^{work.bit_length() - 1} nodes"
                          " (mu terms x (2 t_nodes - 1) fields x max(2^9, "
                          "last-level nodes)), over the work bound 2^48")
+    sizes = [fields * (32 * math.prod(box) + 512) for *_, box in levels]
+    check_budget(max(sizes), budget_bytes,
+                 "one mu term of 2 t_nodes - 1 twisted differences")
+    # a stack is a quarter of a batch: the engine's buffer, about twice its
+    # bytes at rho = 4 (16 bytes a node), and a copy of its live fields add
+    share = min(_CHUNK_BYTES, budget_bytes) // 4
     kw = dict(tol=tol, rho=rho, budget_bytes=budget_bytes)
 
     def f_norm(entries):
         return l1_norm("F", DilationVector(entries), **kw).value
 
+    fine_t = np.linspace(-np.pi, np.pi, fields)
     total, err = 0.0, 0.0
-    for l, (mu_max, tilde) in enumerate(levels):
+    for l, ((mu_max, tilde, box), size) in enumerate(zip(levels, sizes)):
         total += f_norm((n1,) * l + ent[:k - l]) - \
             f_norm((n1,) * l + ent[:k - l - 1] + (n1,))
         fld = fractional_coefficients(DilationVector(tilde + (n1,)),
                                       budget_bytes)
         base = l1_norm_field(fld, **kw).value
-        xi = 1.0 / np.array(tilde)
-        for mu in range(1, mu_max + 1):
-            val, e = _t_integral(fld, xi, n1, mu, base, t_nodes, kw)
-            total += 2.0 * val / mu
-            err += 2.0 * abs(e) / mu
+        run = max(1, share // size)
+        for mu0 in range(1, mu_max + 1, run):
+            mu = np.arange(mu0, min(mu0 + run, mu_max + 1))
+            h = n1 * (fine_t + 2.0 * np.pi * mu[:, None])
+            stack = kernels.apply_delta(fld, h, 1.0 / np.array(tilde)).weights
+            norms = _field_norms(stack.reshape((h.size,) + box), [
+                f"delta({v})|{fld.tag}" for v in h.ravel().tolist()], **kw)
+            vals = np.reshape([r.value for r in norms], h.shape) - 2.0 * base
+            fine = np.trapezoid(vals, fine_t, axis=1).tolist()
+            coarse = np.trapezoid(vals[:, ::2], fine_t[::2], axis=1).tolist()
+            for m, f, c in zip(mu.tolist(), fine, coarse):
+                total += 2.0 * f / m
+                err += 2.0 * abs(f - c) / m
     return FrakFValue(2.0 * np.pi * total, 2.0 * np.pi * err)
-
-
-def _t_integral(fld, xi, n1, mu, base_norm, t_nodes, kw):
-    """int_{-pi}^{pi} (||delta_{n1 (t + 2 pi mu)} F|| - 2 ||F||) dt, trapezoid,
-    for mu >= 1: the integral at -mu is the same.
-
-    ``fld`` is the field F of tilde + (n1,), ``xi`` = 1 / tilde and ``kw``
-    the norms' keyword arguments.  The twisted differences at all nodes are
-    one stack of fields on F's box.  The coarse rule with ``t_nodes`` nodes
-    reuses every other node of the fine one.
-
-    F's weights are real (also for d = 0, F = {n1}), so delta_{-h} F is
-    the conjugate of delta_h F at -x: both have the same Riemann sum on
-    every grid, whose nodes are symmetric under x -> -x, and t -> -t maps
-    the trapezoid nodes of -mu onto those of mu.
-    """
-    fine_t = np.linspace(-np.pi, np.pi, 2 * t_nodes - 1)
-    h = n1 * (fine_t + 2.0 * np.pi * mu)
-    norms = _field_norms(kernels.apply_delta(fld, h, xi).weights,
-                         [f"delta({v})|{fld.tag}" for v in h.tolist()], **kw)
-    vals = np.array([r.value for r in norms]) - 2.0 * base_norm
-    fine = np.trapezoid(vals, fine_t)
-    coarse = np.trapezoid(vals[::2], fine_t[::2])
-    return float(fine), float(fine - coarse)

@@ -14,7 +14,8 @@ shifted-kernel double integral of the 1-D D, which acceptance criterion 7
 compares with 4 pi ||D_n||; t_integral and frak_f_two_sided are the
 correction functional with both halves +mu and -mu of its mu-sum computed,
 the reference for simplexleb.norms.frak_f, which computes the +mu half
-alone.
+alone; frak_f_dense is the correction functional with neither the norm
+engine nor apply_delta, its norms dense Riemann sums on fixed grids.
 """
 
 import math
@@ -235,3 +236,45 @@ def frak_f_two_sided(k: int, n: DilationVector, t_nodes: int = 64,
                 err += abs(e) / mu_abs
             total += term
     return 2.0 * np.pi * total, 2.0 * np.pi * err
+
+
+def frak_f_dense(k: int, n: DilationVector, t_nodes: int = 64,
+                 rho: int = 64) -> float:
+    """The correction functional k at n straight from its definition,
+    2 pi sum_l (||F(n_1^l, n_1..n_{k-l})|| - ||F(n_1^l, n_1..n_{k-l-1},
+    n_1)|| + sum_{1 <= |mu| <= [n_{k-l}/n_1]} (1 / |mu|) int_{-pi}^{pi}
+    (||delta_{n_1 (t + 2 pi mu)} F|| - 2 ||F||) dt), F the field of tilde +
+    (n_1,) with tilde = (n_1^l, n_2..n_{k-l-1}), with no part of the norm
+    engine: each norm the Riemann sum of grid_eval's values on the fixed
+    grid of rho times the field's box, the twisted differences' weights
+    (e^{i h (1 - sum_j k_j / tilde_j)} - 1) c_k written out, both halves
+    +mu and -mu, and the t-trapezoid on 2 t_nodes - 1 nodes."""
+    ent = n.entries[:k]
+    n1, total = ent[0], 0.0
+    t = np.linspace(-np.pi, np.pi, 2 * t_nodes - 1)
+
+    def norm(weights):
+        if weights.ndim == 0:  # a 0-dimensional kernel: its modulus
+            return abs(complex(weights))
+        M = tuple(rho * e for e in weights.shape)
+        values = grid_eval(CoefficientField(weights), M).values
+        return (2 * np.pi) ** len(M) * float(np.abs(values).sum()) \
+            / math.prod(M)
+
+    def f_weights(entries):
+        return fractional_coefficients(DilationVector(entries)).weights
+    for l in range(k - 1):
+        total += norm(f_weights((n1,) * l + ent[:k - l])) - \
+            norm(f_weights((n1,) * l + ent[:k - l - 1] + (n1,)))
+        tilde = (n1,) * l + ent[1:k - l - 1]
+        c = f_weights(tilde + (n1,))
+        dot = sum(kj / v for kj, v in zip(
+            np.meshgrid(*map(np.arange, c.shape), indexing="ij"), tilde))
+        base = norm(c)
+        for mu_abs in range(1, Fraction(ent[k - l - 1]) // Fraction(n1) + 1):
+            for mu in (mu_abs, -mu_abs):
+                vals = [norm((np.exp(1j * n1 * (v + 2 * np.pi * mu)
+                                     * (1.0 - dot)) - 1.0) * c) - 2.0 * base
+                        for v in t.tolist()]
+                total += np.trapezoid(vals, t) / mu_abs
+    return 2.0 * np.pi * total

@@ -169,6 +169,17 @@ def _hang(*args):
     raise _Hung
 
 
+def run_within_a_second(capsys, argv) -> tuple:
+    """run(), under an alarm that raises _Hung after one second."""
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(1)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestInt64Bounds:
     """Inputs whose floors or grid lengths do not fit int64 are refused
     before any work, each with one error line naming its bound."""
@@ -181,13 +192,7 @@ class TestInt64Bounds:
         ["norm", "--kernel", "D", "--n", "5,1e300"],
     ])
     def test_refused_within_a_second(self, capsys, argv):
-        previous = signal.signal(signal.SIGALRM, _hang)
-        signal.alarm(1)
-        try:
-            code, out, err = run(capsys, *argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        code, out, err = run_within_a_second(capsys, argv)
         assert (code, out) == (1, "")
         assert err.startswith("simplexleb: error:") and "2^63" in err
         assert err.count("\n") == 1
@@ -212,15 +217,23 @@ class TestWorkBound:
         ["sweep", "--n1", "list(1e-10)", "--n2", "n1*1e12"],
     ])
     def test_refused_within_a_second(self, capsys, argv):
-        previous = signal.signal(signal.SIGALRM, _hang)
-        signal.alarm(1)
-        try:
-            code, out, err = run(capsys, *argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        code, out, err = run_within_a_second(capsys, argv)
         assert (code, out) == (1, "")
         assert err.startswith("simplexleb: error:") and "work bound" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget", [[], ["--budget-mb", "64"]])
+    def test_mu_term_over_the_budget_refused_within_a_second(self, capsys,
+                                                             budget):
+        """One mu term of 4 * 10^7 - 1 twisted differences: at 2^9 nodes a
+        field the mu-sum is under the work bound, but its fields' 544 bytes
+        each are over the budget."""
+        code, out, err = run_within_a_second(capsys, [
+            "sweep", "--n1", "list(5.5)", "--n2", "2.3*n1",
+            "--t-nodes", "20000000", *budget])
+        assert (code, out) == (1, "")
+        assert err.startswith("simplexleb: error: one mu term") and \
+            "over the budget" in err
         assert err.count("\n") == 1
 
 

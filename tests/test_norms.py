@@ -33,8 +33,8 @@ from simplexleb.norms import (
 )
 from simplexleb.cli import main as cli_main
 from simplexleb.core import CoefficientField
-from oracles import double_integral_ld2, frak_f_two_sided, grid_eval, \
-    t_integral
+from oracles import double_integral_ld2, frak_f_dense, frak_f_two_sided, \
+    grid_eval, t_integral
 from test_kernels import engine_values
 
 
@@ -196,6 +196,38 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * budget
+
+    @pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
+    @pytest.mark.parametrize("entries", [(5.5, 30.25, 199.65),
+                                         (5.5, 12.65, 24.035)])
+    def test_frak_f_peak_within_the_budget(self, entries, budget):
+        """frak_f's stacks of twisted differences, each a quarter of a
+        batch, and the engine's batches under them peak at <= 1 budget
+        under tracemalloc (measured 0.27-0.78)."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            frak_f(3, DilationVector(entries), budget_bytes=budget)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+    def test_frak_f_mu_term_at_and_over_the_budget(self, monkeypatch):
+        """One mu term's 2 T - 1 fields count 32 bytes a mode and 512 a
+        field: at T = 4, 7 x (32 x 17 + 512) bytes for the 1-D F of (16, 8)
+        of (8, 16, 32); one byte less is refused before any norm."""
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(norms, "l1_norm", reached)
+        n, need = DilationVector((8.0, 16.0, 32.0)), 7 * (32 * 17 + 512)
+        with pytest.raises(Reached):
+            frak_f(3, n, t_nodes=4, budget_bytes=need)
+        with pytest.raises(ResourceLimitError, match="one mu term"):
+            frak_f(3, n, t_nodes=4, budget_bytes=need - 1)
 
     def test_blocks_of_part_slices_keep_values(self, monkeypatch):
         """A scratch shorter than one x' slice takes |v| in parts of rows,
@@ -748,39 +780,57 @@ class TestFrakF:
         want, _ = frak_f_two_sided(k, DilationVector(entries), t_nodes)
         assert got.value == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_stacks_shift_by_positive_mu_alone(self, monkeypatch, capsys):
-        """Each stack of the cli-study sweep is h = n1 (t + 2 pi mu) on the
-        t nodes -pi..pi, with mu >= 1: 24 stacks of 3048 fields in all,
-        half of those of the two-sided sum."""
-        stacks = []
+    @pytest.mark.parametrize("entries", [(2.5, 5.5, 9.7), (2.5, 3.7, 5.2)])
+    def test_k3_matches_engine_free_oracle(self, entries):
+        """frak_f(3) against its definition evaluated without the norm
+        engine (oracles.frak_f_dense), on the same 15 t nodes, so only the
+        norms' quadratures differ: frak_f refines each norm to tol = 1e-5,
+        and the dense Riemann sums on 256 times each box are within about
+        1e-5 relative (their move from 64 times, over 15, since sums of |f|
+        converge as M^-2: 7e-6 and 6e-6 here).  Hence 2e-5 relative;
+        measured 5.4e-6 and 4.5e-6."""
+        n = DilationVector(entries)
+        got = frak_f(3, n, t_nodes=8, tol=1e-5, rho=64.0)
+        want = frak_f_dense(3, n, t_nodes=8, rho=256)
+        assert got.value == pytest.approx(want, rel=2e-5, abs=0)
 
-        def spy(fld, h, xi):
-            stacks.append(np.array(h))
-            return apply_delta(fld, h, xi)
-        monkeypatch.setattr(norms.kernels, "apply_delta", spy)
+    def test_stacks_shift_by_positive_mu_alone(self, monkeypatch, capsys):
+        """Each field of the cli-study sweep is h = n1 (t + 2 pi mu) on the
+        t nodes -pi..pi, with mu >= 1: 3048 fields in all, half of those of
+        the two-sided sum, in 9 stacks, one per level and row of the sweep
+        (24 mu terms)."""
+        stacks = self.spy_stacks(monkeypatch)
         assert cli_main(["sweep", "--n1", "list(5.5,7.3,9.7)",
                          "--n2", "2.3*n1", "--n3", "1.9*n2"]) == 0
         capsys.readouterr()
-        assert (len(stacks), sum(map(len, stacks))) == (24, 3048)
+        terms = [term for stack in stacks for term in stack]
+        assert (len(stacks), len(terms)) == (9, 24)
+        assert sum(fields for *_, fields in terms) == 3048
         firsts = {row[0] for row in self.CLI_STUDY}
-        for h in stacks:
-            n1 = (h[-1] - h[0]) / (2 * np.pi)
-            mu = (h[0] / n1 + np.pi) / (2 * np.pi)
+        for mu, _, _, n1, _ in terms:
+            assert mu >= 1
             assert min(firsts, key=lambda v: abs(v - n1)) == \
                 pytest.approx(n1, rel=1e-12)
-            assert round(mu) >= 1 and mu == pytest.approx(round(mu), rel=1e-12)
 
     @staticmethod
     def spy_stacks(monkeypatch) -> list:
-        """(mu, dimension, all zero) of each stack of twisted differences
-        frak_f builds, from h = n1 (t + 2 pi mu) on the t nodes -pi..pi."""
+        """Per stack of twisted differences that frak_f builds, its mu terms
+        (mu, dimension, all zero, n1, fields): mu is decoded from each
+        field's h = n1 (t + 2 pi mu), where h's last axis runs over the t
+        nodes -pi..pi, and must be one mu along that axis."""
         stacks = []
 
         def spy(fld, h, xi):
             out = apply_delta(fld, h, xi)
-            n1 = (h[-1] - h[0]) / (2 * np.pi)
-            stacks.append((round((h[0] / n1 + np.pi) / (2 * np.pi)),
-                           fld.s, not out.weights.any()))
+            rows = np.reshape(h, (-1, np.shape(h)[-1]))
+            n1 = (rows[:, -1] - rows[:, 0]) / (2 * np.pi)
+            t = np.linspace(-np.pi, np.pi, rows.shape[1])
+            mu = (rows / n1[:, None] - t) / (2 * np.pi)
+            assert mu == pytest.approx(np.broadcast_to(np.round(mu[:, :1]),
+                                                       mu.shape), rel=1e-12)
+            zero = ~np.reshape(out.weights, (len(rows), -1)).any(axis=1)
+            stacks.append([(round(m), fld.s, bool(z), v, rows.shape[1])
+                           for m, z, v in zip(mu[:, 0], zero, n1.tolist())])
             return out
         monkeypatch.setattr(norms.kernels, "apply_delta", spy)
         return stacks
@@ -791,7 +841,7 @@ class TestFrakF:
         stacks = self.spy_stacks(monkeypatch)
         frak_f(2, DilationVector((7.3, 21.9)), t_nodes=4)
         assert 21.9 / 7.3 == 3.0
-        assert [mu for mu, _, _ in stacks] == [1, 2]
+        assert [t[0] for stack in stacks for t in stack] == [1, 2]
 
     def test_equal_entries_vanish(self):
         assert frak_f(2, DilationVector((5, 5))).value == 0.0
@@ -809,9 +859,12 @@ class TestFrakF:
             got = frak_f(2, DilationVector(entries), t_nodes=16)
             want, _ = frak_f_two_sided(2, DilationVector(entries), 16)
             assert got.value == pytest.approx(want, rel=1e-12, abs=1e-12)
-            assert [(mu, s) for mu, s, _ in stacks] == \
-                [(mu, 0) for mu in range(1, int(entries[1] / entries[0]) + 1)]
-            assert all(zero for *_, zero in stacks) == (entries[0] % 1 == 0)
+            terms = [t for stack in stacks for t in stack]
+            assert [(mu, s, fields) for mu, s, _, _, fields in terms] == \
+                [(mu, 0, 31)
+                 for mu in range(1, int(entries[1] / entries[0]) + 1)]
+            assert all(zero for _, _, zero, _, _ in terms) == \
+                (entries[0] % 1 == 0)
 
     def test_rejects_descending(self):
         with pytest.raises(ValueError):
@@ -829,7 +882,7 @@ class TestFrakF:
         stacks = self.spy_stacks(monkeypatch)
         n = DilationVector((4.5, 9.0, 18.0))
         got = frak_f(3, n, t_nodes=8)
-        assert [(mu, s) for mu, s, _ in stacks] == \
+        assert [t[:2] for stack in stacks for t in stack] == \
             [(1, 1), (2, 1), (3, 1), (4, 1), (1, 1), (2, 1)]
         want, _ = frak_f_two_sided(3, n, 8)
         assert got.value == pytest.approx(want, rel=1e-12, abs=0)
