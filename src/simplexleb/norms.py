@@ -42,8 +42,8 @@ Its inputs carry a leading field axis: a stack of fields on one box, such
 as the twisted differences of a run of mu terms of the correction
 functional, is refined together.  Each level synthesizes the fields still
 live in shared batches and transforms; each field keeps its own Parseval
-checks and history, and leaves at its first converged level, so its norm
-is the one it has alone.  A d-kernel or a single field is a stack of one.
+checks and level values, and leaves at its first converged level, so its
+norm is the one it has alone.  A d-kernel or a field is a stack of one.
 
 A Hermitian f (real Fourier weights: f(-x) = conj f(x)) has the same |f|
 on the x_s slices t and M_s - t, so only t = 0..[M_s/2] are synthesized;
@@ -393,22 +393,22 @@ def _passes(M: tuple, half: tuple | None = None) -> list:
         (half[:-1], shift, range(0, m, 2)) for shift in shifts]
 
 
-def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
+def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, name, live,
                     half=None):
-    """sum_t |f(x_t)| and sum_t |f(x_t)|^2 for each field of the stack (one
-    per tag) over the grid M, or over the nodes its half grid ``half``
-    lacks, from the slice engine (for a Hermitian f the x_s nodes t <=
-    M_s / 2), with the exact Parseval identity checked on every computed
-    x_s slice.  |v| goes a block at a time to one reused scratch of at most
-    _CHUNK_BYTES / 32; the slices' multiplicities weight their sums."""
+    """sum_t |f(x_t)| and sum_t |f(x_t)|^2 of the fields ``live`` (indices,
+    named ``name(i)``) over the grid M, or over the nodes its half grid
+    ``half`` lacks, from the slice engine (for a Hermitian f the x_s nodes
+    t <= M_s / 2), with the exact Parseval identity checked on every
+    computed x_s slice.  |v| goes a block at a time to one reused scratch of
+    at most _CHUNK_BYTES / 32; the slices' multiplicities weight their sums."""
     m, passes = M[-1], _passes(M, half)
     if hermitian:
         passes = [(mp, shift, ns[:(m // 2 - ns.start) // ns.step + 1])
                   for mp, shift, ns in passes]
-    sum_abs, sum_sq = np.zeros((2, len(tags)))
+    sum_abs, sum_sq = np.zeros((2, len(live)))
     scratch = None
     for fs, p, ns, w_sq, v in slice_batches(points, weights, passes,
-                                            budget_bytes, len(tags)):
+                                            budget_bytes, len(live)):
         rest = math.prod(passes[p][0])
         if scratch is None:  # the first batch is the largest
             scratch = np.empty(min(_CHUNK_BYTES // 256, v.size))
@@ -423,7 +423,7 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
         # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|,
         # against sum |w|^2
         slice_abs, power = sums.reshape((2,) + w_sq.shape)
-        _check_parseval(rest * power, w_sq, tags[fs], "x_s slice")
+        _check_parseval(rest * power, w_sq, name, live[fs], "x_s slice")
         # Hermitian: each node counts twice but the self-paired ones
         mult = 1.0 + hermitian * (np.arange(ns.start, ns.stop, ns.step)
                                   * 2 % m != 0)
@@ -432,86 +432,85 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, tags,
     return sum_abs, sum_sq
 
 
-def _check_parseval(power, coef_sq, tags, where="grid"):
-    """Grid power (1 / prod M) sum |f|^2 against sum |c|^2, elementwise;
-    the rows of both, in equal parts, belong to the fields ``tags``."""
-    power = np.reshape(power, (len(tags), -1))
-    coef_sq = np.reshape(coef_sq, power.shape)
+def _check_parseval(power, coef_sq, name, live, where="grid"):
+    """Grid power (1 / prod M) sum |f|^2 against sum |c|^2, elementwise, in
+    arrays whose rows are the fields ``live``; ``name(i)`` names field i."""
     bad = (np.abs(power - coef_sq) > PARSEVAL_RTOL * coef_sq) & (coef_sq > 0.0)
     if bad.any():
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise AssertionError(f"Parseval mismatch on {where} for {tags[i]}: "
-                             f"{power[i, j]} vs {coef_sq[i, j]}")
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise AssertionError(f"Parseval mismatch on {where} for "
+                             f"{name(live[i[0]])}: {power[i]} vs {coef_sq[i]}")
 
 
 # -------------------------------------------------------------- field norms
 
-def _refine(abs_sums, M0: tuple, power, tol: float, tags) -> list:
-    """One NormResult per tag: a field's Riemann sum on grids doubled from
-    M0, at most MAX_DOUBLINGS times, until its relative change is at most
-    tol, where it leaves; its grid power is checked against its sum |c|^2
-    in ``power`` if given.  Each level adds to its running sums ``abs_sums
-    (M, live, half)``: sum |f| and sum |f|^2 of the fields ``live`` (an
-    index array) on the grid M, or on the nodes its half grid ``half``
-    lacks (None on the first level)."""
-    histories, done = [[] for _ in tags], [None] * len(tags)
-    live = np.arange(len(tags))
-    prev, half, M, sums = None, None, M0, 0.0
-    for level in range(MAX_DOUBLINGS + 1):
-        size = math.prod(M)
+def _refine(abs_sums, M0: tuple, power, tol: float, name) -> tuple:
+    """(values, level): values[l] holds each field's Riemann sum on M0
+    doubled l times (NaN after it left), level the first l <= MAX_DOUBLINGS
+    whose relative change is at most tol.  Each level adds to the running
+    sums ``abs_sums(M, live, half)``: sum |f| and sum |f|^2 of the fields
+    ``live`` (indices) on the grid M, or on the nodes its half grid ``half``
+    lacks (None on level 0).  ``power``, sum |c|^2 a field, checks the grid
+    powers if given (else the stack is one field); ``name(i)`` names i."""
+    live = np.arange(1 if power is None else len(power))
+    values = np.full((MAX_DOUBLINGS + 1, len(live)), np.nan)
+    level, half, M, sums = np.full(len(live), MAX_DOUBLINGS), None, M0, 0.0
+    for l in range(MAX_DOUBLINGS + 1):
         sums = sums + np.array(abs_sums(M, live, half))
         if power is not None:
-            _check_parseval(sums[1] / size, power[live],
-                            [tags[i] for i in live])
-        v = (2.0 * np.pi) ** len(M) * sums[0] / size
-        for i, vi in zip(live, v.tolist()):
-            histories[i].append((M, vi))
-        if prev is not None:
-            delta = np.abs(v - prev)
-            conv = delta <= tol * np.maximum(np.abs(v), 1e-9)
-            for i, d in zip(live[conv], delta[conv].tolist()):
-                done[i] = NormResult(
-                    histories[i][-1][1], M, tuple(histories[i]), d,
-                    None if power is None else float(power[i]))
-            live, v, sums = live[~conv], v[~conv], sums[:, ~conv]
+            _check_parseval(sums[1] / math.prod(M), power[live], name, live)
+        v = values[l, live] = (2.0 * np.pi) ** len(M) * sums[0] / math.prod(M)
+        if l:
+            conv = np.abs(v - values[l - 1, live]) <= \
+                tol * np.maximum(np.abs(v), 1e-9)
+            level[live[conv]] = l
+            live, sums = live[~conv], sums[:, ~conv]
             if not len(live):
-                return done
-        prev, half = v, M
-        M = tuple(2 * m for m in M)
+                return values, level
+        half, M = M, tuple(2 * m for m in M)
     raise NormConvergenceError(
-        f"no convergence for {tags[live[0]]} after {MAX_DOUBLINGS} "
-        "doublings", tuple(histories[live[0]]))
+        f"no convergence for {name(live[0])} after {MAX_DOUBLINGS} "
+        "doublings", _result(M0, values, level, power, live[0]).history)
+
+
+def _result(M0: tuple, values, level, power, i) -> NormResult:
+    """The NormResult of field i of a stack refined from the grid M0."""
+    l = int(level[i])
+    history = tuple((tuple(m << k for m in M0) or None, v)
+                    for k, v in enumerate(values[:l + 1, i].tolist()))
+    return NormResult(history[-1][1], history[-1][0], history,
+                      abs(history[-1][1] - history[l - 1][1]) if l else 0.0,
+                      None if power is None else float(power[i]))
 
 
 def l1_norm_field(fld: CoefficientField, tol: float = DEFAULT_TOL,
                   rho: float = DEFAULT_RHO,
                   budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """Plain L1 norm of a coefficient field: a stack of one field."""
-    return _field_norms(fld.weights[None], [fld.tag], tol, rho,
-                        budget_bytes)[0]
+    return _result(*_field_norms(fld.weights[None], lambda i: fld.tag, tol,
+                                 rho, budget_bytes), 0)
 
 
-def _field_norms(weights: np.ndarray, tags, tol: float = DEFAULT_TOL,
-                 rho: float = DEFAULT_RHO,
-                 budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
-    """Plain L1 norms of the stack ``weights`` (H,) + K of coefficient
-    fields, one NormResult per tag: each refined and checked as if alone."""
+def _field_norms(weights: np.ndarray, name, tol, rho, budget_bytes) -> tuple:
+    """_result's arguments but i for the stack ``weights`` (H,) + K of fields,
+    each refined and checked as if alone.  A 0-dimensional field's norm is
+    np.hypot of its parts: Python's abs, which np.abs is not on AVX-512."""
     M0 = first_grid(weights.shape[1:], rho, tol, budget_bytes)
     if not M0:
-        return [NormResult(value=v, grid=None, history=((None, v),),
-                           error_estimate=0.0, parseval=v * v)
-                for v in map(abs, weights.tolist())]
+        v = np.hypot(weights.real, weights.imag)
+        return M0, v[None], np.zeros(len(v), int), v * v
     source, fold = _field_source, lambda M: M
     if len(M0) == 1:  # the engine runs on the fold (F, M / F), F fixed
         F = _fold(weights.shape[1], M0[0])
         source, fold = _folded_source, lambda M: M and (F, M[0] // F)
-    return _refine(
+    power = np.array([np.vdot(c, c).real for c in weights])
+    return M0, *_refine(
         # no copy while every field is live: it would add to the peak memory
         lambda M, live, half: _slice_abs_sums(
             *source(weights[live] if len(live) < len(weights) else weights,
                     fold(M), budget_bytes),
-            fold(M), budget_bytes, [tags[i] for i in live], fold(half)),
-        M0, np.array([np.vdot(c, c).real for c in weights]), tol, tags)
+            fold(M), budget_bytes, name, live, fold(half)),
+        M0, power, tol, name), power
 
 
 def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
@@ -532,17 +531,17 @@ def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
     if field:
         fld = fractional_coefficients(n, budget_bytes) if kernel == "F" \
             else indicator_coefficients(build_lattice(n, 1, budget_bytes))
-        return _field_norms(fld.weights[None], [tag], tol, rho,
-                            budget_bytes)[0]
+        return _result(*_field_norms(fld.weights[None], lambda i: tag, tol,
+                                     rho, budget_bytes), 0)
     lat = build_lattice(n, n.d - 1, budget_bytes)
     # D's grid power is the lattice count P = sum_k' ([L_d(k')] + 1)
     power = np.array([float((lat.lambda_parts.floor + 1).sum())]) \
         if kernel == "D" else None
-    return _refine(
+    return _result(M0, *_refine(
         lambda M, live, half: _slice_abs_sums(
             *_kernel_source(kernel, lat, M, budget_bytes), M, budget_bytes,
-            [tag], half),
-        M0, power, tol, [tag])[0]
+            lambda i: tag, live, half),
+        M0, power, tol, lambda i: tag), power, 0)
 
 
 # --------------------------------------------------------- exact identity
@@ -632,10 +631,10 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
 
     The fields of a run of mu terms are one stack, refined together.  A
     field costs the nodes of its last level, at least 2^9 (a 0-dimensional
-    field takes about as long as 2^9 engine nodes), and holds 32 bytes a
-    mode (its weights and apply_delta's multiplier) and about 512 more (its
-    NormResult and tag).  Before any norm, all fields' cost is checked
-    against MAX_WORK, and one mu term's bytes against the budget.
+    one takes 10-30 nodes' time; a lower floor lets more mu terms through
+    MAX_WORK), and holds 32 bytes a mode (its weights and apply_delta's
+    multiplier) and 64 more (its values, level and power).  Before any norm,
+    MAX_WORK bounds all fields' cost, and the budget one mu term's bytes.
     """
     if k < 2 or k > n.d:
         raise ValueError(f"need 2 <= k <= d={n.d}")
@@ -656,7 +655,7 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
         raise ValueError(f"the mu-sum costs >= 2^{work.bit_length() - 1} nodes"
                          " (mu terms x (2 t_nodes - 1) fields x max(2^9, "
                          "last-level nodes)), over the work bound 2^48")
-    sizes = [fields * (32 * math.prod(box) + 512) for *_, box in levels]
+    sizes = [fields * (32 * math.prod(box) + 64) for *_, box in levels]
     check_budget(max(sizes), budget_bytes,
                  "one mu term of 2 t_nodes - 1 twisted differences")
     # a stack is a quarter of a batch: the engine's buffer, about twice its
@@ -680,9 +679,10 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
             mu = np.arange(mu0, min(mu0 + run, mu_max + 1))
             h = n1 * (fine_t + 2.0 * np.pi * mu[:, None])
             stack = kernels.apply_delta(fld, h, 1.0 / np.array(tilde)).weights
-            norms = _field_norms(stack.reshape((h.size,) + box), [
-                f"delta({v})|{fld.tag}" for v in h.ravel().tolist()], **kw)
-            vals = np.reshape([r.value for r in norms], h.shape) - 2.0 * base
+            _, values, level, _ = _field_norms(
+                stack.reshape((h.size,) + box),
+                lambda i: f"delta({h.flat[i]})|{fld.tag}", **kw)
+            vals = np.choose(level, values).reshape(h.shape) - 2.0 * base
             fine = np.trapezoid(vals, fine_t, axis=1).tolist()
             coarse = np.trapezoid(vals[:, ::2], fine_t[::2], axis=1).tolist()
             for m, f, c in zip(mu.tolist(), fine, coarse):

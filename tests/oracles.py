@@ -14,8 +14,10 @@ shifted-kernel double integral of the 1-D D, which acceptance criterion 7
 compares with 4 pi ||D_n||; t_integral and frak_f_two_sided are the
 correction functional with both halves +mu and -mu of its mu-sum computed,
 the reference for simplexleb.norms.frak_f, which computes the +mu half
-alone; frak_f_dense is the correction functional with neither the norm
-engine nor apply_delta, its norms dense Riemann sums on fixed grids.
+alone; stack_results gives the NormResult of each field of a stack that
+simplexleb.norms._field_norms refines together; frak_f_dense is the
+correction functional with neither the norm engine nor apply_delta, its
+norms dense Riemann sums on fixed grids.
 """
 
 import math
@@ -49,6 +51,7 @@ from simplexleb.norms import (
     NormResult,
     _field_norms,
     _refine,
+    _result,
     first_grid,
     l1_norm,
     l1_norm_field,
@@ -192,7 +195,8 @@ def double_integral_ld2(n: float, alpha: float, beta: float,
 
     # the Riemann sum over the m x m grid of (x, y)
     M0 = first_grid((m_modes,) * 2, rho, tol, DEFAULT_BUDGET_BYTES)
-    return _refine(abs_sums, M0, None, tol, [f"ld2:{n}"])[0].value
+    values, level = _refine(abs_sums, M0, None, tol, lambda i: f"ld2:{n}")
+    return float(values[level[0], 0])
 
 
 def t_integral(fld: CoefficientField, xi, n1: float, mu: int, base: float,
@@ -203,12 +207,21 @@ def t_integral(fld: CoefficientField, xi, n1: float, mu: int, base: float,
     difference, in the order of the nodes t."""
     fine_t = np.linspace(-np.pi, np.pi, 2 * t_nodes - 1)
     h = n1 * (fine_t + 2.0 * np.pi * mu)
-    norms = _field_norms(apply_delta(fld, h, xi).weights,
-                         [f"delta({v})|{fld.tag}" for v in h.tolist()], **kw)
+    norms = stack_results(apply_delta(fld, h, xi).weights,
+                          lambda i: f"delta({h[i]})|{fld.tag}", **kw)
     vals = np.array([r.value for r in norms]) - 2.0 * base
     fine = np.trapezoid(vals, fine_t)
     return float(fine), float(fine - np.trapezoid(vals[::2], fine_t[::2])), \
         norms
+
+
+def stack_results(weights: np.ndarray, name, tol: float = DEFAULT_TOL,
+                  rho: float = DEFAULT_RHO,
+                  budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
+    """The NormResult of each field of the stack ``weights``, which
+    simplexleb.norms._field_norms refines together."""
+    out = _field_norms(weights, name, tol, rho, budget_bytes)
+    return [_result(*out, i) for i in range(len(weights))]
 
 
 def frak_f_two_sided(k: int, n: DilationVector, t_nodes: int = 64,

@@ -226,7 +226,7 @@ class TestWorkBound:
     def test_mu_term_over_the_budget_refused_within_a_second(self, capsys,
                                                              budget):
         """One mu term of 4 * 10^7 - 1 twisted differences: at 2^9 nodes a
-        field the mu-sum is under the work bound, but its fields' 544 bytes
+        field the mu-sum is under the work bound, but its fields' 96 bytes
         each are over the budget."""
         code, out, err = run_within_a_second(capsys, [
             "sweep", "--n1", "list(5.5)", "--n2", "2.3*n1",

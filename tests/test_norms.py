@@ -34,7 +34,7 @@ from simplexleb.norms import (
 from simplexleb.cli import main as cli_main
 from simplexleb.core import CoefficientField
 from oracles import double_integral_ld2, frak_f_dense, frak_f_two_sided, \
-    grid_eval, t_integral
+    grid_eval, stack_results, t_integral
 from test_kernels import engine_values
 
 
@@ -203,7 +203,7 @@ class TestBudget:
     def test_frak_f_peak_within_the_budget(self, entries, budget):
         """frak_f's stacks of twisted differences, each a quarter of a
         batch, and the engine's batches under them peak at <= 1 budget
-        under tracemalloc (measured 0.27-0.78)."""
+        under tracemalloc (measured 0.24-0.97)."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -214,8 +214,8 @@ class TestBudget:
         assert peak <= budget
 
     def test_frak_f_mu_term_at_and_over_the_budget(self, monkeypatch):
-        """One mu term's 2 T - 1 fields count 32 bytes a mode and 512 a
-        field: at T = 4, 7 x (32 x 17 + 512) bytes for the 1-D F of (16, 8)
+        """One mu term's 2 T - 1 fields count 32 bytes a mode and 64 a
+        field: at T = 4, 7 x (32 x 17 + 64) bytes for the 1-D F of (16, 8)
         of (8, 16, 32); one byte less is refused before any norm."""
         class Reached(Exception):
             pass
@@ -223,7 +223,7 @@ class TestBudget:
         def reached(*args, **kwargs):
             raise Reached
         monkeypatch.setattr(norms, "l1_norm", reached)
-        n, need = DilationVector((8.0, 16.0, 32.0)), 7 * (32 * 17 + 512)
+        n, need = DilationVector((8.0, 16.0, 32.0)), 7 * (32 * 17 + 64)
         with pytest.raises(Reached):
             frak_f(3, n, t_nodes=4, budget_bytes=need)
         with pytest.raises(ResourceLimitError, match="one mu term"):
@@ -324,6 +324,10 @@ def test_x_prime_transforms_skip_zero_columns(monkeypatch):
     assert shapes[3] and grids >= shapes[3]
 
 
+# the name and the live fields of a stack of one field
+ONE = (lambda i: "one field", np.arange(1))
+
+
 class TestHalfSlices:
     """Hermitian sources are synthesized on the x_s slices 0..[M_s/2] only;
     the weighted sums equal the full grid's."""
@@ -337,7 +341,7 @@ class TestHalfSlices:
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             spy, asked = _spied(weights)
             (got_abs,), (got_sq,) = _slice_abs_sums(points, spy, hermitian,
-                                                    M, budget, ["test"])
+                                                    M, budget, *ONE)
             assert got_abs == pytest.approx(want_abs, rel=1e-12)
             assert got_sq == pytest.approx(want_sq, rel=1e-12)
             top = M[-1] // 2 if hermitian else M[-1] - 1
@@ -435,13 +439,13 @@ class TestNestedLevels:
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             spy, asked = _spied(weights)
             (new_abs,), (new_sq,) = _slice_abs_sums(
-                points, spy, hermitian, M, budget, ["test"], half)
+                points, spy, hermitian, M, budget, *ONE, half)
             assert sorted(u for u in asked if u % 2) == \
                 [2 * t + 1 for t in range((m_c - 1) // 2 + 1)]
             assert sorted(u for u in asked if u % 2 == 0) == sorted(
                 list(range(0, m_c + 1, 2)) * copies)
             (old_abs,), (old_sq,) = _slice_abs_sums(
-                *_source(kernel, n, half, fld), half, budget, ["test"])
+                *_source(kernel, n, half, fld), half, budget, *ONE)
             assert old_abs + new_abs == pytest.approx(np.abs(full).sum(),
                                                       rel=1e-12)
             assert old_sq + new_sq == pytest.approx(
@@ -468,7 +472,7 @@ class TestNestedLevels:
         full = []
         for (M, value), grid in zip(res.history, _grids(fld, *grids)):
             (total,), _ = _slice_abs_sums(*_source(kernel, n, grid, fld),
-                                          grid, 1 << 30, ["full"])
+                                          grid, 1 << 30, *ONE)
             full.append((2.0 * math.pi) ** len(M) * total / math.prod(M))
             assert value == pytest.approx(full[-1], rel=1e-12, abs=0)
         stop = next(k for k in range(1, len(full)) if abs(
@@ -478,12 +482,12 @@ class TestNestedLevels:
     def test_complex_stack_levels_equal_full_resynthesis(self):
         fld, xi = _stack_inputs(2, False)
         stack = apply_delta(fld, np.array([0.7, 6.4, 20.3]), xi).weights
-        tags = ["a", "b", "c"]
-        for res, weights, tag in zip(_field_norms(stack, tags), stack, tags):
+        for res, weights in zip(stack_results(stack, "abc".__getitem__),
+                                stack):
             for M, value in res.history:
                 (total,), _ = _slice_abs_sums(
                     *_field_source(weights[None], M, 1 << 30), M, 1 << 30,
-                    [tag])
+                    *ONE)
                 assert value == pytest.approx(
                     (2.0 * math.pi) ** 2 * total / math.prod(M), rel=1e-12)
 
@@ -544,8 +548,8 @@ class TestNestedLevels:
                 l1_norm("D", DilationVector((7.3,)))
             else:
                 fld, xi = _stack_inputs(1, False)
-                _field_norms(apply_delta(fld, np.array([0.7, 6.4]),
-                                         xi).weights, ["a", "b"])
+                stack_results(apply_delta(fld, np.array([0.7, 6.4]),
+                                          xi).weights, "ab".__getitem__)
 
 
 def _stack_inputs(s, real):
@@ -580,7 +584,6 @@ class TestFieldStack:
         want = self._one_at_a_time(fld, xi)
         stack = apply_delta(fld, self.H, xi).weights
         assert stack.shape == (len(self.H),) + fld.extents
-        tags = [f"h{i}" for i in range(len(self.H))]
         budgets = [1 << 30]
         if s:
             final = max((r.grid for r in want), key=math.prod)
@@ -590,8 +593,8 @@ class TestFieldStack:
             budgets.append(16 * max(math.prod(final[:-1]),
                                     math.prod(fld.extents[:-1]) * final[-1]))
         for budget in budgets:
-            got = _field_norms(stack, tags, tol=self.TOL,
-                               budget_bytes=budget)
+            got = stack_results(stack, "h{}".format, tol=self.TOL,
+                                budget_bytes=budget)
             for g, w in zip(got, want):
                 assert [m for m, _ in g.history] == [m for m, _ in w.history]
                 assert g.value == pytest.approx(w.value, rel=1e-12, abs=0)
@@ -613,22 +616,38 @@ class TestFieldStack:
             return source(weights, M, budget_bytes)
 
         monkeypatch.setattr(norms, "_field_source", corrupted)
-        tags = [f"h{i}" for i in range(len(self.H))]
         with pytest.raises(AssertionError, match="Parseval mismatch on grid "
                                                  "for h3:"):
-            _field_norms(apply_delta(fld, self.H, xi).weights, tags)
+            stack_results(apply_delta(fld, self.H, xi).weights, "h{}".format)
 
     def test_nonconvergence_raises_with_the_field_history(self):
         fld, xi = _stack_inputs(1, True)
-        tags = [f"h{i}" for i in range(1, len(self.H))]
         with pytest.raises(NormConvergenceError,
                            match=f"h1 after {MAX_DOUBLINGS}") as exc:
-            _field_norms(apply_delta(fld, self.H[1:], xi).weights, tags,
-                         tol=1e-16)
+            stack_results(apply_delta(fld, self.H[1:], xi).weights,
+                          lambda i: f"h{i + 1}", tol=1e-16)
         with pytest.raises(NormConvergenceError) as alone:
             l1_norm_field(apply_delta(fld, self.H[1], xi), tol=1e-16)
         assert len(exc.value.history) == MAX_DOUBLINGS + 1
         assert exc.value.history == alone.value.history
+
+    def test_0d_moduli_are_python_abs(self):
+        """The 0-dimensional stack of 𝔉²(5.5, ·), mu = 1..30 x 127 t nodes
+        (3810 fields): each norm, compared as float hex, is Python's abs of
+        its weight.  np.abs is not: on AVX-512 numpy (2.4.6) it differed in
+        1434 of these fields, np.hypot in none."""
+        fld = fractional_coefficients(DilationVector((5.5,)))
+        h = 5.5 * (np.linspace(-np.pi, np.pi, 127)
+                   + 2.0 * np.pi * np.arange(1, 31)[:, None])
+        stack = apply_delta(fld, h, 1.0 / np.array(())).weights.ravel()
+        M0, values, level, power = _field_norms(stack, str, 1e-3, 4.0,
+                                                1 << 30)
+        assert (M0, values.shape) == ((), (1, 3810))
+        assert not level.any()
+        want = [abs(w) for w in stack.tolist()]
+        assert [v.hex() for v in values[0].tolist()] == \
+            [v.hex() for v in want]
+        assert power.tolist() == [v * v for v in want]
 
 
 class TestScalingSanity:
@@ -874,6 +893,48 @@ class TestFrakF:
         # the trapezoid over one node is 0 and would drop every mu term
         with pytest.raises(ValueError, match="t_nodes"):
             frak_f(2, DilationVector((5.5, 12.65)), t_nodes=1)
+
+    def test_no_field_objects_built(self, monkeypatch):
+        """frak_f(2, (5.5, 11001)) refines 254 003 fields; a NormResult is
+        built only for its 3 plain F norms, none for a twisted difference."""
+        built, record = [], norms.NormResult
+
+        def counted(*args):
+            built.append(args)
+            return record(*args)
+        monkeypatch.setattr(norms, "NormResult", counted)
+        frak_f(2, DilationVector((5.5, 11001.0)))
+        assert len(built) <= 3
+
+    def test_parseval_error_names_a_live_field(self, monkeypatch):
+        """A field corrupted on a level that others have left is named by
+        its own delta(h) tag: a level's rows are the fields of ``live``."""
+        apply, sums = norms.kernels.apply_delta, norms._slice_abs_sums
+        source, stacks, seen = norms._folded_source, [], []
+
+        def spied_apply(fld, h, xi):
+            stacks.append((fld.tag, np.ravel(h)))
+            return apply(fld, h, xi)
+
+        def spied_sums(*args):
+            seen.append(args[6])  # live
+            return sums(*args)
+
+        def corrupted(weights, M, budget_bytes):
+            # a stack's level with fewer rows than fields: its last row
+            if stacks and len(weights) < len(stacks[-1][1]):
+                weights = weights.copy()
+                weights[-1] *= 1.001
+            return source(weights, M, budget_bytes)
+        monkeypatch.setattr(norms.kernels, "apply_delta", spied_apply)
+        monkeypatch.setattr(norms, "_slice_abs_sums", spied_sums)
+        monkeypatch.setattr(norms, "_folded_source", corrupted)
+        with pytest.raises(AssertionError) as exc:
+            frak_f(3, DilationVector((4.5, 9.0, 18.0)), t_nodes=8)
+        (tag, h), live = stacks[-1], seen[-1]
+        assert 0 < len(live) < len(h) and live[-1] >= len(live)
+        assert str(exc.value).startswith(
+            f"Parseval mismatch on grid for delta({h[live[-1]]})|{tag}: ")
 
     def test_k3_structure(self, monkeypatch):
         """Level l = 0 twists the 1-D F of (9, 4.5) for mu = 1..[18/4.5],
