@@ -164,7 +164,7 @@ class SimplexLattice:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Dense complex weights on an integer box, feeding FFT synthesis.
+    """Dense real or complex weights on an integer box, for FFT synthesis.
 
     A 0-dimensional field (shape ()) is the constant-kernel convention: the
     kernel is the complex number ``weights[()]`` and its norm is its modulus.

@@ -208,39 +208,37 @@ def _golden_parts(n: int) -> np.ndarray:
     decide, a fraction with fewer than 55 bits above 2^-64, and k >= 2^32.
     """
     guard, bits = _GUARD_BITS, _FRAC_BITS + _GUARD_BITS
-    a, room = _golden_floor(1, bits), 1 << guard
-    mask, scale = (1 << _FRAC_BITS) - 1, 1 << _FRAC_BITS
-    k = np.arange(min(n + 1, _LIMB_K), dtype=np.uint64)
-    limbs, carry = [], np.zeros_like(k)
-    for i in range(0, 32 * ((guard + 64) // 32 + 3), 32):
-        p = k * np.uint64(a >> i & 0xFFFFFFFF) + carry
-        limbs.append(p & 0xFFFFFFFF)
-        carry = p >> 32
+    a, room, scale = _golden_floor(1, bits), 1 << guard, 1 << _FRAC_BITS
+    top, out, slow = np.uint64(room - 1), np.empty(n + 1), []
 
-    def window(b):  # bits b..b+63 of k a
+    def window(limbs, b):  # bits b..b+63 of k a
         j, s = divmod(b, 32)
         return limbs[j] >> s | limbs[j + 1] << 32 - s | limbs[j + 2] << 64 - s
 
-    top = np.uint64(room - 1)
-    fits = (k <= top) & (window(0) & top <= top - k + 1)
-    # the fraction H 2^64 + L with H >= 2^54: H | (L != 0), rounded to odd
-    # with >= 55 bits, rounds to the float the 128-bit fraction rounds to
-    low, high = window(guard), window(guard + 64)
-    fast = fits & (high >= 1 << 54)
-    out = np.empty(n + 1)
-    out[:len(k)] = (high | (low != 0)).astype(float) * 2.0**-64
-    for j in np.flatnonzero(~fast).tolist() + list(range(len(k), n + 1)):
+    for k0 in range(0, min(n + 1, _LIMB_K), 8192):  # about 1 MiB of limbs
+        k = np.arange(k0, min(k0 + 8192, n + 1, _LIMB_K), dtype=np.uint64)
+        limbs, carry = [], np.zeros_like(k)
+        for i in range(0, 32 * ((guard + 64) // 32 + 3), 32):
+            p = k * np.uint64(a >> i & 0xFFFFFFFF) + carry
+            limbs.append(p & 0xFFFFFFFF)
+            carry = p >> 32
+        fits = (k <= top) & (window(limbs, 0) & top <= top - k + 1)
+        # the fraction H 2^64 + L with H >= 2^54: H | (L != 0), rounded to
+        # odd with >= 55 bits, rounds to the float the 128-bit fraction does
+        low, high = window(limbs, guard), window(limbs, guard + 64)
+        out[k0:k0 + len(k)] = (high | (low != 0)).astype(float) * 2.0**-64
+        slow += k[~(fits & (high >= 1 << 54))].tolist()
+    for j in slow + list(range(_LIMB_K, n + 1)):
         f = j * a >> guard if j * a % room <= room - j \
             else _golden_floor(j, _FRAC_BITS)
-        out[j] = (f & mask) / scale
+        out[j] = f % scale / scale
     return out
 
 
 def _kernel_norm(alpha: AlphaSpec, w: np.ndarray, tol: float, rho: float,
                  budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """I_n for n = len(w) - 1, from the fractional parts w = {alpha k}."""
-    fld = CoefficientField(weights=w.astype(np.complex128),
-                           tag=f"I:{alpha.name}@{len(w) - 1}")
+    fld = CoefficientField(weights=w, tag=f"I:{alpha.name}@{len(w) - 1}")
     return l1_norm_field(fld, tol=tol, rho=rho, budget_bytes=budget_bytes)
 
 

@@ -114,28 +114,33 @@ def _r_series(lam, phases, xd, nu_max, budget) -> np.ndarray:
     ``lam`` holds L_d(k') (P',), ``phases`` e^{i (k', x')} (N, P') and
     ``xd`` the x_d of each point (N,).  Since e^{i (2 pi nu + x_d) L} =
     e^{i x_d L} e^{2 pi i nu L}, a chunk of nu (min(_CHUNK_BYTES, budget)
-    of values) is one product; its +nu and -nu terms are summed before they
-    are accumulated, which improves cancellation.
+    of values in P' + N rows) is a product per block of (P' + N) / 8 >= 2
+    points (numpy sums a one-row product in another order); its +-nu terms
+    are summed before they are accumulated, which improves cancellation.
     """
     twisted = phases * np.exp(1j * np.outer(xd, lam))
     value = 0.5 * np.sum(twisted + phases, axis=1)
     base = phases.sum(axis=1)[:, None]
     chunk = max(1, min(_CHUNK_BYTES, budget) // (16 * (len(lam) + len(xd))))
+    rows = max(2, (len(lam) + len(xd)) // 8)
+    edges = [*range(0, max(len(xd) - 1, 1), rows), len(xd)]
     series = np.zeros(len(xd), dtype=np.complex128)
 
-    def term(snu):  # one N x chunk product and its divisor, in place
-        diff = twisted @ np.exp(1j * np.outer(lam, 2.0 * np.pi * snu))
-        diff -= base
-        divisor = np.add.outer(xd, 2.0 * np.pi * snu)
+    def term(snu, e, r):  # a block's product and its divisor, in place
+        diff = twisted[r] @ e
+        diff -= base[r]
+        divisor = np.add.outer(xd[r], 2.0 * np.pi * snu)
         divisor *= snu
         diff /= divisor
         return diff
 
     for start in range(1, nu_max + 1, chunk):
         nu = np.arange(start, min(start + chunk, nu_max + 1), dtype=float)
-        pair = term(nu)
-        pair += term(-nu)
-        series += pair.sum(axis=1)
+        e = [np.exp(1j * np.outer(lam, 2.0 * np.pi * s)) for s in (nu, -nu)]
+        for r in map(slice, edges, edges[1:]):
+            pair = term(nu, e[0], r)
+            pair += term(-nu, e[1], r)
+            series[r] += pair.sum(axis=1)
     return value - xd / (2.0 * np.pi * 1j) * series
 
 

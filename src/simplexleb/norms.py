@@ -254,22 +254,24 @@ def slice_batches(points: np.ndarray, weights, passes,
     else a scratch array that is scattered into it: besides what the source
     holds while it writes, the only arrays here that grow with a batch.
     The buffer holds at most min(_CHUNK_BYTES, budget_bytes) of values on
-    the largest M', or one slice (the sources check it fits): whole fields
-    while two fit, else slices of one; each group runs every pass.  Yields
-    ``(fs, p, ns, w_sq, v)``: w_sq, shape (G, B), is sum |w|^2 per slice,
-    and v, shape (G, B) + M', the inverse FFT of w in pass p, is f / prod
-    M' (callers scale their sums).  All batches share one buffer: v is
-    valid until the next batch."""
+    the largest M', or one slice (the sources check it fits), and a slice of
+    _CHUNK_BYTES / 8 or more alone, whose FFT dwarfs a batch's fixed cost:
+    whole fields while two fit, else slices of one; each group runs every
+    pass.  Yields ``(fs, p, ns, w_sq, v)``: w_sq, shape (G, B), is sum |w|^2
+    per slice, and v, shape (G, B) + M', the inverse FFT of w in pass p, is
+    f / prod M' (callers scale their sums).  All batches share one buffer: v
+    is valid until the next batch."""
     rest = max(math.prod(m_prime) for m_prime, *_ in passes)
     rows = max(len(nodes) for *_, nodes in passes)
-    batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16))
+    batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16)) \
+        if rest * 128 < _CHUNK_BYTES else 1
     group = max(1, batch // rows)
     size = min(group, fields) * min(batch, rows)
     buf = np.empty(size * rest, complex)
-    modes, scratch = len(points), None
     extents = (points.max(axis=0) + 1).tolist()
+    modes, scratch, flip = len(points), None, extents == [len(points)]
     # the origin twist (-1)^{sum k}, times e^{i pi sum_j shift_j k_j / M'_j}
-    origin = _origin_twist(points.sum(axis=1))
+    origin = 1.0 if flip else _origin_twist(points.sum(axis=1))
     for f0 in range(0, fields, group):
         fs = slice(f0, min(f0 + group, fields))
         group_weights = weights(fs)
@@ -292,7 +294,10 @@ def slice_batches(points: np.ndarray, weights, passes,
                 group_weights(ns, w)
                 w_sq = np.einsum("ijk,ijk->ij", w.real, w.real) + \
                     np.einsum("ijk,ijk->ij", w.imag, w.imag)
-                w *= twist
+                if any(shift) or not flip:
+                    w *= twist
+                if flip:  # (-1)^k on one x' axis of the modes 0..P'-1
+                    np.negative(w[..., 1::2], out=w[..., 1::2])
                 if run:
                     v[..., modes:] = 0.0
                 else:
@@ -503,7 +508,8 @@ def _field_norms(weights: np.ndarray, name, tol, rho, budget_bytes) -> tuple:
     if len(M0) == 1:  # the engine runs on the fold (F, M / F), F fixed
         F = _fold(weights.shape[1], M0[0])
         source, fold = _folded_source, lambda M: M and (F, M[0] // F)
-    power = np.array([np.vdot(c, c).real for c in weights])
+    flat = weights.reshape(len(weights), -1)
+    power = np.vecdot(flat, flat).real  # the sums np.vdot gives, a field each
     return M0, *_refine(
         # no copy while every field is live: it would add to the peak memory
         lambda M, live, half: _slice_abs_sums(
@@ -645,22 +651,23 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
         raise ValueError("entries must be ascending")
     n1, fields = ent[0], 2 * t_nodes - 1
     # level l: its mu terms 1..[n_{k-l} / n_1], each twisting the field F
-    # of tilde + (n1,), on the box [tilde] + 1
-    levels = [(Fraction(ent[k - l - 1]) // Fraction(n1), tilde,
-               tuple(int(v) + 1 for v in tilde)) for l in range(k - 1)
-              for tilde in [(n1,) * l + ent[1:k - l - 1]]]
-    work = fields * sum(mu * max(1 << 9, _last_level(first_grid(
-        box, rho, tol, budget_bytes))) for mu, _, box in levels)
+    # of tilde + (n1,), on the box [tilde] + 1 and its first grid M0
+    levels = [(Fraction(ent[k - l - 1]) // Fraction(n1), tilde, box,
+               first_grid(box, rho, tol, budget_bytes)) for l in range(k - 1)
+              for tilde in [(n1,) * l + ent[1:k - l - 1]]
+              for box in [tuple(int(v) + 1 for v in tilde)]]
+    work = fields * sum(mu * max(1 << 9, _last_level(M0))
+                        for mu, *_, M0 in levels)
     if work > MAX_WORK:
         raise ValueError(f"the mu-sum costs >= 2^{work.bit_length() - 1} nodes"
                          " (mu terms x (2 t_nodes - 1) fields x max(2^9, "
                          "last-level nodes)), over the work bound 2^48")
-    sizes = [fields * (32 * math.prod(box) + 64) for *_, box in levels]
+    sizes = [fields * (32 * math.prod(box) + 64) for *_, box, _ in levels]
     check_budget(max(sizes), budget_bytes,
                  "one mu term of 2 t_nodes - 1 twisted differences")
-    # a stack is a quarter of a batch: the engine's buffer, about twice its
-    # bytes at rho = 4 (16 bytes a node), and a copy of its live fields add
-    share = min(_CHUNK_BYTES, budget_bytes) // 4
+    # a stack and the engine's buffer of its fields (16 bytes a node of the
+    # first grid, where all are live) take half a batch; its copies the rest
+    share = min(_CHUNK_BYTES, budget_bytes) // 2
     kw = dict(tol=tol, rho=rho, budget_bytes=budget_bytes)
 
     def f_norm(entries):
@@ -668,13 +675,13 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
 
     fine_t = np.linspace(-np.pi, np.pi, fields)
     total, err = 0.0, 0.0
-    for l, ((mu_max, tilde, box), size) in enumerate(zip(levels, sizes)):
+    for l, ((mu_max, tilde, box, M0), size) in enumerate(zip(levels, sizes)):
         total += f_norm((n1,) * l + ent[:k - l]) - \
             f_norm((n1,) * l + ent[:k - l - 1] + (n1,))
         fld = fractional_coefficients(DilationVector(tilde + (n1,)),
                                       budget_bytes)
         base = l1_norm_field(fld, **kw).value
-        run = max(1, share // size)
+        run = max(1, share // (size + 16 * fields * math.prod(M0)))
         for mu0 in range(1, mu_max + 1, run):
             mu = np.arange(mu0, min(mu0 + run, mu_max + 1))
             h = n1 * (fine_t + 2.0 * np.pi * mu[:, None])

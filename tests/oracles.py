@@ -17,7 +17,9 @@ the reference for simplexleb.norms.frak_f, which computes the +mu half
 alone; stack_results gives the NormResult of each field of a stack that
 simplexleb.norms._field_norms refines together; frak_f_dense is the
 correction functional with neither the norm engine nor apply_delta, its
-norms dense Riemann sums on fixed grids.
+norms dense Riemann sums on fixed grids; r_series_unblocked is the nu-series
+of simplexleb.kernels._r_series with each nu chunk's product over all N
+points at once, the reference for its blocks of points.
 """
 
 import math
@@ -114,6 +116,31 @@ def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX) -> tuple:
                               np.array([x[-1]]), nu_max, _CHUNK_BYTES)[0])
     tail = 2.0 * points.shape[0] * abs(x[-1]) / (np.pi**2 * nu_max)
     return value, tail
+
+
+def r_series_unblocked(lam, phases, xd, nu_max, budget) -> np.ndarray:
+    """The nu-series of _r_series, its chunks of nu as _r_series takes them,
+    each one N x chunk product over every point."""
+    twisted = phases * np.exp(1j * np.outer(xd, lam))
+    value = 0.5 * np.sum(twisted + phases, axis=1)
+    base = phases.sum(axis=1)[:, None]
+    chunk = max(1, min(_CHUNK_BYTES, budget) // (16 * (len(lam) + len(xd))))
+    series = np.zeros(len(xd), dtype=np.complex128)
+
+    def term(snu):
+        diff = twisted @ np.exp(1j * np.outer(lam, 2.0 * np.pi * snu))
+        diff -= base
+        divisor = np.add.outer(xd, 2.0 * np.pi * snu)
+        divisor *= snu
+        diff /= divisor
+        return diff
+
+    for start in range(1, nu_max + 1, chunk):
+        nu = np.arange(start, min(start + chunk, nu_max + 1), dtype=float)
+        pair = term(nu)
+        pair += term(-nu)
+        series += pair.sum(axis=1)
+    return value - xd / (2.0 * np.pi * 1j) * series
 
 
 def I_n(alpha: AlphaSpec, n: int, tol: float = DEFAULT_TOL,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplexleb
-from simplexleb import irrational
+from simplexleb import irrational, norms
 from simplexleb.core import DilationVector, fractional_coefficients
 from simplexleb.irrational import (
     AlphaSpec,
@@ -22,6 +22,7 @@ from simplexleb.irrational import (
     fractional_parts,
     study_ratio,
 )
+from simplexleb.kernels import _CHUNK_BYTES
 from simplexleb.norms import l1_norm
 
 from oracles import I_n
@@ -169,6 +170,32 @@ class TestFractionalParts:
             want = [float(mpmath.frac(phi * k)) for k in ks]
         np.testing.assert_array_equal(got[ks], want)
 
+    @pytest.mark.parametrize("n", [8191, 8192, 3 * 8192 - 1, 3 * 8192])
+    def test_golden_block_edges_are_512_bit_values(self, n):
+        """k a is formed in blocks of 2^13 k: at each block's last and first
+        k, and with n at a block edge, the value is the 512-bit one."""
+        got = fractional_parts(AlphaSpec.golden(), n)
+        ks = sorted({min(k, n) for b in range(1, n // 8192 + 2)
+                     for k in (b * 8192 - 1, b * 8192)})
+        with mpmath.workprec(512):
+            phi = (1 + mpmath.sqrt(5)) / 2
+            want = [float(mpmath.frac(phi * k)) for k in ks]
+        np.testing.assert_array_equal(got[ks], want)
+
+    def test_golden_peak_memory(self):
+        """The uint64 limbs of k a come a block of 2^13 k at a time: beside
+        the n + 1 floats returned, fractional_parts(golden, 2^17) holds
+        under 1.5 MiB (tracemalloc: 1.0 MiB; 14.3 MiB with the limbs of
+        every k at once)."""
+        golden = AlphaSpec.golden()
+        tracemalloc.start()
+        try:
+            got = fractional_parts(golden, 1 << 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - got.nbytes <= 3 << 19
+
     @pytest.mark.parametrize("alpha", [AlphaSpec.golden(),
                                        AlphaSpec.from_rational(415, 93)],
                              ids=["golden", "rational"])
@@ -263,19 +290,31 @@ class TestIn:
         got = I_n(AlphaSpec.golden(), n).value
         assert got == pytest.approx(oracle, rel=1e-4)
 
-    def test_golden_norm_peak_memory(self):
-        """At n = 2^17 the fold (131220, r) holds a few batch-sized arrays
-        of 3 slices (6.3 MB complex each) at a time: the buffer, |v|, the
-        weights and their twisted copy (24.4 MiB of tracemalloc peak)."""
+    def test_golden_norm_peak_memory(self, monkeypatch):
+        """At n = 2^17 the fold (131220, r) has slices of 2.1 MB complex,
+        over _CHUNK_BYTES / 8: each is a batch of its own.  Beside the real
+        weights the norm holds that buffer, the |v| scratch and the modes'
+        indices, under two slices' bytes (tracemalloc: 3.5 MiB; 12.1 MiB
+        with batches of 3 slices, complex weights and a twist array)."""
         golden = AlphaSpec.golden()
         w = fractional_parts(golden, 1 << 17)
+        engine, shapes = norms.slice_batches, set()
+
+        def recorded(*args):
+            for fs, p, ns, w_sq, v in engine(*args):
+                shapes.add(v.shape)
+                yield fs, p, ns, w_sq, v
+        monkeypatch.setattr(norms, "slice_batches", recorded)
         tracemalloc.start()
         try:
             irrational._kernel_norm(golden, w, 1e-3, 4.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 36 << 20
+        (F,) = {shape[2] for shape in shapes}
+        assert 16 * F >= _CHUNK_BYTES // 8
+        assert {shape[:2] for shape in shapes} == {(1, 1)}
+        assert peak <= 2 * 16 * F
 
     @pytest.mark.parametrize("spec, m", [
         ("rational:355/113", 113), ("rational:7/3", 30),

@@ -8,13 +8,14 @@ import pytest
 import scipy.integrate
 
 from simplexleb.core import (
+    DEFAULT_BUDGET_BYTES,
     DilationVector,
     ResourceLimitError,
     build_lattice,
     fractional_coefficients,
     indicator_coefficients,
 )
-from simplexleb.kernels import apply_delta
+from simplexleb.kernels import _CHUNK_BYTES, _r_series, apply_delta
 from simplexleb import norms
 from simplexleb.norms import (
     MAX_DOUBLINGS,
@@ -34,7 +35,7 @@ from simplexleb.norms import (
 from simplexleb.cli import main as cli_main
 from simplexleb.core import CoefficientField
 from oracles import double_integral_ld2, frak_f_dense, frak_f_two_sided, \
-    grid_eval, stack_results, t_integral
+    grid_eval, r_series_unblocked, stack_results, t_integral
 from test_kernels import engine_values
 
 
@@ -201,9 +202,10 @@ class TestBudget:
     @pytest.mark.parametrize("entries", [(5.5, 30.25, 199.65),
                                          (5.5, 12.65, 24.035)])
     def test_frak_f_peak_within_the_budget(self, entries, budget):
-        """frak_f's stacks of twisted differences, each a quarter of a
-        batch, and the engine's batches under them peak at <= 1 budget
-        under tracemalloc (measured 0.24-0.97)."""
+        """frak_f's stacks of twisted differences, sized with the engine's
+        buffer of their fields to half a batch, and the engine's batches
+        under them peak at <= 1 budget under tracemalloc (measured
+        0.24-0.85; 0.24-0.97 with stacks of a quarter batch alone)."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -631,6 +633,16 @@ class TestFieldStack:
         assert len(exc.value.history) == MAX_DOUBLINGS + 1
         assert exc.value.history == alone.value.history
 
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_power_is_each_fields_vdot(self, s, real):
+        """sum |c|^2 of a stack is one reduction over it, bit for bit the
+        np.vdot of each field."""
+        fld, xi = _stack_inputs(s, real)
+        stack = apply_delta(fld, self.H, xi).weights
+        power = _field_norms(stack, "h{}".format, 1e-3, 4.0, 1 << 30)[3]
+        assert power.tolist() == [np.vdot(c, c).real for c in stack]
+
     def test_0d_moduli_are_python_abs(self):
         """The 0-dimensional stack of 𝔉²(5.5, ·), mu = 1..30 x 127 t nodes
         (3810 fields): each norm, compared as float hex, is Python's abs of
@@ -723,8 +735,9 @@ class TestVerifyIdentity:
                                * 5000)
 
     def test_budget_sizes_the_nu_chunks(self):
-        """At 1 MiB the nu-series chunks shrink: the run no longer holds the
-        8 MiB chunks (31 MB of tracemalloc peak) of the default budget."""
+        """At 1 MiB the nu-series chunks shrink (tracemalloc: 0.6 MiB), from
+        the 8 MiB chunks of the default budget (3.4 MiB, in blocks of
+        points; 19.5 MiB with N x chunk arrays)."""
         pts = np.random.default_rng(3).uniform(-math.pi, math.pi, (200, 2))
         tracemalloc.start()
         try:
@@ -734,6 +747,40 @@ class TestVerifyIdentity:
         finally:
             tracemalloc.stop()
         assert peak < 6 << 20
+
+    @pytest.mark.parametrize("budget, bound", [
+        (DEFAULT_BUDGET_BYTES, _CHUNK_BYTES), (1 << 20, 3 << 19)])
+    def test_nu_series_peak(self, budget, bound):
+        """verify (5, 9.5, 23) at 200 points to nu_max 8192: a nu chunk's
+        two phase tables and one block of points' product, divisor and pair
+        are held at once, so the run peaks under one chunk at the default
+        budget (tracemalloc: 5.8 MiB; 17.7 MiB with N x chunk arrays) and
+        under 1.5 budgets at 1 MiB (1.0 MiB; 2.5 MiB)."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verify_identity(DilationVector((5, 9.5, 23)), num_points=200,
+                            nu_max=8192, budget_bytes=budget)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 5, 33, 200])
+    def test_point_blocks_keep_the_series(self, points):
+        """Each nu chunk goes in blocks of (P' + N) / 8 >= 2 points (P' = 31
+        here); at every budget the series is, bit for bit, one N x chunk
+        product a chunk, also where a one-point tail joins the block before
+        it (N = 5: one block of 5; N = 33: blocks of 8, 8, 8 and 9), whose
+        one-row product numpy would sum in another order."""
+        lat = build_lattice(DilationVector((5, 9.5, 23)), 2)
+        pts = np.random.default_rng(points).uniform(-math.pi, math.pi,
+                                                    (points, 3))
+        phases = np.exp(1j * (pts[:, :2] @ lat.points.T))
+        args = lat.lambda_parts.value, phases, pts[:, 2], 2000
+        for budget in (DEFAULT_BUDGET_BYTES, 4 << 20, 1 << 20, 1 << 14):
+            assert _r_series(*args, budget).tobytes() == \
+                r_series_unblocked(*args, budget).tobytes()
 
     def test_budget_refused_before_points_are_drawn(self):
         """10^8 points would take 1.5 GiB: the budget refuses them from n
