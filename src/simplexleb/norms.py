@@ -30,13 +30,17 @@ It takes the x' modes and one of three slice-weight sources:
   The u axis never doubles, so a later level is the odd slices q alone.
 
 A source writes a batch's slice weights where the engine says:
-``weights(fs)(ns, out)``: into the transform buffer where the x' modes are
-its first P' nodes (every 2-D kernel and field, every fold), else into a
-P'-wide array the engine scatters.  Beside the buffer a batch holds |v| a
-block at a time in a scratch of _CHUNK_BYTES / 32 bytes, and at most one
-more P'-wide array of a closed form.  The transforms are pruned: x' axis j
-runs only on the columns where the axes after it still hold modes, since
-the zero columns transform to zeros.
+``weights(fs)(ns, out)``.  Where the x' modes are at most a quarter of a
+slice (4 P' <= prod M': at rho = 4 every d-kernel and every field of
+dimension >= 2), that is a P'-wide array of the batch's rows, which the
+transform buffer, about a quarter of a batch, takes in blocks; elsewhere
+(a fold, unless F >= 4K, and a batch that fits one block) it is the
+buffer itself where the x' modes are its first P' nodes, else the P'-wide
+array, which the engine scatters.  Beside these a batch holds |v| a block
+at a time in a scratch of _CHUNK_BYTES / 32 bytes, and at most one more
+P'-wide array of a closed form.  The transforms are pruned: x' axis j runs
+only on the columns where the axes after it still hold modes, since the
+zero columns transform to zeros.
 
 Its inputs carry a leading field axis: a stack of fields on one box, such
 as the twisted differences of a run of mu terms of the correction
@@ -250,47 +254,60 @@ def slice_batches(points: np.ndarray, weights, passes,
 
     ``weights(fs)(ns, out)`` writes the slice weights of the fields ``fs``
     at the x_s nodes ``ns`` into ``out``, shape (G, B, P'): the buffer's
-    first P' columns where the modes' flat indices on M' are 0..P'-1,
-    else a scratch array that is scattered into it: besides what the source
+    first P' columns where the modes' flat indices on M' are 0..P'-1 and
+    the batch is one transform block, else a P'-wide array that is copied
+    or scattered into the buffer a block at a time: besides what the source
     holds while it writes, the only arrays here that grow with a batch.
-    The buffer holds at most min(_CHUNK_BYTES, budget_bytes) of values on
-    the largest M', or one slice (the sources check it fits), and a slice of
+    A batch holds min(_CHUNK_BYTES, budget_bytes) of values on the largest
+    M', or one slice (the sources check it fits), and a slice of
     _CHUNK_BYTES / 8 or more alone, whose FFT dwarfs a batch's fixed cost:
     whole fields while two fit, else slices of one; each group runs every
-    pass.  Yields ``(fs, p, ns, w_sq, v)``: w_sq, shape (G, B), is sum |w|^2
-    per slice, and v, shape (G, B) + M', the inverse FFT of w in pass p, is
-    f / prod M' (callers scale their sums).  All batches share one buffer: v
-    is valid until the next batch."""
-    rest = max(math.prod(m_prime) for m_prime, *_ in passes)
-    rows = max(len(nodes) for *_, nodes in passes)
-    batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (rest * 16)) \
-        if rest * 128 < _CHUNK_BYTES else 1
+    pass.  Where the modes are at most a quarter of the largest slice
+    (4 P' <= prod M'), the buffer holds about a quarter of a batch, and
+    takes its G B (field, slice) rows in blocks of whole _abs_rows; else it
+    holds the whole batch.  Yields ``(fs, p, ns, w_sq, rows, v)`` a block:
+    w_sq, shape (G, B), is sum |w|^2 per slice of the batch, and v, shape
+    (len(rows),) + M', the inverse FFT of the weights of its rows ``rows``
+    (a slice of the G B rows, field-major) in pass p, is f / prod M'
+    (callers scale their sums).  All blocks share one buffer: v is valid
+    until the next block."""
+    rests = [math.prod(m_prime) for m_prime, *_ in passes]
+    top, rows = max(rests), max(len(nodes) for *_, nodes in passes)
+    batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (top * 16)) \
+        if top * 128 < _CHUNK_BYTES else 1
     group = max(1, batch // rows)
     size = min(group, fields) * min(batch, rows)
-    buf = np.empty(size * rest, complex)
     extents = (points.max(axis=0) + 1).tolist()
     modes, scratch, flip = len(points), None, extents == [len(points)]
+    quarter = size * top // 4 if 4 * modes <= top else None
+
+    def block_rows(rest):  # a batch's rows a block transforms on rest nodes
+        unit = _abs_rows(rest)
+        return size if quarter is None else \
+            max(unit, quarter // rest // unit * unit)
+    buf = np.empty(max(min(block_rows(r), size) * r for r in rests), complex)
     # the origin twist (-1)^{sum k}, times e^{i pi sum_j shift_j k_j / M'_j}
     origin = 1.0 if flip else _origin_twist(points.sum(axis=1))
     for f0 in range(0, fields, group):
         fs = slice(f0, min(f0 + group, fields))
         group_weights = weights(fs)
         for p, (m_prime, shift, nodes) in enumerate(passes):
-            rest = math.prod(m_prime)
+            rest, step = rests[p], block_rows(rests[p])
             # modes that fill their box, with M'[1:] trailing: flat 0..P'-1
             run = modes == math.prod(extents) and extents[1:] == [*m_prime[1:]]
             if not run:
                 flat = np.ravel_multi_index(tuple(points.T), m_prime)
-                if scratch is None:
-                    scratch = np.empty(size * modes, complex)
             twist = origin * np.exp(1j * np.pi * (
                 points @ np.divide(shift, m_prime))) if any(shift) else origin
             for start in range(0, len(nodes), batch):
                 ns = nodes[start:start + batch]
                 g, b = fs.stop - fs.start, len(ns)
-                v = buf[:g * b * rest].reshape(g, b, rest)
-                w = v[..., :modes] if run else \
-                    scratch[:g * b * modes].reshape(g, b, modes)
+                # the weights in the buffer, or in their own array
+                own = not run or step < g * b
+                if own and scratch is None:
+                    scratch = np.empty(size * modes, complex)
+                w = scratch[:g * b * modes].reshape(g, b, modes) if own else \
+                    buf[:g * b * rest].reshape(g, b, rest)[..., :modes]
                 group_weights(ns, w)
                 w_sq = np.einsum("ijk,ijk->ij", w.real, w.real) + \
                     np.einsum("ijk,ijk->ij", w.imag, w.imag)
@@ -298,18 +315,33 @@ def slice_batches(points: np.ndarray, weights, passes,
                     w *= twist
                 if flip:  # (-1)^k on one x' axis of the modes 0..P'-1
                     np.negative(w[..., 1::2], out=w[..., 1::2])
-                if run:
-                    v[..., modes:] = 0.0
-                else:
-                    v.fill(0.0)
-                    v.reshape(g * b, rest)[:, flat] = w.reshape(g * b, -1)
-                v = v.reshape((g, b) + m_prime)
-                # x' axis j, on the columns where the axes after it hold modes
-                for j in range(len(m_prime)):
-                    part = v[(slice(None),) * (j + 3)
-                             + tuple(map(slice, extents[j + 1:]))]
-                    np.fft.ifft(part, axis=j + 2, out=part)
-                yield fs, p, ns, w_sq, v
+                w = w.reshape(g * b, modes)
+                for r in range(0, g * b, step):
+                    block = slice(r, min(r + step, g * b))
+                    v = buf[:(block.stop - r) * rest].reshape(-1, rest)
+                    if run:
+                        if own:
+                            v[:, :modes] = w[block]
+                        v[:, modes:] = 0.0
+                    else:
+                        v.fill(0.0)
+                        v[:, flat] = w[block]
+                    v = v.reshape((-1,) + m_prime)
+                    # x' axis j, on the columns where the axes after it hold
+                    # modes
+                    for j in range(len(m_prime)):
+                        part = v[(slice(None),) * (j + 2)
+                                 + tuple(map(slice, extents[j + 1:]))]
+                        np.fft.ifft(part, axis=j + 1, out=part)
+                    yield fs, p, ns, w_sq, block, v
+
+
+def _abs_rows(rest: int) -> int:
+    """The rows of an x' grid of ``rest`` nodes whose |v| _slice_abs_sums
+    takes at once: _CHUNK_BYTES / 256 values, or one row in parts of that
+    many.  A transform block holds whole such blocks of its batch: numpy
+    sums a block of one row in another order."""
+    return max(1, _CHUNK_BYTES // 256 // rest)
 
 
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
@@ -404,27 +436,33 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, name, live,
     named ``name(i)``) over the grid M, or over the nodes its half grid
     ``half`` lacks, from the slice engine (for a Hermitian f the x_s nodes
     t <= M_s / 2), with the exact Parseval identity checked on every
-    computed x_s slice.  |v| goes a block at a time to one reused scratch of
-    at most _CHUNK_BYTES / 32; the slices' multiplicities weight their sums."""
+    computed x_s slice.  |v| goes a block of _abs_rows at a time to one
+    reused scratch of at most _CHUNK_BYTES / 32; a batch's per-slice sums
+    gather its transform blocks, and the slices' multiplicities weight them.
+    """
     m, passes = M[-1], _passes(M, half)
     if hermitian:
         passes = [(mp, shift, ns[:(m // 2 - ns.start) // ns.step + 1])
                   for mp, shift, ns in passes]
     sum_abs, sum_sq = np.zeros((2, len(live)))
-    scratch = None
-    for fs, p, ns, w_sq, v in slice_batches(points, weights, passes,
-                                            budget_bytes, len(live)):
+    scratch = np.empty(0)
+    for fs, p, ns, w_sq, rows, v in slice_batches(points, weights, passes,
+                                                  budget_bytes, len(live)):
         rest = math.prod(passes[p][0])
-        if scratch is None:  # the first batch is the largest
-            scratch = np.empty(min(_CHUNK_BYTES // 256, v.size))
+        if not rows.start:
+            sums = np.zeros((2, w_sq.size))
         # |v| in blocks of whole x_s slices, or of parts of one
-        rows, sums = v.reshape(-1, rest), np.zeros((2, v.size // rest))
-        step, cols = max(1, len(scratch) // rest), min(rest, len(scratch))
-        for r, c in itertools.product(range(0, len(rows), step),
+        v, part = v.reshape(-1, rest), sums[:, rows]
+        step, cols = _abs_rows(rest), min(rest, _CHUNK_BYTES // 256)
+        if len(scratch) < min(step, len(v)) * cols:
+            scratch = np.empty(min(step, len(v)) * cols)
+        for r, c in itertools.product(range(0, len(v), step),
                                       range(0, rest, cols)):
-            block = rows[r:r + step, c:c + cols]
+            block = v[r:r + step, c:c + cols]
             av = np.abs(block, out=scratch[:block.size].reshape(block.shape))
-            sums[:, r:r + step] += av.sum(1), np.einsum("ij,ij->i", av, av)
+            part[:, r:r + step] += av.sum(1), np.einsum("ij,ij->i", av, av)
+        if rows.stop < w_sq.size:
+            continue
         # (1 / prod M') sum_x' |f|^2 per slice, with |f| = prod M' |v|,
         # against sum |w|^2
         slice_abs, power = sums.reshape((2,) + w_sq.shape)

@@ -127,6 +127,25 @@ class TestNormCommand:
         want = l1_norm("D", DilationVector((7.3, 19.6)))
         assert json.loads(out)["value"] == want.value
 
+    @pytest.mark.parametrize("budget_mb", [4, 16])
+    @pytest.mark.parametrize("n", ["256,256", "16,32,64"])
+    def test_d_peak_within_the_budget(self, capsys, n, budget_mb):
+        """A D norm holds its batch's weights and a transform buffer of
+        about a quarter batch: the tracemalloc peak of the whole command is
+        <= --budget-mb (measured 3.2-3.4 and 1.6-1.8 MiB at 4 MiB, 5.3-5.5
+        and 2.7-2.9 MiB at 16 MiB; 5.3, 4.7, 9.5 and 8.9 MiB with a buffer
+        of whole batches)."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code, _, _ = run(capsys, "norm", "--kernel", "D", "--n", n,
+                             "--budget-mb", str(budget_mb))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= budget_mb << 20
+
     def test_output_embeds_config_and_conventions(self, capsys):
         _, out, _ = run(capsys, "norm", "--kernel", "D", "--n", "2,3")
         doc = json.loads(out)

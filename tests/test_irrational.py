@@ -301,9 +301,9 @@ class TestIn:
         engine, shapes = norms.slice_batches, set()
 
         def recorded(*args):
-            for fs, p, ns, w_sq, v in engine(*args):
-                shapes.add(v.shape)
-                yield fs, p, ns, w_sq, v
+            for fs, p, ns, w_sq, rows, v in engine(*args):
+                shapes.add((w_sq.shape, (rows.start, rows.stop), v.shape))
+                yield fs, p, ns, w_sq, rows, v
         monkeypatch.setattr(norms, "slice_batches", recorded)
         tracemalloc.start()
         try:
@@ -311,9 +311,10 @@ class TestIn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (F,) = {shape[2] for shape in shapes}
+        (F,) = {shape[1] for *_, shape in shapes}
         assert 16 * F >= _CHUNK_BYTES // 8
-        assert {shape[:2] for shape in shapes} == {(1, 1)}
+        assert {(batch, rows, shape[0]) for batch, rows, shape in shapes} == \
+            {((1, 1), (0, 1), 1)}
         assert peak <= 2 * 16 * F
 
     @pytest.mark.parametrize("spec, m", [

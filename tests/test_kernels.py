@@ -54,11 +54,12 @@ from oracles import (
 
 
 def engine_values(points, weights, M, budget_bytes=1 << 30):
-    """The slice engine's values of a one-field stack on the grid M; each
-    batch is copied, since the engine reuses its buffer for the next."""
-    batches = slice_batches(points, weights, _passes(M),
-                            budget_bytes=budget_bytes)
-    v = np.concatenate([v[0].copy() for *_, v in batches])
+    """The slice engine's values of a one-field stack on the grid M: its
+    blocks' rows are the x_s slices in order; each block is copied, since
+    the engine reuses its buffer for the next."""
+    blocks = slice_batches(points, weights, _passes(M),
+                           budget_bytes=budget_bytes)
+    v = np.concatenate([v.copy() for *_, v in blocks])
     v = v.reshape((M[-1],) + tuple(M[:-1]))
     return np.moveaxis(v, 0, -1) * math.prod(M[:-1])
 
@@ -66,14 +67,17 @@ def engine_values(points, weights, M, budget_bytes=1 << 30):
 def folded_values(weights, m, budget_bytes=1 << 30):
     """The slice engine's values of a stack of 1-D fields (H, K) on the grid
     m, shape (H, m), from their fold (F, m / F): node t = q + r u is node u
-    of the x_s slice q."""
+    of the x_s slice q; row r of a batch is field fs.start + r // len(ns) at
+    the node ns[r % len(ns)]."""
     F = _fold(weights.shape[1], m)
     M = (F, m // F)
     points, source, _ = _folded_source(weights, M, budget_bytes)
     values = np.empty((len(weights),) + M, dtype=complex)
-    for fs, _, ns, _, v in slice_batches(points, source, _passes(M),
-                                         budget_bytes, len(weights)):
-        values[fs, :, ns.start:ns.stop:ns.step] = np.moveaxis(v, 1, 2) * F
+    for fs, _, ns, _, rows, v in slice_batches(points, source, _passes(M),
+                                               budget_bytes, len(weights)):
+        r = np.arange(rows.start, rows.stop)
+        values[fs.start + r // len(ns), :,
+               np.array(ns)[r % len(ns)]] = v * F
     return values.reshape(len(weights), m)
 
 
@@ -534,14 +538,14 @@ class TestNestedPasses:
         # one batch, then batches of three x_s nodes
         for budget in (1 << 30, 3 * 16 * math.prod(M[:-1])):
             count = np.zeros(dense.shape, dtype=int)
-            for _, p, ns, _, v in slice_batches(points, weights, passes,
-                                                budget_bytes=budget):
+            for _, p, ns, _, rows, v in slice_batches(
+                    points, weights, passes, budget_bytes=budget):
                 m_prime, shift, _ = passes[p]
                 nodes = tuple(slice(None) if k == full else slice(a, None, 2)
                               for k, full, a in zip(m_prime, M, shift))
-                nodes += (list(ns),)
+                nodes += (list(ns[rows]),)
                 want = np.moveaxis(dense[nodes], -1, 0)
-                got = v[0] * math.prod(m_prime)
+                got = v * math.prod(m_prime)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(dense).max()
                 count[nodes] += 1
             assert (count == ~old).all()
@@ -612,7 +616,8 @@ class TestFold:
         M, budget = (F, m // F), 2 * 16 * F
         assert 16 * 201 * M[1] > budget
         points, source, _ = _folded_source(weights, M, budget)
-        for *_, w, v in slice_batches(points, source, _passes(M), budget):
+        for *_, w, _, v in slice_batches(points, source, _passes(M),
+                                         budget):
             assert max(w.nbytes, v.nbytes) <= budget
         dense = grid_eval(CoefficientField(weights=weights[0]), (m,)).values
         got = folded_values(weights, m, budget)[0]
@@ -655,10 +660,11 @@ class TestFold:
         points, source, _ = _folded_source(weights, (F, r), 1 << 30)
         dense = grid_eval(CoefficientField(weights=weights[0]),
                           (F * r,)).values.reshape(F, r)
-        for fs, p, ns, w, v in slice_batches(
+        for fs, p, ns, w, rows, v in slice_batches(
                 points, source, _passes((F, r), (F, r // 2))):
             assert p == 0 and list(ns) == list(range(1, r, 2))
-            got = np.moveaxis(v[0], 0, 1) * F
+            assert rows == slice(0, len(ns))
+            got = np.moveaxis(v, 0, 1) * F
             assert np.abs(got - dense[:, 1::2]).max() <= \
                 1e-12 * np.abs(dense).max()
 
