@@ -255,22 +255,20 @@ def slice_batches(points: np.ndarray, weights, passes,
     ``weights(fs)(ns, out)`` writes the slice weights of the fields ``fs``
     at the x_s nodes ``ns`` into ``out``, shape (G, B, P'): the buffer's
     first P' columns where the modes' flat indices on M' are 0..P'-1 and
-    the batch is one transform block, else a P'-wide array that is copied
-    or scattered into the buffer a block at a time: besides what the source
-    holds while it writes, the only arrays here that grow with a batch.
-    A batch holds min(_CHUNK_BYTES, budget_bytes) of values on the largest
-    M', or one slice (the sources check it fits), and a slice of
-    _CHUNK_BYTES / 8 or more alone, whose FFT dwarfs a batch's fixed cost:
-    whole fields while two fit, else slices of one; each group runs every
-    pass.  Where the modes are at most a quarter of the largest slice
-    (4 P' <= prod M'), the buffer holds about a quarter of a batch, and
-    takes its G B (field, slice) rows in blocks of whole _abs_rows; else it
-    holds the whole batch.  Yields ``(fs, p, ns, w_sq, rows, v)`` a block:
-    w_sq, shape (G, B), is sum |w|^2 per slice of the batch, and v, shape
-    (len(rows),) + M', the inverse FFT of the weights of its rows ``rows``
-    (a slice of the G B rows, field-major) in pass p, is f / prod M'
-    (callers scale their sums).  All blocks share one buffer: v is valid
-    until the next block."""
+    the batch is one block, else a P'-wide array copied or scattered into
+    the buffer a block at a time: besides what the source holds while it
+    writes, the only arrays here that grow with a batch.  A batch holds
+    min(_CHUNK_BYTES, budget_bytes) of values on the largest M', or one
+    slice (the sources check it fits), and a slice of _CHUNK_BYTES / 8 or
+    more alone, whose FFT dwarfs a batch's fixed cost: whole fields while
+    two fit, else slices of one; each group runs every pass.  Where
+    4 P' <= prod M' on the largest M', the buffer holds about a quarter of
+    a batch, in whole _abs_rows; else a whole batch.  Yields ``(fs, p, ns,
+    w_sq, rows, v)`` a block: w_sq, shape (G, B), is sum |w|^2 per slice of
+    the batch, and v, shape (len(rows),) + M', the inverse FFT in pass p of
+    the batch's (field, slice) rows ``rows`` (a slice of its G B rows), is
+    f / prod M' (callers scale their sums).  All blocks share one buffer: v
+    is valid until the next block."""
     rests = [math.prod(m_prime) for m_prime, *_ in passes]
     top, rows = max(rests), max(len(nodes) for *_, nodes in passes)
     batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (top * 16)) \
@@ -337,10 +335,9 @@ def slice_batches(points: np.ndarray, weights, passes,
 
 
 def _abs_rows(rest: int) -> int:
-    """The rows of an x' grid of ``rest`` nodes whose |v| _slice_abs_sums
-    takes at once: _CHUNK_BYTES / 256 values, or one row in parts of that
-    many.  A transform block holds whole such blocks of its batch: numpy
-    sums a block of one row in another order."""
+    """The rows of ``rest`` values whose |v| _slice_abs_sums takes at once:
+    _CHUNK_BYTES / 256 values, or one row in parts.  A transform block holds
+    whole such blocks, since numpy sums a block of one row in another order."""
     return max(1, _CHUNK_BYTES // 256 // rest)
 
 
