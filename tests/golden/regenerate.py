@@ -40,11 +40,11 @@ COMMANDS = {
     "verify-5-9.5-23": ["verify", "--n", "5,9.5,23", "--points", "200",
                         "--seed", "7"],
 }
-# the benchmark's grid-d and slice-r norms, but for the two that take
-# seconds: D(256, 256) and D(384, 384)
+# the benchmark's grid-d and slice-r norms
 COMMANDS |= {f"norm-{kernel}-{n.replace(',', '-')}":
              ["norm", "--kernel", kernel, "--n", n] for kernel, n in [
                  ("D", "16,32,64"), ("D", "7,29"), ("D", "64,4096"),
+                 ("D", "256,256"), ("D", "384,384"),
                  ("R", "7.3,19.6"),
                  ("R", "10.5,30.2"), ("R", "5,9.5,23"),
                  ("S", "48.5,3000.7"), ("Fcomposite", "48.5,3000.7"),
