@@ -29,15 +29,12 @@ It takes the x' modes and one of three slice-weight sources:
   F-point transform of the modes k with weights c_k e^{2 pi i k q / M}.
   The u axis never doubles, so a later level is the odd slices q alone.
 
-A source writes a batch's slice weights where the engine says:
-``weights(fs)(ns, out)``.  Where the x' modes are at most a quarter of a
-slice (4 P' <= prod M': at rho = 4 every d-kernel and every field of
-dimension >= 2), that is a P'-wide array of the batch's rows, which the
-transform buffer, about a quarter of a batch, takes in blocks; elsewhere
-(a fold, unless F >= 4K, and a batch that fits one block) it is the
-buffer itself where the x' modes are its first P' nodes, else the P'-wide
-array, which the engine scatters.  Beside these a batch holds |v| a block
-at a time in a scratch of _CHUNK_BYTES / 32 bytes, and at most one more
+A source writes a batch's slice weights where the engine says,
+``weights(fs)(ns, out)``: into the transform buffer where the x' modes are
+its first P' columns and fill over a quarter of a slice (at rho = 4, a
+fold unless F >= 4K), else into a P'-wide array that a buffer of about a
+quarter batch takes in blocks.  Beside these a batch holds |v| a block at
+a time in a scratch of _CHUNK_BYTES / 32 bytes, and at most one more
 P'-wide array of a closed form.  The transforms are pruned: x' axis j runs
 only on the columns where the axes after it still hold modes, since the
 zero columns transform to zeros.
@@ -252,21 +249,23 @@ def slice_batches(points: np.ndarray, weights, passes,
     (M', shift, nodes) asks for the x_s nodes ``nodes`` (a range) on the x'
     grid M', its nodes moved half a cell on the axes where shift is 1.
 
-    ``weights(fs)(ns, out)`` writes the slice weights of the fields ``fs``
-    at the x_s nodes ``ns`` into ``out``, shape (G, B, P'): the buffer's
-    first P' columns where the modes' flat indices on M' are 0..P'-1 and
-    the batch is one block, else a P'-wide array copied or scattered into
-    the buffer a block at a time: besides what the source holds while it
-    writes, the only arrays here that grow with a batch.  A batch holds
-    min(_CHUNK_BYTES, budget_bytes) of values on the largest M', or one
-    slice (the sources check it fits), and a slice of _CHUNK_BYTES / 8 or
-    more alone, whose FFT dwarfs a batch's fixed cost: whole fields while
-    two fit, else slices of one; each group runs every pass.  Where
-    4 P' <= prod M' on the largest M', the buffer holds about a quarter of
-    a batch, in whole _abs_rows; else a whole batch.  Yields ``(fs, p, ns,
-    w_sq, rows, v)`` a block: w_sq, shape (G, B), is sum |w|^2 per slice of
-    the batch, and v, shape (len(rows),) + M', the inverse FFT in pass p of
-    the batch's (field, slice) rows ``rows`` (a slice of its G B rows), is
+    A batch holds min(_CHUNK_BYTES, budget_bytes) of values on the largest
+    M', or one slice (the sources check it fits), and a slice of
+    _CHUNK_BYTES / 8 or more alone, whose FFT dwarfs a batch's fixed cost:
+    whole fields while two fit, else slices of one; each group runs every
+    pass.  ``weights(fs)(ns, out)`` writes the slice weights of the fields
+    ``fs`` at the x_s nodes ``ns`` into ``out``, shape (G, B, P'), in one
+    of two homes, chosen once a call.  Where the modes are 0..P'-1 of one
+    axis and fill more than a quarter of the largest slice (4 P' > prod
+    M'), it is the first P' columns of the transform buffer, which holds a
+    whole batch.  Elsewhere it is a P'-wide array of a batch's rows, copied
+    (one axis) or scattered into the buffer a block at a time; a block is a
+    quarter of a batch's values on the largest M', in whole rows, at least
+    one.  Besides what the source holds while it writes, these are the only
+    arrays here that grow with a batch.  Yields ``(fs, p, ns, w_sq, rows,
+    v)`` a block: w_sq, shape (G, B), is sum |w|^2 per slice of the batch,
+    and v, shape (len(rows),) + M', the inverse FFT in pass p of the
+    batch's (field, slice) rows ``rows`` (a slice of its G B rows), is
     f / prod M' (callers scale their sums).  All blocks share one buffer: v
     is valid until the next block."""
     rests = [math.prod(m_prime) for m_prime, *_ in passes]
@@ -276,36 +275,28 @@ def slice_batches(points: np.ndarray, weights, passes,
     group = max(1, batch // rows)
     size = min(group, fields) * min(batch, rows)
     extents = (points.max(axis=0) + 1).tolist()
-    modes, scratch, flip = len(points), None, extents == [len(points)]
-    quarter = size * top // 4 if 4 * modes <= top else None
-
-    def block_rows(rest):  # a batch's rows a block transforms on rest nodes
-        unit = _abs_rows(rest)
-        return size if quarter is None else \
-            max(unit, quarter // rest // unit * unit)
-    buf = np.empty(max(min(block_rows(r), size) * r for r in rests), complex)
+    modes, flip = len(points), extents == [len(points)]
+    own = None if flip and 4 * modes > top else \
+        np.empty(size * modes, complex)
+    steps = [size if own is None else min(size, max(1, size * top // 4 // r))
+             for r in rests]
+    buf = np.empty(max(map(math.prod, zip(steps, rests))), complex)
     # the origin twist (-1)^{sum k}, times e^{i pi sum_j shift_j k_j / M'_j}
     origin = 1.0 if flip else _origin_twist(points.sum(axis=1))
     for f0 in range(0, fields, group):
         fs = slice(f0, min(f0 + group, fields))
         group_weights = weights(fs)
         for p, (m_prime, shift, nodes) in enumerate(passes):
-            rest, step = rests[p], block_rows(rests[p])
-            # modes that fill their box, with M'[1:] trailing: flat 0..P'-1
-            run = modes == math.prod(extents) and extents[1:] == [*m_prime[1:]]
-            if not run:
-                flat = np.ravel_multi_index(tuple(points.T), m_prime)
+            rest, step = rests[p], steps[p]
+            cols = slice(modes) if flip else \
+                np.ravel_multi_index(tuple(points.T), m_prime)
             twist = origin * np.exp(1j * np.pi * (
                 points @ np.divide(shift, m_prime))) if any(shift) else origin
             for start in range(0, len(nodes), batch):
                 ns = nodes[start:start + batch]
                 g, b = fs.stop - fs.start, len(ns)
-                # the weights in the buffer, or in their own array
-                own = not run or step < g * b
-                if own and scratch is None:
-                    scratch = np.empty(size * modes, complex)
-                w = scratch[:g * b * modes].reshape(g, b, modes) if own else \
-                    buf[:g * b * rest].reshape(g, b, rest)[..., :modes]
+                w = buf[:g * b * rest].reshape(g, b, rest)[..., :modes] \
+                    if own is None else own[:g * b * modes].reshape(g, b, modes)
                 group_weights(ns, w)
                 w_sq = np.einsum("ijk,ijk->ij", w.real, w.real) + \
                     np.einsum("ijk,ijk->ij", w.imag, w.imag)
@@ -317,13 +308,9 @@ def slice_batches(points: np.ndarray, weights, passes,
                 for r in range(0, g * b, step):
                     block = slice(r, min(r + step, g * b))
                     v = buf[:(block.stop - r) * rest].reshape(-1, rest)
-                    if run:
-                        if own:
-                            v[:, :modes] = w[block]
-                        v[:, modes:] = 0.0
-                    else:
-                        v.fill(0.0)
-                        v[:, flat] = w[block]
+                    v[:, modes if flip else 0:] = 0.0
+                    if own is not None:
+                        v[:, cols] = w[block]
                     v = v.reshape((-1,) + m_prime)
                     # x' axis j, on the columns where the axes after it hold
                     # modes
@@ -332,13 +319,6 @@ def slice_batches(points: np.ndarray, weights, passes,
                                  + tuple(map(slice, extents[j + 1:]))]
                         np.fft.ifft(part, axis=j + 1, out=part)
                     yield fs, p, ns, w_sq, block, v
-
-
-def _abs_rows(rest: int) -> int:
-    """The rows of ``rest`` values whose |v| _slice_abs_sums takes at once:
-    _CHUNK_BYTES / 256 values, or one row in parts.  A transform block holds
-    whole such blocks, since numpy sums a block of one row in another order."""
-    return max(1, _CHUNK_BYTES // 256 // rest)
 
 
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
@@ -433,9 +413,13 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, name, live,
     named ``name(i)``) over the grid M, or over the nodes its half grid
     ``half`` lacks, from the slice engine (for a Hermitian f the x_s nodes
     t <= M_s / 2), with the exact Parseval identity checked on every
-    computed x_s slice.  |v| goes a block of _abs_rows at a time to one
-    reused scratch of at most _CHUNK_BYTES / 32; a batch's per-slice sums
-    gather its transform blocks, and the slices' multiplicities weight them.
+    computed x_s slice.  |v| goes a block at a time to one reused scratch
+    of at most _CHUNK_BYTES / 32 bytes: _CHUNK_BYTES / 256 values in whole
+    x_s slices, or in parts of one.  numpy sums each row of a block alone,
+    in the same order whatever the block's rows, so only the power sum
+    |v|^2, which the checks alone read, depends on the blocks.  A batch's
+    per-slice sums gather its transform blocks, and the slices'
+    multiplicities weight them.
     """
     m, passes = M[-1], _passes(M, half)
     if hermitian:
@@ -450,7 +434,8 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, name, live,
             sums = np.zeros((2, w_sq.size))
         # |v| in blocks of whole x_s slices, or of parts of one
         v, part = v.reshape(-1, rest), sums[:, rows]
-        step, cols = _abs_rows(rest), min(rest, _CHUNK_BYTES // 256)
+        step = max(1, _CHUNK_BYTES // 256 // rest)
+        cols = min(rest, _CHUNK_BYTES // 256)
         if len(scratch) < min(step, len(v)) * cols:
             scratch = np.empty(min(step, len(v)) * cols)
         for r, c in itertools.product(range(0, len(v), step),

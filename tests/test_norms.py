@@ -161,6 +161,7 @@ class TestBudget:
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         fld = CoefficientField(weights=(np.arange(2001) * phi % 1.0)
                                .astype(complex))
+        shared = _weight_homes(monkeypatch)
         engine, batch = norms.slice_batches, [0]
 
         def sized(*args):
@@ -177,8 +178,33 @@ class TestBudget:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert shared and all(shared)
         assert batch[0] > 3 * fld.weights.nbytes
         assert peak - fld.weights.nbytes <= (1 + 1 / 32 + 1 / 4) * batch[0]
+
+    @pytest.mark.parametrize("entries", [(7.0, 29.0), (64.0, 4096.0)])
+    def test_d_kernel_weights_keep_their_own_array(self, monkeypatch,
+                                                   entries):
+        """Where the x' modes fill at most a quarter of the largest slice,
+        every batch's weights go into their own array, never the transform
+        buffer: also a batch that fits one block (every batch of D(7, 29),
+        the last batches of D(64, 4096))."""
+        shared = _weight_homes(monkeypatch)
+        l1_norm("D", DilationVector(entries))
+        assert shared and not any(shared)
+
+    def test_box_with_trailing_grid_extents_keeps_its_bits(self):
+        """F(2.5, 3.7, 4.2, 23) at rho = 1: on the first grid (3, 4, 5) the
+        x' modes fill the box (3, 4), whose trailing extent is M'_2; they
+        are scattered like any other box's, with the bits of a copy of
+        their flat indices 0..P'-1."""
+        res = l1_norm("F", DilationVector((2.5, 3.7, 4.2, 23.0)), rho=1.0)
+        assert res.grid == (12, 16, 20)
+        assert res.value.hex() == "0x1.bb77129c01984p+8"
+        assert [(m, v.hex()) for m, v in res.history] == [
+            ((3, 4, 5), "0x1.c2d5da9c7d4f6p+8"),
+            ((6, 8, 10), "0x1.bba30b41e17b1p+8"),
+            ((12, 16, 20), "0x1.bb77129c01984p+8")]
 
     @pytest.mark.parametrize("kernel, entries", [
         ("D", (64.0, 64.0)), ("D", (16.0, 32.0, 64.0)),
@@ -212,8 +238,7 @@ class TestBudget:
         each batch's weights keep their rows, min(_CHUNK_BYTES, budget) /
         (16 prod M') on the largest M' of a call, and the buffer transforms
         them in blocks of at most a quarter of min(_CHUNK_BYTES, budget),
-        each whole |v| blocks of the batch's rows (the last ends the
-        batch), with the value bit for bit."""
+        with the value bit for bit."""
         engine, calls = norms.slice_batches, []
 
         def spied(points, weights, passes, *args):
@@ -222,8 +247,7 @@ class TestBudget:
             calls.append((passes, shapes, blocks))
             for fs, p, ns, w_sq, rows, v in engine(points, spy, passes,
                                                    *args):
-                blocks.append((math.prod(passes[p][0]), w_sq.size, rows,
-                               v.nbytes))
+                blocks.append((rows, v.nbytes))
                 yield fs, p, ns, w_sq, rows, v
         monkeypatch.setattr(norms, "slice_batches", spied)
         n = DilationVector((64.0, 4096.0))
@@ -234,14 +258,26 @@ class TestBudget:
             assert {shape[0] for shape in shapes} == {1}
             assert max(shape[1] for shape in shapes) == min(
                 chunk // (16 * top), max(len(ns) for *_, ns in passes))
-            for rest, size, rows, nbytes in blocks:
+            for rows, nbytes in blocks:
                 assert nbytes <= chunk // 4
-                unit = norms._abs_rows(rest)
-                assert rows.start % unit == 0
-                assert rows.stop % unit == 0 or rows.stop == size
                 split += rows.start > 0
         assert split
         assert res.value == value
+
+    @pytest.mark.parametrize("width", [1029, 1056, 1540, 4116, 6160, 8232,
+                                       12320, 16896, 32768])
+    def test_row_sums_do_not_depend_on_the_block(self, width):
+        """What keeps values from depending on the transform blocks: each
+        row of np.abs(v).sum(1), at the slice widths of the benchmark's
+        norms, is that row summed alone, bit for bit, for 1, 2, 3 and 10
+        rows, contiguous and as a column part of a wider array."""
+        rng = np.random.default_rng(width)
+        wide = np.abs(rng.standard_normal((10, width + 5))
+                      + 1j * rng.standard_normal((10, width + 5)))
+        for rows in (1, 2, 3, 10):
+            for av in (np.ascontiguousarray(wide[:rows, :width]),
+                       wide[:rows, 3:3 + width]):
+                assert av.sum(1).tolist() == [row.sum() for row in av]
 
     @pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
     @pytest.mark.parametrize("entries", [(5.5, 30.25, 199.65),
@@ -337,6 +373,28 @@ class TestWorkBound:
         monkeypatch.setattr(norms, "MAX_WORK", work - 1)
         with pytest.raises(ValueError, match="work bound"):
             frak_f(k, DilationVector(entries), t_nodes=4)
+
+
+def _weight_homes(monkeypatch) -> list:
+    """Patch the engine to record, for each block it yields, whether the
+    array its weight source last wrote shares memory with the block."""
+    engine, shared = norms.slice_batches, []
+
+    def spied(points, weights, *args):
+        out = [None]
+
+        def spy(fs):
+            group_weights = weights(fs)
+
+            def rows(ns, w):
+                out[0] = w
+                group_weights(ns, w)
+            return rows
+        for block in engine(points, spy, *args):
+            shared.append(np.shares_memory(out[0], block[-1]))
+            yield block
+    monkeypatch.setattr(norms, "slice_batches", spied)
+    return shared
 
 
 def _spied(weights):
