@@ -132,9 +132,9 @@ class TestNormCommand:
     def test_d_peak_within_the_budget(self, capsys, n, budget_mb):
         """A D norm holds its batch's weights and a transform buffer of
         about a quarter batch: the tracemalloc peak of the whole command is
-        <= --budget-mb (measured 3.2-3.4 and 1.6-1.8 MiB at 4 MiB, 5.3-5.5
-        and 2.7-2.9 MiB at 16 MiB; 5.3, 4.7, 9.5 and 8.9 MiB with a buffer
-        of whole batches)."""
+        <= --budget-mb (measured 3.2-3.5 and 1.7 MiB at 4 MiB, 5.4 and
+        2.9 MiB at 16 MiB; 5.3, 4.7, 9.5 and 8.9 MiB with a buffer of whole
+        batches)."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -214,7 +214,7 @@ class TestBudget:
         most a quarter of a slice, holds its weights in one P'-wide array
         and transforms them through a buffer of about a quarter batch; the
         |v| scratch is _CHUNK_BYTES / 32.  A whole norm peaks at <= 1 budget
-        under tracemalloc (0.48-0.82; 1.26-1.38 with a buffer of the whole
+        under tracemalloc (0.46-0.81; 1.26-1.38 with a buffer of the whole
         batch)."""
         budget = 2 << 20
         tracemalloc.start()
