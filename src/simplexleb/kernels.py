@@ -85,23 +85,17 @@ def reduce_torus(x) -> np.ndarray:
     return np.pi - (np.pi - x) % (2.0 * np.pi)
 
 
-def _geometric_sum(m, t, phase=None, zero=None, out=None):
+def _geometric_sum(m, t):
     """sum_{j=0}^{m-1} e^{i j t} = e^{i (m-1) t / 2} sin(m t / 2) / sin(t / 2).
 
     ``m`` integer array, ``t`` scalar or broadcastable array.  At t == 0
-    (mod 2 pi) the value is m.  Given ``phase(mu, out)`` = e^{i mu t} for t
-    in [-pi, pi), both phases come from it into ``out`` (the sines into one
-    real table), and ``zero`` marks t = 0.
+    (mod 2 pi) the value is m.
     """
     m = np.asarray(m, dtype=float)
-    half = 0.5 * (t if phase else reduce_torus(t))
+    half = 0.5 * reduce_torus(t)
     denom = np.sin(half)
-    if phase:
-        top = phase(0.5 * m, out=out).imag.copy()
-        num = phase(0.5 * (m - 1.0), out=out)
-    else:
-        zero = np.abs(denom) <= 1e-300
-        num, top = np.exp(1j * (m - 1.0) * half), np.asarray(np.sin(m * half))
+    zero = np.abs(denom) <= 1e-300
+    num, top = np.exp(1j * (m - 1.0) * half), np.asarray(np.sin(m * half))
     top /= np.where(zero, 1.0, denom)
     np.copyto(top, m, where=zero)
     num *= top
@@ -168,26 +162,40 @@ def _origin_twist(k_sum) -> np.ndarray:
     return 1.0 - 2.0 * (np.asarray(k_sum) & 1)
 
 
-def _grid_phases(mu, m: int, t: range, out=None) -> np.ndarray:
-    """e^{i mu x_t} at the nodes t of x_t = -pi + 2 pi t / m, shape
-    (len(t), len(mu)), into ``out`` if given: with t = t.start + (q a + b)
-    t.step, the product of the np.exp tables of a and of b, about
-    sqrt(len(t)) rows each."""
+def _grid_phases(mu, m: int, t: range):
+    """e^{i mu x_t} at the nodes t of x_t = -pi + 2 pi t / m, as a writer
+    ``phases(rows, out=None)`` of the rows ``rows`` (a slice of
+    range(len(t))), shape (len(rows), len(mu)), into ``out`` if given.
+    With t = t.start + (q a + b) t.step, q = isqrt(len(t)), a row is the
+    product of the np.exp tables of a and of b, about sqrt(len(t)) rows
+    each, made here once: rows that start or end inside a group of q take
+    the bits of the whole."""
     q, step = max(1, math.isqrt(len(t))), t.step
     coarse = -np.pi + 2.0 * np.pi * np.arange(t.start, t.stop, q * step) / m
     fine = 2.0 * np.pi * np.arange(0, q * step, step) / m
     high, low = (np.exp(1j * np.multiply.outer(x, mu)) for x in (coarse, fine))
-    out = np.empty((len(t), len(mu)), complex) if out is None else out
-    whole = len(t) // q
-    np.multiply(high[:whole, None], low,
-                out=out[:whole * q].reshape(whole, q, len(mu)))
-    np.multiply(high[whole:], low[:len(t) - whole * q], out=out[whole * q:])
-    return out
+
+    def phases(rows: slice, out=None) -> np.ndarray:
+        a, b = divmod(rows.start, q)
+        size = rows.stop - rows.start
+        out = np.empty((size, len(mu)), complex) if out is None else out
+        # the rows of group a from its row b, whole groups, and the first
+        # rows of the last group
+        head = min(-b % q, size)
+        whole, first = (size - head) // q, a + (head > 0)
+        tail = head + whole * q
+        if head:
+            np.multiply(high[a], low[b:b + head], out=out[:head])
+        np.multiply(high[first:first + whole, None], low,
+                    out=out[head:tail].reshape(whole, q, len(mu)))
+        if tail < size:
+            np.multiply(high[first + whole], low[:size - tail], out=out[tail:])
+        return out
+    return phases
 
 
-def slice_weight_matrix(kind: str, lam: LambdaParts, xs,
-                        m: int | None = None, out=None) -> np.ndarray:
-    """Closed-form x_d-slice weights of every mode k', shape (len(xs), P').
+def slice_weight_matrix(kind: str, lam: LambdaParts, xs, m: int | None = None):
+    """Closed-form x_d-slice weights of every mode k' (P' of them).
 
     With L = L_d(k') (``lam`` from :attr:`SimplexLattice.lambda_parts`) and
     x = x_d:
@@ -197,40 +205,69 @@ def slice_weight_matrix(kind: str, lam: LambdaParts, xs,
         Fcomposite  {L} e^{i L x}
         R           w_D - w_S + w_Fcomposite
 
-    ``xs`` holds the points x (one np.exp per phase), or given ``m`` a
-    range of nodes t of x_t = -pi + 2 pi t / m (:func:`_grid_phases`), such
-    as the odd t of m = 2 M_s: the grid M_s shifted by half a cell, and
-    then written into ``out`` if given; one more array of P' values a node
-    is held at a time: the real sines of D and R, then R's second phases.
+    ``xs`` holds the points x: the weights, shape (len(xs), P'), one np.exp
+    per phase.  Given ``m``, ``xs`` is a range of B nodes t of x_t = -pi + 2
+    pi t / m, such as the odd t of m = 2 M_s: the grid M_s shifted by half
+    a cell.  Then the result is a writer ``write(rows, out=None)`` of the
+    weights of the nodes xs[rows] (a slice of range(B)), shape (len(rows),
+    P'), into ``out`` if given, whose phases come from :func:`_grid_phases`
+    tables of the B nodes, made here once.  Each weight has the same bits
+    whatever the rows; while it writes, one more array of P' values a row
+    is held: the real sines of D and R, then R's second phases.
     """
     if kind not in ("D", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown sliced kernel {kind!r}")
     if m is None:
         xd = np.asarray(xs, dtype=float)[:, None]
-        small, grid = np.abs(xd) < SINGULARITY_THRESHOLD, None
-
-        def phase(mu, out=None):
-            return np.exp(1j * mu * xd, out=out)
-    else:
-        # x_t = 0 where 2 t = m, although its float may not be 0.0
-        t = np.arange(xs.start, xs.stop, xs.step)[:, None]
-        xd, small = -np.pi + 2.0 * np.pi * t / m, 2 * t == m
-        phase = grid = partial(_grid_phases, m=m, t=xs)
+        return _closed_form(kind, lam, xd, np.abs(xd) < SINGULARITY_THRESHOLD,
+                            lambda out=None: np.exp(1j * lam.value * xd,
+                                                    out=out),
+                            lambda out: _geometric_sum(lam.floor + 1.0, xd))
+    t = np.arange(xs.start, xs.stop, xs.step)[:, None]
+    # x_t = 0 where 2 t = m, although its float may not be 0.0
+    xd, small = -np.pi + 2.0 * np.pi * t / m, 2 * t == m
+    value = None if kind == "D" else _grid_phases(lam.value, m, xs)
     if kind in ("D", "R"):
-        w = _geometric_sum(lam.floor + 1.0, xd, grid, small, out)
+        m_d = lam.floor + 1.0
+        top, num = (_grid_phases(mu, m, xs) for mu in (0.5 * m_d,
+                                                       0.5 * (m_d - 1.0)))
+        denom = np.where(small, 1.0, np.sin(0.5 * xd))
+
+        def geometric(rows, out):  # _geometric_sum from the tables
+            sines = top(rows, out).imag.copy()
+            sines /= denom[rows]
+            np.copyto(sines, m_d, where=small[rows])
+            w = num(rows, out)
+            return np.multiply(w, sines, out=w)
+
+    def write(rows: slice, out=None) -> np.ndarray:
+        return _closed_form(kind, lam, xd[rows], small[rows],
+                            value and partial(value, rows),
+                            kind in ("D", "R") and partial(geometric, rows),
+                            out)
+    return write
+
+
+def _closed_form(kind, lam, xd, small, phase, geometric, out=None):
+    """slice_weight_matrix's weights at the column ``xd`` of x_d values,
+    ``small`` marking x_d = 0, into ``out`` if given: ``phase(out)`` writes
+    e^{i L x_d} and ``geometric(out)`` D's geometric sum."""
+    if kind in ("D", "R"):
+        w = geometric(out)
         if kind == "D":
             return w
-    e = phase(lam.value, out=None if kind == "R" else out)
+    e = phase(None if kind == "R" else out)
     if kind == "Fcomposite":
         return np.multiply(e, lam.frac, out=e)
     if kind == "R":  # w_D + {L} e^{i L x}, then e^{i L x} again for w_S
         w += np.multiply(e, lam.frac, out=e)
-        e = phase(lam.value, out=e)
+        e = phase(e)
     # w_S in place of e
     e -= 1.0
     e /= 1j * np.where(small, 1.0, xd)
     rows = small[:, 0]
-    e[rows] = lam.value + 0.5j * lam.value**2 * xd[rows]
+    if rows.any():
+        e[rows] = lam.value + 0.5j * lam.value**2 * xd[rows]
     if kind == "S":
         return e
     return np.subtract(w, e, out=w)

@@ -18,7 +18,8 @@ nodes of the last axis x_s, each transformed over x' in one reused buffer.
 It takes the x' modes and one of three slice-weight sources:
 
 * closed forms (:func:`.kernels.slice_weight_matrix`) for the d-kernels D,
-  S, Fcomposite and R (d >= 2), with phases from two small tables a batch;
+  S, Fcomposite and R (d >= 2), with phases from two small tables a batch
+  and phase;
 * one inverse FFT along the last axis of a group of coefficient fields of
   dimension s >= 2 (F for d >= 3, the twisted differences of the correction
   functional), whose odd and even nodes a later level takes;
@@ -29,15 +30,18 @@ It takes the x' modes and one of three slice-weight sources:
   F-point transform of the modes k with weights c_k e^{2 pi i k q / M}.
   The u axis never doubles, so a later level is the odd slices q alone.
 
-A source writes a batch's slice weights where the engine says,
-``weights(fs)(ns, out)``: into the transform buffer where the x' modes are
-its first P' columns and fill over a quarter of a slice (at rho = 4, a
-fold unless F >= 4K), else into a P'-wide array that a buffer of about a
-quarter batch takes in blocks.  Beside these a batch holds |v| a block at
-a time in a scratch of _CHUNK_BYTES / 32 bytes, and at most one more
-P'-wide array of a closed form.  The transforms are pruned: x' axis j runs
-only on the columns where the axes after it still hold modes, since the
-zero columns transform to zeros.
+A source makes a writer of a batch's slice weights, and each transform
+block writes its own rows, ``weights(fs)(ns)(rows, out)``: into the
+block's first P' columns of the transform buffer where the x' modes are
+0..P'-1 of one axis (every d-kernel of d = 2, every fold), else into a
+P'-wide array of a block's rows, which is scattered into the buffer.  A
+block holds at most a quarter of min(_CHUNK_BYTES, budget) of values, so
+no array holds a batch's weights.  Beside these a batch holds |v| a block
+at a time in a scratch of _CHUNK_BYTES / 32 bytes, a closed form's phase
+tables, and while a block is written at most one more P'-wide array of
+its rows.  The transforms are pruned: x' axis j runs only on the columns
+where the axes after it still hold modes, since the zero columns
+transform to zeros.
 
 Its inputs carry a leading field axis: a stack of fields on one box, such
 as the twisted differences of a run of mu terms of the correction
@@ -253,34 +257,31 @@ def slice_batches(points: np.ndarray, weights, passes,
     M', or one slice (the sources check it fits), and a slice of
     _CHUNK_BYTES / 8 or more alone, whose FFT dwarfs a batch's fixed cost:
     whole fields while two fit, else slices of one; each group runs every
-    pass.  ``weights(fs)(ns, out)`` writes the slice weights of the fields
-    ``fs`` at the x_s nodes ``ns`` into ``out``, shape (G, B, P'), in one
-    of two homes, chosen once a call.  Where the modes are 0..P'-1 of one
-    axis and fill more than a quarter of the largest slice (4 P' > prod
-    M'), it is the first P' columns of the transform buffer, which holds a
-    whole batch.  Elsewhere it is a P'-wide array of a batch's rows, copied
-    (one axis) or scattered into the buffer a block at a time; a block is a
-    quarter of a batch's values on the largest M', in whole rows, at least
-    one.  Besides what the source holds while it writes, these are the only
+    pass.  A batch's G B (field, slice) rows, field by field, go through
+    one transform buffer in blocks of at most a quarter of min(_CHUNK_BYTES,
+    budget_bytes) of values on their M', in whole rows, at least one.
+    ``weights(fs)(ns)`` is the writer of the fields ``fs`` at the x_s nodes
+    ``ns``, made once a batch: ``write(rows, out)`` writes a block's rows
+    ``rows`` (a slice of range(G B)) into ``out``, shape (len(rows), P'),
+    which is the block's first P' columns of the buffer where the modes are
+    0..P'-1 of one axis, else a P'-wide array of a block's rows, scattered
+    into the buffer.  Besides what a writer holds, these are the only
     arrays here that grow with a batch.  Yields ``(fs, p, ns, w_sq, rows,
     v)`` a block: w_sq, shape (G, B), is sum |w|^2 per slice of the batch,
-    and v, shape (len(rows),) + M', the inverse FFT in pass p of the
-    batch's (field, slice) rows ``rows`` (a slice of its G B rows), is
-    f / prod M' (callers scale their sums).  All blocks share one buffer: v
-    is valid until the next block."""
+    complete at its last block, and v, shape (len(rows),) + M', the inverse
+    FFT in pass p of the block's rows, is f / prod M' (callers scale their
+    sums).  All blocks share one buffer: v is valid until the next block."""
     rests = [math.prod(m_prime) for m_prime, *_ in passes]
     top, rows = max(rests), max(len(nodes) for *_, nodes in passes)
-    batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (top * 16)) \
-        if top * 128 < _CHUNK_BYTES else 1
+    chunk = min(_CHUNK_BYTES, budget_bytes)
+    batch = max(1, chunk // (top * 16)) if top * 128 < _CHUNK_BYTES else 1
     group = max(1, batch // rows)
     size = min(group, fields) * min(batch, rows)
+    steps = [min(size, max(1, chunk // (64 * r))) for r in rests]
+    buf = np.empty(max(map(math.prod, zip(steps, rests))), complex)
     extents = (points.max(axis=0) + 1).tolist()
     modes, flip = len(points), extents == [len(points)]
-    own = None if flip and 4 * modes > top else \
-        np.empty(size * modes, complex)
-    steps = [size if own is None else min(size, max(1, size * top // 4 // r))
-             for r in rests]
-    buf = np.empty(max(map(math.prod, zip(steps, rests))), complex)
+    scattered = None if flip else np.empty(max(steps) * modes, complex)
     # the origin twist (-1)^{sum k}, times e^{i pi sum_j shift_j k_j / M'_j}
     origin = 1.0 if flip else _origin_twist(points.sum(axis=1))
     for f0 in range(0, fields, group):
@@ -288,29 +289,31 @@ def slice_batches(points: np.ndarray, weights, passes,
         group_weights = weights(fs)
         for p, (m_prime, shift, nodes) in enumerate(passes):
             rest, step = rests[p], steps[p]
-            cols = slice(modes) if flip else \
+            cols = None if flip else \
                 np.ravel_multi_index(tuple(points.T), m_prime)
             twist = origin * np.exp(1j * np.pi * (
                 points @ np.divide(shift, m_prime))) if any(shift) else origin
             for start in range(0, len(nodes), batch):
                 ns = nodes[start:start + batch]
-                g, b = fs.stop - fs.start, len(ns)
-                w = buf[:g * b * rest].reshape(g, b, rest)[..., :modes] \
-                    if own is None else own[:g * b * modes].reshape(g, b, modes)
-                group_weights(ns, w)
-                w_sq = np.einsum("ijk,ijk->ij", w.real, w.real) + \
-                    np.einsum("ijk,ijk->ij", w.imag, w.imag)
-                if any(shift) or not flip:
-                    w *= twist
-                if flip:  # (-1)^k on one x' axis of the modes 0..P'-1
-                    np.negative(w[..., 1::2], out=w[..., 1::2])
-                w = w.reshape(g * b, modes)
-                for r in range(0, g * b, step):
-                    block = slice(r, min(r + step, g * b))
+                write = group_weights(ns)
+                w_sq = np.zeros((fs.stop - fs.start, len(ns)))
+                for r in range(0, w_sq.size, step):
+                    block = slice(r, min(r + step, w_sq.size))
                     v = buf[:(block.stop - r) * rest].reshape(-1, rest)
-                    v[:, modes if flip else 0:] = 0.0
-                    if own is not None:
-                        v[:, cols] = w[block]
+                    w = v[:, :modes] if flip else \
+                        scattered[:len(v) * modes].reshape(-1, modes)
+                    write(block, w)
+                    re_im = w.view(float)
+                    w_sq.reshape(-1)[block] = np.einsum("ij,ij->i", re_im,
+                                                        re_im)
+                    if any(shift) or not flip:
+                        w *= twist
+                    if flip:  # (-1)^k on one x' axis of the modes 0..P'-1
+                        np.negative(w[:, 1::2], out=w[:, 1::2])
+                        v[:, modes:] = 0.0
+                    else:
+                        v[:] = 0.0
+                        v[:, cols] = w
                     v = v.reshape((-1,) + m_prime)
                     # x' axis j, on the columns where the axes after it hold
                     # modes
@@ -321,12 +324,34 @@ def slice_batches(points: np.ndarray, weights, passes,
                     yield fs, p, ns, w_sq, block, v
 
 
+def _field_parts(rows: slice, b: int) -> list:
+    """The rows ``rows`` of a batch's (field, slice) rows, b slices a field,
+    in up to three parts: the last slices of the first field they reach,
+    whole fields, and the first slices of the last field.  Each part is
+    (fields, slices, o), slices of the batch's fields and slices and of
+    ``rows``: out[o] of a block holds the part, field by field."""
+    n, (f, first) = rows.stop - rows.start, divmod(rows.start, b)
+    head = min(-first % b, n)
+    whole = (n - head) // b
+    tail = n - head - whole * b
+    parts = [(slice(f, f + 1), slice(first, first + head),
+              slice(0, head))] if head else []
+    f += head > 0
+    if whole:
+        parts.append((slice(f, f + whole), slice(0, b),
+                      slice(head, head + whole * b)))
+    if tail:
+        parts.append((slice(f + whole, f + whole + 1), slice(0, tail),
+                      slice(n - tail, n)))
+    return parts
+
+
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
                    budget_bytes: int = DEFAULT_BUDGET_BYTES):
     """(points, weights, hermitian) of a d-kernel on the grid M."""
     check_grid(lat.extents, M, budget_bytes, field=False)
-    return lat.points, lambda fs: lambda ns, out: slice_weight_matrix(
-        kernel, lat.lambda_parts, ns, M[-1], out[0]), True
+    return lat.points, lambda fs: lambda ns: slice_weight_matrix(
+        kernel, lat.lambda_parts, ns, M[-1]), True
 
 
 def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
@@ -347,7 +372,15 @@ def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
             _origin_twist(np.arange(k_last))[:, None]
         w = transform(part, n=M[-1], axis=1)
         w *= M[-1]
-        return lambda ns, out: np.copyto(out, w[:, ns.start:ns.stop:ns.step])
+
+        def batch(ns):
+            def write(rows, out):
+                for fields, s, o in _field_parts(rows, len(ns)):
+                    t = ns[s]
+                    np.copyto(out[o].reshape(-1, len(t), out.shape[1]),
+                              w[fields, t.start:t.stop:t.step])
+            return write
+        return batch
     # points: every x' mode of the box K', in the order of the reshape above
     return np.argwhere(np.ones(k_prime, dtype=bool)), group_weights, hermitian
 
@@ -362,16 +395,34 @@ def _folded_source(weights: np.ndarray, M: tuple, budget_bytes: int):
     # one slice holds F values and K weights; the slices come a batch at a
     # time, which slice_batches caps at min(_CHUNK_BYTES, budget_bytes)
     check_grid((K, 1), (M[0], 1), budget_bytes)
-    hermitian = not weights.imag.any()
+    hermitian, m = not weights.imag.any(), math.prod(M)
 
     def group_weights(fs):
         c = (weights[fs].real if hermitian else weights[fs])[:, None]
 
-        def rows(ns, out):  # the phases in the first field's rows, then c
-            _fold_phases(K, math.prod(M), ns, out[0])
-            np.multiply(c[1:], out[0], out=out[1:])
-            np.multiply(c[0], out[0], out=out[0])
-        return rows
+        def batch(ns):
+            def write(rows, out):
+                parts, b = _field_parts(rows, len(ns)), len(ns)
+                whole = next((part for part in parts
+                              if part[1] == slice(0, b)), None)
+                if whole is None:  # the phases of each part's slices
+                    for fields, s, o in parts:
+                        _fold_phases(K, m, ns[s], out[o])
+                        np.multiply(c[fields.start], out[o], out=out[o])
+                    return
+                # the phases in the rows of the first whole field, then c
+                fields, _, o = whole
+                first = out[o][:b]
+                _fold_phases(K, m, ns, first)
+                np.multiply(c[fields.start + 1:fields.stop], first,
+                            out=out[o][b:].reshape(-1, b, K))
+                for part_fields, s, part_rows in parts:
+                    if part_rows != o:
+                        np.multiply(c[part_fields.start], first[s],
+                                    out=out[part_rows])
+                np.multiply(c[fields.start], first, out=first)
+            return write
+        return batch
     return np.arange(K)[:, None], group_weights, hermitian
 
 

@@ -2,7 +2,11 @@
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [STEM ...]
+
+With no STEM every artifact is rewritten; with some, only theirs (the stems
+are the keys of COMMANDS, such as norm-D-64-4096), so files written by one
+version of the code are not overwritten by another.
 
 Each artifact is what one in-process ``simplexleb.cli.main`` call writes:
 its standard output (CSV for ``sweep`` and ``irrational``, JSON for
@@ -15,6 +19,7 @@ numpy, and the layout and every number to 1e-12 relative under another.
 import contextlib
 import io
 import pathlib
+import sys
 
 import numpy as np
 
@@ -49,6 +54,10 @@ COMMANDS |= {f"norm-{kernel}-{n.replace(',', '-')}":
                  ("R", "10.5,30.2"), ("R", "5,9.5,23"),
                  ("S", "48.5,3000.7"), ("Fcomposite", "48.5,3000.7"),
                  ("S", "5,9.5,23"), ("Fcomposite", "5,9.5,23")]}
+# two of them at a 4 MiB budget, whose batches differ from the default's
+COMMANDS |= {f"norm-{kernel}-{n.replace(',', '-')}-budget-4":
+             ["norm", "--kernel", kernel, "--n", n, "--budget-mb", "4"]
+             for kernel, n in [("D", "64,4096"), ("S", "48.5,3000.7")]}
 
 
 def render(stem: str) -> dict:
@@ -66,12 +75,16 @@ def render(stem: str) -> dict:
     return files
 
 
-def rewrite():
-    for stem in COMMANDS:
+def rewrite(stems=()):
+    """Rewrite the artifacts of ``stems``, or of every command if none."""
+    unknown = set(stems) - COMMANDS.keys()
+    if unknown:
+        raise SystemExit(f"unknown stems: {', '.join(sorted(unknown))}")
+    for stem in stems or COMMANDS:
         for name, text in render(stem).items():
             (HERE / name).write_bytes(text.encode())
     NUMPY_VERSION.write_bytes(f"{np.__version__}\n".encode())
 
 
 if __name__ == "__main__":
-    rewrite()
+    rewrite(sys.argv[1:])

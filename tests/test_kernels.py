@@ -81,6 +81,12 @@ def folded_values(weights, m, budget_bytes=1 << 30):
     return values.reshape(len(weights), m)
 
 
+def grid_weights(kind, lam, t, m, out=None):
+    """slice_weight_matrix's weights of every node of the range t of the grid
+    m: its writer's rows 0..len(t) - 1, into ``out`` if given."""
+    return slice_weight_matrix(kind, lam, t, m)(slice(0, len(t)), out)
+
+
 def engine_grid(kernel, n, M):
     """The slice engine's values of a d-kernel on the grid M, shape M."""
     points, weights, _ = _kernel_source(kernel, build_lattice(n, n.d - 1), M)
@@ -420,7 +426,7 @@ class TestGridSliceWeights:
     def test_tables_match_exp(self, kind, m):
         for t in self.batches(m):
             want = self.pointwise(kind, t, m)
-            got = slice_weight_matrix(kind, self.LAM, t, m)
+            got = grid_weights(kind, self.LAM, t, m)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -432,7 +438,7 @@ class TestGridSliceWeights:
         for t in self.batches(m):
             bound = 1e-12 * sum(np.abs(self.pointwise(k, t, m)).max()
                                 for k in ("D", "S", "Fcomposite"))
-            got = slice_weight_matrix("R", self.LAM, t, m)
+            got = grid_weights("R", self.LAM, t, m)
             assert np.abs(got - self.pointwise("R", t, m)).max() <= bound
 
     def test_zero_node_found_by_index(self):
@@ -441,10 +447,10 @@ class TestGridSliceWeights:
         assert axis_nodes(1540)[770] != 0.0
         t = range(770, 771)
         np.testing.assert_allclose(
-            slice_weight_matrix("D", self.LAM, t, 1540)[0],
+            grid_weights("D", self.LAM, t, 1540)[0],
             self.LAM.floor + 1.0, rtol=1e-12)
         np.testing.assert_allclose(
-            slice_weight_matrix("S", self.LAM, t, 1540)[0], self.LAM.value,
+            grid_weights("S", self.LAM, t, 1540)[0], self.LAM.value,
             rtol=1e-12)
 
 
@@ -452,26 +458,52 @@ class TestGridSliceWeights:
     def test_written_into_out(self, kind):
         """Given ``out``, here the first P' columns of a wider buffer as the
         engine passes it, the weights are written there, equal to the
-        allocated ones.  Beside it a batch holds at most one P'-wide array,
+        allocated ones.  For its batch the writer keeps two np.exp tables
+        of about sqrt(len(t)) rows a phase (two phases for D, three for R,
+        one for S and Fcomposite), with their mu and a column a node within
+        a tenth more.  Beside them a write holds at most one P'-wide array,
         D's real sines (half of ``out``) or R's second phase table (one),
-        and tables of about sqrt(len(t)) rows, within a quarter of ``out``
-        for these 400 nodes of 441 modes."""
+        and numpy's buffers, within a quarter of ``out`` for these 400
+        nodes of 441 modes."""
         lam = build_lattice(DilationVector((20.5, 40.5, 80.0)), 2).lambda_parts
         m, t = 1540, range(1, 1540, 2)[:400]
-        want = slice_weight_matrix(kind, lam, t, m)
+        want = grid_weights(kind, lam, t, m)
         modes = len(lam.value)
         buf = np.zeros((len(t), 4 * modes), complex)
         tracemalloc.start()
         try:
-            got = slice_weight_matrix(kind, lam, t, m, buf[:, :modes])
-            peak = tracemalloc.get_traced_memory()[1]
+            write = slice_weight_matrix(kind, lam, t, m)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = write(slice(0, len(t)), buf[:, :modes])
+            peak = tracemalloc.get_traced_memory()[1] - kept
         finally:
             tracemalloc.stop()
         assert np.shares_memory(got, buf)
         assert np.array_equal(buf[:, :modes], want)
         assert not buf[:, modes:].any()
+        q = math.isqrt(len(t))
+        tables = {"D": 2, "R": 3}.get(kind, 1) * (q + -(-len(t) // q))
+        assert kept <= 1.1 * tables * modes * 16
         held = {"D": 0.5, "R": 1.0}.get(kind, 0.0)
         assert peak <= (held + 1 / 4) * want.nbytes
+
+    @pytest.mark.parametrize("kind", ["D", "S", "Fcomposite", "R"])
+    def test_blocks_keep_the_bits_of_the_batch(self, kind):
+        """A batch written in blocks, each starting or ending anywhere in a
+        group of q = isqrt(B) rows, has the bits of the batch written at
+        once: its tables are the batch's, whatever the rows."""
+        rng = np.random.default_rng(3)
+        for m, t in ((1540, range(1, 1540, 2)[:400]), (45, range(0, 23)),
+                     (3080, range(0, 3080, 2)[17:340])):
+            write = slice_weight_matrix(kind, self.LAM, t, m)
+            want = write(slice(0, len(t)))
+            for _ in range(10):
+                edges = [0, *sorted(rng.choice(np.arange(1, len(t)), 5,
+                                               replace=False)), len(t)]
+                got = np.concatenate([write(slice(a, b))
+                                      for a, b in zip(edges, edges[1:])])
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [90, 32, 3080])
     def test_step_two_phases_match_exp(self, m):
@@ -481,7 +513,7 @@ class TestGridSliceWeights:
         mu = self.LAM.value
         for t in (range(1, m, 2), range(1, m, 2)[3:40], range(0, m, 2)[5:9]):
             arg = np.multiply.outer(axis_nodes(m)[t.start:t.stop:t.step], mu)
-            got = _grid_phases(mu, m, t)
+            got = _grid_phases(mu, m, t)(slice(0, len(t)))
             assert got.shape == arg.shape
             assert (np.abs(got - np.exp(1j * arg))
                     <= 1e-15 * (1.0 + np.pi * np.abs(mu))).all()
@@ -493,12 +525,12 @@ class TestGridSliceWeights:
         m = 1542
         x = -np.pi + np.pi * (2 * np.arange(771) + 1) / 771
         want = slice_weight_matrix(kind, self.LAM, x)
-        got = slice_weight_matrix(kind, self.LAM, range(1, m, 2), m)
+        got = grid_weights(kind, self.LAM, range(1, m, 2), m)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         if kind in ("D", "S"):
             limit = self.LAM.floor + 1.0 if kind == "D" else self.LAM.value
             np.testing.assert_allclose(
-                slice_weight_matrix(kind, self.LAM, range(771, 772, 2), m)[0],
+                grid_weights(kind, self.LAM, range(771, 772, 2), m)[0],
                 limit, rtol=1e-12)
 
 
@@ -660,13 +692,41 @@ class TestFold:
         points, source, _ = _folded_source(weights, (F, r), 1 << 30)
         dense = grid_eval(CoefficientField(weights=weights[0]),
                           (F * r,)).values.reshape(F, r)
+        seen = []
         for fs, p, ns, w, rows, v in slice_batches(
                 points, source, _passes((F, r), (F, r // 2))):
             assert p == 0 and list(ns) == list(range(1, r, 2))
-            assert rows == slice(0, len(ns))
             got = np.moveaxis(v, 0, 1) * F
-            assert np.abs(got - dense[:, 1::2]).max() <= \
+            assert np.abs(got - dense[:, 1::2][:, rows]).max() <= \
                 1e-12 * np.abs(dense).max()
+            seen.extend(ns[rows])
+        assert seen == list(range(1, r, 2))
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_blocks_keep_the_bits_of_the_batch(self, real):
+        """A batch of 5 fields of 3 slices (a fold) or 4 (a 2-D field),
+        written in blocks that start and end anywhere in a field, has the
+        bits of the batch written at once."""
+        rng = np.random.default_rng(5)
+        folded = self.golden_like(40)[0] * (1.0 + np.arange(5))[:, None]
+        field = rng.standard_normal((5, 6, 7))
+        if not real:
+            folded, field = folded * np.exp(1j * np.arange(5))[:, None], \
+                field + 1j * rng.standard_normal((5, 6, 7))
+        for source, weights, M, ns in (
+                (_folded_source, folded, (45, 8), range(1, 7, 2)),
+                (_field_source, field, (12, 16), range(0, 8, 2))):
+            points, group_weights, _ = source(weights, M, 1 << 30)
+            write, rows = group_weights(slice(0, 5))(ns), 5 * len(ns)
+            want = np.empty((rows, len(points)), complex)
+            write(slice(0, rows), want)
+            for _ in range(10):
+                edges = [0, *sorted(rng.choice(np.arange(1, rows), 4,
+                                               replace=False)), rows]
+                got = np.empty_like(want)
+                for a, b in zip(edges, edges[1:]):
+                    write(slice(a, b), got[a:b])
+                assert got.tobytes() == want.tobytes()
 
     def test_fold_refuses_undersized_slice(self):
         with pytest.raises(ValueError, match="below box extent 201"):

@@ -151,23 +151,30 @@ class TestBudget:
             l1_norm_field(fld, budget_bytes=16)
 
     def test_folded_batch_holds_its_buffer_and_moduli(self, monkeypatch):
-        """A folded batch writes its weights into its transform buffer: above
-        the field's weights a norm holds that buffer and the |v| scratch
-        (_CHUNK_BYTES / 32), not a |v| buffer of half the batch, a weight
-        array or its twisted copy as well.  The slack, a quarter of the
-        buffer, covers the phase tables of about sqrt(K) columns with their
-        integer arguments, and the per-mode index and twist arrays."""
-        monkeypatch.setattr(norms, "_CHUNK_BYTES", 1 << 21)
+        """A folded batch writes each block's weights into the block's first
+        columns of its transform buffer, which holds a quarter of the batch:
+        above the field's weights a norm holds that buffer and the |v|
+        scratch (_CHUNK_BYTES / 32), not a buffer of the whole batch, a |v|
+        buffer of half the batch, a weight array or its twisted copy as
+        well.  The slack, a quarter of the batch's bytes, covers the phase
+        tables of about sqrt(K) columns with their integer arguments, the
+        per-mode index and twist arrays, and numpy's buffers."""
+        chunk = 1 << 21
+        monkeypatch.setattr(norms, "_CHUNK_BYTES", chunk)
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         fld = CoefficientField(weights=(np.arange(2001) * phi % 1.0)
                                .astype(complex))
-        shared = _weight_homes(monkeypatch)
-        engine, batch = norms.slice_batches, [0]
+        homes = _weight_homes(monkeypatch)
+        engine, block, batch = norms.slice_batches, [0], [0]
 
         def sized(*args):
+            end = 0
             for fs, p, ns, w_sq, rows, v in engine(*args):
-                assert rows == slice(0, w_sq.size)  # one block a batch
-                batch[0] = max(batch[0], v.nbytes)
+                # a batch's blocks in order, a quarter of the batch each
+                assert rows.start == (end if rows.start else 0)
+                end = rows.stop
+                block[0] = max(block[0], v.nbytes)
+                batch[0] = max(batch[0], w_sq.size * v[0].nbytes)
                 yield fs, p, ns, w_sq, rows, v
         monkeypatch.setattr(norms, "slice_batches", sized)
         l1_norm_field(fld, rho=128.0)  # its FFT lengths are cached
@@ -178,20 +185,29 @@ class TestBudget:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert shared and all(shared)
-        assert batch[0] > 3 * fld.weights.nbytes
-        assert peak - fld.weights.nbytes <= (1 + 1 / 32 + 1 / 4) * batch[0]
+        assert homes and all(shared for shared, *_ in homes)
+        assert block[0] <= batch[0] / 4
+        assert block[0] > 3 * fld.weights.nbytes
+        assert peak - fld.weights.nbytes <= (1 / 4 + 1 / 32 + 1 / 4) * batch[0]
 
-    @pytest.mark.parametrize("entries", [(7.0, 29.0), (64.0, 4096.0)])
-    def test_d_kernel_weights_keep_their_own_array(self, monkeypatch,
-                                                   entries):
-        """Where the x' modes fill at most a quarter of the largest slice,
-        every batch's weights go into their own array, never the transform
-        buffer: also a batch that fits one block (every batch of D(7, 29),
-        the last batches of D(64, 4096))."""
-        shared = _weight_homes(monkeypatch)
+    @pytest.mark.parametrize("entries", [(7.0, 29.0), (64.0, 4096.0),
+                                         (16.0, 32.0, 64.0)])
+    def test_d_kernel_weights_take_one_block(self, monkeypatch, entries):
+        """No weight array holds more rows than one transform block: the
+        source writes each block's rows, in 2-D (the modes 0..P'-1 of one
+        axis) into the block's first P' columns of the transform buffer, in
+        3-D into a P'-wide array of the largest block's rows, which is
+        scattered into the buffer."""
+        homes = _weight_homes(monkeypatch)
+        lat = build_lattice(DilationVector(entries), len(entries) - 1)
         l1_norm("D", DilationVector(entries))
-        assert shared and not any(shared)
+        most = max(rows for *_, rows, _ in homes)
+        assert homes
+        for shared, written, rows, viewed in homes:
+            assert written == rows
+            assert shared == (len(entries) == 2)
+            if not shared:
+                assert viewed <= most * len(lat.points)
 
     def test_box_with_trailing_grid_extents_keeps_its_bits(self):
         """F(2.5, 3.7, 4.2, 23) at rho = 1: on the first grid (3, 4, 5) the
@@ -235,10 +251,11 @@ class TestBudget:
     def test_d_kernel_buffer_is_a_quarter_batch(self, monkeypatch, budget,
                                                 value):
         """D(64, 4096), whose modes fill a quarter of its slices or less:
-        each batch's weights keep their rows, min(_CHUNK_BYTES, budget) /
-        (16 prod M') on the largest M' of a call, and the buffer transforms
-        them in blocks of at most a quarter of min(_CHUNK_BYTES, budget),
-        with the value bit for bit."""
+        each batch keeps its rows, min(_CHUNK_BYTES, budget) / (16 prod M')
+        on the largest M' of a call, and the buffer transforms them in
+        blocks of at most a quarter of min(_CHUNK_BYTES, budget), whose
+        weights the source writes a block at a time, with the value bit for
+        bit."""
         engine, calls = norms.slice_batches, []
 
         def spied(points, weights, passes, *args):
@@ -247,7 +264,7 @@ class TestBudget:
             calls.append((passes, shapes, blocks))
             for fs, p, ns, w_sq, rows, v in engine(points, spy, passes,
                                                    *args):
-                blocks.append((rows, v.nbytes))
+                blocks.append((rows, v.nbytes, len(ns)))
                 yield fs, p, ns, w_sq, rows, v
         monkeypatch.setattr(norms, "slice_batches", spied)
         n = DilationVector((64.0, 4096.0))
@@ -255,14 +272,32 @@ class TestBudget:
         chunk, split = min(_CHUNK_BYTES, budget), 0
         for passes, shapes, blocks in calls:
             top = max(math.prod(m_prime) for m_prime, *_ in passes)
-            assert {shape[0] for shape in shapes} == {1}
-            assert max(shape[1] for shape in shapes) == min(
+            assert [shape[0] for shape in shapes] == \
+                [rows.stop - rows.start for rows, *_ in blocks]
+            assert max(b for *_, b in blocks) == min(
                 chunk // (16 * top), max(len(ns) for *_, ns in passes))
-            for rows, nbytes in blocks:
+            for rows, nbytes, _ in blocks:
                 assert nbytes <= chunk // 4
                 split += rows.start > 0
         assert split
         assert res.value == value
+
+    @pytest.mark.parametrize("kernel, entries", [
+        ("D", (384.0, 384.0)), ("D", (64.0, 4096.0)), ("S", (48.5, 3000.7))])
+    def test_default_budget_peak(self, kernel, entries):
+        """At the default budget a batch holds _CHUNK_BYTES (8 MiB) of
+        values, which a buffer of a quarter of them transforms, and no array
+        of the batch's weights: each block writes its own.  A whole norm
+        peaks at <= 3.5 MiB under tracemalloc (2.8-3.0 MiB; 4.7-5.7 MiB
+        with a P'-wide weight array of a whole batch)."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            l1_norm(kernel, DilationVector(entries))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
 
     @pytest.mark.parametrize("width", [1029, 1056, 1540, 4116, 6160, 8232,
                                        12320, 16896, 32768])
@@ -377,8 +412,9 @@ class TestWorkBound:
 
 def _weight_homes(monkeypatch) -> list:
     """Patch the engine to record, for each block it yields, whether the
-    array its weight source last wrote shares memory with the block."""
-    engine, shared = norms.slice_batches, []
+    array its weight source last wrote shares memory with the block, its
+    rows, the block's rows, and the values of the array it views."""
+    engine, homes = norms.slice_batches, []
 
     def spied(points, weights, *args):
         out = [None]
@@ -386,30 +422,41 @@ def _weight_homes(monkeypatch) -> list:
         def spy(fs):
             group_weights = weights(fs)
 
-            def rows(ns, w):
-                out[0] = w
-                group_weights(ns, w)
-            return rows
+            def batch(ns):
+                write = group_weights(ns)
+
+                def rows(block, w):
+                    out[0] = w
+                    write(block, w)
+                return rows
+            return batch
         for block in engine(points, spy, *args):
-            shared.append(np.shares_memory(out[0], block[-1]))
+            w, rows = out[0], block[-2]
+            homes.append((np.shares_memory(w, block[-1]), len(w),
+                          rows.stop - rows.start, w.base.size))
             yield block
     monkeypatch.setattr(norms, "slice_batches", spied)
-    return shared
+    return homes
 
 
 def _spied(weights):
-    """The weight source, the x_s nodes it is asked for and the shapes
-    (G, B, P') of the arrays it writes."""
+    """The weight source, the x_s nodes it is asked for (a batch at a
+    time) and the shapes (rows, P') of the arrays it writes (a block at a
+    time)."""
     asked, shapes = [], []
 
     def spy(fs):
         group_weights = weights(fs)
 
-        def rows(ns, out):
+        def batch(ns):
             asked.extend(ns)
-            shapes.append(out.shape)
-            group_weights(ns, out)
-        return rows
+            write = group_weights(ns)
+
+            def rows(block, out):
+                shapes.append(out.shape)
+                write(block, out)
+            return rows
+        return batch
     return spy, asked, shapes
 
 
