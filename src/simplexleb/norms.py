@@ -33,9 +33,9 @@ It takes the x' modes and one of three slice-weight sources:
 A source makes a writer of a batch's slice weights, and each transform
 block writes its own rows, ``weights(fs)(ns)(rows, out)``: into the
 block's first P' columns of the transform buffer where the x' modes are
-0..P'-1 of one axis (every d-kernel of d = 2, every fold), else into a
+0..P'-1 of one axis (every fold, 2-D kernel and 2-D field), else into a
 P'-wide array of a block's rows, which is scattered into the buffer.  A
-block holds at most a quarter of min(_CHUNK_BYTES, budget) of values, so
+block holds at most a quarter of min(_CHUNK_BYTES, budget) of values;
 no array holds a batch's weights.  Beside these a batch holds |v| a block
 at a time in a scratch of _CHUNK_BYTES / 32 bytes, a closed form's phase
 tables, and while a block is written at most one more P'-wide array of

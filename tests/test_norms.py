@@ -227,11 +227,12 @@ class TestBudget:
         ("S", (24.5, 1500.7)), ("Fcomposite", (24.5, 1500.7))])
     def test_engine_peak_within_one_budget(self, kernel, entries):
         """At a 2 MiB budget a batch of these kernels, whose modes are at
-        most a quarter of a slice, holds its weights in one P'-wide array
-        and transforms them through a buffer of about a quarter batch; the
-        |v| scratch is _CHUNK_BYTES / 32.  A whole norm peaks at <= 1 budget
-        under tracemalloc (0.46-0.81; 1.26-1.38 with a buffer of the whole
-        batch)."""
+        most a quarter of a slice, goes through a transform buffer of at
+        most a quarter of the budget, and each block writes its own
+        weights; the |v| scratch is _CHUNK_BYTES / 32.  A whole norm peaks
+        at <= 1 budget under tracemalloc (0.49-0.69; 0.46-0.81 with a
+        P'-wide weight array of a whole batch, 1.26-1.38 with a buffer of
+        the whole batch)."""
         budget = 2 << 20
         tracemalloc.start()
         try:
