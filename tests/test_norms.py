@@ -289,7 +289,7 @@ class TestBudget:
         """At the default budget a batch holds _CHUNK_BYTES (8 MiB) of
         values, which a buffer of a quarter of them transforms, and no array
         of the batch's weights: each block writes its own.  A whole norm
-        peaks at <= 3.5 MiB under tracemalloc (2.8-3.0 MiB; 4.7-5.7 MiB
+        peaks at <= 3.5 MiB under tracemalloc (2.9-3.4 MiB; 4.7-5.7 MiB
         with a P'-wide weight array of a whole batch)."""
         tracemalloc.start()
         try:
