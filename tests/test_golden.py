@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from golden import regenerate
 from golden.regenerate import COMMANDS, HERE, NUMPY_VERSION, render
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
@@ -53,3 +54,21 @@ def test_headers_record_conventions():
         else:
             assert {f"# convention {k}={v}" for k, v in want.items()} <= \
                 set(text.splitlines()), path.name
+
+
+def test_regenerate_rewrites_only_the_named_stems(tmp_path, monkeypatch):
+    """regenerate.py STEM ... writes the artifacts of those stems alone
+    (every stem's with none), and refuses an unknown stem before writing
+    anything."""
+    monkeypatch.setattr(regenerate, "HERE", tmp_path)
+    monkeypatch.setattr(regenerate, "NUMPY_VERSION", tmp_path / "numpy")
+    monkeypatch.setattr(regenerate, "render",
+                        lambda stem: {f"{stem}.txt": stem})
+    with pytest.raises(SystemExit, match="bogus"):
+        regenerate.rewrite(["norm-D-7-29", "bogus"])
+    assert not any(tmp_path.iterdir())
+    regenerate.rewrite(["norm-D-7-29"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["norm-D-7-29.txt", "numpy"]
+    regenerate.rewrite()
+    assert len(list(tmp_path.iterdir())) == len(COMMANDS) + 1
