@@ -54,7 +54,6 @@ Summing over nu > nu_max with sum 1/nu^2 <= 1/nu_max gives
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -85,11 +84,11 @@ def reduce_torus(x) -> np.ndarray:
     return np.pi - (np.pi - x) % (2.0 * np.pi)
 
 
-def _geometric_sum(m, t):
+def _geometric_sum(m, t, out=None):
     """sum_{j=0}^{m-1} e^{i j t} = e^{i (m-1) t / 2} sin(m t / 2) / sin(t / 2).
 
-    ``m`` integer array, ``t`` scalar or broadcastable array.  At t == 0
-    (mod 2 pi) the value is m.
+    ``m`` integer array, ``t`` scalar or broadcastable array, into ``out``
+    if given.  At t == 0 (mod 2 pi) the value is m.
     """
     m = np.asarray(m, dtype=float)
     half = 0.5 * reduce_torus(t)
@@ -98,8 +97,7 @@ def _geometric_sum(m, t):
     num, top = np.exp(1j * (m - 1.0) * half), np.asarray(np.sin(m * half))
     top /= np.where(zero, 1.0, denom)
     np.copyto(top, m, where=zero)
-    num *= top
-    return num
+    return np.multiply(num, top, out=out)
 
 
 def _r_series(lam, phases, xd, nu_max, budget) -> np.ndarray:
@@ -167,25 +165,27 @@ def _grid_phases(mu, m: int, t: range):
     ``phases(rows, out=None)`` of the rows ``rows`` (a slice of
     range(len(t))), shape (len(rows), len(mu)), into ``out`` if given.
     With t = t.start + (q a + b) t.step, q = isqrt(len(t)), a row is the
-    product of the np.exp tables of a and of b, about sqrt(len(t)) rows
-    each, made here once: rows that start or end inside a group of q take
-    the bits of the whole."""
+    product of the np.exp rows of a and of b: the q rows of b are made here
+    once, those of a by each write for its groups alone, so rows that start
+    or end inside a group of q take the bits of the whole."""
     q, step = max(1, math.isqrt(len(t))), t.step
     coarse = -np.pi + 2.0 * np.pi * np.arange(t.start, t.stop, q * step) / m
-    fine = 2.0 * np.pi * np.arange(0, q * step, step) / m
-    high, low = (np.exp(1j * np.multiply.outer(x, mu)) for x in (coarse, fine))
+    low = np.exp(1j * np.multiply.outer(
+        2.0 * np.pi * np.arange(0, q * step, step) / m, mu))
 
     def phases(rows: slice, out=None) -> np.ndarray:
         a, b = divmod(rows.start, q)
         size = rows.stop - rows.start
+        high = np.exp(1j * np.multiply.outer(
+            coarse[a:(rows.stop - 1) // q + 1], mu))
         out = np.empty((size, len(mu)), complex) if out is None else out
         # the rows of group a from its row b, whole groups, and the first
         # rows of the last group
         head = min(-b % q, size)
-        whole, first = (size - head) // q, a + (head > 0)
+        whole, first = (size - head) // q, int(head > 0)
         tail = head + whole * q
         if head:
-            np.multiply(high[a], low[b:b + head], out=out[:head])
+            np.multiply(high[0], low[b:b + head], out=out[:head])
         np.multiply(high[first:first + whole, None], low,
                     out=out[head:tail].reshape(whole, q, len(mu)))
         if tail < size:
@@ -211,18 +211,21 @@ def slice_weight_matrix(kind: str, lam: LambdaParts, xs, m: int | None = None):
     a cell.  Then the result is a writer ``write(rows, out=None)`` of the
     weights of the nodes xs[rows] (a slice of range(B)), shape (len(rows),
     P'), into ``out`` if given, whose phases come from :func:`_grid_phases`
-    tables of the B nodes, made here once.  Each weight has the same bits
-    whatever the rows; while it writes, one more array of P' values a row
-    is held: the real sines of D and R, then R's second phases.
+    of the B nodes: a table of about sqrt(B) rows a phase, made here once,
+    and a few rows a write.  Each weight has the same bits whatever the
+    rows.  D and R are written half the rows at a time, so that a write
+    holds one more array of P' values a row of that half: the real sines
+    of D and R, then R's second phases.
     """
     if kind not in ("D", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown sliced kernel {kind!r}")
     if m is None:
         xd = np.asarray(xs, dtype=float)[:, None]
         return _closed_form(kind, lam, xd, np.abs(xd) < SINGULARITY_THRESHOLD,
-                            lambda out=None: np.exp(1j * lam.value * xd,
-                                                    out=out),
-                            lambda out: _geometric_sum(lam.floor + 1.0, xd))
+                            lambda rows, out=None: np.exp(
+                                1j * lam.value * xd[rows], out=out),
+                            lambda rows, out: _geometric_sum(
+                                lam.floor + 1.0, xd[rows], out))
     t = np.arange(xs.start, xs.stop, xs.step)[:, None]
     # x_t = 0 where 2 t = m, although its float may not be 0.0
     xd, small = -np.pi + 2.0 * np.pi * t / m, 2 * t == m
@@ -241,33 +244,43 @@ def slice_weight_matrix(kind: str, lam: LambdaParts, xs, m: int | None = None):
             return np.multiply(w, sines, out=w)
 
     def write(rows: slice, out=None) -> np.ndarray:
-        return _closed_form(kind, lam, xd[rows], small[rows],
-                            value and partial(value, rows),
-                            kind in ("D", "R") and partial(geometric, rows),
-                            out)
+        def at(source):  # ``source`` of the batch's rows, given the block's
+            return source and (lambda part, out=None: source(slice(
+                rows.start + part.start, rows.start + part.stop), out))
+        return _closed_form(kind, lam, xd[rows], small[rows], at(value),
+                            kind in ("D", "R") and at(geometric), out)
     return write
 
 
 def _closed_form(kind, lam, xd, small, phase, geometric, out=None):
     """slice_weight_matrix's weights at the column ``xd`` of x_d values,
-    ``small`` marking x_d = 0, into ``out`` if given: ``phase(out)`` writes
-    e^{i L x_d} and ``geometric(out)`` D's geometric sum."""
-    if kind in ("D", "R"):
-        w = geometric(out)
-        if kind == "D":
-            return w
-    e = phase(None if kind == "R" else out)
-    if kind == "Fcomposite":
+    ``small`` marking x_d = 0, into ``out`` if given: ``phase(rows, out)``
+    writes e^{i L x_d} and ``geometric(rows, out)`` D's geometric sum at
+    the rows ``rows`` (a slice).  D and R go half the rows at a time, so
+    that the real sines and R's second phases hold half of them."""
+    if kind in ("S", "Fcomposite"):
+        e = phase(slice(0, len(xd)), out)
+        if kind == "S":
+            return _s_weights(lam, xd, small, e)
         return np.multiply(e, lam.frac, out=e)
-    if kind == "R":  # w_D + {L} e^{i L x}, then e^{i L x} again for w_S
-        w += np.multiply(e, lam.frac, out=e)
-        e = phase(e)
-    # w_S in place of e
+    w = np.empty((len(xd), len(lam.value)), complex) if out is None else out
+    half = (len(w) + 1) // 2
+    second = np.empty((half, w.shape[1]), complex) if kind == "R" else None
+    for rows in (slice(0, half), slice(half, len(w))):
+        part = geometric(rows, w[rows])
+        if kind == "R":  # w_D + {L} e^{i L x}, then e^{i L x} again for w_S
+            e = phase(rows, second[:rows.stop - rows.start])
+            part += np.multiply(e, lam.frac, out=e)
+            part -= _s_weights(lam, xd[rows], small[rows], phase(rows, e))
+    return w
+
+
+def _s_weights(lam, xd, small, e) -> np.ndarray:
+    """w_S = (e - 1) / (i x_d) in place of e = e^{i L x_d}, and its limit
+    L + i L^2 x_d / 2 where ``small`` marks x_d = 0."""
     e -= 1.0
     e /= 1j * np.where(small, 1.0, xd)
     rows = small[:, 0]
     if rows.any():
         e[rows] = lam.value + 0.5j * lam.value**2 * xd[rows]
-    if kind == "S":
-        return e
-    return np.subtract(w, e, out=w)
+    return e

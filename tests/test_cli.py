@@ -130,11 +130,12 @@ class TestNormCommand:
     @pytest.mark.parametrize("budget_mb", [4, 16])
     @pytest.mark.parametrize("n", ["256,256", "16,32,64"])
     def test_d_peak_within_the_budget(self, capsys, n, budget_mb):
-        """A D norm holds its batch's weights and a transform buffer of
-        about a quarter batch: the tracemalloc peak of the whole command is
-        <= --budget-mb (measured 3.2-3.5 and 1.7 MiB at 4 MiB, 5.4 and
-        2.9 MiB at 16 MiB; 5.3, 4.7, 9.5 and 8.9 MiB with a buffer of whole
-        batches)."""
+        """A D norm transforms a batch through a buffer of about a quarter
+        batch, each block writing its own weights: the tracemalloc peak of
+        the whole command is <= --budget-mb (measured 1.9-2.1 and 1.4 MiB
+        at 4 MiB, 3.0 and 2.5 MiB at 16 MiB; 3.2-3.5, 1.7, 5.4 and 2.9 MiB
+        with a weight array of whole batches, 5.3, 4.7, 9.5 and 8.9 MiB with
+        a buffer of whole batches)."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

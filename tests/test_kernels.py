@@ -458,13 +458,14 @@ class TestGridSliceWeights:
     def test_written_into_out(self, kind):
         """Given ``out``, here the first P' columns of a wider buffer as the
         engine passes it, the weights are written there, equal to the
-        allocated ones.  For its batch the writer keeps two np.exp tables
-        of about sqrt(len(t)) rows a phase (two phases for D, three for R,
-        one for S and Fcomposite), with their mu and a column a node within
-        a tenth more.  Beside them a write holds at most one P'-wide array,
-        D's real sines (half of ``out``) or R's second phase table (one),
-        and numpy's buffers, within a quarter of ``out`` for these 400
-        nodes of 441 modes."""
+        allocated ones.  For its batch the writer keeps one np.exp table of
+        q = isqrt(len(t)) rows a phase (two phases for D, three for R, one
+        for S and Fcomposite), with its mu and a column a node within a
+        tenth more.  From before the writer is made to the end of the write
+        the peak, beside ``out``, is at most one P'-wide array, D's real
+        sines (half of ``out``) or R's second phase table (one), and the
+        tables and numpy's buffers, within a quarter of ``out`` for these
+        400 nodes of 441 modes."""
         lam = build_lattice(DilationVector((20.5, 40.5, 80.0)), 2).lambda_parts
         m, t = 1540, range(1, 1540, 2)[:400]
         want = grid_weights(kind, lam, t, m)
@@ -474,16 +475,14 @@ class TestGridSliceWeights:
         try:
             write = slice_weight_matrix(kind, lam, t, m)
             kept = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
             got = write(slice(0, len(t)), buf[:, :modes])
-            peak = tracemalloc.get_traced_memory()[1] - kept
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.shares_memory(got, buf)
         assert np.array_equal(buf[:, :modes], want)
         assert not buf[:, modes:].any()
-        q = math.isqrt(len(t))
-        tables = {"D": 2, "R": 3}.get(kind, 1) * (q + -(-len(t) // q))
+        tables = {"D": 2, "R": 3}.get(kind, 1) * math.isqrt(len(t))
         assert kept <= 1.1 * tables * modes * 16
         held = {"D": 0.5, "R": 1.0}.get(kind, 0.0)
         assert peak <= (held + 1 / 4) * want.nbytes
