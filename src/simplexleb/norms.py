@@ -35,12 +35,13 @@ block writes its own rows, ``weights(fs)(ns)(rows, out)``: into the
 block's first P' columns of the transform buffer where the x' modes are
 0..P'-1 of one axis (every fold, 2-D kernel and 2-D field), else into a
 P'-wide array of a block's rows, which is scattered into the buffer.  A
-block holds a quarter of a batch's values; no array holds a batch's
-weights.  Beside these a batch holds |v| a block at a time in a scratch
-of _CHUNK_BYTES / 32 bytes, a closed form's phase tables, and while a
-block is written at most one more P'-wide array of half its rows.  The
-transforms are pruned: x' axis j runs only on the columns where the axes
-after it still hold modes, since the zero columns transform to zeros.
+block holds at most a quarter of min(_CHUNK_BYTES, budget) of values;
+no array holds a batch's weights.  Beside these a batch holds |v| a block
+at a time in a scratch of _CHUNK_BYTES / 32 bytes, a closed form's phase
+tables, and while a block is written at most one more P'-wide array of
+half its rows.  The transforms are pruned: x' axis j runs only on the
+columns where the axes after it still hold modes, since the zero columns
+transform to zeros.
 
 Its inputs carry a leading field axis: a stack of fields on one box, such
 as the twisted differences of a run of mu terms of the correction
@@ -257,8 +258,10 @@ def slice_batches(points: np.ndarray, weights, passes,
     _CHUNK_BYTES / 8 or more alone, whose FFT dwarfs a batch's fixed cost:
     whole fields while two fit, else slices of one; each group runs every
     pass.  A batch's G B (field, slice) rows, field by field, go through
-    one transform buffer in blocks of a quarter of a batch's values on the
-    largest M', in whole rows, at least one.
+    one transform buffer in blocks of at most a quarter of min(_CHUNK_BYTES,
+    budget_bytes) of values on their M', in whole rows, at least one: a
+    batch that fits one block is one, which spares a small norm the fixed
+    cost of more blocks.
     ``weights(fs)(ns)`` is the writer of the fields ``fs`` at the x_s nodes
     ``ns``, made once a batch: ``write(rows, out)`` writes a block's rows
     ``rows`` (a slice of range(G B)) into ``out``, shape (len(rows), P'),
@@ -272,11 +275,11 @@ def slice_batches(points: np.ndarray, weights, passes,
     sums).  All blocks share one buffer: v is valid until the next block."""
     rests = [math.prod(m_prime) for m_prime, *_ in passes]
     top, rows = max(rests), max(len(nodes) for *_, nodes in passes)
-    batch = max(1, min(_CHUNK_BYTES, budget_bytes) // (top * 16)) \
-        if top * 128 < _CHUNK_BYTES else 1
+    chunk = min(_CHUNK_BYTES, budget_bytes)
+    batch = max(1, chunk // (top * 16)) if top * 128 < _CHUNK_BYTES else 1
     group = max(1, batch // rows)
     size = min(group, fields) * min(batch, rows)
-    steps = [min(size, max(1, size * top // 4 // r)) for r in rests]
+    steps = [min(size, max(1, chunk // (64 * r))) for r in rests]
     buf = np.empty(max(map(math.prod, zip(steps, rests))), complex)
     extents = (points.max(axis=0) + 1).tolist()
     modes, flip = len(points), extents == [len(points)]

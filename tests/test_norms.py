@@ -230,7 +230,7 @@ class TestBudget:
         most a quarter of a slice, goes through a transform buffer of at
         most a quarter of the budget, and each block writes its own
         weights; the |v| scratch is _CHUNK_BYTES / 32.  A whole norm peaks
-        at <= 1 budget under tracemalloc (0.46-0.62; 0.46-0.81 with a
+        at <= 1 budget under tracemalloc (0.46-0.65; 0.46-0.81 with a
         P'-wide weight array of a whole batch, 1.26-1.38 with a buffer of
         the whole batch)."""
         budget = 2 << 20
@@ -254,9 +254,9 @@ class TestBudget:
         """D(64, 4096), whose modes fill a quarter of its slices or less:
         each batch keeps its rows, min(_CHUNK_BYTES, budget) / (16 prod M')
         on the largest M' of a call, and the buffer transforms them in
-        blocks of a quarter batch, at most a quarter of min(_CHUNK_BYTES,
-        budget), whose weights the source writes a block at a time, with
-        the value bit for bit."""
+        blocks of at most a quarter of min(_CHUNK_BYTES, budget), whose
+        weights the source writes a block at a time, with the value bit for
+        bit."""
         engine, calls = norms.slice_batches, []
 
         def spied(points, weights, passes, *args):
