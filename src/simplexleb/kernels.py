@@ -27,7 +27,8 @@ leaves a residual controlled by the tail bound derived below, which
 The identity also holds mode by mode in k': on the slice at fixed x_d each
 of the four d-dimensional kernels is a trigonometric polynomial in x' whose
 weight on mode k' is a closed-form function of L = L_d(k') and x_d
-(:func:`slice_weight_matrix`).  R's weight is w_D - w_S + w_Fcomposite,
+(:func:`slice_weight_matrix` at points, :func:`_grid_weights` a block of
+grid nodes at a time).  R's weight is w_D - w_S + w_Fcomposite,
 the exact sum of its nu-series, so the norm engine needs no truncation;
 the identity check keeps the series as the independent oracle of the
 theorem.
@@ -41,6 +42,8 @@ i.e. multiply the zero-padded coefficients by the origin twist
 prod M_j (numpy's ifft has the e^{+2 pi i k t/M} kernel and a 1/M factor).
 The norm engine twists the x' modes of each slice, and a coefficient field
 its last axis; a d-kernel's phases e^{i L x_t} come from :func:`_grid_phases`.
+A block of an engine batch's rows is cut into runs of b rows (q phase rows,
+or a field's b slices) by one rule, :func:`_runs`.
 
 Tail bound derivation (truncation of the nu-series in R): for |x_d| <= pi and
 nu >= 1, |2 pi nu +- x_d| >= 2 pi nu - pi >= pi nu, and each difference term
@@ -160,42 +163,49 @@ def _origin_twist(k_sum) -> np.ndarray:
     return 1.0 - 2.0 * (np.asarray(k_sum) & 1)
 
 
+def _runs(rows: slice, b: int) -> list:
+    """The rows ``rows`` of a sequence of runs of b rows each, in up to
+    three parts: the last rows of the first run they reach, whole runs, and
+    the first rows of the last run.  Each part is (runs, within, o), slices
+    of the runs, of the rows of a run and of ``rows``: out[o] of a block
+    holds the part, run by run."""
+    n, (f, first) = rows.stop - rows.start, divmod(rows.start, b)
+    head = min(-first % b, n)
+    (whole, tail), g = divmod(n - head, b), f + (head > 0)
+    parts = ((slice(f, f + 1), slice(first, first + head), slice(0, head)),
+             (slice(g, g + whole), slice(0, b), slice(head, n - tail)),
+             (slice(g + whole, g + whole + 1), slice(0, tail),
+              slice(n - tail, n)))
+    return [part for part, size in zip(parts, (head, whole, tail)) if size]
+
+
 def _grid_phases(mu, m: int, t: range):
     """e^{i mu x_t} at the nodes t of x_t = -pi + 2 pi t / m, as a writer
     ``phases(rows, out=None)`` of the rows ``rows`` (a slice of
     range(len(t))), shape (len(rows), len(mu)), into ``out`` if given.
     With t = t.start + (q a + b) t.step, q = isqrt(len(t)), a row is the
     product of the np.exp rows of a and of b: the q rows of b are made here
-    once, those of a by each write for its groups alone, so rows that start
-    or end inside a group of q take the bits of the whole."""
+    once, those of a by each write for its runs (:func:`_runs`) of q rows
+    alone, so every row has the same bits whatever the rows written."""
     q, step = max(1, math.isqrt(len(t))), t.step
     coarse = -np.pi + 2.0 * np.pi * np.arange(t.start, t.stop, q * step) / m
     low = np.exp(1j * np.multiply.outer(
         2.0 * np.pi * np.arange(0, q * step, step) / m, mu))
 
     def phases(rows: slice, out=None) -> np.ndarray:
-        a, b = divmod(rows.start, q)
-        size = rows.stop - rows.start
-        high = np.exp(1j * np.multiply.outer(
-            coarse[a:(rows.stop - 1) // q + 1], mu))
-        out = np.empty((size, len(mu)), complex) if out is None else out
-        # the rows of group a from its row b, whole groups, and the first
-        # rows of the last group
-        head = min(-b % q, size)
-        whole, first = (size - head) // q, int(head > 0)
-        tail = head + whole * q
-        if head:
-            np.multiply(high[0], low[b:b + head], out=out[:head])
-        np.multiply(high[first:first + whole, None], low,
-                    out=out[head:tail].reshape(whole, q, len(mu)))
-        if tail < size:
-            np.multiply(high[first + whole], low[:size - tail], out=out[tail:])
+        out = np.empty((rows.stop - rows.start, len(mu)), complex) \
+            if out is None else out
+        for groups, b, o in _runs(rows, q):
+            high = np.exp(1j * np.multiply.outer(coarse[groups], mu))
+            np.multiply(high[:, None], low[b],
+                        out=out[o].reshape(len(high), -1, len(mu)))
         return out
     return phases
 
 
-def slice_weight_matrix(kind: str, lam: LambdaParts, xs, m: int | None = None):
-    """Closed-form x_d-slice weights of every mode k' (P' of them).
+def slice_weight_matrix(kind: str, lam: LambdaParts, xs) -> np.ndarray:
+    """Closed-form x_d-slice weights of every mode k' (P' of them) at the
+    points ``xs``, shape (len(xs), P'), one np.exp per phase.
 
     With L = L_d(k') (``lam`` from :attr:`SimplexLattice.lambda_parts`) and
     x = x_d:
@@ -205,35 +215,40 @@ def slice_weight_matrix(kind: str, lam: LambdaParts, xs, m: int | None = None):
         Fcomposite  {L} e^{i L x}
         R           w_D - w_S + w_Fcomposite
 
-    ``xs`` holds the points x: the weights, shape (len(xs), P'), one np.exp
-    per phase.  Given ``m``, ``xs`` is a range of B nodes t of x_t = -pi + 2
-    pi t / m, such as the odd t of m = 2 M_s: the grid M_s shifted by half
-    a cell.  Then the result is a writer ``write(rows, out=None)`` of the
-    weights of the nodes xs[rows] (a slice of range(B)), shape (len(rows),
-    P'), into ``out`` if given, whose phases come from :func:`_grid_phases`
-    of the B nodes: a table of about sqrt(B) rows a phase, made here once,
-    and a few rows a write.  Each weight has the same bits whatever the
-    rows.  D and R are written half the rows at a time, so that a write
-    holds one more array of P' values a row of that half: the real sines
-    of D and R, then R's second phases.
+    On grid nodes the engine writes them with :func:`_grid_weights`.
     """
     if kind not in ("D", "S", "Fcomposite", "R"):
         raise ValueError(f"unknown sliced kernel {kind!r}")
-    if m is None:
-        xd = np.asarray(xs, dtype=float)[:, None]
-        return _closed_form(kind, lam, xd, np.abs(xd) < SINGULARITY_THRESHOLD,
-                            lambda rows, out=None: np.exp(
-                                1j * lam.value * xd[rows], out=out),
-                            lambda rows, out: _geometric_sum(
-                                lam.floor + 1.0, xd[rows], out))
-    t = np.arange(xs.start, xs.stop, xs.step)[:, None]
+    xd = np.asarray(xs, dtype=float)[:, None]
+    return _closed_form(kind, lam, xd, np.abs(xd) < SINGULARITY_THRESHOLD,
+                        lambda rows, out=None: np.exp(
+                            1j * lam.value * xd[rows], out=out),
+                        lambda rows, out: _geometric_sum(
+                            lam.floor + 1.0, xd[rows], out),
+                        slice(0, len(xd)))
+
+
+def _grid_weights(kind: str, lam: LambdaParts, nodes: range, m: int):
+    """slice_weight_matrix's weights at the B nodes t of x_t = -pi + 2 pi t
+    / m in ``nodes`` (a range, such as the odd t of m = 2 M_s: the grid M_s
+    shifted by half a cell), as a writer ``write(rows, out=None)`` of the
+    weights of the nodes nodes[rows] (a slice of range(B)), shape
+    (len(rows), P'), into ``out`` if given.  Its phases come from
+    :func:`_grid_phases` of the B nodes: a table of about sqrt(B) rows a
+    phase, made here once, and a few rows a write, so each weight has the
+    same bits whatever the rows.  D and R are written half the rows at a
+    time, so that a write holds one more array of P' values a row of that
+    half: the real sines of D and R, then R's second phases.
+    """
+    t = np.arange(nodes.start, nodes.stop, nodes.step)[:, None]
     # x_t = 0 where 2 t = m, although its float may not be 0.0
     xd, small = -np.pi + 2.0 * np.pi * t / m, 2 * t == m
-    value = None if kind == "D" else _grid_phases(lam.value, m, xs)
+    value = None if kind == "D" else _grid_phases(lam.value, m, nodes)
+    geometric = None
     if kind in ("D", "R"):
         m_d = lam.floor + 1.0
-        top, num = (_grid_phases(mu, m, xs) for mu in (0.5 * m_d,
-                                                       0.5 * (m_d - 1.0)))
+        top, num = (_grid_phases(mu, m, nodes) for mu in (0.5 * m_d,
+                                                          0.5 * (m_d - 1.0)))
         denom = np.where(small, 1.0, np.sin(0.5 * xd))
 
         def geometric(rows, out):  # _geometric_sum from the tables
@@ -242,36 +257,32 @@ def slice_weight_matrix(kind: str, lam: LambdaParts, xs, m: int | None = None):
             np.copyto(sines, m_d, where=small[rows])
             w = num(rows, out)
             return np.multiply(w, sines, out=w)
-
-    def write(rows: slice, out=None) -> np.ndarray:
-        def at(source):  # ``source`` of the batch's rows, given the block's
-            return source and (lambda part, out=None: source(slice(
-                rows.start + part.start, rows.start + part.stop), out))
-        return _closed_form(kind, lam, xd[rows], small[rows], at(value),
-                            kind in ("D", "R") and at(geometric), out)
-    return write
+    return lambda rows, out=None: _closed_form(kind, lam, xd, small, value,
+                                               geometric, rows, out)
 
 
-def _closed_form(kind, lam, xd, small, phase, geometric, out=None):
-    """slice_weight_matrix's weights at the column ``xd`` of x_d values,
-    ``small`` marking x_d = 0, into ``out`` if given: ``phase(rows, out)``
-    writes e^{i L x_d} and ``geometric(rows, out)`` D's geometric sum at
-    the rows ``rows`` (a slice).  D and R go half the rows at a time, so
-    that the real sines and R's second phases hold half of them."""
+def _closed_form(kind, lam, xd, small, phase, geometric, rows, out=None):
+    """The weights of the rows ``rows`` (a slice) of the column ``xd`` of
+    x_d values, ``small`` marking x_d = 0, into ``out`` if given:
+    ``phase(rows, out)`` writes e^{i L x_d} and ``geometric(rows, out)``
+    D's geometric sum at the rows ``rows``.  D and R go half the rows at a
+    time, so that the real sines and R's second phases hold half of them."""
     if kind in ("S", "Fcomposite"):
-        e = phase(slice(0, len(xd)), out)
+        e = phase(rows, out)
         if kind == "S":
-            return _s_weights(lam, xd, small, e)
+            return _s_weights(lam, xd[rows], small[rows], e)
         return np.multiply(e, lam.frac, out=e)
-    w = np.empty((len(xd), len(lam.value)), complex) if out is None else out
-    half = (len(w) + 1) // 2
+    size = rows.stop - rows.start
+    w = np.empty((size, len(lam.value)), complex) if out is None else out
+    half = (size + 1) // 2
     second = np.empty((half, w.shape[1]), complex) if kind == "R" else None
-    for rows in (slice(0, half), slice(half, len(w))):
-        part = geometric(rows, w[rows])
+    for part in (slice(0, half), slice(half, size)):
+        at = slice(rows.start + part.start, rows.start + part.stop)
+        weights = geometric(at, w[part])
         if kind == "R":  # w_D + {L} e^{i L x}, then e^{i L x} again for w_S
-            e = phase(rows, second[:rows.stop - rows.start])
-            part += np.multiply(e, lam.frac, out=e)
-            part -= _s_weights(lam, xd[rows], small[rows], phase(rows, e))
+            e = phase(at, second[:part.stop - part.start])
+            weights += np.multiply(e, lam.frac, out=e)
+            weights -= _s_weights(lam, xd[at], small[at], phase(at, e))
     return w
 
 

@@ -17,9 +17,9 @@ One engine (:func:`slice_batches`) synthesizes every grid in batches of
 nodes of the last axis x_s, each transformed over x' in one reused buffer.
 It takes the x' modes and one of three slice-weight sources:
 
-* closed forms (:func:`.kernels.slice_weight_matrix`) for the d-kernels D,
-  S, Fcomposite and R (d >= 2), with phases the products of a small table
-  a batch and phase and a few np.exp rows a block;
+* closed forms (:func:`.kernels._grid_weights`) for the d-kernels D, S,
+  Fcomposite and R (d >= 2), with phases the products of a small table a
+  batch and phase and a few np.exp rows a block;
 * one inverse FFT along the last axis of a group of coefficient fields of
   dimension s >= 2 (F for d >= 3, the twisted differences of the correction
   functional), whose odd and even nodes a later level takes;
@@ -31,17 +31,17 @@ It takes the x' modes and one of three slice-weight sources:
   The u axis never doubles, so a later level is the odd slices q alone.
 
 A source makes a writer of a batch's slice weights, and each transform
-block writes its own rows, ``weights(fs)(ns)(rows, out)``: into the
-block's first P' columns of the transform buffer where the x' modes are
-0..P'-1 of one axis (every fold, 2-D kernel and 2-D field), else into a
-P'-wide array of a block's rows, which is scattered into the buffer.  A
-block holds at most a quarter of min(_CHUNK_BYTES, budget) of values;
-no array holds a batch's weights.  Beside these a batch holds |v| a block
-at a time in a scratch of _CHUNK_BYTES / 32 bytes, a closed form's phase
-tables, and while a block is written at most one more P'-wide array of
-half its rows.  The transforms are pruned: x' axis j runs only on the
-columns where the axes after it still hold modes, since the zero columns
-transform to zeros.
+block writes its own rows, ``weights(fs)(ns)(rows, out)``, cut into runs
+of a field's slices by :func:`.kernels._runs`: into the block's first P'
+columns of the transform buffer where the x' modes are 0..P'-1 of one axis
+(every fold, 2-D kernel and 2-D field), else into a P'-wide array of a
+block's rows, which is scattered into the buffer.  A block holds at most a
+quarter of min(_CHUNK_BYTES, budget) of values; no array holds a batch's
+weights.  Beside these a batch holds |v| a block at a time in a scratch of
+_CHUNK_BYTES / 32 bytes, a closed form's phase tables, and while a block
+is written at most one more P'-wide array of half its rows.  The
+transforms are pruned: x' axis j runs only on the columns where the axes
+after it still hold modes, since the zero columns transform to zeros.
 
 Its inputs carry a leading field axis: a stack of fields on one box, such
 as the twisted differences of a run of mu terms of the correction
@@ -95,8 +95,10 @@ from .core import (
 from .kernels import (
     _CHUNK_BYTES,
     DEFAULT_NU_MAX,
+    _grid_weights,
     _origin_twist,
     _r_series,
+    _runs,
     reduce_torus,
     slice_weight_matrix,
 )
@@ -326,33 +328,11 @@ def slice_batches(points: np.ndarray, weights, passes,
                     yield fs, p, ns, w_sq, block, v
 
 
-def _field_parts(rows: slice, b: int) -> list:
-    """The rows ``rows`` of a batch's (field, slice) rows, b slices a field,
-    in up to three parts: the last slices of the first field they reach,
-    whole fields, and the first slices of the last field.  Each part is
-    (fields, slices, o), slices of the batch's fields and slices and of
-    ``rows``: out[o] of a block holds the part, field by field."""
-    n, (f, first) = rows.stop - rows.start, divmod(rows.start, b)
-    head = min(-first % b, n)
-    whole = (n - head) // b
-    tail = n - head - whole * b
-    parts = [(slice(f, f + 1), slice(first, first + head),
-              slice(0, head))] if head else []
-    f += head > 0
-    if whole:
-        parts.append((slice(f, f + whole), slice(0, b),
-                      slice(head, head + whole * b)))
-    if tail:
-        parts.append((slice(f + whole, f + whole + 1), slice(0, tail),
-                      slice(n - tail, n)))
-    return parts
-
-
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
                    budget_bytes: int = DEFAULT_BUDGET_BYTES):
     """(points, weights, hermitian) of a d-kernel on the grid M."""
     check_grid(lat.extents, M, budget_bytes, field=False)
-    return lat.points, lambda fs: lambda ns: slice_weight_matrix(
+    return lat.points, lambda fs: lambda ns: _grid_weights(
         kernel, lat.lambda_parts, ns, M[-1]), True
 
 
@@ -377,7 +357,7 @@ def _field_source(weights: np.ndarray, M: tuple, budget_bytes: int):
 
         def batch(ns):
             def write(rows, out):
-                for fields, s, o in _field_parts(rows, len(ns)):
+                for fields, s, o in _runs(rows, len(ns)):
                     t = ns[s]
                     np.copyto(out[o].reshape(-1, len(t), out.shape[1]),
                               w[fields, t.start:t.stop:t.step])
@@ -404,25 +384,14 @@ def _folded_source(weights: np.ndarray, M: tuple, budget_bytes: int):
 
         def batch(ns):
             def write(rows, out):
-                parts, b = _field_parts(rows, len(ns)), len(ns)
-                whole = next((part for part in parts
-                              if part[1] == slice(0, b)), None)
-                if whole is None:  # the phases of each part's slices
-                    for fields, s, o in parts:
-                        _fold_phases(K, m, ns[s], out[o])
-                        np.multiply(c[fields.start], out[o], out=out[o])
-                    return
-                # the phases in the rows of the first whole field, then c
-                fields, _, o = whole
-                first = out[o][:b]
-                _fold_phases(K, m, ns, first)
-                np.multiply(c[fields.start + 1:fields.stop], first,
-                            out=out[o][b:].reshape(-1, b, K))
-                for part_fields, s, part_rows in parts:
-                    if part_rows != o:
-                        np.multiply(c[part_fields.start], first[s],
-                                    out=out[part_rows])
-                np.multiply(c[fields.start], first, out=first)
+                # phases in the part's first field, times later c, then its own
+                for fields, s, o in _runs(rows, len(ns)):
+                    b = s.stop - s.start
+                    first = out[o][:b]
+                    _fold_phases(K, m, ns[s], first)
+                    np.multiply(c[fields.start + 1:fields.stop], first,
+                                out=out[o][b:].reshape(-1, b, K))
+                    np.multiply(c[fields.start], first, out=first)
             return write
         return batch
     return np.arange(K)[:, None], group_weights, hermitian
@@ -612,6 +581,8 @@ def l1_norm(kernel: str, n: DilationVector, tol: float = DEFAULT_TOL,
             else indicator_coefficients(build_lattice(n, 1, budget_bytes))
         return _result(*_field_norms(fld.weights[None], lambda i: tag, tol,
                                      rho, budget_bytes), 0)
+    if kernel == "D" and M0[-1] < K[-1]:  # grid Parseval needs M_s >= K_s
+        raise ValueError(f"grid size {M0[-1]} below box extent {K[-1]}")
     lat = build_lattice(n, n.d - 1, budget_bytes)
     # D's grid power is the lattice count P = sum_k' ([L_d(k')] + 1)
     power = np.array([float((lat.lambda_parts.floor + 1).sum())]) \
@@ -663,8 +634,8 @@ def identity_residuals(n: DilationVector, points: np.ndarray, nu_max: int,
     rhs = s_vals - f_vals + r_vals
     residuals = np.abs(d_vals - rhs)
     tails = 2.0 * lat.points.shape[0] * np.abs(xd) / (np.pi**2 * nu_max)
-    # P = sum_k' ([L_d(k')] + 1) counts the full lattice without building it
-    return residuals, tails, int((parts.floor + 1).sum())
+    # P = sum_k' ([L_d(k')] + 1), the full lattice count, exact past 2^63
+    return residuals, tails, sum(parts.floor.tolist()) + len(parts.floor)
 
 
 def verify_identity(n: DilationVector, num_points: int = 100,

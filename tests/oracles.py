@@ -19,7 +19,10 @@ simplexleb.norms._field_norms refines together; frak_f_dense is the
 correction functional with neither the norm engine nor apply_delta, its
 norms dense Riemann sums on fixed grids; r_series_unblocked is the nu-series
 of simplexleb.kernels._r_series with each nu chunk's product over all N
-points at once, the reference for its blocks of points.
+points at once, the reference for its blocks of points;
+rational_riemann_sum is the Riemann sum of D or F of n = (m, p m / q) on a
+grid from their closed forms at a rational slope, with its own geometric
+sum and nothing from simplexleb.kernels or simplexleb.norms.
 """
 
 import math
@@ -318,3 +321,50 @@ def frak_f_dense(k: int, n: DilationVector, t_nodes: int = 64,
                         for v in t.tolist()]
                 total += np.trapezoid(vals, t) / mu_abs
     return 2.0 * np.pi * total
+
+
+def _geometric(J, y):
+    """sum_{j<J} e^{i j y} = e^{i (J-1) y / 2} sin(J y / 2) / sin(y / 2),
+    with y reduced into [-pi, pi) first and the value J where y is 0."""
+    half = 0.5 * (np.remainder(y + np.pi, 2.0 * np.pi) - np.pi)
+    s = np.sin(half)
+    ratio = np.sin(J * half) / np.where(s == 0.0, 1.0, s)
+    return np.exp(1j * (J - 1) * half) * np.where(s == 0.0, J, ratio)
+
+
+def rational_riemann_sum(kernel: str, m: int, p: int, q: int, M: tuple):
+    """(2 pi)^s / prod M sum_t |f(x_t)| of D (s = 2) or F (s = 1) of
+    n = (m, p m / q), m an integer, on the grid M, from their closed forms
+    at the rational slope p / q, with no lattice and no FFT.
+
+    L_2(k_1) = p u / q with u = m - k_1 = r + j q, 0 <= r < q, so
+    [p u / q] = p j + c_r, c_r = [p r / q], and the k_2-sum is geometric:
+
+        D(x) = e^{i m x_1} / (e^{i x_2} - 1) sum_{r<q} e^{-i r x_1}
+               [e^{i (c_r + 1) x_2} G_r(p x_2 - q x_1) - G_r(-q x_1)],
+        F(x_1) = e^{i m x_1} sum_{r<q} {p r / q} e^{-i r x_1} G_r(-q x_1),
+
+    G_r = sum_{j < J_r} e^{i j y}, J_r = [(m - r) / q] + 1 (arXiv
+    2004.12236 splits the norms into these rational parts).  At x_2 = 0,
+    found by index as 2 t = M_2, D is sum_u ([p u / q] + 1) e^{i (m - u)
+    x_1}.  A node costs O(q)."""
+    x1 = (-np.pi + 2.0 * np.pi * np.arange(M[0]) / M[0])[:, None]
+    r = np.arange(q)
+    J = (m - r) // q + 1
+    if kernel == "F":
+        f = np.exp(1j * m * x1) * sum(
+            p * k % q / q * np.exp(-1j * k * x1) * _geometric(j, -q * x1)
+            for k, j in zip(r, J))
+        return 2.0 * np.pi * float(np.abs(f).sum()) / M[0]
+    t = np.arange(M[1])
+    x2, zero = -np.pi + 2.0 * np.pi * t / M[1], 2 * t == M[1]
+    total = sum(np.exp(-1j * k * x1) * (
+        np.exp(1j * (p * k // q + 1) * x2) * _geometric(j, p * x2 - q * x1)
+        - _geometric(j, -q * x1)) for k, j in zip(r, J))
+    # e^{i x_2} - 1 = 2 i sin(x_2 / 2) e^{i x_2 / 2}
+    f = np.exp(1j * m * x1) * total / np.where(
+        zero, 1.0, 2j * np.sin(0.5 * x2) * np.exp(0.5j * x2))
+    u = np.arange(m + 1)
+    f[:, zero] = (np.exp(1j * np.multiply.outer(x1[:, 0], m - u))
+                  @ (p * u // q + 1.0))[:, None]
+    return (2.0 * np.pi) ** 2 * float(np.abs(f).sum()) / math.prod(M)

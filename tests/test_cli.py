@@ -6,8 +6,11 @@ import os
 import signal
 import time
 import tracemalloc
+from decimal import Decimal
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 import simplexleb.core
 import simplexleb.irrational
@@ -255,6 +258,76 @@ class TestWorkBound:
         assert err.startswith("simplexleb: error: one mu term") and \
             "over the budget" in err
         assert err.count("\n") == 1
+
+
+def _decimal(low=-30, high=30):
+    """A positive decimal m 10^e, 1 <= m <= 999, written out in full."""
+    return st.builds(lambda m, e: f"{Decimal(m).scaleb(e):f}",
+                     st.integers(1, 999), st.integers(low, high - 2))
+
+
+_ENTRY = st.one_of(_decimal(-2, 2), _decimal())
+_N = st.lists(_ENTRY, min_size=1, max_size=4).map(",".join)
+_EXTREME = st.sampled_from(["0", "-1", "1e-300", "1e-16", "1e-9", "1e-5",
+                            "0.5", "4", "64", "1e300", "inf", "nan"])
+_QUADRATURE = st.lists(st.tuples(st.sampled_from(["--tol", "--rho"]),
+                                 _EXTREME), max_size=2).map(
+    lambda flags: [word for flag in flags for word in flag])
+_EXPR = st.sampled_from(["n1", "2.3*n1", "n1**2", "pow(n1,3)", "n1/0",
+                         "log(n1)", "sqrt(n1)", "exp(n1)", "n1**n1", "-n1",
+                         "floor(n1)+1", "n1*1e20", "n1**0.5+1"])
+_ALPHA = st.one_of(
+    st.builds("rational:{}/{}".format, st.integers(-3, 999),
+              st.integers(-1, 999)),
+    st.just("golden"),
+    st.builds("liouville:{},{}".format, st.integers(-1, 12),
+              st.integers(-1, 6)),
+    _decimal(-30, 0).map("dec:{}".format))
+_NORM = st.builds(
+    lambda kernel, n, quad: ["norm", "--kernel", kernel, "--n", n, *quad],
+    st.sampled_from(["D", "F", "S", "Fcomposite", "R"]), _N, _QUADRATURE)
+_VERIFY = st.builds(
+    lambda n, points, nu: ["verify", "--n", n, "--points", points,
+                           "--nu-max", nu],
+    _N, st.sampled_from(["-1", "0", "1", "7", "40"]),
+    st.sampled_from(["-1", "0", "1", "64", "4096"]))
+_SWEEP = st.builds(
+    lambda n1, n2, n3, t, quad: ["sweep", "--n1", n1, "--n2", n2, *n3,
+                                 "--t-nodes", t, *quad],
+    st.one_of(st.lists(_ENTRY, min_size=1, max_size=3).map(
+                  lambda v: f"list({','.join(v)})"),
+              st.builds("geom({},{},{})".format, _ENTRY, _ENTRY,
+                        st.integers(0, 4))),
+    _EXPR,
+    st.one_of(st.just([]),
+              _EXPR.map(lambda e: ["--n3", e.replace("n1", "n2")])),
+    st.sampled_from(["-1", "1", "2", "3", "8", "1000000000"]), _QUADRATURE)
+_IRRATIONAL = st.builds(
+    lambda alpha, ns, quad: ["irrational", "--alpha", alpha, *ns, *quad],
+    _ALPHA,
+    st.one_of(st.integers(-1, 1 << 12).map(lambda n: ["--nmax", str(n)]),
+              st.lists(st.integers(-3, 3000), min_size=1, max_size=3).map(
+                  lambda v: ["--n", ",".join(map(str, v))])),
+    _QUADRATURE)
+_ARGV = st.builds(lambda command, budget: command + ["--budget-mb", budget],
+                  st.one_of(_NORM, _VERIFY, _SWEEP, _IRRATIONAL),
+                  st.sampled_from(["1", "2", "3", "4"]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV)
+def test_every_input_exits_0_to_3(capsys, argv):
+    """Any argv of the grammar above at --budget-mb 1-4: decimal entries
+    from 1e-30 to 1e30, d = 1..4, extreme --tol, --rho and --t-nodes, the
+    four --alpha forms and sweep expressions, ends in exit 0-3, with
+    nothing raised.  A run still going after a second is dropped, not
+    failed: how long a valid input runs is not the exit-code contract."""
+    try:
+        code, _, _ = run_within_a_second(capsys, argv)
+    except _Hung:
+        reject()
+    assert code in (0, 1, 2, 3)
 
 
 class TestVerifyCommand:

@@ -21,6 +21,8 @@ from simplexleb.core import (
 )
 from simplexleb.kernels import (
     _grid_phases,
+    _grid_weights,
+    _runs,
     apply_delta,
     reduce_torus,
     slice_weight_matrix,
@@ -82,9 +84,9 @@ def folded_values(weights, m, budget_bytes=1 << 30):
 
 
 def grid_weights(kind, lam, t, m, out=None):
-    """slice_weight_matrix's weights of every node of the range t of the grid
-    m: its writer's rows 0..len(t) - 1, into ``out`` if given."""
-    return slice_weight_matrix(kind, lam, t, m)(slice(0, len(t)), out)
+    """_grid_weights' weights of every node of the range t of the grid m:
+    its writer's rows 0..len(t) - 1, into ``out`` if given."""
+    return _grid_weights(kind, lam, t, m)(slice(0, len(t)), out)
 
 
 def engine_grid(kernel, n, M):
@@ -473,7 +475,7 @@ class TestGridSliceWeights:
         buf = np.zeros((len(t), 4 * modes), complex)
         tracemalloc.start()
         try:
-            write = slice_weight_matrix(kind, lam, t, m)
+            write = _grid_weights(kind, lam, t, m)
             kept = tracemalloc.get_traced_memory()[0]
             got = write(slice(0, len(t)), buf[:, :modes])
             peak = tracemalloc.get_traced_memory()[1]
@@ -495,7 +497,7 @@ class TestGridSliceWeights:
         rng = np.random.default_rng(3)
         for m, t in ((1540, range(1, 1540, 2)[:400]), (45, range(0, 23)),
                      (3080, range(0, 3080, 2)[17:340])):
-            write = slice_weight_matrix(kind, self.LAM, t, m)
+            write = _grid_weights(kind, self.LAM, t, m)
             want = write(slice(0, len(t)))
             for _ in range(10):
                 edges = [0, *sorted(rng.choice(np.arange(1, len(t)), 5,
@@ -703,9 +705,11 @@ class TestFold:
 
     @pytest.mark.parametrize("real", [True, False])
     def test_blocks_keep_the_bits_of_the_batch(self, real):
-        """A batch of 5 fields of 3 slices (a fold) or 4 (a 2-D field),
-        written in blocks that start and end anywhere in a field, has the
-        bits of the batch written at once."""
+        """A batch of 5 fields of 3 slices (a fold) or 4 (a 2-D field):
+        every block of its rows, among them blocks that start inside a
+        field and span whole fields, written into the first P' columns of a
+        wider buffer as the engine passes them, has the bits of the batch
+        written at once, and leaves the other columns alone."""
         rng = np.random.default_rng(5)
         folded = self.golden_like(40)[0] * (1.0 + np.arange(5))[:, None]
         field = rng.standard_normal((5, 6, 7))
@@ -717,19 +721,40 @@ class TestFold:
                 (_field_source, field, (12, 16), range(0, 8, 2))):
             points, group_weights, _ = source(weights, M, 1 << 30)
             write, rows = group_weights(slice(0, 5))(ns), 5 * len(ns)
-            want = np.empty((rows, len(points)), complex)
+            modes = len(points)
+            want = np.empty((rows, modes), complex)
             write(slice(0, rows), want)
-            for _ in range(10):
-                edges = [0, *sorted(rng.choice(np.arange(1, rows), 4,
-                                               replace=False)), rows]
-                got = np.empty_like(want)
-                for a, b in zip(edges, edges[1:]):
-                    write(slice(a, b), got[a:b])
-                assert got.tobytes() == want.tobytes()
+            spans = 0
+            for a, b in itertools.combinations(range(rows + 1), 2):
+                buf = np.zeros((b - a, 3 * modes), complex)
+                write(slice(a, b), buf[:, :modes])
+                assert buf[:, :modes].tobytes() == want[a:b].tobytes()
+                assert not buf[:, modes:].any()
+                spans += a % len(ns) > 0 and b - a >= 2 * len(ns)
+            assert spans
 
     def test_fold_refuses_undersized_slice(self):
         with pytest.raises(ValueError, match="below box extent 201"):
             _folded_source(self.golden_like(200), (200, 4), 1 << 30)
+
+
+def test_runs_cut_every_slice_of_rows():
+    """_runs cuts any rows of G runs of b rows into parts in order that
+    hold each row once: at most one of whole runs, between the last rows
+    of the first run and the first rows of the last."""
+    for b, G in itertools.product((1, 2, 3, 7), range(1, 5)):
+        for a, c in itertools.combinations(range(G * b + 1), 2):
+            parts, seen = _runs(slice(a, c), b), []
+            for runs, within, o in parts:
+                assert runs.stop - runs.start >= 1 and within.stop <= b
+                assert within.stop > within.start
+                assert o.start == len(seen)
+                seen += [r * b + w for r in range(runs.start, runs.stop)
+                         for w in range(within.start, within.stop)]
+                assert o.stop == len(seen)
+            assert seen == list(range(a, c))
+            whole = [p for p in parts if p[1] == slice(0, b)]
+            assert len(whole) <= 1 and len(parts) <= 3
 
 
 def test_first_axes_periodicity_of_sliced_kernels():

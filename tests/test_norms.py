@@ -35,7 +35,8 @@ from simplexleb.norms import (
 from simplexleb.cli import main as cli_main
 from simplexleb.core import CoefficientField
 from oracles import double_integral_ld2, frak_f_dense, frak_f_two_sided, \
-    grid_eval, r_series_unblocked, stack_results, t_integral
+    grid_eval, r_series_unblocked, rational_riemann_sum, stack_results, \
+    t_integral
 from test_kernels import engine_values
 
 
@@ -100,6 +101,15 @@ class TestL1Norm:
         l1_norm("D", n)
         with pytest.raises(ResourceLimitError):
             l1_norm("D", n, budget_bytes=0)
+
+    def test_d_grid_below_its_last_extent_refused(self, monkeypatch):
+        """D's grid power is its lattice count only on a grid that holds
+        its modes on every axis: at rho 1e-300, n = (1e-21, 1) gets M =
+        (1, 1) for the modes (1, 2), refused before any lattice point."""
+        monkeypatch.setattr(norms, "build_lattice", _never)
+        with pytest.raises(ValueError, match="grid size 1 below box extent "
+                                             "2$"):
+            l1_norm("D", DilationVector((1e-21, 1.0)), rho=1e-300)
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_tol_refused(self, tol):
@@ -869,6 +879,16 @@ class TestVerifyIdentity:
         report = verify_identity(n, num_points=3, nu_max=8)
         assert report.slack == 1e-9 * len(build_lattice(n).points)
 
+    def test_lattice_count_past_int64(self):
+        """(426, 4.26e17) has 427 floors below 2^63 whose sum is not: P is
+        summed exactly, so its slack is positive and the check passes (an
+        int64 sum wrapped to -1.3e18)."""
+        n = DilationVector((426.0, 4.26e17))
+        floors = build_lattice(n, 1).lambda_parts.floor.tolist()
+        _, _, p_full = identity_residuals(n, np.zeros((1, 2)), 1)
+        assert p_full == sum(floors) + 427 > 2**63
+        report = verify_identity(n, num_points=7, nu_max=1)
+        assert report.slack == 1e-9 * p_full and report.passed
 
     def test_budget_counts_working_set_before_lattice(self, monkeypatch):
         """A budget above the phase matrix but below the arrays held with it
@@ -1168,3 +1188,31 @@ class TestDoubleIntegral:
         lhs = double_integral_ld2(n, 1.1, 0.7)
         rhs = 4 * math.pi * l1_norm("D", DilationVector((float(n),))).value
         assert abs(lhs - rhs) / math.log(math.log(n)) < 60
+
+
+class TestRationalSlopeOracle:
+    """D and F of n = (m, p m / q) against their closed forms at the slope
+    p / q, which use neither the lattice nor the engine: the Riemann sum on
+    l1_norm's final grid is its value.  Each n's float lattice is the
+    rational one (D's grid power is the rational count).  At 1 MiB a D
+    norm's last level is over the chunk, so its batches and blocks split."""
+
+    CASES = [(24, 4, 3), (40, 3, 4), (20, 4, 3), (34, 3, 4), (30, 3, 2),
+             (32, 1, 1)]
+
+    @pytest.mark.parametrize("kernel", ["D", "F"])
+    def test_value_is_the_closed_form_riemann_sum(self, kernel):
+        for m, p, q in self.CASES:
+            n, oracle = DilationVector((m, p * m / q)), {}
+            for budget in (DEFAULT_BUDGET_BYTES, 1 << 20):
+                res = l1_norm(kernel, n, budget_bytes=budget)
+                if kernel == "D":
+                    assert res.parseval == sum(p * u // q + 1
+                                               for u in range(m + 1))
+                    assert budget > 1 << 20 or \
+                        16 * math.prod(res.grid) // 2 > budget
+                if res.grid not in oracle:
+                    oracle[res.grid] = rational_riemann_sum(kernel, m, p, q,
+                                                            res.grid)
+                assert res.value == pytest.approx(oracle[res.grid],
+                                                  rel=1e-12, abs=0)
