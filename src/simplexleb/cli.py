@@ -390,9 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="norm/predictor sweep to CSV")
     p.add_argument("--n1", required=True,
                    help="geom(a,b,k) | list(v,...)")
-    p.add_argument("--n2", default="",
-                   help="geom/list or expression in n1, e.g. pow(n1,2)")
-    p.add_argument("--n3", default="")
+    for axis in ("--n2", "--n3"):
+        p.add_argument(axis, default="", help="geom/list or expression in "
+                       f"earlier axes, e.g. pow(n1,2); {axis}=-n1 for one "
+                       "that starts with '-'")
     p.add_argument("--t-nodes", type=int, default=64)
     p.add_argument("--timings", action="store_true",
                    help="report wall-clock seconds (breaks byte-level "

@@ -76,8 +76,8 @@ DEFAULT_NU_MAX = 4096
 SINGULARITY_THRESHOLD = 1e-8
 
 # Most bytes of complex values per batch of grid slices or chunk of nu terms
-# (a smaller budget shrinks them).  Batches of 8 MiB ran D(256, 256) and
-# S(48.5, 3000.7) as fast as 128 MiB ones at a quarter of the peak memory.
+# (the budget shrinks chunks, not batches).  8 MiB batches ran D(256, 256)
+# and S(48.5, 3000.7) as fast as 128 MiB ones at a quarter of the peak memory.
 _CHUNK_BYTES = 1 << 23
 
 
@@ -109,15 +109,19 @@ def _r_series(lam, phases, xd, nu_max, budget) -> np.ndarray:
     ``lam`` holds L_d(k') (P',), ``phases`` e^{i (k', x')} (N, P') and
     ``xd`` the x_d of each point (N,).  Since e^{i (2 pi nu + x_d) L} =
     e^{i x_d L} e^{2 pi i nu L}, a chunk of nu (min(_CHUNK_BYTES, budget)
-    of values in P' + N rows) is a product per block of (P' + N) / 8 >= 2
-    points (numpy sums a one-row product in another order); its +-nu terms
-    are summed before they are accumulated, which improves cancellation.
+    of values in P' + N rows, a multiple of 8 nu, as BLAS forms a product's
+    columns past its last whole unroll in another order) is a product per
+    block of (P' + N) / 8 >= 2 points (numpy sums a one-row product in
+    another order).  Each +-nu pair, summed first for cancellation, is
+    added to the point's running sum in nu order (a cumsum seeded with
+    it), so neither the chunk nor the budget reaches the series.
     """
     twisted = phases * np.exp(1j * np.outer(xd, lam))
     value = 0.5 * np.sum(twisted + phases, axis=1)
     base = phases.sum(axis=1)[:, None]
-    chunk = max(1, min(_CHUNK_BYTES, budget) // (16 * (len(lam) + len(xd))))
-    rows = max(2, (len(lam) + len(xd)) // 8)
+    width = len(lam) + len(xd)
+    chunk = 8 * max(1, min(_CHUNK_BYTES, budget) // (128 * width))
+    rows = max(2, width // 8)
     edges = [*range(0, max(len(xd) - 1, 1), rows), len(xd)]
     series = np.zeros(len(xd), dtype=np.complex128)
 
@@ -135,7 +139,8 @@ def _r_series(lam, phases, xd, nu_max, budget) -> np.ndarray:
         for r in map(slice, edges, edges[1:]):
             pair = term(nu, e[0], r)
             pair += term(-nu, e[1], r)
-            series[r] += pair.sum(axis=1)
+            pair[:, 0] += series[r]
+            series[r] = np.cumsum(pair, axis=1, out=pair)[:, -1]
     return value - xd / (2.0 * np.pi * 1j) * series
 
 
@@ -236,10 +241,7 @@ def _grid_weights(kind: str, lam: LambdaParts, nodes: range, m: int):
     (len(rows), P'), into ``out`` if given.  Its phases come from
     :func:`_grid_phases` of the B nodes: a table of about sqrt(B) rows a
     phase, made here once, and a few rows a write, so each weight has the
-    same bits whatever the rows.  D and R are written half the rows at a
-    time, so that a write holds one more array of P' values a row of that
-    half: the real sines of D and R, then R's second phases.
-    """
+    same bits whatever the rows."""
     t = np.arange(nodes.start, nodes.stop, nodes.step)[:, None]
     # x_t = 0 where 2 t = m, although its float may not be 0.0
     xd, small = -np.pi + 2.0 * np.pi * t / m, 2 * t == m

@@ -31,17 +31,16 @@ It takes the x' modes and one of three slice-weight sources:
   The u axis never doubles, so a later level is the odd slices q alone.
 
 A source makes a writer of a batch's slice weights, and each transform
-block writes its own rows, ``weights(fs)(ns)(rows, out)``, cut into runs
-of a field's slices by :func:`.kernels._runs`: into the block's first P'
-columns of the transform buffer where the x' modes are 0..P'-1 of one axis
-(every fold, 2-D kernel and 2-D field), else into a P'-wide array of a
-block's rows, which is scattered into the buffer.  A block holds at most a
-quarter of min(_CHUNK_BYTES, budget) of values; no array holds a batch's
-weights.  Beside these a batch holds |v| a block at a time in a scratch of
-_CHUNK_BYTES / 32 bytes, a closed form's phase tables, and while a block
-is written at most one more P'-wide array of half its rows.  The
-transforms are pruned: x' axis j runs only on the columns where the axes
-after it still hold modes, since the zero columns transform to zeros.
+block writes its own rows, cut into runs of a field's slices by
+:func:`.kernels._runs`, into the buffer as :func:`slice_batches` says.  No
+budget sizes a batch, so none reaches a sum; it sizes the field groups and
+the blocks, of at most a quarter of min(_CHUNK_BYTES, budget) of values,
+and no array holds a batch's weights.  Beside these a batch holds |v| a
+block at a time in a scratch of _CHUNK_BYTES / 32 bytes, a closed form's
+phase tables, and while a block is written at most one more P'-wide array
+of half its rows.  The transforms are pruned: x' axis j runs only on the
+columns where the axes after it still hold modes, since the zero columns
+transform to zeros.
 
 Its inputs carry a leading field axis: a stack of fields on one box, such
 as the twisted differences of a run of mu terms of the correction
@@ -125,6 +124,7 @@ PARSEVAL_RTOL = 1e-8
 MAX_WORK = 1 << 48
 # N x P' arrays identity_residuals holds at once (tracemalloc: 5.0-5.1)
 _IDENTITY_ARRAYS = 6
+_BATCH_SLICES = 4096  # x_s slices of an engine batch at most, any budget
 
 class NormConvergenceError(RuntimeError):
     """Quadrature failed to converge within the doubling budget."""
@@ -255,31 +255,31 @@ def slice_batches(points: np.ndarray, weights, passes,
     (M', shift, nodes) asks for the x_s nodes ``nodes`` (a range) on the x'
     grid M', its nodes moved half a cell on the axes where shift is 1.
 
-    A batch holds min(_CHUNK_BYTES, budget_bytes) of values on the largest
-    M', or one slice (the sources check it fits), and a slice of
-    _CHUNK_BYTES / 8 or more alone, whose FFT dwarfs a batch's fixed cost:
-    whole fields while two fit, else slices of one; each group runs every
-    pass.  A batch's G B (field, slice) rows, field by field, go through
+    A batch holds _CHUNK_BYTES of values on the largest M', at most
+    _BATCH_SLICES slices, and a slice of _CHUNK_BYTES / 8 or more alone,
+    whose FFT dwarfs a batch's fixed cost.  It sets a closed form's phase
+    groups and the order of a norm's sums, so the budget sizes only the
+    field group (whole fields while two fit a batch and min(_CHUNK_BYTES,
+    budget_bytes), else slices of one; each runs every pass) and the
+    blocks: a batch's G B (field, slice) rows, field by field, go through
     one transform buffer in blocks of at most a quarter of min(_CHUNK_BYTES,
-    budget_bytes) of values on their M', in whole rows, at least one: a
-    batch that fits one block is one, which spares a small norm the fixed
-    cost of more blocks.
-    ``weights(fs)(ns)`` is the writer of the fields ``fs`` at the x_s nodes
-    ``ns``, made once a batch: ``write(rows, out)`` writes a block's rows
-    ``rows`` (a slice of range(G B)) into ``out``, shape (len(rows), P'),
-    which is the block's first P' columns of the buffer where the modes are
-    0..P'-1 of one axis, else a P'-wide array of a block's rows, scattered
-    into the buffer.  Besides what a writer holds, these are the only
-    arrays here that grow with a batch.  Yields ``(fs, p, ns, w_sq, rows,
-    v)`` a block: w_sq, shape (G, B), is sum |w|^2 per slice of the batch,
-    complete at its last block, and v, shape (len(rows),) + M', the inverse
-    FFT in pass p of the block's rows, is f / prod M' (callers scale their
-    sums).  All blocks share one buffer: v is valid until the next block."""
+    budget_bytes) of values on their M', in whole rows, at least one; a
+    batch that fits one block is one.
+    ``weights(fs)(ns)``, made once a batch, writes the fields ``fs`` at the
+    x_s nodes ``ns``: ``write(rows, out)`` a block's rows ``rows`` (a slice
+    of range(G B)) into ``out`` (len(rows), P'), the block's first P'
+    columns of the buffer where the modes are 0..P'-1 of one axis, else a
+    P'-wide array scattered into the buffer.  Besides what a writer holds,
+    these are the only arrays here that grow with a batch.  Yields ``(fs,
+    p, ns, w_sq, rows, v)`` a block: w_sq (G, B), sum |w|^2 a slice, whole
+    at the batch's last block, and v (len(rows),) + M', pass p's inverse
+    FFT of the block's rows, f / prod M', valid until the next block."""
     rests = [math.prod(m_prime) for m_prime, *_ in passes]
     top, rows = max(rests), max(len(nodes) for *_, nodes in passes)
     chunk = min(_CHUNK_BYTES, budget_bytes)
-    batch = max(1, chunk // (top * 16)) if top * 128 < _CHUNK_BYTES else 1
-    group = max(1, batch // rows)
+    batch = min(_BATCH_SLICES, _CHUNK_BYTES // (top * 16)) \
+        if top * 128 < _CHUNK_BYTES else 1
+    group = max(1, min(batch, chunk // (top * 16)) // rows)
     size = min(group, fields) * min(batch, rows)
     steps = [min(size, max(1, chunk // (64 * r))) for r in rests]
     buf = np.empty(max(map(math.prod, zip(steps, rests))), complex)
@@ -319,13 +319,13 @@ def slice_batches(points: np.ndarray, weights, passes,
                         v[:] = 0.0
                         v[:, cols] = w
                     v = v.reshape((-1,) + m_prime)
-                    # x' axis j, on the columns where the axes after it hold
-                    # modes
+                    # x' axis j, on the columns where later axes hold modes
                     for j in range(len(m_prime)):
                         part = v[(slice(None),) * (j + 2)
                                  + tuple(map(slice, extents[j + 1:]))]
                         np.fft.ifft(part, axis=j + 1, out=part)
                     yield fs, p, ns, w_sq, block, v
+                del write  # its tables go before the next batch makes its own
 
 
 def _kernel_source(kernel: str, lat: SimplexLattice, M: tuple,
@@ -374,8 +374,7 @@ def _folded_source(weights: np.ndarray, M: tuple, budget_bytes: int):
     c_k e^{2 pi i k q / m}; the origin twist (-1)^k is the engine's.  Real
     (Hermitian) fields are synthesized on the slices q <= r / 2 alone."""
     K = weights.shape[1]
-    # one slice holds F values and K weights; the slices come a batch at a
-    # time, which slice_batches caps at min(_CHUNK_BYTES, budget_bytes)
+    # one slice holds F values and K weights
     check_grid((K, 1), (M[0], 1), budget_bytes)
     hermitian, m = not weights.imag.any(), math.prod(M)
 
@@ -440,9 +439,7 @@ def _slice_abs_sums(points, weights, hermitian, M, budget_bytes, name, live,
     x_s slices, or in parts of one.  numpy sums each row of a block alone,
     in the same order whatever the block's rows, so only the power sum
     |v|^2, which the checks alone read, depends on the blocks.  A batch's
-    per-slice sums gather its transform blocks, and the slices'
-    multiplicities weight them.
-    """
+    per-slice sums gather its blocks; the multiplicities weight them."""
     m, passes = M[-1], _passes(M, half)
     if hermitian:
         passes = [(mp, shift, ns[:(m // 2 - ns.start) // ns.step + 1])
@@ -710,7 +707,7 @@ def frak_f(k: int, n: DilationVector, t_nodes: int = 64,
     check_budget(max(sizes), budget_bytes,
                  "one mu term of 2 t_nodes - 1 twisted differences")
     # a stack and the engine's buffer of its fields (16 bytes a node of the
-    # first grid, where all are live) take half a batch; its copies the rest
+    # first grid, all live) take min(_CHUNK_BYTES, budget) / 2; copies the rest
     share = min(_CHUNK_BYTES, budget_bytes) // 2
     kw = dict(tol=tol, rho=rho, budget_bytes=budget_bytes)
 

@@ -54,7 +54,7 @@ COMMANDS |= {f"norm-{kernel}-{n.replace(',', '-')}":
                  ("R", "10.5,30.2"), ("R", "5,9.5,23"),
                  ("S", "48.5,3000.7"), ("Fcomposite", "48.5,3000.7"),
                  ("S", "5,9.5,23"), ("Fcomposite", "5,9.5,23")]}
-# two of them at a 4 MiB budget, whose batches differ from the default's
+# two of them at a 4 MiB budget, whose blocks differ from the default's
 COMMANDS |= {f"norm-{kernel}-{n.replace(',', '-')}-budget-4":
              ["norm", "--kernel", kernel, "--n", n, "--budget-mb", "4"]
              for kernel, n in [("D", "64,4096"), ("S", "48.5,3000.7")]}

@@ -123,11 +123,13 @@ def eval_R(n: DilationVector, x, nu_max: int = DEFAULT_NU_MAX) -> tuple:
 
 def r_series_unblocked(lam, phases, xd, nu_max, budget) -> np.ndarray:
     """The nu-series of _r_series, its chunks of nu as _r_series takes them,
-    each one N x chunk product over every point."""
+    each one N x chunk product over every point, whose +-nu pairs are added
+    to the series one nu at a time."""
     twisted = phases * np.exp(1j * np.outer(xd, lam))
     value = 0.5 * np.sum(twisted + phases, axis=1)
     base = phases.sum(axis=1)[:, None]
-    chunk = max(1, min(_CHUNK_BYTES, budget) // (16 * (len(lam) + len(xd))))
+    chunk = 8 * max(1, min(_CHUNK_BYTES, budget)
+                    // (128 * (len(lam) + len(xd))))
     series = np.zeros(len(xd), dtype=np.complex128)
 
     def term(snu):
@@ -142,7 +144,8 @@ def r_series_unblocked(lam, phases, xd, nu_max, budget) -> np.ndarray:
         nu = np.arange(start, min(start + chunk, nu_max + 1), dtype=float)
         pair = term(nu)
         pair += term(-nu)
-        series += pair.sum(axis=1)
+        for column in pair.T:
+            series += column
     return value - xd / (2.0 * np.pi * 1j) * series
 
 

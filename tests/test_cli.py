@@ -389,6 +389,20 @@ class TestSweepCommand:
         want = l1_norm("D", DilationVector((16, 64)))
         assert float(cells["norm_D"]) == pytest.approx(want.value, rel=1e-12)
 
+    def test_expression_starting_with_minus(self, capsys):
+        """argparse reads a separate '-n1+20' as an option, so that
+        spelling exits 1 with its message and no traceback; written
+        --n2=-n1+20 it is the expression."""
+        code, out, err = run(capsys, "sweep", "--n1", "list(5.5)", "--n2",
+                             "-n1+20", "--t-nodes", "2")
+        assert code == 1 and not out
+        assert "--n2: expected one argument" in err
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, "sweep", "--n1", "list(5.5)",
+                           "--n2=-n1+20", "--t-nodes", "2")
+        assert code == 0
+        assert float(sweep_cells(out)[0]["n2"]) == 14.5
+
     def test_residual_and_ratio_recomputable(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n1", "list(16)",
                            "--n2", "list(64)", "--t-nodes", "8")

@@ -41,6 +41,20 @@ def test_artifacts_match_golden(stem):
                 abs(a - b) <= 1e-12 * abs(b), f"{name}: {a!r} against {b!r}"
 
 
+def test_budget_twins_are_their_default_twins():
+    """The budget sizes memory and reaches no value: each -budget-4
+    artifact is its default twin but for the budget it records."""
+    twins = sorted(HERE.glob("*-budget-4.json"))
+    assert len(twins) == 2
+    for path in twins:
+        got = path.read_text().splitlines()
+        want = (HERE / path.name.replace("-budget-4", "")).read_text() \
+            .splitlines()
+        assert len(got) == len(want), path.name
+        assert [(a, b) for a, b in zip(got, want) if a != b] == \
+            [('    "budget_mb": 4,', '    "budget_mb": 1536,')], path.name
+
+
 def test_headers_record_conventions():
     """Every artifact names the conventions its values follow: plain
     integrals, the modulus as the norm of a 0-dimensional kernel, and the

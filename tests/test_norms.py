@@ -15,9 +15,11 @@ from simplexleb.core import (
     fractional_coefficients,
     indicator_coefficients,
 )
+from simplexleb.irrational import AlphaSpec, fractional_parts, study_ratio
 from simplexleb.kernels import _CHUNK_BYTES, _r_series, apply_delta
 from simplexleb import norms
 from simplexleb.norms import (
+    _BATCH_SLICES,
     MAX_DOUBLINGS,
     NormConvergenceError,
     _field_norms,
@@ -34,9 +36,9 @@ from simplexleb.norms import (
 )
 from simplexleb.cli import main as cli_main
 from simplexleb.core import CoefficientField
-from oracles import double_integral_ld2, frak_f_dense, frak_f_two_sided, \
-    grid_eval, r_series_unblocked, rational_riemann_sum, stack_results, \
-    t_integral
+from oracles import I_n, double_integral_ld2, frak_f_dense, \
+    frak_f_two_sided, grid_eval, r_series_unblocked, rational_riemann_sum, \
+    stack_results, t_integral
 from test_kernels import engine_values
 
 
@@ -138,8 +140,62 @@ class TestBudget:
             want = l1_norm(kernel, n)
             one_slice = 16 * np.prod(want.history[-1][0][:-1])
             got = l1_norm(kernel, n, budget_bytes=3 * int(one_slice))
-            assert [m for m, _ in got.history] == [m for m, _ in want.history]
-            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert got.history == want.history
+            assert got.value == want.value
+
+    def test_values_do_not_depend_on_the_budget(self):
+        """The budget sizes memory and no sum: the float hex of every value
+        and history entry is the same at 1536, 16, 4, 2 and 1 MiB, for a 2-D
+        and a 3-D d-kernel, S(24.5, 1500.7) (whose passes span several
+        batches at the default budget), an s = 2 field, the fold of the
+        golden I_n at n = 2^15, one frak F^3 and verify's residuals."""
+        golden = CoefficientField(weights=fractional_parts(AlphaSpec.golden(),
+                                                           1 << 15))
+        runs = {
+            "D(64, 64)": lambda b: l1_norm("D", DilationVector((64, 64)),
+                                           budget_bytes=b),
+            "D(12, 20, 40)": lambda b: l1_norm(
+                "D", DilationVector((12, 20, 40)), budget_bytes=b),
+            "S(24.5, 1500.7)": lambda b: l1_norm(
+                "S", DilationVector((24.5, 1500.7)), budget_bytes=b),
+            "F(7.3, 16.79, 31.901)": lambda b: l1_norm(
+                "F", DilationVector((7.3, 16.79, 31.901)), budget_bytes=b),
+            "I_32768": lambda b: l1_norm_field(golden, budget_bytes=b),
+            "frak F^3(5, 9.5, 23)": lambda b: frak_f(
+                3, DilationVector((5, 9.5, 23)), budget_bytes=b),
+            "verify (5, 9.5, 23)": lambda b: verify_identity(
+                DilationVector((5, 9.5, 23)), num_points=200, seed=7,
+                budget_bytes=b),
+        }
+
+        def bits(res):
+            if isinstance(res, norms.IdentityReport):
+                return [r.hex() for r in res.residuals.tolist()]
+            if isinstance(res, norms.FrakFValue):
+                return [res.value.hex(), res.error_estimate.hex()]
+            return [res.value.hex()] + [v.hex() for _, v in res.history]
+        for name, run in runs.items():
+            want = bits(run(DEFAULT_BUDGET_BYTES))
+            for mib in (16, 4, 2, 1):
+                assert bits(run(mib << 20)) == want, (name, mib)
+
+    @pytest.mark.parametrize("budget", [1 << 20, 2 << 20])
+    def test_thin_grid_peak_within_the_budget(self, budget):
+        """D(0.5, 2e4) has one x' mode on M' = 4 to 32, where 8 MiB of
+        values are 2^17 to 2^14 slices: a batch holds at most _BATCH_SLICES,
+        so its per-slice arrays stay small.  A whole norm peaks at <= 1
+        budget under tracemalloc (0.77 and 1.14 MiB; 1.68 and 2.83 MiB
+        with batches of min(8 MiB, budget) alone)."""
+        n = DilationVector((0.5, 2e4))
+        l1_norm("D", n, budget_bytes=budget)  # its FFT lengths are cached
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            l1_norm("D", n, budget_bytes=budget)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
     def test_slice_over_budget_raises(self):
         with pytest.raises(ResourceLimitError):
@@ -149,11 +205,11 @@ class TestBudget:
         fld = fractional_coefficients(DilationVector((3.7, 9.5, 23.0)))
         want = l1_norm_field(fld)
         size = np.prod(want.history[-1][0])
-        # below the full grid: the last level's x_s slices come in two
-        # batches of slice_batches
+        # below the full grid: the last level's x_s slices go through the
+        # transform buffer in more than one block
         got = l1_norm_field(fld, budget_bytes=int(16 * size) - 1)
-        assert [m for m, _ in got.history] == [m for m, _ in want.history]
-        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.history == want.history
+        assert got.value == want.value
 
     def test_chunked_field_path_over_budget_raises(self):
         fld = fractional_coefficients(DilationVector((3.7, 9.5, 23.0)))
@@ -253,20 +309,15 @@ class TestBudget:
             tracemalloc.stop()
         assert peak <= budget
 
-    # D(64, 4096) at each budget, as a buffer of whole batches gave it: the
-    # golden norm-D-64-4096 at the default (a value's last bits depend on
-    # the budget's batches)
-    @pytest.mark.parametrize("budget, value", [
-        (DEFAULT_BUDGET_BYTES, 537.6620503763718),
-        (4 << 20, 537.6620503763704)])
-    def test_d_kernel_buffer_is_a_quarter_batch(self, monkeypatch, budget,
-                                                value):
+    @pytest.mark.parametrize("budget", [DEFAULT_BUDGET_BYTES, 4 << 20])
+    def test_d_kernel_buffer_is_a_quarter_batch(self, monkeypatch, budget):
         """D(64, 4096), whose modes fill a quarter of its slices or less:
-        each batch keeps its rows, min(_CHUNK_BYTES, budget) / (16 prod M')
-        on the largest M' of a call, and the buffer transforms them in
-        blocks of at most a quarter of min(_CHUNK_BYTES, budget), whose
-        weights the source writes a block at a time, with the value bit for
-        bit."""
+        each batch keeps its rows, _CHUNK_BYTES / (16 prod M') on the
+        largest M' of a call and at most _BATCH_SLICES, whatever the
+        budget, and the buffer transforms them in blocks of at most a
+        quarter of min(_CHUNK_BYTES, budget), whose weights the source
+        writes a block at a time, with the golden norm-D-64-4096's value
+        at every budget."""
         engine, calls = norms.slice_batches, []
 
         def spied(points, weights, passes, *args):
@@ -286,12 +337,13 @@ class TestBudget:
             assert [shape[0] for shape in shapes] == \
                 [rows.stop - rows.start for rows, *_ in blocks]
             assert max(b for *_, b in blocks) == min(
-                chunk // (16 * top), max(len(ns) for *_, ns in passes))
+                _BATCH_SLICES, _CHUNK_BYTES // (16 * top),
+                max(len(ns) for *_, ns in passes))
             for rows, nbytes, _ in blocks:
                 assert nbytes <= chunk // 4
                 split += rows.start > 0
         assert split
-        assert res.value == value
+        assert res.value == 537.6620503763718
 
     @pytest.mark.parametrize("kernel, entries", [
         ("D", (384.0, 384.0)), ("D", (64.0, 4096.0)), ("S", (48.5, 3000.7))])
@@ -947,17 +999,20 @@ class TestVerifyIdentity:
     def test_point_blocks_keep_the_series(self, points):
         """Each nu chunk goes in blocks of (P' + N) / 8 >= 2 points (P' = 31
         here); at every budget the series is, bit for bit, one N x chunk
-        product a chunk, also where a one-point tail joins the block before
-        it (N = 5: one block of 5; N = 33: blocks of 8, 8, 8 and 9), whose
-        one-row product numpy would sum in another order."""
+        product a chunk with its pairs added in nu order, also where a
+        one-point tail joins the block before it (N = 5: one block of 5;
+        N = 33: blocks of 8, 8, 8 and 9), whose one-row product numpy would
+        sum in another order; and the budget, which sets the chunks, does
+        not reach the series."""
         lat = build_lattice(DilationVector((5, 9.5, 23)), 2)
         pts = np.random.default_rng(points).uniform(-math.pi, math.pi,
                                                     (points, 3))
         phases = np.exp(1j * (pts[:, :2] @ lat.points.T))
         args = lat.lambda_parts.value, phases, pts[:, 2], 2000
+        want = r_series_unblocked(*args, DEFAULT_BUDGET_BYTES).tobytes()
         for budget in (DEFAULT_BUDGET_BYTES, 4 << 20, 1 << 20, 1 << 14):
             assert _r_series(*args, budget).tobytes() == \
-                r_series_unblocked(*args, budget).tobytes()
+                r_series_unblocked(*args, budget).tobytes() == want
 
     def test_budget_refused_before_points_are_drawn(self):
         """10^8 points would take 1.5 GiB: the budget refuses them from n
@@ -1195,7 +1250,8 @@ class TestRationalSlopeOracle:
     p / q, which use neither the lattice nor the engine: the Riemann sum on
     l1_norm's final grid is its value.  Each n's float lattice is the
     rational one (D's grid power is the rational count).  At 1 MiB a D
-    norm's last level is over the chunk, so its batches and blocks split."""
+    norm's last level is over the chunk, so its blocks split, and the norm
+    is the one of the default budget, bit for bit."""
 
     CASES = [(24, 4, 3), (40, 3, 4), (20, 4, 3), (34, 3, 4), (30, 3, 2),
              (32, 1, 1)]
@@ -1203,9 +1259,10 @@ class TestRationalSlopeOracle:
     @pytest.mark.parametrize("kernel", ["D", "F"])
     def test_value_is_the_closed_form_riemann_sum(self, kernel):
         for m, p, q in self.CASES:
-            n, oracle = DilationVector((m, p * m / q)), {}
+            n, oracle, results = DilationVector((m, p * m / q)), {}, []
             for budget in (DEFAULT_BUDGET_BYTES, 1 << 20):
                 res = l1_norm(kernel, n, budget_bytes=budget)
+                results.append(res)
                 if kernel == "D":
                     assert res.parseval == sum(p * u // q + 1
                                                for u in range(m + 1))
@@ -1216,3 +1273,18 @@ class TestRationalSlopeOracle:
                                                             res.grid)
                 assert res.value == pytest.approx(oracle[res.grid],
                                                   rel=1e-12, abs=0)
+            assert results[0] == results[1]
+
+    def test_f_norm_is_the_studys_i_m_at_the_slope(self):
+        """||F(m, p m / q)|| = I_m(p / q): F's weights {L_2(k_1)} =
+        {p (m - k_1) / q} are I_m's {alpha k} in reverse order, so F's
+        closed form on the grid of the irrational study's I_m is its value
+        (the engine-free side of the identity that joins the two
+        studies)."""
+        for m, p, q in self.CASES:
+            alpha = AlphaSpec.from_rational(p, q)
+            res = I_n(alpha, m)
+            assert study_ratio(alpha, [m])[0].value == res.value
+            assert res.value == pytest.approx(
+                rational_riemann_sum("F", m, p, q, res.grid), rel=1e-12,
+                abs=0)
