@@ -85,33 +85,91 @@ class DilationVector:
         return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
 
 
+# _form_parts takes a block of _ROWS rows at a time.  Forms that int64
+# cannot hold take fixed-point fractions of 192 bits, summed in 32-bit limbs
+# of uint64 arrays: k x + limb + carry < 2^64 for k < _LIMB_K.  The low
+# _GUARD_BITS bits of the sum absorb the truncation of each fraction.
+_ROWS, _GUARD_BITS, _LIMB_K = 1 << 13, 64, 1 << 32
+
+
 def _form_parts(c0: int, coeffs, points: np.ndarray, den: int):
     """[num / den] (int64) and {num / den}, correctly rounded and below 1, of
     the integer linear form num = c0 + points @ coeffs at nonnegative integer
-    points (P, len(coeffs)), in chunks of about 8 MiB.  int64 holds c_j, num
-    where |c0| + sum_j |c_j| max(1, max k) < 2^63 and den <= 2^53 (rem / den
-    is one correctly rounded division), else Python ints in object arrays.
-    Refused where floors can reach 2^63: |c0| + sum |c_j| max k >= 2^63 den."""
+    points (P, len(coeffs)).  int64 holds num where |c0| + sum_j |c_j|
+    max(1, max k) < 2^63 and den <= 2^53 (rem / den is one correctly rounded
+    division); other forms take _limb_parts.  Refused where floors can reach
+    2^63: |c0| + sum |c_j| max k >= 2^63 den."""
+    points = np.asarray(points, dtype=np.int64)
     top, scale = int(np.max(points, initial=0)), sum(map(abs, coeffs))
     reach = (abs(c0) + scale * top) // den
     if reach >> 63:
         raise ValueError(f"L_s can reach 2^{reach.bit_length() - 1} in "
                          "magnitude, but its floors are int64 (< 2^63)")
-    bound = abs(c0) + scale * max(1, top)
-    if bound < 1 << 63 and den <= 1 << 53:
-        dtype, split = np.int64, np.divmod
+    if abs(c0) + scale * max(1, top) < 1 << 63 and den <= 1 << 53:
+        c = np.array(coeffs, dtype=np.int64)
+
+        def parts(k):
+            whole, rem = np.divmod(c0 + k @ c, den)
+            return whole, rem / den
     else:
-        dtype, split = object, np.frompyfunc(divmod, 2, 2)
-    step = max(1, (8 << 20) // (bound.bit_length() // 7 + 40))
-    coeffs = np.array(coeffs, dtype=dtype)
-    floor, frac = [], []
-    for i in range(0, len(points), step):
-        num = c0 + np.asarray(points[i:i + step], dtype=dtype) @ coeffs
-        whole, rem = split(num, den)
-        floor.append(whole.astype(np.int64, copy=False))
-        frac.append((rem / den).astype(float))
+        parts = _limb_parts(c0, coeffs, den)
+    floor, frac = np.empty(len(points), np.int64), np.empty(len(points))
+    for i in range(0, len(points), _ROWS):
+        floor[i:i + _ROWS], frac[i:i + _ROWS] = parts(points[i:i + _ROWS])
     # rem / den rounds to 1.0 only where den > 2^53
-    return np.concatenate(floor), np.minimum(np.concatenate(frac), 1 - 2**-53)
+    return floor, np.minimum(frac, 1 - 2**-53, out=frac)
+
+
+def _limb_parts(c0: int, coeffs, den: int):
+    """The parts of (c0 + k @ coeffs) / den at a block of rows k, for any
+    den.  With c_j = den a_j + r_j and phi_j = [r_j 2^192 / den], 2^192 num /
+    den = 2^192 (a_0 + sum a_j k_j) + S + E: S = phi_0 + sum phi_j k_j is
+    exact in the limbs, and 0 <= E < 1 + sum k_j.  Where the low _GUARD_BITS
+    bits g of S have room for E, g + s max k < 2^_GUARD_BITS, the floor is
+    a_0 + sum a_j k_j + [S / 2^192] (in uint64, which wraps to the int64
+    floor), and the fraction's top 64 bits H are S's.  H rounded to odd,
+    with the bits below it as sticky bit, rounds to the float of {num / den}
+    where H >= 2^54 and a bit below H is set.  Other rows take Python ints,
+    as does a block with a k >= _LIMB_K."""
+    a, r = zip(*(divmod(c, den) for c in (c0, *coeffs)))
+    limbs = [[np.uint64((x << 192) // den >> b & 0xFFFFFFFF)
+              for b in range(0, 192, 32)] for x in r]
+    a = [np.uint64(x & 0xFFFFFFFFFFFFFFFF) for x in a]
+    room = (1 << _GUARD_BITS) - 1
+
+    def parts(k):
+        ku, top = k.view(np.uint64), int(k.max(initial=0))
+        whole = np.full(len(k), a[0])
+        # None stands for a zero limb or carry, which costs no pass; with
+        # no column to add them to, phi_0's limbs are arrays all the same
+        acc = [np.full(len(k), x) if x or not k.shape[1] else None
+               for x in limbs[0]]
+        for j in range(k.shape[1]):
+            kj, carry = ku[:, j], None
+            if a[j + 1]:
+                whole += kj * a[j + 1]
+            for i, x in enumerate(limbs[j + 1]):
+                p = kj * x
+                for y in (carry, acc[i]):
+                    if y is not None:
+                        p += y
+                carry, acc[i] = p >> 32, p & 0xFFFFFFFF
+            whole += carry
+        low, mid, high = (acc[i] | acc[i + 1] << 32 for i in (0, 2, 4))
+        rest, slack = (low | mid) != 0, room - top * k.shape[1]
+        sure = (low & room <= slack) & rest & (high >= 1 << 54) \
+            if top < _LIMB_K and slack >= 0 else np.zeros(len(k), bool)
+        floor, frac = whole.view(np.int64), (high | rest) * 2.0**-64
+        for j in np.flatnonzero(~sure):
+            floor[j], frac[j] = _exact_parts(c0, coeffs, k[j].tolist(), den)
+        return floor, frac
+    return parts
+
+
+def _exact_parts(c0: int, coeffs, row, den: int):
+    """[num / den] and rem / den, correctly rounded, at one row, in ints."""
+    whole, rem = divmod(c0 + sum(c * k for c, k in zip(coeffs, row)), den)
+    return whole, rem / den
 
 
 class LambdaParts(NamedTuple):

@@ -5,15 +5,13 @@ For a real alpha the quantity of interest is the plain L1 norm
     I_n(alpha) = int_{-pi}^{pi} | sum_{0 <= k <= n} {alpha k} e^{i k x} | dx,
 
 whose normalized trajectory I_n / ln^2 n is tracked across an n-grid.  Every
-alpha-dependent quantity is computed with Python integers.  Rational alphas
-(plain, decimal and truncated Liouville) are exact Fractions; the golden
-ratio phi enters only through floor(k phi 2^b), a product with a guarded
-fixed-point phi, exact by an integer square root where the guard cannot
-decide.  So {alpha k} is correctly rounded for rationals and truncated at
-2^-128 before its one rounding for golden; each value depends on k alone,
-and a study computes them once for its largest n.  Continued fractions of
-rationals come from Euclid's algorithm; golden's is phi = [1; 1, 1, ...],
-since phi = 1 + 1/phi.
+alpha is an exact Fraction: plain, decimal and truncated Liouville alphas
+are the rationals they denote, and the golden ratio phi is its Fibonacci
+convergent F_{m+1} / F_m with F_m >= 2^160, within k 2^-320 of k phi.  So
+{alpha k} is the correctly rounded fraction of an integer linear form
+(core._form_parts); each value depends on k alone, and a study computes them
+once for its largest n.  Continued fractions come from Euclid's algorithm;
+golden's first 64 partial quotients are ones, as phi = 1 + 1/phi gives.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET_BYTES, CoefficientField, _form_parts
+from .core import _ROWS, DEFAULT_BUDGET_BYTES, CoefficientField, _form_parts
 from .norms import (
     DEFAULT_RHO,
     DEFAULT_TOL,
@@ -43,9 +41,6 @@ __all__ = [
     "study_ratio",
 ]
 
-_FRAC_BITS = 128
-_GUARD_BITS = 64  # guard bits of the fixed-point phi in fractional_parts
-_LIMB_K = 1 << 32  # golden k below it take the uint64 limbs
 # The most bits of the power base^{depth!} of a Liouville alpha, or 10^|e|
 # of a decimal alpha with exponent e: building it, the Fraction sum and
 # Euclid's algorithm take time that grows steeply with them (liouville:2,10,
@@ -58,16 +53,17 @@ _ALPHA_BITS = 1 << 22
 class AlphaSpec:
     """A real number given exactly enough to certify all derived quantities:
     its canonical --alpha text ``name``, which :meth:`parse` reads back, and
-    its exact value ``rational``, None for golden (1 + sqrt 5) / 2 alone.
-    rational:P/Q is P/Q in lowest terms, liouville:B,M the truncation
-    sum_{k<=M} B^{-k!} (only its convergents mimic Liouville growth), and
-    dec:LITERAL the exact rational a decimal literal denotes."""
+    its exact value ``rational``.  rational:P/Q is P/Q in lowest terms,
+    golden the Fibonacci convergent F_{m+1} / F_m of (1 + sqrt 5) / 2 with
+    F_m >= 2^160, liouville:B,M the truncation sum_{k<=M} B^{-k!} (only its
+    convergents mimic Liouville growth), and dec:LITERAL the exact rational
+    a decimal literal denotes."""
 
     name: str
     rational: Fraction | None = None
 
     def __post_init__(self):
-        if self.rational is None and self.name != "golden":
+        if self.rational is None:
             raise ValueError(f"alpha {self.name!r} needs an exact rational")
 
     @classmethod
@@ -98,7 +94,11 @@ class AlphaSpec:
 
     @classmethod
     def golden(cls) -> "AlphaSpec":
-        return cls("golden")
+        # |phi - F_{m+1} / F_m| < 1 / (F_m F_{m+1}) < 2^-320 (Khinchin)
+        p, q = 1, 1
+        while q < 1 << 160:
+            p, q = p + q, p
+        return cls("golden", Fraction(p, q))
 
     @classmethod
     def liouville(cls, base: int, depth: int) -> "AlphaSpec":
@@ -143,95 +143,36 @@ class ContinuedFraction:
     exact: bool                 # True when the expansion terminated
 
 
-def _convergents(quotients) -> tuple:
-    out = []
-    p0, q0 = 1, 0
-    p1, q1 = quotients[0], 1
-    out.append((p1, q1))
-    for a in quotients[1:]:
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        out.append((p1, q1))
-    return tuple(out)
-
-
-def _golden_floor(k: int, bits: int) -> int:
-    """floor(k phi 2^bits), exact: sqrt(5 k^2) is irrational for k >= 1."""
-    return ((k << bits) + math.isqrt((5 * k * k) << (2 * bits))) >> 1
-
-
-def _euclid(num: int, den: int, max_terms: int) -> tuple:
-    """At most max_terms partial quotients of num/den; True if it ended."""
-    quots = []
+def cf_expand(alpha: AlphaSpec, max_terms: int = 64) -> ContinuedFraction:
+    """At most max_terms partial quotients a_k of alpha by Euclid's
+    algorithm, with the convergents p_k = a_k p_{k-1} + p_{k-2} (q_k
+    alike).  Golden's convergent F_{m+1} / F_m has 231 ones, then a 2."""
+    num, den = alpha.rational.numerator, alpha.rational.denominator
+    quots, convergents = [], []
+    p0, q0, p1, q1 = 0, 1, 1, 0  # p_{-2}, q_{-2}, p_{-1}, q_{-1}
     while den and len(quots) < max_terms:
         a, rem = divmod(num, den)
-        quots.append(a)
         num, den = den, rem
-    return quots, den == 0
-
-
-def cf_expand(alpha: AlphaSpec, max_terms: int = 64) -> ContinuedFraction:
-    """Continued-fraction expansion: Euclid's algorithm for rationals, and
-    all ones for golden, since phi = 1 + 1/phi."""
-    if alpha.rational is not None:
-        quots, exact = _euclid(alpha.rational.numerator,
-                               alpha.rational.denominator, max_terms)
-    else:
-        quots, exact = [1] * max_terms, False
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        quots.append(a)
+        convergents.append((p1, q1))
     return ContinuedFraction(quotients=tuple(quots),
-                             convergents=_convergents(quots), exact=exact)
+                             convergents=tuple(convergents), exact=den == 0)
 
 
 def fractional_parts(alpha: AlphaSpec, n: int) -> np.ndarray:
-    """{alpha k} for k = 0..n as machine floats, from integers only.
-
-    Rationals are (p k mod q) / q, correctly rounded and below 1.  Golden is
-    floor({k phi} 2^128) / 2^128 rounded once, so it lies within 2^-128 of
-    {k phi} before that rounding.
-    """
+    """{alpha k} for k = 0..n as machine floats, correctly rounded and below
+    1, from integers only: {alpha k} = {(p mod q) k / q} for alpha = p / q,
+    so the floors stay below k.  The k come a block at a time, so that
+    beside the result only a block's points and floors are held."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if alpha.rational is not None:
-        # {alpha k} = {(p mod q) k / q}: the floors stay below k
-        p, q = alpha.rational.numerator, alpha.rational.denominator
-        return _form_parts(0, [p % q], np.arange(n + 1)[:, None], q)[1]
-    return _golden_parts(n)
-
-
-def _golden_parts(n: int) -> np.ndarray:
-    """{k phi} for k = 0..n, as fractional_parts gives them.
-
-    k phi 2^(FRAC+GUARD) is in (k a, k a + k), a = floor(phi 2^(FRAC+GUARD)),
-    so k a >> GUARD is the floor unless its low bits exceed 2^GUARD - k.
-    For k < 2^32, k a is formed in 32-bit limbs of uint64 arrays (k a_i +
-    carry < 2^64); Python integers take the rest: a guard that cannot
-    decide, a fraction with fewer than 55 bits above 2^-64, and k >= 2^32.
-    """
-    guard, bits = _GUARD_BITS, _FRAC_BITS + _GUARD_BITS
-    a, room, scale = _golden_floor(1, bits), 1 << guard, 1 << _FRAC_BITS
-    top, out, slow = np.uint64(room - 1), np.empty(n + 1), []
-
-    def window(limbs, b):  # bits b..b+63 of k a
-        j, s = divmod(b, 32)
-        return limbs[j] >> s | limbs[j + 1] << 32 - s | limbs[j + 2] << 64 - s
-
-    for k0 in range(0, min(n + 1, _LIMB_K), 8192):  # about 1 MiB of limbs
-        k = np.arange(k0, min(k0 + 8192, n + 1, _LIMB_K), dtype=np.uint64)
-        limbs, carry = [], np.zeros_like(k)
-        for i in range(0, 32 * ((guard + 64) // 32 + 3), 32):
-            p = k * np.uint64(a >> i & 0xFFFFFFFF) + carry
-            limbs.append(p & 0xFFFFFFFF)
-            carry = p >> 32
-        fits = (k <= top) & (window(limbs, 0) & top <= top - k + 1)
-        # the fraction H 2^64 + L with H >= 2^54: H | (L != 0), rounded to
-        # odd with >= 55 bits, rounds to the float the 128-bit fraction does
-        low, high = window(limbs, guard), window(limbs, guard + 64)
-        out[k0:k0 + len(k)] = (high | (low != 0)).astype(float) * 2.0**-64
-        slow += k[~(fits & (high >= 1 << 54))].tolist()
-    for j in slow + list(range(_LIMB_K, n + 1)):
-        f = j * a >> guard if j * a % room <= room - j \
-            else _golden_floor(j, _FRAC_BITS)
-        out[j] = f % scale / scale
+    p, q = alpha.rational.numerator, alpha.rational.denominator
+    out = np.empty(n + 1)
+    for k0 in range(0, n + 1, _ROWS):
+        k = np.arange(k0, min(k0 + _ROWS, n + 1))[:, None]
+        out[k0:k0 + len(k)] = _form_parts(0, [p % q], k, q)[1]
     return out
 
 

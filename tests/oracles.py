@@ -22,7 +22,11 @@ of simplexleb.kernels._r_series with each nu chunk's product over all N
 points at once, the reference for its blocks of points;
 rational_riemann_sum is the Riemann sum of D or F of n = (m, p m / q) on a
 grid from their closed forms at a rational slope, with its own geometric
-sum and nothing from simplexleb.kernels or simplexleb.norms.
+sum and nothing from simplexleb.kernels or simplexleb.norms;
+exact_form_parts is the floor and fractional part of an integer linear form
+over a denominator in Python integers, the reference for
+simplexleb.core._form_parts, and golden_floor the floor of k phi 2^b by an
+integer square root.
 """
 
 import math
@@ -371,3 +375,20 @@ def rational_riemann_sum(kernel: str, m: int, p: int, q: int, M: tuple):
     f[:, zero] = (np.exp(1j * np.multiply.outer(x1[:, 0], m - u))
                   @ (p * u // q + 1.0))[:, None]
     return (2.0 * np.pi) ** 2 * float(np.abs(f).sum()) / math.prod(M)
+
+
+def exact_form_parts(c0: int, coeffs, points, den: int) -> tuple:
+    """[num / den] and {num / den} of num = c0 + points @ coeffs, row by row
+    in Python integers: divmod, then rem / den (correctly rounded) kept
+    below 1."""
+    floor, frac = [], []
+    for row in np.asarray(points).tolist():
+        whole, rem = divmod(c0 + sum(c * k for c, k in zip(coeffs, row)), den)
+        floor.append(whole)
+        frac.append(min(rem / den, 1.0 - 2.0**-53))
+    return floor, frac
+
+
+def golden_floor(k: int, bits: int) -> int:
+    """floor(k phi 2^bits), exact: sqrt(5 k^2) is irrational for k >= 1."""
+    return ((k << bits) + math.isqrt((5 * k * k) << (2 * bits))) >> 1

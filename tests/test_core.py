@@ -21,6 +21,8 @@ from simplexleb.core import (
 )
 from simplexleb.kernels import slice_weight_matrix
 
+from oracles import exact_form_parts
+
 
 def brute_force_points(entries):
     """Membership oracle: all integer points of the bounding box with
@@ -227,7 +229,7 @@ class TestCertifiedLambdaParts:
     def test_either_side_of_the_int64_bound(self, big):
         """For (3, N), 3 L_2(k) = 3N - N k with k <= 3.  The first N is the
         largest float with 3N + 3N < 2^63 that 3 does not divide (int64); the
-        second the least with 3N >= 2^63 (Python ints: int64 cannot even
+        second the least with 3N >= 2^63 (the limbs: int64 cannot even
         hold 3N)."""
         assert float(big) == big and big % 3
         self.check((3, big), count=False)  # the d-lattice has 2N points
@@ -251,6 +253,42 @@ class TestCertifiedLambdaParts:
             _form_parts(3 << 63, [], origin, 3)
         with pytest.raises(ValueError, match="2\\^83 .* 2\\^63"):
             build_lattice(DilationVector((1e-20, 1e25)), 1).lambda_parts
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_form_parts_are_the_python_int_values(self, data):
+        """_form_parts against divmod in Python ints, bit for bit: den up
+        to 2^400 and coefficients of either sign, on both sides of int64's
+        bound, with k on both sides of the limbs' bound 2^32, and the
+        origin alone with coefficients past int64 (as for (0.3, 5000)).
+        This covers the int64 path, the limbs and their exact rows."""
+        den = data.draw(st.one_of(st.integers(1, 1 << 53),
+                                  st.integers((1 << 53) + 1, 1 << 400)))
+        s = data.draw(st.integers(0, 3))
+        origin = data.draw(st.booleans())
+        size = data.draw(st.sampled_from(
+            [1 << 40, 1 << 62, 9 << 60, den, den << 40] if not origin else
+            [18 * 10**18, den << 200]))
+        c = st.integers(-size, size)
+        c0, coeffs = data.draw(c), data.draw(st.lists(c, min_size=s,
+                                                      max_size=s))
+        k = st.just(0) if origin else st.one_of(
+            st.integers(0, 1000), st.integers(0, (1 << 32) - 1),
+            st.sampled_from([(1 << 32) - 1, 1 << 32]))
+        rows = data.draw(st.lists(st.lists(k, min_size=s, max_size=s),
+                                  min_size=1, max_size=12))
+        points = np.array(rows, dtype=np.int64).reshape(len(rows), s)
+        reach = (abs(c0) + sum(map(abs, coeffs)) * int(points.max(
+            initial=0))) // den
+        if reach >= 1 << 63:
+            with pytest.raises(ValueError, match="2\\^63"):
+                _form_parts(c0, coeffs, points, den)
+            return
+        floor, frac = _form_parts(c0, coeffs, points, den)
+        want_floor, want_frac = exact_form_parts(c0, coeffs, points, den)
+        assert floor.tolist() == want_floor
+        assert frac.view(np.int64).tolist() == \
+            np.array(want_frac).view(np.int64).tolist()
 
     @pytest.mark.parametrize("e", [50, 52])
     def test_either_side_of_the_exact_division_bound(self, e):

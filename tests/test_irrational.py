@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplexleb
-from simplexleb import irrational, norms
+from simplexleb import core, irrational, norms
 from simplexleb.core import DilationVector, fractional_coefficients
 from simplexleb.irrational import (
     AlphaSpec,
@@ -25,7 +25,7 @@ from simplexleb.irrational import (
 from simplexleb.kernels import _CHUNK_BYTES
 from simplexleb.norms import l1_norm
 
-from oracles import I_n
+from oracles import I_n, golden_floor
 
 
 def determinant_identity_holds(cf) -> bool:
@@ -84,10 +84,12 @@ class TestAlphaSpec:
             AlphaSpec.from_rational(1, 0)
 
     def test_kind_without_value_rejected(self):
-        # golden is the one alpha computed without an exact rational
-        with pytest.raises(ValueError, match="exact rational"):
-            AlphaSpec("pi")
-        assert AlphaSpec("golden") == AlphaSpec.golden()
+        # a name alone builds no alpha, golden's included: golden is the
+        # convergent that AlphaSpec.golden() builds
+        for name in ("pi", "golden"):
+            with pytest.raises(ValueError, match="exact rational"):
+                AlphaSpec(name)
+        assert AlphaSpec.parse("golden") == AlphaSpec.golden()
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
@@ -139,6 +141,24 @@ class TestContinuedFraction:
         qs = [q for _, q in cf.convergents]
         assert all(a < b for a, b in zip(qs[1:], qs[2:]))
 
+    def test_golden_is_a_convergent_within_2_to_the_minus_320(self):
+        """golden is the Fibonacci convergent p / q with q >= 2^160: by an
+        integer square root |p / q - phi| < 2^-320, and its first 64
+        partial quotients, convergents and exact flag are phi's own, so
+        the study flags the same convergent denominators."""
+        alpha = AlphaSpec.golden()
+        p, q = alpha.rational.numerator, alpha.rational.denominator
+        assert q >= 1 << 160
+        # |p 2^400 - q phi 2^400| <= |p 2^400 - [q phi 2^400]| + 1
+        assert abs((p << 400) - golden_floor(q, 400)) + 1 <= q << 80
+        fib = [1, 1]
+        while len(fib) <= 64:
+            fib.append(fib[-1] + fib[-2])
+        cf = cf_expand(alpha, 64)
+        assert cf.quotients == (1,) * 64
+        assert cf.convergents == tuple(zip(fib[1:], fib[:-1]))
+        assert not cf.exact
+
     def test_convergent_approximation_quality(self):
         cf = cf_expand(AlphaSpec.golden(), max_terms=20)
         alpha = (1 + math.sqrt(5)) / 2
@@ -183,10 +203,10 @@ class TestFractionalParts:
         np.testing.assert_array_equal(got[ks], want)
 
     def test_golden_peak_memory(self):
-        """The uint64 limbs of k a come a block of 2^13 k at a time: beside
-        the n + 1 floats returned, fractional_parts(golden, 2^17) holds
-        under 1.5 MiB (tracemalloc: 1.0 MiB; 14.3 MiB with the limbs of
-        every k at once)."""
+        """The k, their floors and the uint64 limbs of the sum come a block
+        of 2^13 k at a time: beside the n + 1 floats returned,
+        fractional_parts(golden, 2^17) holds under 1.5 MiB (tracemalloc:
+        1.1 MiB; 14.3 MiB with the limbs of every k at once)."""
         golden = AlphaSpec.golden()
         tracemalloc.start()
         try:
@@ -206,32 +226,47 @@ class TestFractionalParts:
                                           fractional_parts(alpha, n))
 
     def test_golden_product_path_is_the_square_root_path(self):
+        """Every k <= 2^17: the convergent's limbs give the floats of
+        [k phi 2^128] mod 2^128 / 2^128, phi's own 128-bit fractions."""
         got = fractional_parts(AlphaSpec.golden(), 1 << 17)
-        bits = irrational._FRAC_BITS
-        want = [(irrational._golden_floor(k, bits) & ((1 << bits) - 1))
-                / (1 << bits) for k in range(len(got))]
+        want = [(golden_floor(k, 128) & ((1 << 128) - 1)) / (1 << 128)
+                for k in range(len(got))]
         np.testing.assert_array_equal(got, want)
 
-    def test_golden_fallback_keeps_values(self, monkeypatch):
-        # with 4 guard bits the product cannot decide most floors
-        want = fractional_parts(AlphaSpec.golden(), 2000)
-        calls = []
-        exact = irrational._golden_floor
+    @staticmethod
+    def exact_rows(monkeypatch, guard):
+        """golden's parts at k <= 2000 with the given guard bits, and the
+        rows that took exact Python ints."""
+        calls, exact = [], core._exact_parts
 
-        def counted(k, bits):
-            calls.append(k)
-            return exact(k, bits)
-        monkeypatch.setattr(irrational, "_GUARD_BITS", 4)
-        monkeypatch.setattr(irrational, "_golden_floor", counted)
-        np.testing.assert_array_equal(
-            fractional_parts(AlphaSpec.golden(), 2000), want)
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+        monkeypatch.setattr(core, "_GUARD_BITS", guard)
+        monkeypatch.setattr(core, "_exact_parts", counted)
+        return fractional_parts(AlphaSpec.golden(), 2000), calls
+
+    def test_golden_fallback_keeps_values(self, monkeypatch):
+        # with 4 guard bits the limbs cannot decide most floors
+        want = fractional_parts(AlphaSpec.golden(), 2000)
+        got, calls = self.exact_rows(monkeypatch, 4)
+        np.testing.assert_array_equal(got, want)
         assert len(calls) > 1000
 
-    def test_golden_python_tail_keeps_values(self, monkeypatch):
-        """k at and past the limbs' bound (2^32, lowered to 1000 here) take
-        Python integers, with the same floats."""
+    def test_golden_guard_decides_row_by_row(self, monkeypatch):
+        """With 12 guard bits the limbs decide a row whose guard has room
+        for the block's k, and exact Python ints take the others, with the
+        same floats."""
         want = fractional_parts(AlphaSpec.golden(), 2000)
-        monkeypatch.setattr(irrational, "_LIMB_K", 1000)
+        got, calls = self.exact_rows(monkeypatch, 12)
+        np.testing.assert_array_equal(got, want)
+        assert 0 < len(calls) < 2000
+
+    def test_golden_python_tail_keeps_values(self, monkeypatch):
+        """A block with a k at or past the limbs' bound (2^32, lowered to
+        1000 here) takes Python integers, with the same floats."""
+        want = fractional_parts(AlphaSpec.golden(), 2000)
+        monkeypatch.setattr(core, "_LIMB_K", 1000)
         np.testing.assert_array_equal(
             fractional_parts(AlphaSpec.golden(), 2000), want)
 
@@ -251,8 +286,10 @@ class TestFractionalParts:
 
     def test_huge_denominator_is_taken_in_chunks(self):
         """liouville:2,9 has a 362 880-bit denominator: its 1025 remainders
-        alone would take 47 MiB at once, and with the numerators 94 MiB;
-        chunks of about 8 MiB hold a few of those at a time (30 MiB)."""
+        alone would take 47 MiB at once, and with the numerators 94 MiB.
+        The limbs hold 192-bit fractions, and only the rows they cannot
+        decide form such remainders, one at a time (tracemalloc: 0.4 MiB;
+        30 MiB in chunks of about 8 MiB of Python ints)."""
         alpha = AlphaSpec.liouville(2, 9)
         tracemalloc.start()
         try:
@@ -385,6 +422,23 @@ def _loaded_by_import(module: str) -> bool:
                          capture_output=True, text=True,
                          env=os.environ | {"PYTHONPATH": src}).stdout
     return out.strip() == "True"
+
+
+def test_integer_path_bits_without_avx2():
+    """The limbs, the int64 path and their one float conversion give the
+    same bytes under numpy's X86_V2 loops (a host without AVX2) as here."""
+    specs = ["golden", "liouville:3,5", "rational:355/113"]
+    here = b"".join(fractional_parts(AlphaSpec.parse(spec), 4096).tobytes()
+                    for spec in specs)
+    src = os.path.dirname(os.path.dirname(simplexleb.__file__))
+    code = ("import sys; from simplexleb.irrational import AlphaSpec, "
+            "fractional_parts as f; sys.stdout.write(b''.join(f(AlphaSpec."
+            f"parse(s), 4096).tobytes() for s in {specs!r}).hex())")
+    env = os.environ | {"PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES":
+                        "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    assert bytes.fromhex(out) == here
 
 
 def test_import_leaves_mpmath_unloaded():
